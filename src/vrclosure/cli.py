@@ -60,7 +60,10 @@ def parse_edge_list(text: str) -> Graph:
     seen = set()
     edges = []
     for lineno, tokens in entries:
-        toks = [convert(t) for t in tokens]
+        try:
+            toks = [convert(t) for t in tokens]
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: bad vertex token: {exc}") from exc
         for t in toks:
             if t not in seen:
                 seen.add(t)
@@ -73,7 +76,7 @@ def parse_edge_list(text: str) -> Graph:
 def load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read graph file: {exc}") from exc
     return parse_edge_list(text)
 
@@ -96,7 +99,14 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+def _check_at_least(flag: str, value: int | None, low: int) -> None:
+    """Reject a numeric option below its least meaningful value before any work."""
+    if value is not None and value < low:
+        raise InputError(f"{flag} must be at least {low}, got {value}")
+
+
 def cmd_build(args) -> int:
+    _check_at_least("--max-dim", args.max_dim, 0)
     graph = load_graph(args.graph)
     k = vietoris_rips(graph, args.max_dim)
     print(f"simplex counts by dimension: {k.counts()}", file=sys.stderr)
@@ -108,6 +118,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    _check_at_least("--max-dim", args.max_dim, 0)
+    _check_at_least("--max-k", args.max_k, 0)
     graph = load_graph(args.graph)
     dim_cap = args.max_dim if args.max_dim is not None else args.max_k + 1
     if args.max_k >= dim_cap:
@@ -209,6 +221,7 @@ def build_sample_map(spec: str, domain, graph: Graph, seed: int):
 
 
 def cmd_pipeline(args) -> int:
+    _check_at_least("--grid", args.grid, 1)
     graph = load_graph(args.graph)
     domain = parse_domain_spec(args.domain)
     sample_points = build_sample_map(args.map, domain, graph, args.seed)

@@ -44,7 +44,7 @@ class BaryPoint:
         if any(t < -EPS_ZERO for t in self.coords):
             raise ValueError(f"negative barycentric coordinate in {self.coords}")
         total = sum(self.coords)
-        if abs(total - 1.0) > TOL_SUM:
+        if not abs(total - 1.0) <= TOL_SUM:  # also rejects NaN and inf
             raise ValueError(f"coordinates sum to {total}, not 1")
 
     @classmethod

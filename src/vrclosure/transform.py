@@ -26,6 +26,14 @@ from .realization import BaryPoint, aligned, dominant_vertex, pl_evaluate, subdi
 Vertex = Hashable
 
 
+#: distance-matrix cells per row block in the blocked scans (2 MB of floats)
+BLOCK_CELLS = 1 << 18
+
+
+def _block_rows(n: int) -> int:
+    return max(1, BLOCK_CELLS // n)
+
+
 class CertificateFailure(ValueError):
     """A finite continuity certificate failed; names the violating samples."""
 
@@ -72,6 +80,7 @@ class SampledDomain:
             if not 0 <= b < n:
                 raise ValueError(f"basepoint {b} is not a sample index")
         self._distances: np.ndarray | None = None
+        self._diameter: float | None = None
         if eps_net is None:
             mesh = self.max_simplex_diameter()
             eps_net = mesh if mesh > 0 else 1.0
@@ -84,10 +93,24 @@ class SampledDomain:
         return len(self.coords)
 
     def distances(self) -> np.ndarray:
-        """Full pairwise distance matrix, computed once and cached."""
+        """Full pairwise distance matrix, computed once and cached.
+
+        Squared coordinate gaps are summed one coordinate at a time into the
+        result, so the build needs one n-by-n scratch array, not (n, n, d)
+        ones.  numpy sums a last axis of up to 7 entries in the same
+        sequential order, so for d <= 7 coordinates the matrix equals
+        ``sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))`` bit for bit; from
+        8 on numpy sums pairwise and the two may differ in the last bit.
+        """
         if self._distances is None:
-            diff = self.coords[:, None, :] - self.coords[None, :, :]
-            self._distances = np.sqrt((diff * diff).sum(axis=2))
+            n = self.n_samples
+            total = np.zeros((n, n))
+            gap = np.empty((n, n))
+            for column in self.coords.T:
+                np.subtract.outer(column, column, out=gap)
+                gap *= gap
+                total += gap
+            self._distances = np.sqrt(total, out=total)
         return self._distances
 
     def distance(self, i: int, j: int) -> float:
@@ -95,7 +118,11 @@ class SampledDomain:
 
     @property
     def diameter(self) -> float:
-        return float(self.distances().max())
+        """Largest pairwise distance, computed once and cached; every flood
+        stage reads it."""
+        if self._diameter is None:
+            self._diameter = float(self.distances().max())
+        return self._diameter
 
     def simplex_diameter(self, simplex: Sequence[int]) -> float:
         d = self.distances()
@@ -116,15 +143,18 @@ class SampledDomain:
         return int(np.argmin(gaps))
 
     def spot_check_metric(self, rng: np.random.Generator, trials: int = 200) -> None:
-        """Assert symmetry, zero diagonal, and the triangle inequality on
-        random sample triples; raises AssertionError on violation."""
+        """Check symmetry, zero diagonal, and the triangle inequality on
+        random sample triples; raises ValueError on violation."""
         d = self.distances()
         n = self.n_samples
-        assert np.allclose(d, d.T), "metric is not symmetric"
-        assert np.allclose(np.diag(d), 0.0), "metric has a nonzero diagonal"
+        if not np.allclose(d, d.T):
+            raise ValueError("metric is not symmetric")
+        if not np.allclose(np.diag(d), 0.0):
+            raise ValueError("metric has a nonzero diagonal")
         for _ in range(trials):
             i, j, k = rng.integers(0, n, size=3)
-            assert d[i, k] <= d[i, j] + d[j, k] + 1e-9, "triangle inequality failed"
+            if not d[i, k] <= d[i, j] + d[j, k] + 1e-9:
+                raise ValueError("triangle inequality failed")
 
 
 @dataclass(frozen=True)
@@ -273,11 +303,15 @@ def flood(f: DiscreteMap, v: Vertex, radii: Mapping[int, float]) -> DiscreteMap:
                 "flooding ball touches a basepoint",
             )
 
+    covered = np.zeros(f.domain.n_samples, dtype=bool)
+    step = _block_rows(f.domain.n_samples)
+    for lo in range(0, len(preimage), step):
+        rows = list(preimage[lo : lo + step])
+        half = np.array([float(radii[y]) / 2.0 for y in rows])
+        covered |= (dist[rows] < half[:, None]).any(axis=0)
     new_values = dict(f.values)
-    for y in preimage:
-        half = float(radii[y]) / 2.0
-        for z in np.flatnonzero(dist[y] < half):
-            new_values[int(z)] = v
+    for z in np.flatnonzero(covered).tolist():
+        new_values[z] = v
     return f.with_values(new_values)
 
 
@@ -349,56 +383,105 @@ def flood_sequence(f: DiscreteMap) -> DiscreteMap:
 def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     """Largest per-sample radii whose closed balls carry pairwise-adjacent values.
 
-    Radii are drawn from the finite set of pairwise distances.  When even the
-    nearest neighbors violate adjacency there is no positive radius and the
-    certificate fails, naming the violating pair; when nothing violates, the
-    radius is the domain diameter.
+    Radii are drawn from the finite set of pairwise distances.  For each row
+    block of the distance matrix, D[y, u] is the distance from sample y to
+    the nearest sample carrying value u; the closed ball of radius r around
+    y carries both u and w exactly when r >= max(D[y, u], D[y, w]).  The
+    row's conflict level is the least such maximum over non-adjacent image
+    values: walking the row's values in ascending D order, it is D of the
+    first value not adjacent to an earlier one.  The radius is the largest
+    row distance strictly below that level.  For k image values this takes
+    O(n^2 + n k log k) numpy time, plus O(j^2) adjacency lookups per row
+    where j is the rank of that first conflicting value (2 or 3 on a
+    continuous map), and O(block * n) memory beyond the cached distance
+    matrix.  When even the nearest neighbors violate adjacency there is no
+    positive radius and the certificate fails, naming the pair met first in
+    stable distance order on the first such row; when no two image values
+    are non-adjacent, the radius is the domain diameter.
     """
     dist = f.domain.distances()
     n = f.domain.n_samples
     diameter = f.domain.diameter if n > 1 else 0.0
     fallback = diameter if diameter > 0 else 1.0
-    radii = {}
-    for y in range(n):
-        row = dist[y]
-        order = np.argsort(row, kind="stable")
-        present: dict = {}  # value -> first sample seen carrying it
-        r = None
-        prev_level = None
-        i = 0
-        while i < n and r is None:
-            d_here = float(row[order[i]])
-            j = i
-            while j < n and float(row[order[j]]) == d_here:
-                z = int(order[j])
-                vz = f.values[z]
-                if vz not in present:
-                    conflict = next(
-                        (
-                            (holder, u)
-                            for u, holder in present.items()
-                            if not f.target.are_adjacent(vz, u)
-                        ),
-                        None,
-                    )
-                    if conflict is not None:
-                        holder, u = conflict
-                        if prev_level is None or prev_level <= 0.0:
-                            raise CertificateFailure(
-                                "clique certificate",
-                                (holder, z),
-                                (u, vz),
-                                f"nearest neighbors of sample {y} are not adjacent",
-                            )
-                        r = prev_level
-                        break
-                    present[vz] = z
-                j += 1
-            if r is None:
-                prev_level = d_here
-                i = j
-        radii[y] = fallback if r is None else r
+    image = f.image_vertices()
+    k = len(image)
+    code = {u: c for c, u in enumerate(image)}
+    # adjacent image pairs a < b as sorted keys a * k + b, closed by a
+    # sentinel above every key so that a lookup never runs off the end
+    adjacent = np.sort(
+        np.fromiter(
+            (
+                code[u] * k + code[w]
+                for u in image
+                for w in f.target.neighbors(u)
+                if code.get(w, -1) > code[u]
+            ),
+            dtype=np.int64,
+        )
+    )
+    adjacent = np.append(adjacent, k * k)
+    below = np.full(n, fallback)
+    if len(adjacent) - 1 < k * (k - 1) // 2:
+        labels = np.fromiter((code[f.values[z]] for z in range(n)), dtype=np.intp, count=n)
+        by_value = np.argsort(labels, kind="stable")
+        class_starts = np.searchsorted(labels[by_value], np.arange(k))
+        step = _block_rows(n)
+        for lo in range(0, n, step):
+            block = dist[lo : lo + step]
+            nearest = np.minimum.reduceat(block[:, by_value], class_starts, axis=1)
+            level = _conflict_level(nearest, adjacent, k)
+            below[lo : lo + step] = np.where(block < level[:, None], block, -np.inf).max(axis=1)
+            failing = np.flatnonzero(below[lo : lo + step] <= 0.0)
+            if failing.size:
+                y = lo + int(failing[0])
+                raise _row_failure(f, y, dist[y])
+    radii = {y: float(r) for y, r in enumerate(below)}
     return CliqueCertificate(radii, min(radii.values()))
+
+
+def _conflict_level(nearest: np.ndarray, adjacent: np.ndarray, k: int) -> np.ndarray:
+    """Per row of value distances, the distance of the first value in
+    ascending order that is not adjacent to an earlier one.
+
+    ``adjacent`` holds the sorted keys a * k + b of adjacent value codes
+    a < b, then a sentinel; some pair must be missing from it.  Rows leave
+    the scan as soon as they conflict, so the loop runs to the largest
+    conflicting rank in the block.
+    """
+    order = np.argsort(nearest, axis=1, kind="stable")
+    reach = np.take_along_axis(nearest, order, axis=1)
+    level = np.empty(len(nearest))
+    rows = np.arange(len(nearest))
+    for j in range(1, k):
+        later = order[rows, j][:, None]
+        earlier = order[rows, :j]
+        key = np.minimum(earlier, later) * k + np.maximum(earlier, later)
+        hit = (adjacent[np.searchsorted(adjacent, key)] != key).any(axis=1)
+        level[rows[hit]] = reach[rows[hit], j]
+        rows = rows[~hit]
+        if not rows.size:
+            break
+    return level
+
+
+def _row_failure(f: DiscreteMap, y: int, row: np.ndarray) -> CertificateFailure:
+    """The first non-adjacent value pair met in stable distance order from
+    sample ``y``, for a row that has no positive certificate radius."""
+    present: dict = {}  # value -> first sample seen carrying it
+    for z in np.argsort(row, kind="stable").tolist():
+        vz = f.values[z]
+        if vz in present:
+            continue
+        for u, holder in present.items():
+            if not f.target.are_adjacent(vz, u):
+                return CertificateFailure(
+                    "clique certificate",
+                    (holder, z),
+                    (u, vz),
+                    f"nearest neighbors of sample {y} are not adjacent",
+                )
+        present[vz] = z
+    raise AssertionError(f"row {y} has no conflicting values")  # pragma: no cover
 
 
 def convex_transform(

@@ -50,6 +50,11 @@ class TestParsing:
         with pytest.raises(InputError, match="line 2"):
             parse_edge_list("0 1\n1 2 3\n")
 
+    def test_unicode_digit_names_line(self):
+        # "²".isdigit() holds, but int("²") raises
+        with pytest.raises(InputError, match="line 2"):
+            parse_edge_list("0 1\n1 \u00b2\n")
+
     def test_empty_input(self):
         with pytest.raises(InputError):
             parse_edge_list("# nothing here\n")
@@ -211,6 +216,43 @@ class TestPipeline:
             capsys, "pipeline", c4_file, "--domain", "circle:8", "--map", "mystery"
         )
         assert code == 2
+
+
+MALFORMED = {
+    "unicode-digit": ("unicode-digit.txt", "0 1\n1 \u00b2\n".encode(), ("betti", "{graph}")),
+    "not-utf8": ("not-utf8.txt", b"0 1\n1 \xff\xfe\n", ("build", "{graph}")),
+    "negative-dim": ("path3.txt", b"0 1\n1 2\n", ("build", "{graph}", "--max-dim", "-1")),
+    "nan-theta": (
+        "path3.txt",
+        b"0 1\n1 2\n",
+        ("theta", "{graph}", '{{"carrier":[0,1],"coords":[1.0,NaN]}}'),
+    ),
+    "grid-zero": (
+        "c4.txt",
+        C4.encode(),
+        ("pipeline", "{graph}", "--domain", "circle:64", "--map", "quarter-arc",
+         "--check-sd", "--grid", "0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two(case, capsys, tmp_path):
+    name, content, argv = MALFORMED[case]
+    graph = tmp_path / name
+    graph.write_bytes(content)
+    code, out, err = run_cli(capsys, *(a.format(graph=graph) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--max-dim", "--max-k"])
+def test_betti_negative_caps_rejected(flag, capsys, c4_file):
+    code, out, _ = run_cli(capsys, "betti", c4_file, flag, "-1")
+    assert code == 2
+    assert out == ""
 
 
 class TestDeterminism:

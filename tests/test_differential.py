@@ -1,0 +1,365 @@
+"""Differential tests of the blocked distance scans against the per-row code
+they replaced: the clique certificate (radii and failure pairs), the distance
+build and the flood overwrite must agree exactly."""
+
+import numpy as np
+import pytest
+
+from vrclosure import (
+    CertificateFailure,
+    DiscreteMap,
+    Graph,
+    SampledDomain,
+    SimplicialComplex,
+    clique_certificate,
+    cycle_graph,
+    discrete_modify,
+    flood,
+    flood_sequence,
+    flood_stage_radii,
+    octahedron_graph,
+    subdivide_domain,
+)
+from vrclosure import transform
+from vrclosure.domains import (
+    antipodal_quarter_arc_map,
+    circle_domain,
+    constant_map,
+    icosphere_domain,
+    nearest_pole_map,
+    quarter_arc_map,
+    random_rotation,
+)
+
+# -- oracles: the per-row implementations, kept verbatim in behavior -------
+
+
+def oracle_distances(coords):
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def oracle_certificate(f):
+    """Stable per-row scan: walk each row in distance order, level by level,
+    until a new value conflicts with one already present."""
+    dist = f.domain.distances()
+    n = f.domain.n_samples
+    diameter = f.domain.diameter if n > 1 else 0.0
+    fallback = diameter if diameter > 0 else 1.0
+    radii = {}
+    for y in range(n):
+        row = dist[y]
+        order = np.argsort(row, kind="stable")
+        present: dict = {}
+        r = None
+        prev_level = None
+        i = 0
+        while i < n and r is None:
+            d_here = float(row[order[i]])
+            j = i
+            while j < n and float(row[order[j]]) == d_here:
+                z = int(order[j])
+                vz = f.values[z]
+                if vz not in present:
+                    conflict = next(
+                        (
+                            (holder, u)
+                            for u, holder in present.items()
+                            if not f.target.are_adjacent(vz, u)
+                        ),
+                        None,
+                    )
+                    if conflict is not None:
+                        holder, u = conflict
+                        if prev_level is None or prev_level <= 0.0:
+                            raise CertificateFailure(
+                                "clique certificate",
+                                (holder, z),
+                                (u, vz),
+                                f"nearest neighbors of sample {y} are not adjacent",
+                            )
+                        r = prev_level
+                        break
+                    present[vz] = z
+                j += 1
+            if r is None:
+                prev_level = d_here
+                i = j
+        radii[y] = fallback if r is None else r
+    return transform.CliqueCertificate(radii, min(radii.values()))
+
+
+def oracle_overwrite(f, v, radii):
+    """The old overwrite: assign ``v`` to every member of every half-radius
+    ball around the preimage, one sample at a time."""
+    new_values = dict(f.values)
+    for y in f.preimage(v):
+        half = float(radii[y]) / 2.0
+        for z in np.flatnonzero(f.domain.distances()[y] < half):
+            new_values[int(z)] = v
+    return new_values
+
+
+# -- helpers ---------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """Result or the failure's identifying fields, for exact comparison."""
+    try:
+        return ("ok", fn(*args))
+    except CertificateFailure as exc:
+        return ("fail", (exc.stage, exc.pair, exc.values, exc.detail))
+
+
+def assert_same_certificate(f):
+    want = outcome(oracle_certificate, f)
+    got = outcome(clique_certificate, f)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert got[1].radii == want[1].radii
+        assert got[1].delta == want[1].delta
+    else:
+        assert got[1] == want[1]
+    return want[0]
+
+
+def assert_same_flood(f, v, radii):
+    """``flood`` either refuses the radii in its (unchanged) ball checks or
+    overwrites exactly what the old loop overwrote."""
+    try:
+        got = flood(f, v, radii)
+    except CertificateFailure:
+        return "fail"
+    assert got.values == oracle_overwrite(f, v, radii)
+    return "ok"
+
+
+def point_cloud(coords, basepoints=()):
+    coords = np.asarray(coords, dtype=float)
+    n = len(coords)
+    tri = SimplicialComplex.from_simplices([], dim_cap=1, vertices=range(n))
+    return SampledDomain(coords, tri, basepoints=basepoints)
+
+
+def flipped(f, sample):
+    """``f`` with one sample sent to the antipodal octahedron vertex."""
+    values = dict(f.values)
+    values[sample] = values[sample] ^ 1
+    return f.with_values(values)
+
+
+@pytest.fixture(params=["default", "tiny"])
+def block_cells(request, monkeypatch):
+    """Run each scan with the default row blocks and with one- or two-row
+    blocks, so block boundaries fall everywhere."""
+    if request.param == "tiny":
+        monkeypatch.setattr(transform, "BLOCK_CELLS", 1)
+    return request.param
+
+
+# -- clique certificate ----------------------------------------------------
+
+
+class TestCertificateDifferential:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 16, 24, 60, 64])
+    def test_regular_ngons(self, n, block_cells):
+        # regular polygons have exact distance ties in every row
+        dom = circle_domain(n)
+        c4 = cycle_graph(4)
+        for build in (quarter_arc_map, antipodal_quarter_arc_map, constant_map):
+            f = discrete_modify(build(dom, c4), dom, c4)
+            assert_same_certificate(f)
+            assert_same_certificate(flood_sequence(f))
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 5])
+    def test_ngon_with_alternating_values(self, period, block_cells):
+        dom = circle_domain(20)
+        values = {i: (i // period) % 4 for i in range(20)}
+        f = DiscreteMap(dom, cycle_graph(4), values, values[0])
+        assert_same_certificate(f)
+
+    def test_coincident_samples_with_non_adjacent_values(self, block_cells):
+        dom = point_cloud([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        f = DiscreteMap(dom, cycle_graph(4), {0: 1, 1: 0, 2: 2, 3: 1}, 1)
+        assert assert_same_certificate(f) == "fail"
+
+    def test_coincident_samples_first_row(self, block_cells):
+        dom = point_cloud([[0.0], [0.0], [3.0]])
+        f = DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 2, 2: 1}, 0)
+        assert assert_same_certificate(f) == "fail"
+
+    def test_one_sample_domain(self, block_cells):
+        dom = point_cloud([[0.5, 0.5]])
+        f = DiscreteMap(dom, cycle_graph(4), {0: 2}, 2)
+        assert assert_same_certificate(f) == "ok"
+        assert clique_certificate(f).radii == {0: 1.0}
+
+    def test_single_valued_map_gets_fallback(self, block_cells):
+        dom = icosphere_domain(1)
+        octa = octahedron_graph()
+        f = discrete_modify(constant_map(dom, octa), dom, octa)
+        assert assert_same_certificate(f) == "ok"
+        assert set(clique_certificate(f).radii.values()) == {dom.diameter}
+
+    @pytest.mark.parametrize("rotation_seed", [None, 1, 7])
+    def test_icosa2_flipped_samples(self, rotation_seed, block_cells):
+        dom = icosphere_domain(2)
+        octa = octahedron_graph()
+        rotation = None if rotation_seed is None else random_rotation(rotation_seed)
+        f = discrete_modify(nearest_pole_map(dom, octa, rotation=rotation), dom, octa)
+        assert assert_same_certificate(f) == "ok"
+        outcomes = set()
+        for sample in range(1, dom.n_samples, 5):
+            g = flipped(f, sample)
+            outcomes.add(assert_same_certificate(g))
+            try:
+                flooded = flood_sequence(g)
+            except CertificateFailure:
+                continue
+            outcomes.add(assert_same_certificate(flooded))
+        assert outcomes == {"ok", "fail"}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_point_clouds(self, seed, block_cells):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        dim = int(rng.integers(1, 4))
+        # a coarse integer grid gives exact ties and coincident samples
+        coords = rng.integers(0, 6, size=(n, dim)) if seed % 2 else rng.normal(size=(n, dim))
+        dom = point_cloud(coords)
+        for graph in (cycle_graph(4), octahedron_graph()):
+            k = len(graph.vertices)
+            # clustered values pass more often than independent ones
+            centers = rng.integers(0, n, size=k)
+            gaps = np.linalg.norm(dom.coords[:, None, :] - dom.coords[centers][None], axis=2)
+            clustered = {i: int(np.argmin(gaps[i])) for i in range(n)}
+            scattered = {i: int(rng.integers(0, k)) for i in range(n)}
+            for values in (clustered, scattered):
+                f = DiscreteMap(dom, graph, values, values[0])
+                assert_same_certificate(f)
+
+    @pytest.mark.parametrize("m, run", [(64, 1), (48, 2), (16, 4), (24, 3)])
+    def test_large_images_on_cycles(self, m, run, block_cells):
+        # circle:(m * run) onto C_m in runs of ``run`` samples: up to 64
+        # image values, nearly all pairs non-adjacent
+        dom = circle_domain(m * run)
+        f = DiscreteMap(dom, cycle_graph(m), {i: i // run for i in range(m * run)}, 0)
+        assert_same_certificate(f)
+        assert_same_certificate(flood_sequence(f))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_late_conflicts(self, seed, block_cells):
+        # nearly complete targets: the first non-adjacent pair sits deep in
+        # each row's value order
+        rng = np.random.default_rng(seed)
+        m = 12
+        missing = {(0, 1), (5, 9)}
+        graph = Graph(
+            range(m),
+            [(a, b) for a in range(m) for b in range(a + 1, m) if (a, b) not in missing],
+        )
+        dom = point_cloud(rng.normal(size=(80, 2)))
+        values = {i: int(rng.integers(0, m)) for i in range(80)}
+        f = DiscreteMap(dom, graph, values, values[0])
+        assert_same_certificate(f)
+
+    def test_random_clouds_cover_both_outcomes(self):
+        seen = set()
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            dom = point_cloud(rng.normal(size=(30, 2)))
+            # quarter-turn sectors onto C4: only samples near the origin see
+            # opposite sectors among their nearest neighbors
+            angles = np.arctan2(dom.coords[:, 1], dom.coords[:, 0]) % (2 * np.pi)
+            values = {i: int(angles[i] // (np.pi / 2)) % 4 for i in range(30)}
+            f = DiscreteMap(dom, cycle_graph(4), values, values[0])
+            seen.add(assert_same_certificate(f))
+        assert seen == {"ok", "fail"}
+
+
+# -- distances -------------------------------------------------------------
+
+
+class TestDistancesDifferential:
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            circle_domain(3),
+            circle_domain(64),
+            circle_domain(1000),
+            icosphere_domain(0),
+            icosphere_domain(1),
+            icosphere_domain(2),
+            icosphere_domain(3),
+            point_cloud([[0.25, -1.5, 3.0]]),
+            point_cloud(np.random.default_rng(3).normal(size=(50, 7)) * 1e3),
+        ],
+        ids=[
+            "circle3", "circle64", "circle1000", "icosa0", "icosa1", "icosa2",
+            "icosa3", "one-sample", "cloud7d",
+        ],
+    )
+    def test_equals_broadcast_formula(self, dom):
+        assert np.array_equal(dom.distances(), oracle_distances(dom.coords))
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_random_clouds_up_to_seven_coordinates(self, dim):
+        # numpy sums a last axis of 8 or more entries pairwise, so equality
+        # with the broadcast formula is claimed up to 7 coordinates only
+        coords = np.random.default_rng(dim).normal(size=(40, dim)) * 10.0 ** np.arange(dim)
+        dom = point_cloud(coords)
+        assert np.array_equal(dom.distances(), oracle_distances(dom.coords))
+
+    def test_subdivided_domain(self):
+        dom = icosphere_domain(1)
+        octa = octahedron_graph()
+        f = discrete_modify(nearest_pole_map(dom, octa), dom, octa)
+        sub, _values, _faces = subdivide_domain(dom, f.values)
+        assert np.array_equal(sub.distances(), oracle_distances(sub.coords))
+
+
+# -- flood -----------------------------------------------------------------
+
+
+class TestFloodDifferential:
+    @pytest.mark.parametrize("rotation_seed", [None, 2])
+    def test_stages_on_flipped_sphere_maps(self, rotation_seed, block_cells):
+        dom = icosphere_domain(2)
+        octa = octahedron_graph()
+        rotation = None if rotation_seed is None else random_rotation(rotation_seed)
+        base = discrete_modify(nearest_pole_map(dom, octa, rotation=rotation), dom, octa)
+        outcomes = set()
+        for sample in range(1, dom.n_samples, 9):
+            current = flipped(base, sample)
+            for v in current.image_vertices():
+                try:
+                    radii = flood_stage_radii(current, v)
+                except CertificateFailure:
+                    break
+                if not radii:
+                    continue
+                # maximal radii pass; grown radii reach non-adjacent values
+                # or basepoints and fail; shrunk radii flood less
+                for scale in (2.0, 0.5):
+                    outcomes.add(
+                        assert_same_flood(current, v, {y: r * scale for y, r in radii.items()})
+                    )
+                assert assert_same_flood(current, v, radii) == "ok"
+                current = flood(current, v, radii)
+        assert outcomes == {"ok", "fail"}
+
+    def test_circle_stages(self, block_cells):
+        dom = circle_domain(48)
+        c4 = cycle_graph(4)
+        current = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
+        for v in current.image_vertices():
+            radii = flood_stage_radii(current, v)
+            for r in (0.05, 0.4, 1.0, 2.5):
+                assert_same_flood(current, v, dict.fromkeys(radii, r))
+            current = flood(current, v, radii)
+
+    def test_basepoint_failure(self, block_cells):
+        dom = point_cloud([[0.0], [1.0], [2.0], [3.0]], basepoints=(0,))
+        f = DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 0, 2: 1, 3: 1}, 0)
+        assert assert_same_flood(f, 1, {2: 2.5, 3: 0.5}) == "fail"
+        assert assert_same_flood(f, 1, {2: 1.5, 3: 0.5}) == "ok"

@@ -53,6 +53,13 @@ class TestBaryPoint:
         with pytest.raises(ValueError):
             BaryPoint((0, 1), (1.5, -0.5))
 
+    @pytest.mark.parametrize(
+        "coords", [(1.0, float("nan")), (float("inf"), 0.0), (float("nan"), float("nan"))]
+    )
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError):
+            BaryPoint((0, 1), coords)
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             BaryPoint((0, 0), (0.5, 0.5))

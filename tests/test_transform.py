@@ -1,6 +1,7 @@
 """Discrete modification, floods, clique certificates, convex transformation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vrclosure import (
     subdivide_domain,
     vietoris_rips,
 )
+from vrclosure import transform
 from vrclosure.domains import (
     circle_domain,
     icosphere_domain,
@@ -72,6 +74,23 @@ class TestSampledDomain:
     def test_metric_spot_check(self):
         dom = circle_domain(16)
         dom.spot_check_metric(np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d.__setitem__((0, 1), d[0, 1] + 0.5), "not symmetric"),
+            (lambda d: np.fill_diagonal(d, 0.25), "nonzero diagonal"),
+            (lambda d: d.__setitem__((slice(None), slice(None)), d * d), "triangle inequality"),
+        ],
+    )
+    def test_metric_spot_check_raises_on_corruption(self, corrupt, message, monkeypatch):
+        # a ValueError, not an assert, so the check also runs under python -O
+        dom = circle_domain(16)
+        bad = dom.distances().copy()
+        corrupt(bad)
+        monkeypatch.setattr(dom, "distances", lambda: bad)
+        with pytest.raises(ValueError, match=message):
+            dom.spot_check_metric(np.random.default_rng(0))
 
     def test_triangulation_vertices_are_samples(self):
         with pytest.raises(ValueError):
@@ -288,6 +307,21 @@ class TestCliqueCertificate:
             assert math.isclose(cert.radii[y], oracle[y], rel_tol=1e-12)
         assert cert.delta == min(oracle)
         assert cert.delta > 0
+
+    def test_memory_does_not_grow_with_the_image(self):
+        # 128 image values leave about 8K non-adjacent pairs; scratch space
+        # must stay a few distance-matrix row blocks regardless
+        dom = circle_domain(256)
+        f = DiscreteMap(dom, cycle_graph(128), {i: i // 2 for i in range(256)}, 0)
+        dom.distances()
+        tracemalloc.start()
+        try:
+            cert = clique_certificate(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.delta > 0
+        assert peak < 8 * transform.BLOCK_CELLS * 8
 
     def test_opposite_values_bind_at_a_quarter_turn(self):
         # samples valued 0 and 2 (the only non-adjacent pair straddling a
