@@ -221,6 +221,7 @@ def build_sample_map(spec: str, domain, graph: Graph, seed: int):
 
 
 def cmd_pipeline(args) -> int:
+    _check_at_least("--subdivisions", args.subdivisions, 0)
     _check_at_least("--grid", args.grid, 1)
     graph = load_graph(args.graph)
     domain = parse_domain_spec(args.domain)
@@ -232,7 +233,6 @@ def cmd_pipeline(args) -> int:
             sample_points,
             extra_subdivisions=args.subdivisions,
             check_sd=args.check_sd,
-            grid_steps=args.grid,
         )
     except CertificateFailure as exc:
         failure = {
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--subdivisions", type=int, default=0, help="extra subdivision rounds")
     p_pipe.add_argument("--seed", type=int, default=0)
     p_pipe.add_argument("--check-sd", action="store_true", help="verify subdivision compatibility")
-    p_pipe.add_argument("--grid", type=int, default=50, help="grid steps for --check-sd")
+    p_pipe.add_argument("--grid", type=int, default=50, help="at least 1; unused, --check-sd is exact")
     p_pipe.add_argument("--out", default=None)
     p_pipe.set_defaults(func=cmd_pipeline)
 

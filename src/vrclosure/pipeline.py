@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import permutations
 from typing import Hashable, Mapping
 
 from .complex import SimplicialComplex, SimplicialMap, check_simplicial, vietoris_rips
 from .graph import Graph
 from .homology import induced_h1
-from .realization import BaryPoint, simplex_grid, subdivision_depth_for_mesh
+from .realization import BaryPoint, subdivision_depth_for_mesh
 from .transform import (
     CliqueCertificate,
     DiscreteMap,
     SampledDomain,
-    carriers_compatible,
     clique_certificate,
     convex_transform,
     discrete_modify,
@@ -134,34 +133,31 @@ def build_pipeline(
     )
 
 
-def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int) -> bool:
-    """Common-carrier check between a map and its subdivision refinement.
+def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int = 0) -> bool:
+    """Exact common-carrier check between a map and its subdivision refinement.
 
-    Grids every top-dimensional simplex of ``m1``'s source; simplices whose
-    image pattern (vertex images plus subdivision-vertex images) was already
-    checked are skipped, since the verdict only depends on that pattern.
+    A point of a top simplex s lies in the sd-simplex of a maximal chain
+    F0 < ... < Fd = s, and its two image carriers lie in U = m1(s) plus the
+    m2-images of the chain's barycenters, which interior points reach; so the
+    maps share carriers on |s| iff every chain's U is a target simplex.
+    O(#top * (d+1)!), exact for pure triangulations; ``grid_steps`` is unused
+    and kept only for positional callers.
     """
-    tri = m1.source
-    top = tri.dimension()
+    target = m1.target
+    if target != m2.target:
+        raise ValueError("maps have different target complexes")
+    top = m1.source.dimension()
     if top < 1:
         return True
-    seen: set = set()
-    for s in tri.simplices(top):
-        faces = [
-            face
-            for size in range(1, len(s) + 1)
-            for face in combinations(s, size)
-        ]
-        signature = (
-            tuple(m1.vertex_images[v] for v in s),
-            tuple(m2.vertex_images[face_vertex[f]] for f in faces),
-        )
-        if signature in seen:
-            continue
-        seen.add(signature)
-        points = [BaryPoint(s, c) for c in simplex_grid(top, grid_steps)]
-        if not carriers_compatible(m1, m2, points, face_vertex):
-            return False
+    for s in m1.source.simplices(top):
+        base = {m1.vertex_images[v] for v in s}
+        for order in permutations(range(len(s))):
+            union = set(base)
+            for size in range(1, len(s) + 1):
+                face = tuple(s[i] for i in sorted(order[:size]))
+                union.add(m2.vertex_images[face_vertex[face]])
+            if not target.has_simplex(target.sort_simplex(union)):
+                return False
     return True
 
 
@@ -183,7 +179,6 @@ def run_pipeline(
     sample_points: Mapping[int, BaryPoint],
     extra_subdivisions: int = 0,
     check_sd: bool = False,
-    grid_steps: int = 50,
 ) -> dict:
     """Run the full pipeline and return the per-stage report dict."""
     art = build_pipeline(graph, domain, sample_points, extra_subdivisions)
@@ -212,7 +207,5 @@ def run_pipeline(
     }
     if check_sd:
         m2, face_vertex = refine_once(art)
-        report["sd_compatible"] = sd_compatibility(
-            art.simplicial_map, m2, face_vertex, grid_steps
-        )
+        report["sd_compatible"] = sd_compatibility(art.simplicial_map, m2, face_vertex)
     return report

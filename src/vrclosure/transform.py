@@ -9,6 +9,7 @@ and failures surface the offending sample pair instead of a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -136,7 +137,10 @@ class SampledDomain:
         top = self.triangulation.dimension()
         if top < 1:
             return 0.0
-        return max(self.simplex_diameter(s) for s in self.triangulation.simplices(top))
+        d = self.distances()
+        tops = np.array(self.triangulation.simplices(top))
+        pairs = combinations(range(top + 1), 2)
+        return float(max(d[tops[:, i], tops[:, j]].max() for i, j in pairs))
 
     def nearest_sample(self, point) -> int:
         gaps = np.linalg.norm(self.coords - np.asarray(point, dtype=float), axis=1)

@@ -44,6 +44,8 @@ from vrclosure.domains import (
 from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
 from vrclosure.realization import chain_subsimplices
 
+from grid_oracle import grid_sd_compatibility
+
 
 def report(criterion: int, name: str) -> None:
     print(f"ACCEPTANCE {criterion} ({name}): PASS")
@@ -229,12 +231,13 @@ def test_criterion_6_epimorphism_end_to_end():
 
 def test_criterion_7_subdivision_compatibility():
     """Consecutive subdivision depths produce carrier-compatible maps on a
-    1/50 grid, for every passing pipeline run."""
+    1/50 grid, for every passing pipeline run; the exact chain check agrees."""
     for name, graph, domain, pts in _pipeline_cases():
         art = build_pipeline(graph, domain, pts)
         m2, face_vertex = refine_once(art)
-        assert sd_compatibility(art.simplicial_map, m2, face_vertex, 50), name
-    report(7, "sd-consecutive maps share carriers on the 1/50 grid")
+        assert grid_sd_compatibility(art.simplicial_map, m2, face_vertex, 50), name
+        assert sd_compatibility(art.simplicial_map, m2, face_vertex), name
+    report(7, "sd-consecutive maps share carriers on the 1/50 grid and on every chain")
 
 
 def test_criterion_8_homology_self_consistency():

@@ -233,6 +233,12 @@ MALFORMED = {
         ("pipeline", "{graph}", "--domain", "circle:64", "--map", "quarter-arc",
          "--check-sd", "--grid", "0"),
     ),
+    "negative-subdivisions": (
+        "c4.txt",
+        C4.encode(),
+        ("pipeline", "{graph}", "--domain", "circle:16", "--map", "quarter-arc",
+         "--subdivisions", "-1"),
+    ),
 }
 
 

@@ -1,6 +1,10 @@
-"""Differential tests of the blocked distance scans against the per-row code
-they replaced: the clique certificate (radii and failure pairs), the distance
-build and the flood overwrite must agree exactly."""
+"""Differential tests of rewritten routines against the code they replaced
+or an independent oracle: the clique certificate (radii and failure pairs),
+the distance build, the flood overwrite and the largest simplex diameter
+must agree exactly; the exact subdivision-compatibility check must give the
+1/N-grid check's verdict; clique enumeration must match networkx."""
+
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from vrclosure import (
     Graph,
     SampledDomain,
     SimplicialComplex,
+    SimplicialMap,
+    barycentric_subdivision,
+    check_simplicial,
     clique_certificate,
     cycle_graph,
     discrete_modify,
@@ -19,6 +26,7 @@ from vrclosure import (
     flood_stage_radii,
     octahedron_graph,
     subdivide_domain,
+    vietoris_rips,
 )
 from vrclosure import transform
 from vrclosure.domains import (
@@ -30,6 +38,9 @@ from vrclosure.domains import (
     quarter_arc_map,
     random_rotation,
 )
+from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
+
+from grid_oracle import grid_sd_compatibility
 
 # -- oracles: the per-row implementations, kept verbatim in behavior -------
 
@@ -363,3 +374,179 @@ class TestFloodDifferential:
         f = DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 0, 2: 1, 3: 1}, 0)
         assert assert_same_flood(f, 1, {2: 2.5, 3: 0.5}) == "fail"
         assert assert_same_flood(f, 1, {2: 1.5, 3: 0.5}) == "ok"
+
+
+# -- largest simplex diameter ----------------------------------------------
+
+
+def oracle_max_simplex_diameter(dom):
+    """The old per-simplex loop over the top-dimensional simplices."""
+    top = dom.triangulation.dimension()
+    if top < 1:
+        return 0.0
+    return max(dom.simplex_diameter(s) for s in dom.triangulation.simplices(top))
+
+
+class TestMaxSimplexDiameterDifferential:
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            circle_domain(3),
+            circle_domain(64),
+            circle_domain(1000),
+            icosphere_domain(0),
+            icosphere_domain(1),
+            icosphere_domain(2),
+            icosphere_domain(3),
+            subdivide_domain(icosphere_domain(1), dict.fromkeys(range(42), 0))[0],
+            point_cloud([[0.25, -1.5, 3.0]]),
+        ],
+        ids=[
+            "circle3", "circle64", "circle1000", "icosa0", "icosa1", "icosa2",
+            "icosa3", "icosa1-subdivided", "one-sample",
+        ],
+    )
+    def test_equals_per_simplex_loop(self, dom):
+        got = dom.max_simplex_diameter()
+        assert type(got) is float
+        assert got == oracle_max_simplex_diameter(dom)
+
+
+# -- subdivision compatibility ---------------------------------------------
+
+
+def sd_pair(simplices, graph, cap, m1_images, m2_changes=()):
+    """Maps on a complex and on its barycentric subdivision, whose vertices
+    are the face tuples themselves.  Each barycenter takes the m1-image of
+    its face's first vertex unless ``m2_changes`` says otherwise."""
+    k = SimplicialComplex.from_simplices(simplices, dim_cap=len(simplices[0]) - 1)
+    target = vietoris_rips(graph, cap)
+    sd, _ = barycentric_subdivision(k)
+    m2_images = {face: m1_images[face[0]] for face in sd.vertices}
+    m2_images.update(m2_changes)
+    m1 = SimplicialMap(k, target, m1_images)
+    m2 = SimplicialMap(sd, target, m2_images)
+    return m1, m2, {face: face for face in sd.vertices}
+
+
+def assert_same_sd_verdict(m1, m2, face_vertex, grid_steps=50):
+    want = grid_sd_compatibility(m1, m2, face_vertex, grid_steps)
+    assert sd_compatibility(m1, m2, face_vertex) == want
+    return want
+
+
+EDGE = [(0, 1)]
+TRIANGLE = [(0, 1, 2)]
+PATH_201 = Graph(range(3), [(0, 1), (0, 2)])
+K3 = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
+K3_PLUS = {  # K3 on 0, 1, 2 and a vertex 3 adjacent to the listed ones
+    tuple(nbrs): Graph(range(4), [(0, 1), (0, 2), (1, 2)] + [(3, v) for v in nbrs])
+    for nbrs in ((0,), (0, 1), (0, 1, 2))
+}
+
+# Simplicial but incompatible pairs: one m2 image moved to a vertex that
+# breaks the clique of some maximal chain.  A barycenter image adjacent to
+# every vertex image always completes a clique, so the barycenter cases need
+# a target that stops short of it: the edge's under cap 1, the triangle's
+# under cap 2 (a hollow tetrahedron).
+INCOMPATIBLE = {
+    "edge-vertex": (EDGE, PATH_201, 3, {0: 0, 1: 1}, {(0,): 2, (0, 1): 0}),
+    "edge-barycenter": (EDGE, K3, 1, {0: 0, 1: 1}, {(0, 1): 2}),
+    "triangle-vertex": (TRIANGLE, K3_PLUS[(0,)], 5, {0: 0, 1: 1, 2: 2}, {(0,): 3}),
+    "triangle-edge-barycenter": (
+        TRIANGLE, K3_PLUS[(0, 1)], 5, {0: 0, 1: 1, 2: 2}, {(0, 1): 3},
+    ),
+    "triangle-barycenter": (
+        TRIANGLE, K3_PLUS[(0, 1, 2)], 2, {0: 0, 1: 1, 2: 2}, {(0, 1, 2): 3},
+    ),
+}
+
+
+class TestSdCompatibilityDifferential:
+    @pytest.mark.parametrize(
+        "graph, domain, builder, extra",
+        [
+            (octahedron_graph(), "icosa:2", "rotated:5", 0),
+            (cycle_graph(4), "circle:256", quarter_arc_map, 0),
+            (cycle_graph(4), "circle:256", antipodal_quarter_arc_map, 0),
+            (cycle_graph(4), "circle:16", quarter_arc_map, 1),
+        ],
+        ids=[
+            "icosa2-rotated", "circle256-quarter-arc", "circle256-antipodal",
+            "circle16-quarter-arc-sd1",
+        ],
+    )
+    def test_pipeline_maps_pass(self, graph, domain, builder, extra):
+        kind, size = domain.split(":")
+        dom = circle_domain(int(size)) if kind == "circle" else icosphere_domain(int(size))
+        if builder == "rotated:5":
+            pts = nearest_pole_map(dom, graph, rotation=random_rotation(5))
+        else:
+            pts = builder(dom, graph)
+        art = build_pipeline(graph, dom, pts, extra_subdivisions=extra)
+        m2, face_vertex = refine_once(art)
+        assert assert_same_sd_verdict(art.simplicial_map, m2, face_vertex) is True
+
+    @pytest.mark.parametrize("case", sorted(INCOMPATIBLE))
+    def test_incompatible_simplicial_pairs_fail(self, case):
+        simplices, graph, cap, m1_images, changes = INCOMPATIBLE[case]
+        m1, m2, face_vertex = sd_pair(simplices, graph, cap, m1_images, changes)
+        assert check_simplicial(m1) and check_simplicial(m2)
+        assert assert_same_sd_verdict(m1, m2, face_vertex) is False
+        # the unchanged refinement of the same map passes
+        m1, m2, face_vertex = sd_pair(simplices, graph, cap, m1_images)
+        assert assert_same_sd_verdict(m1, m2, face_vertex) is True
+
+    @pytest.mark.parametrize("simplices", [[(0, 1), (1, 2)], [(0, 1, 2), (1, 2, 3)]])
+    def test_random_simplicial_perturbations(self, simplices):
+        # 12 steps put a grid point inside the sd-simplex of every maximal
+        # chain (for a triangle, coordinates a > b > c > 0 in every order),
+        # so the grid meets each chain's full carrier union
+        rng = random.Random(len(simplices[0]))
+        dim = len(simplices[0]) - 1
+        k = SimplicialComplex.from_simplices(simplices, dim_cap=dim)
+        sd_vertices = barycentric_subdivision(k)[0].vertices
+        verdicts = []
+        while len(verdicts) < 150:
+            graph = Graph(
+                range(6),
+                [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.6],
+            )
+            m1_images = {v: rng.randrange(6) for v in k.vertices}
+            changes = {face: rng.randrange(6) for face in rng.sample(sd_vertices, 2)}
+            cap = rng.choice([dim, 5])
+            m1, m2, face_vertex = sd_pair(simplices, graph, cap, m1_images, changes)
+            if not (check_simplicial(m1) and check_simplicial(m2)):
+                continue
+            verdicts.append(assert_same_sd_verdict(m1, m2, face_vertex, grid_steps=12))
+        assert set(verdicts) == {True, False}
+
+    def test_mismatched_targets_rejected(self):
+        m1, m2, face_vertex = sd_pair(EDGE, K3, 2, {0: 0, 1: 1})
+        other = SimplicialMap(m2.source, vietoris_rips(cycle_graph(4), 2), m2.vertex_images)
+        with pytest.raises(ValueError):
+            sd_compatibility(m1, other, face_vertex, 50)
+
+
+# -- clique enumeration ----------------------------------------------------
+
+
+class TestVietorisRipsDifferential:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_networkx_cliques(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        p = rng.choice([0.2, 0.5, 0.8])
+        g = nx.gnp_random_graph(n, p, seed=seed)
+        cap = rng.randint(0, 6)
+        k = vietoris_rips(Graph(range(n), list(g.edges)), cap)
+        want = [set() for _ in range(cap + 1)]
+        for clique in nx.enumerate_all_cliques(g):
+            if len(clique) > cap + 1:
+                break
+            want[len(clique) - 1].add(tuple(sorted(clique)))
+        for d in range(cap + 1):
+            got = k.simplices(d)
+            assert len(got) == len(set(got))
+            assert set(got) == want[d], (seed, d)
