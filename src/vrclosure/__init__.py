@@ -36,13 +36,12 @@ from .transform import (
     CliqueCertificate,
     DiscreteMap,
     SampledDomain,
-    carriers_compatible,
     clique_certificate,
     convex_transform,
     discrete_modify,
     flood,
-    flood_sequence,
     flood_stage_radii,
+    flood_stages,
     subdivide_domain,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "barycentric_subdivision",
     "bary_cover_membership",
     "betti_numbers",
-    "carriers_compatible",
     "check_simplicial",
     "check_star_condition",
     "clique_certificate",
@@ -76,8 +74,8 @@ __all__ = [
     "edge_path_presentation",
     "euler_characteristic",
     "flood",
-    "flood_sequence",
     "flood_stage_radii",
+    "flood_stages",
     "induced_h1",
     "is_continuous",
     "octahedron_graph",

@@ -86,10 +86,6 @@ class Graph:
         self.index(v)
         return u == v or v in self._adjacency[u]
 
-    def is_locally_finite(self) -> bool:
-        """Always true for this finite representation; kept for API fidelity."""
-        return True
-
     def canonical_closure(self) -> ClosureSpace:
         """The closure space whose singleton closures are closed neighborhoods."""
         return ClosureSpace(

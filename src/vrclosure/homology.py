@@ -1,9 +1,9 @@
 """Simplicial homology over GF(2): Betti numbers, Euler characteristic,
 induced maps on H1, and edge-path group presentations.
 
-Boundary matrices are stored column-wise as Python int bitsets.  Elimination
-is dense bit-packed below ``SPARSE_THRESHOLD`` columns and switches to a
-column-sparse set representation above it; both produce identical ranks.
+Boundary matrices are stored column-wise as Python int bitsets, and every
+elimination (ranks, the cycle kernel, the H1 echelon and H1 coordinates)
+is one reduction by the lowest set bit against a dict of pivots.
 """
 
 from __future__ import annotations
@@ -18,47 +18,32 @@ from .complex import SimplicialComplex, SimplicialMap, check_simplicial
 
 Vertex = Hashable
 
-#: column count above which elimination switches to the sparse representation
-SPARSE_THRESHOLD = 10_000
 
+def _reduce(pivots: dict, vec: int, tag: int = 0) -> tuple:
+    """Reduce ``vec`` by its lowest set bit against ``pivots``, which maps
+    each lowest bit to ``(vector, tag)``, XOR-ing the tags of the pivots used.
 
-def gf2_rank_dense(columns: Sequence[int]) -> int:
-    """Rank of a GF(2) matrix given as int bitset columns."""
-    pivots: dict = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col & -col
-            if low in pivots:
-                col ^= pivots[low]
-            else:
-                pivots[low] = col
-                rank += 1
-                break
-    return rank
-
-
-def gf2_rank_sparse(columns: Sequence[int]) -> int:
-    """Same elimination with columns kept as sets of row indices."""
-    pivots: dict = {}
-    rank = 0
-    for bits in columns:
-        col = {i for i in range(bits.bit_length()) if (bits >> i) & 1}
-        while col:
-            low = min(col)
-            if low in pivots:
-                col ^= pivots[low]
-            else:
-                pivots[low] = col
-                rank += 1
-                break
-    return rank
+    Returns ``(residue, tag)``: the residue is zero, or its lowest bit has no
+    pivot yet and it can be stored as a new one under that bit.
+    """
+    while vec:
+        low = vec & -vec
+        if low not in pivots:
+            break
+        pvec, ptag = pivots[low]
+        vec ^= pvec
+        tag ^= ptag
+    return vec, tag
 
 
 def gf2_rank(columns: Sequence[int]) -> int:
-    if len(columns) >= SPARSE_THRESHOLD:
-        return gf2_rank_sparse(columns)
-    return gf2_rank_dense(columns)
+    """Rank of a GF(2) matrix given as int bitset columns."""
+    pivots: dict = {}
+    for col in columns:
+        col, _ = _reduce(pivots, col)
+        if col:
+            pivots[col & -col] = (col, 0)
+    return len(pivots)
 
 
 def boundary_columns(k: SimplicialComplex, dim: int) -> list:
@@ -118,7 +103,6 @@ class _H1Context:
     def __init__(self, k: SimplicialComplex):
         if k.dim_cap < 2:
             raise ValueError("need dim_cap >= 2 for H1")
-        self.complex = k
         self.edges = k.simplices(1)
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
 
@@ -128,19 +112,11 @@ class _H1Context:
         pivots: dict = {}
         cycles = []
         for j, (u, w) in enumerate(self.edges):
-            vec = (1 << vrows[u]) | (1 << vrows[w])
-            comb = 1 << j
-            while vec:
-                low = vec & -vec
-                if low not in pivots:
-                    pivots[low] = (vec, comb)
-                    break
-                pvec, pcomb = pivots[low]
-                vec ^= pvec
-                comb ^= pcomb
+            vec, comb = _reduce(pivots, (1 << vrows[u]) | (1 << vrows[w]), 1 << j)
+            if vec:
+                pivots[vec & -vec] = (vec, comb)
             else:
                 cycles.append(comb)
-        self.cycle_basis = cycles
 
         # echelon over edge bitsets: boundaries of triangles first, then the
         # surviving cycles tagged with fresh homology coordinates
@@ -156,26 +132,16 @@ class _H1Context:
                 self.h1_basis.append(z)
 
     def _insert(self, vec: int, coord: int) -> bool:
-        while vec:
-            low = vec & -vec
-            if low not in self.echelon:
-                self.echelon[low] = (vec, coord)
-                return True
-            pvec, pcoord = self.echelon[low]
-            vec ^= pvec
-            coord ^= pcoord
-        return False
+        vec, coord = _reduce(self.echelon, vec, coord)
+        if vec:
+            self.echelon[vec & -vec] = (vec, coord)
+        return bool(vec)
 
     def coordinates(self, cycle: int) -> int:
         """H1 coordinates of an edge-bitset cycle, as a bitmask."""
-        vec, coord = cycle, 0
-        while vec:
-            low = vec & -vec
-            if low not in self.echelon:
-                raise ValueError("chain is not a cycle of the complex")
-            pvec, pcoord = self.echelon[low]
-            vec ^= pvec
-            coord ^= pcoord
+        residue, coord = _reduce(self.echelon, cycle)
+        if residue:
+            raise ValueError("chain is not a cycle of the complex")
         return coord
 
 
@@ -221,7 +187,7 @@ def induced_h1(m: SimplicialMap) -> InducedH1:
     )
     return InducedH1(
         matrix=matrix,
-        rank=gf2_rank_dense(columns),
+        rank=gf2_rank(columns),
         source_betti1=len(src.h1_basis),
         target_betti1=n_rows,
     )

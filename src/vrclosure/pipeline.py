@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Hashable, Mapping
 
 from .complex import SimplicialComplex, SimplicialMap, check_simplicial, vietoris_rips
@@ -24,8 +24,7 @@ from .transform import (
     clique_certificate,
     convex_transform,
     discrete_modify,
-    flood,
-    flood_stage_radii,
+    flood_stages,
     subdivide_domain,
 )
 
@@ -83,22 +82,19 @@ def build_pipeline(
     f0 = discrete_modify(sample_points, domain, graph)
     stage_log = [{"stage": "discrete_modify", "digest": digest_map(f0), "changed": 0}]
     current = f0
-    for v in f0.image_vertices():
-        radii = flood_stage_radii(current, v)
-        entry = {"stage": f"flood:{v}", "preimage": len(radii)}
+    for v, radii, flooded in flood_stages(f0):
+        entry = {
+            "stage": f"flood:{v}",
+            "preimage": len(radii),
+            "changed": sum(
+                1 for i in range(domain.n_samples) if flooded.values[i] != current.values[i]
+            ),
+            "digest": digest_map(flooded),
+        }
         if radii:
-            flooded = flood(current, v, radii)
-            entry["changed"] = sum(
-                1
-                for i in range(domain.n_samples)
-                if flooded.values[i] != current.values[i]
-            )
             entry["min_radius"] = min(radii.values())
-            current = flooded
-        else:
-            entry["changed"] = 0
-        entry["digest"] = digest_map(current)
         stage_log.append(entry)
+        current = flooded
 
     cert = clique_certificate(current)
 
@@ -136,28 +132,33 @@ def build_pipeline(
 def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int = 0) -> bool:
     """Exact common-carrier check between a map and its subdivision refinement.
 
-    A point of a top simplex s lies in the sd-simplex of a maximal chain
+    A point of a maximal simplex s lies in the sd-simplex of a maximal chain
     F0 < ... < Fd = s, and its two image carriers lie in U = m1(s) plus the
     m2-images of the chain's barycenters, which interior points reach; so the
-    maps share carriers on |s| iff every chain's U is a target simplex.
-    O(#top * (d+1)!), exact for pure triangulations; ``grid_steps`` is unused
-    and kept only for positional callers.
+    maps share carriers on |s| iff every chain's U is a target simplex.  Every
+    point of the source lies in some maximal simplex, so visiting all of them,
+    not only the top-dimensional ones, makes the check exact for any complex.
+    O(sum of (d+1)! over maximal d-simplices); ``grid_steps`` is unused and
+    kept only for positional callers.
     """
     target = m1.target
     if target != m2.target:
         raise ValueError("maps have different target complexes")
-    top = m1.source.dimension()
-    if top < 1:
-        return True
-    for s in m1.source.simplices(top):
-        base = {m1.vertex_images[v] for v in s}
-        for order in permutations(range(len(s))):
-            union = set(base)
-            for size in range(1, len(s) + 1):
-                face = tuple(s[i] for i in sorted(order[:size]))
-                union.add(m2.vertex_images[face_vertex[face]])
-            if not target.has_simplex(target.sort_simplex(union)):
-                return False
+    source = m1.source
+    covered: set = set()  # faces of the simplices one dimension up
+    for d in range(source.dimension(), -1, -1):
+        for s in source.simplices(d):
+            if s in covered:
+                continue
+            base = {m1.vertex_images[v] for v in s}
+            for order in permutations(range(len(s))):
+                union = set(base)
+                for size in range(1, len(s) + 1):
+                    face = tuple(s[i] for i in sorted(order[:size]))
+                    union.add(m2.vertex_images[face_vertex[face]])
+                if not target.has_simplex(target.sort_simplex(union)):
+                    return False
+        covered = {face for s in source.simplices(d) for face in combinations(s, d)}
     return True
 
 

@@ -217,24 +217,3 @@ def subdivided_point(point: BaryPoint, face_vertex: Mapping | None = None) -> Ba
             weights.append(w)
     total = sum(weights)
     return BaryPoint(tuple(faces), tuple(w / total for w in weights))
-
-
-def chain_subsimplices(simplex: Sequence[Vertex], i: int) -> Iterator[tuple]:
-    """All maximal chain subsimplices of the i-th barycentric-cover piece.
-
-    Each is the tuple of nested faces ``{v_i}, {v_i, v_a}, ...`` for one
-    ordering of the remaining vertices; their realizations united give the
-    piece.  Exponential in the dimension; meant for oracles and small tests,
-    not production paths.
-    """
-    simplex = tuple(simplex)
-    others = [v for j, v in enumerate(simplex) if j != i]
-    from itertools import permutations
-
-    for perm in permutations(others):
-        chain = [(simplex[i],)]
-        acc = [simplex[i]]
-        for v in perm:
-            acc.append(v)
-            chain.append(tuple(sorted(acc, key=simplex.index)))
-        yield tuple(chain)

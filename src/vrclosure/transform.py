@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .complex import (
     vietoris_rips,
 )
 from .graph import Graph
-from .realization import BaryPoint, aligned, dominant_vertex, pl_evaluate, subdivided_point
+from .realization import BaryPoint, dominant_vertex
 
 Vertex = Hashable
 
@@ -145,20 +145,6 @@ class SampledDomain:
     def nearest_sample(self, point) -> int:
         gaps = np.linalg.norm(self.coords - np.asarray(point, dtype=float), axis=1)
         return int(np.argmin(gaps))
-
-    def spot_check_metric(self, rng: np.random.Generator, trials: int = 200) -> None:
-        """Check symmetry, zero diagonal, and the triangle inequality on
-        random sample triples; raises ValueError on violation."""
-        d = self.distances()
-        n = self.n_samples
-        if not np.allclose(d, d.T):
-            raise ValueError("metric is not symmetric")
-        if not np.allclose(np.diag(d), 0.0):
-            raise ValueError("metric has a nonzero diagonal")
-        for _ in range(trials):
-            i, j, k = rng.integers(0, n, size=3)
-            if not d[i, k] <= d[i, j] + d[j, k] + 1e-9:
-                raise ValueError("triangle inequality failed")
 
 
 @dataclass(frozen=True)
@@ -369,19 +355,19 @@ def flood_stage_radii(f: DiscreteMap, v: Vertex) -> dict:
     return radii
 
 
-def flood_sequence(f: DiscreteMap) -> DiscreteMap:
-    """Flood once per image vertex, in vertex order, with maximal radii.
+def flood_stages(f: DiscreteMap) -> Iterator[tuple]:
+    """Flood once per image vertex of ``f``, in the target's vertex order,
+    with maximal radii, yielding ``(v, radii, flooded)`` after each stage.
 
-    Stage order is ascending vertex order over the image of the input map;
-    stages whose preimage was overwritten by earlier floods degenerate to the
-    identity.  Errors from a stage propagate with the stage named.
+    A stage whose preimage earlier floods overwrote yields empty radii and
+    the map unchanged.  Errors from a stage propagate with the stage named.
     """
     current = f
     for v in f.image_vertices():
         radii = flood_stage_radii(current, v)
         if radii:
             current = flood(current, v, radii)
-    return current
+        yield v, radii, current
 
 
 def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
@@ -529,32 +515,6 @@ def convex_transform(
     if not check_simplicial(m):  # pragma: no cover - guaranteed by the checks above
         raise AssertionError("convex transform produced a non-simplicial map")
     return m
-
-
-def carriers_compatible(
-    m1: SimplicialMap,
-    m2: SimplicialMap,
-    points: Sequence[BaryPoint],
-    face_vertex: Mapping | None = None,
-) -> bool:
-    """Do both maps send each sampled point into a common target simplex?
-
-    ``m2`` must be defined on the barycentric subdivision of ``m1``'s source;
-    ``face_vertex`` renames each face tuple of the source to the subdivision
-    vertex at its barycenter (identity when the subdivision kept face tuples
-    as vertices).  A common carrier certifies that the straight-line homotopy
-    between the two evaluations stays inside the realization.
-    """
-    if m1.target != m2.target:
-        raise ValueError("maps have different target complexes")
-    for x in points:
-        p1 = pl_evaluate(m1, aligned(x, m1.source))
-        x2 = subdivided_point(aligned(x, m1.source), face_vertex)
-        p2 = pl_evaluate(m2, aligned(x2, m2.source))
-        union = set(p1.carrier) | set(p2.carrier)
-        if not m1.target.has_simplex(m1.target.sort_simplex(union)):
-            return False
-    return True
 
 
 def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tuple:

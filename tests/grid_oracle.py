@@ -1,7 +1,7 @@
 """The sampled subdivision-compatibility check, kept as a test oracle.
 
 It evaluates both maps with ``pl_evaluate`` at every point of the uniform
-1/``grid_steps`` grid of each top simplex and asks ``carriers_compatible``
+1/``grid_steps`` grid of each maximal simplex and asks ``carriers_compatible``
 whether their carriers fit in one target simplex.  Simplices whose image
 pattern (vertex images plus subdivision-vertex images) was already checked
 are skipped, since the verdict only depends on that pattern.
@@ -9,16 +9,43 @@ are skipped, since the verdict only depends on that pattern.
 
 from itertools import combinations
 
-from vrclosure import BaryPoint, carriers_compatible, simplex_grid
+from vrclosure import BaryPoint, pl_evaluate, simplex_grid, subdivided_point
+from vrclosure.realization import aligned
+
+
+def carriers_compatible(m1, m2, points, face_vertex=None) -> bool:
+    """Do both maps send each sampled point into a common target simplex?
+
+    ``m2`` must be defined on the barycentric subdivision of ``m1``'s source;
+    ``face_vertex`` renames each face tuple of the source to the subdivision
+    vertex at its barycenter (identity when the subdivision kept face tuples
+    as vertices).  A common carrier certifies that the straight-line homotopy
+    between the two evaluations stays inside the realization.
+    """
+    if m1.target != m2.target:
+        raise ValueError("maps have different target complexes")
+    for x in points:
+        p1 = pl_evaluate(m1, aligned(x, m1.source))
+        x2 = subdivided_point(aligned(x, m1.source), face_vertex)
+        p2 = pl_evaluate(m2, aligned(x2, m2.source))
+        union = set(p1.carrier) | set(p2.carrier)
+        if not m1.target.has_simplex(m1.target.sort_simplex(union)):
+            return False
+    return True
+
+
+def maximal_simplices(tri) -> list:
+    """Simplices that are a proper face of no other simplex."""
+    simplices = list(tri.all_simplices())
+    proper_faces = {
+        face for s in simplices for size in range(1, len(s)) for face in combinations(s, size)
+    }
+    return [s for s in simplices if s not in proper_faces]
 
 
 def grid_sd_compatibility(m1, m2, face_vertex, grid_steps: int) -> bool:
-    tri = m1.source
-    top = tri.dimension()
-    if top < 1:
-        return True
     seen: set = set()
-    for s in tri.simplices(top):
+    for s in maximal_simplices(m1.source):
         faces = [
             face
             for size in range(1, len(s) + 1)
@@ -31,7 +58,7 @@ def grid_sd_compatibility(m1, m2, face_vertex, grid_steps: int) -> bool:
         if signature in seen:
             continue
         seen.add(signature)
-        points = [BaryPoint(s, c) for c in simplex_grid(top, grid_steps)]
+        points = [BaryPoint(s, c) for c in simplex_grid(len(s) - 1, grid_steps)]
         if not carriers_compatible(m1, m2, points, face_vertex):
             return False
     return True

@@ -42,9 +42,10 @@ from vrclosure.domains import (
     random_rotation,
 )
 from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
-from vrclosure.realization import chain_subsimplices
 
 from grid_oracle import grid_sd_compatibility
+from helpers import chain_subsimplices
+from homology_oracle import induced_h1 as oracle_induced_h1
 
 
 def report(criterion: int, name: str) -> None:
@@ -231,12 +232,17 @@ def test_criterion_6_epimorphism_end_to_end():
 
 def test_criterion_7_subdivision_compatibility():
     """Consecutive subdivision depths produce carrier-compatible maps on a
-    1/50 grid, for every passing pipeline run; the exact chain check agrees."""
+    1/50 grid, for every passing pipeline run; the exact chain check agrees,
+    and both maps' induced maps on H1 equal the hand-written elimination's."""
+    from vrclosure.homology import induced_h1
+
     for name, graph, domain, pts in _pipeline_cases():
         art = build_pipeline(graph, domain, pts)
         m2, face_vertex = refine_once(art)
         assert grid_sd_compatibility(art.simplicial_map, m2, face_vertex, 50), name
         assert sd_compatibility(art.simplicial_map, m2, face_vertex), name
+        for m in (art.simplicial_map, m2):
+            assert induced_h1(m) == oracle_induced_h1(m), name
     report(7, "sd-consecutive maps share carriers on the 1/50 grid and on every chain")
 
 

@@ -2,7 +2,8 @@
 or an independent oracle: the clique certificate (radii and failure pairs),
 the distance build, the flood overwrite and the largest simplex diameter
 must agree exactly; the exact subdivision-compatibility check must give the
-1/N-grid check's verdict; clique enumeration must match networkx."""
+1/N-grid check's verdict; Betti numbers and induced maps on H1 must equal
+the hand-written eliminations; clique enumeration must match networkx."""
 
 import random
 
@@ -17,13 +18,14 @@ from vrclosure import (
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
+    betti_numbers,
     check_simplicial,
     clique_certificate,
     cycle_graph,
     discrete_modify,
     flood,
-    flood_sequence,
     flood_stage_radii,
+    induced_h1,
     octahedron_graph,
     subdivide_domain,
     vietoris_rips,
@@ -40,7 +42,9 @@ from vrclosure.domains import (
 )
 from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
 
+import homology_oracle
 from grid_oracle import grid_sd_compatibility
+from helpers import flood_all
 
 # -- oracles: the per-row implementations, kept verbatim in behavior -------
 
@@ -114,6 +118,11 @@ def oracle_overwrite(f, v, radii):
 # -- helpers ---------------------------------------------------------------
 
 
+def assert_same_h1(m):
+    """Matrix, rank and both first Betti numbers equal the oracle's."""
+    assert induced_h1(m) == homology_oracle.induced_h1(m)
+
+
 def outcome(fn, *args):
     """Result or the failure's identifying fields, for exact comparison."""
     try:
@@ -180,7 +189,7 @@ class TestCertificateDifferential:
         for build in (quarter_arc_map, antipodal_quarter_arc_map, constant_map):
             f = discrete_modify(build(dom, c4), dom, c4)
             assert_same_certificate(f)
-            assert_same_certificate(flood_sequence(f))
+            assert_same_certificate(flood_all(f))
 
     @pytest.mark.parametrize("period", [1, 2, 3, 5])
     def test_ngon_with_alternating_values(self, period, block_cells):
@@ -224,7 +233,7 @@ class TestCertificateDifferential:
             g = flipped(f, sample)
             outcomes.add(assert_same_certificate(g))
             try:
-                flooded = flood_sequence(g)
+                flooded = flood_all(g)
             except CertificateFailure:
                 continue
             outcomes.add(assert_same_certificate(flooded))
@@ -256,7 +265,7 @@ class TestCertificateDifferential:
         dom = circle_domain(m * run)
         f = DiscreteMap(dom, cycle_graph(m), {i: i // run for i in range(m * run)}, 0)
         assert_same_certificate(f)
-        assert_same_certificate(flood_sequence(f))
+        assert_same_certificate(flood_all(f))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_late_conflicts(self, seed, block_cells):
@@ -438,6 +447,7 @@ def assert_same_sd_verdict(m1, m2, face_vertex, grid_steps=50):
 EDGE = [(0, 1)]
 TRIANGLE = [(0, 1, 2)]
 PATH_201 = Graph(range(3), [(0, 1), (0, 2)])
+PATH_012 = Graph(range(3), [(0, 1), (1, 2)])
 K3 = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
 K3_PLUS = {  # K3 on 0, 1, 2 and a vertex 3 adjacent to the listed ones
     tuple(nbrs): Graph(range(4), [(0, 1), (0, 2), (1, 2)] + [(3, v) for v in nbrs])
@@ -459,6 +469,12 @@ INCOMPATIBLE = {
     "triangle-barycenter": (
         TRIANGLE, K3_PLUS[(0, 1, 2)], 2, {0: 0, 1: 1, 2: 2}, {(0, 1, 2): 3},
     ),
+    # non-pure sources: the broken chain lies in a maximal simplex below the
+    # top dimension, (3,) < (2, 3) and the isolated vertex (2,)
+    "triangle-dangling-edge": (
+        [(0, 1, 2), (2, 3)], PATH_012, 2, {0: 0, 1: 0, 2: 0, 3: 1}, {(3,): 2, (2, 3): 1},
+    ),
+    "edge-isolated-vertex": ([(0, 1), (2,)], cycle_graph(4), 2, {0: 0, 1: 1, 2: 0}, {(2,): 2}),
 }
 
 
@@ -486,6 +502,8 @@ class TestSdCompatibilityDifferential:
         art = build_pipeline(graph, dom, pts, extra_subdivisions=extra)
         m2, face_vertex = refine_once(art)
         assert assert_same_sd_verdict(art.simplicial_map, m2, face_vertex) is True
+        assert_same_h1(art.simplicial_map)
+        assert_same_h1(m2)
 
     @pytest.mark.parametrize("case", sorted(INCOMPATIBLE))
     def test_incompatible_simplicial_pairs_fail(self, case):
@@ -497,7 +515,9 @@ class TestSdCompatibilityDifferential:
         m1, m2, face_vertex = sd_pair(simplices, graph, cap, m1_images)
         assert assert_same_sd_verdict(m1, m2, face_vertex) is True
 
-    @pytest.mark.parametrize("simplices", [[(0, 1), (1, 2)], [(0, 1, 2), (1, 2, 3)]])
+    @pytest.mark.parametrize(
+        "simplices", [[(0, 1), (1, 2)], [(0, 1, 2), (1, 2, 3)], [(0, 1, 2), (2, 3), (4,)]]
+    )
     def test_random_simplicial_perturbations(self, simplices):
         # 12 steps put a grid point inside the sd-simplex of every maximal
         # chain (for a triangle, coordinates a > b > c > 0 in every order),
@@ -526,6 +546,53 @@ class TestSdCompatibilityDifferential:
         other = SimplicialMap(m2.source, vietoris_rips(cycle_graph(4), 2), m2.vertex_images)
         with pytest.raises(ValueError):
             sd_compatibility(m1, other, face_vertex, 50)
+
+
+# -- GF(2) homology --------------------------------------------------------
+
+
+def torus_graph(m, n):
+    """Flag triangulation of the torus on an m x n grid (m, n >= 4)."""
+    return Graph(
+        range(m * n),
+        [
+            (i * n + j, (i + di) % m * n + (j + dj) % n)
+            for i in range(m)
+            for j in range(n)
+            for di, dj in ((1, 0), (0, 1), (1, 1))
+        ],
+    )
+
+
+class TestHomologyDifferential:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gnp_graphs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 16)
+        p = rng.choice([0.2, 0.35, 0.5, 0.8])
+        g = Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        k = vietoris_rips(g, 4)
+        assert betti_numbers(k, 3) == homology_oracle.betti_numbers(k, 3)
+        assert_same_h1(SimplicialMap(k, k, {v: v for v in k.vertices}))
+        # fold one vertex onto a neighbor, wherever that stays simplicial
+        for u, w in sorted(g.edges):
+            m = SimplicialMap(k, k, {v: w if v == u else v for v in k.vertices})
+            if check_simplicial(m):
+                assert_same_h1(m)
+
+    def test_flag_torus(self):
+        k = vietoris_rips(torus_graph(12, 14), 3)
+        assert betti_numbers(k, 2) == homology_oracle.betti_numbers(k, 2) == [1, 2, 1]
+        square = vietoris_rips(torus_graph(8, 8), 2)
+        swap = SimplicialMap(square, square, {i * 8 + j: j * 8 + i for i in range(8) for j in range(8)})
+        halve = SimplicialMap(
+            square,
+            vietoris_rips(torus_graph(4, 4), 2),
+            {i * 8 + j: i // 2 * 4 + j // 2 for i in range(8) for j in range(8)},
+        )
+        for m in (swap, halve):
+            assert_same_h1(m)
+            assert induced_h1(m).rank == 2
 
 
 # -- clique enumeration ----------------------------------------------------

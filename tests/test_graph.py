@@ -87,11 +87,6 @@ class TestQueries:
         with pytest.raises(KeyError):
             cycle_graph(4).are_adjacent(0, 9)
 
-    def test_locally_finite(self):
-        assert cycle_graph(4).is_locally_finite()
-        assert complete_graph(10).is_locally_finite()
-        assert Graph(["x"], []).is_locally_finite()
-
     def test_octahedron_antipodes(self):
         g = octahedron_graph()
         assert len(g.edges) == 12

@@ -20,7 +20,8 @@ from vrclosure import (
     theta_point,
     vietoris_rips,
 )
-from vrclosure.realization import chain_subsimplices
+
+from helpers import chain_subsimplices
 
 
 def oracle_piece_membership(n, coords, i):

@@ -12,7 +12,6 @@ from vrclosure import (
     DiscreteMap,
     SampledDomain,
     SimplicialComplex,
-    carriers_compatible,
     check_simplicial,
     clique_certificate,
     complete_graph,
@@ -20,8 +19,8 @@ from vrclosure import (
     cycle_graph,
     discrete_modify,
     flood,
-    flood_sequence,
     flood_stage_radii,
+    flood_stages,
     octahedron_graph,
     subdivide_domain,
     vietoris_rips,
@@ -34,6 +33,9 @@ from vrclosure.domains import (
     quarter_arc_map,
     random_rotation,
 )
+
+from grid_oracle import carriers_compatible
+from helpers import flood_all
 
 
 def chain_domain(positions, basepoints=()):
@@ -71,27 +73,6 @@ def brute_force_certificate_delta(f):
 
 
 class TestSampledDomain:
-    def test_metric_spot_check(self):
-        dom = circle_domain(16)
-        dom.spot_check_metric(np.random.default_rng(0))
-
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            (lambda d: d.__setitem__((0, 1), d[0, 1] + 0.5), "not symmetric"),
-            (lambda d: np.fill_diagonal(d, 0.25), "nonzero diagonal"),
-            (lambda d: d.__setitem__((slice(None), slice(None)), d * d), "triangle inequality"),
-        ],
-    )
-    def test_metric_spot_check_raises_on_corruption(self, corrupt, message, monkeypatch):
-        # a ValueError, not an assert, so the check also runs under python -O
-        dom = circle_domain(16)
-        bad = dom.distances().copy()
-        corrupt(bad)
-        monkeypatch.setattr(dom, "distances", lambda: bad)
-        with pytest.raises(ValueError, match=message):
-            dom.spot_check_metric(np.random.default_rng(0))
-
     def test_triangulation_vertices_are_samples(self):
         with pytest.raises(ValueError):
             tri = SimplicialComplex.from_simplices([(0, 5)], dim_cap=1)
@@ -228,7 +209,7 @@ class TestFloodSequence:
         dom = circle_domain(16)
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {i: 2 for i in range(16)}, 2)
-        assert flood_sequence(f).values == f.values
+        assert flood_all(f).values == f.values
 
     def test_one_dimensional_two_stage_growth(self):
         # regions of 0 surrounded by 1: stage 0 grows the 0-region by half
@@ -236,7 +217,7 @@ class TestFloodSequence:
         dom = chain_domain([0, 1, 2, 3, 4, 5, 6])
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {0: 1, 1: 1, 2: 1, 3: 0, 4: 1, 5: 1, 6: 1}, 1)
-        out = flood_sequence(f)
+        out = flood_all(f)
         # stage 0: r(3) = diameter/2 = 3, half-ball < 1.5 floods 2 and 4
         # stage 1: preimage {0,1,5,6}: r = 3 capped, half-ball floods 2 and 4 back
         assert [out(i) for i in range(7)] == [1, 1, 1, 0, 1, 1, 1]
@@ -246,11 +227,23 @@ class TestFloodSequence:
         g = cycle_graph(4)
         f = discrete_modify(quarter_arc_map(dom, g), dom, g)
         manual = f
-        for v in f.image_vertices():
-            radii = flood_stage_radii(manual, v)
+        stages = list(flood_stages(f))
+        assert [v for v, _, _ in stages] == list(f.image_vertices())
+        for v, radii, flooded in stages:
+            assert radii == flood_stage_radii(manual, v)
             if radii:
                 manual = flood(manual, v, radii)
-        assert flood_sequence(f).values == manual.values
+            assert flooded.values == manual.values
+
+    def test_empty_stage_keeps_the_map(self):
+        # stage 0 floods the lone 1-valued sample, so stage 1 has no preimage
+        dom = chain_domain([0, 1, 2, 3, 4, 5, 6])
+        f = DiscreteMap(dom, cycle_graph(4), {i: int(i == 3) for i in range(7)}, 0)
+        (v0, radii0, after0), (v1, radii1, after1) = flood_stages(f)
+        assert (v0, v1) == (0, 1)
+        assert radii0 and radii1 == {}
+        assert after1 is after0
+        assert set(after1.values.values()) == {0}
 
     def test_stage_iteration_reaches_fixed_point(self):
         # a single stage is not idempotent (new preimage samples get fresh
@@ -354,7 +347,7 @@ class TestConvexTransform:
     def test_quarter_arc_wraps_polygon_onto_cycle(self):
         dom = circle_domain(64)
         g = cycle_graph(4)
-        f = flood_sequence(discrete_modify(quarter_arc_map(dom, g), dom, g))
+        f = flood_all(discrete_modify(quarter_arc_map(dom, g), dom, g))
         cert = clique_certificate(f)
         m = convex_transform(f, dom.triangulation, cert)
         assert check_simplicial(m)
