@@ -25,6 +25,12 @@ class SimplicialComplex:
     ``by_dim[k]`` holds the k-simplices as sorted tuples, in lexicographic
     order of vertex indices; this ordering is the deterministic simplex order
     used by boundary matrices and serialization.
+
+    The constructor trusts its levels: each simplex must be strictly
+    increasing in the vertex order, every face of a simplex must be present,
+    and each level must be in that lexicographic order.  ``from_simplices``,
+    ``vietoris_rips`` and ``barycentric_subdivision`` build such levels;
+    arbitrary simplex lists go through ``from_simplices``.
     """
 
     def __init__(self, vertices: Sequence[Vertex], by_dim: Sequence[Sequence[Simplex]], dim_cap: int):
@@ -38,22 +44,6 @@ class SimplicialComplex:
         filled = [tuple(by_dim[d]) if d < len(by_dim) else () for d in range(dim_cap + 1)]
         self._by_dim: tuple = tuple(filled)
         self._sets = tuple(frozenset(level) for level in self._by_dim)
-        self._check_well_formed()
-
-    def _check_well_formed(self) -> None:
-        for d, level in enumerate(self._by_dim):
-            for s in level:
-                if len(s) != d + 1:
-                    raise ValueError(f"simplex {s} stored at dimension {d}")
-                idx = [self.vertex_index.get(v) for v in s]
-                if None in idx:
-                    raise ValueError(f"simplex {s} uses unknown vertices")
-                if any(a >= b for a, b in zip(idx, idx[1:])):
-                    raise ValueError(f"simplex {s} is not strictly sorted")
-                if d > 0:
-                    for face in combinations(s, d):
-                        if face not in self._sets[d - 1]:
-                            raise ValueError(f"missing face {face} of {s}")
 
     # -- queries ---------------------------------------------------
 
@@ -104,7 +94,10 @@ class SimplicialComplex:
         dim_cap: int,
         vertices: Iterable[Vertex] | None = None,
     ) -> "SimplicialComplex":
-        """Build the downward closure of the given simplices, capped at ``dim_cap``."""
+        """Build the downward closure of the given simplices, capped at
+        ``dim_cap``; the validating entry for arbitrary simplex lists."""
+        if dim_cap < 0:
+            raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
         given = [tuple(s) for s in simplices]
         if vertices is None:
             seen: set = set()
@@ -120,6 +113,8 @@ class SimplicialComplex:
         for s in given:
             if len(set(s)) != len(s):
                 raise ValueError(f"simplex {s} has repeated vertices")
+            if not all(v in index for v in s):
+                raise ValueError(f"simplex {s} uses vertices outside the vertex set")
             canon = tuple(sorted(s, key=index.__getitem__))
             for k in range(1, min(len(canon), dim_cap + 1)):
                 for face in combinations(canon, k + 1):
@@ -156,22 +151,17 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
                     break
             for j in sorted(common):
                 nxt.append(s + (j,))
-        if not nxt:
-            by_dim.append([])
-            continue
         by_dim.append(nxt)
     levels = [[tuple(verts[i] for i in s) for s in level] for level in by_dim]
     return SimplicialComplex(verts, levels, dim_cap)
 
 
-def barycentric_subdivision(k: SimplicialComplex) -> tuple:
-    """Barycentric subdivision together with the carrier of each new vertex.
+def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
+    """Barycentric subdivision sd(K).
 
-    Vertices of sd(K) are the simplices of K themselves (their barycenters);
-    d-simplices of sd(K) are chains of d+1 faces under strict inclusion.
-    Returns ``(sd_complex, carriers)`` where ``carriers`` maps each new vertex
-    to the original simplex it subdivides; since new vertices are identified
-    with their face tuples, the carrier lookup is the identity.
+    Vertices of sd(K) are the simplices of K themselves (their barycenters),
+    so each new vertex is its own carrier; d-simplices of sd(K) are chains of
+    d+1 faces under strict inclusion, listed in lexicographic order.
     """
     faces = [s for s in k.all_simplices()]
     order_key = {s: (len(s), tuple(k.vertex_index[v] for v in s)) for s in faces}
@@ -192,9 +182,7 @@ def barycentric_subdivision(k: SimplicialComplex) -> tuple:
         nxt = [chain + (big,) for chain in prev for big in cofaces[chain[-1]]]
         by_dim.append(nxt)
 
-    sd = SimplicialComplex(new_vertices, by_dim, k.dim_cap)
-    carriers = {s: s for s in new_vertices}
-    return sd, carriers
+    return SimplicialComplex(new_vertices, by_dim, k.dim_cap)
 
 
 def closed_star(k: SimplicialComplex, v: Vertex) -> frozenset:

@@ -51,9 +51,6 @@ class BaryPoint:
     def of_vertex(cls, v: Vertex) -> "BaryPoint":
         return cls((v,), (1.0,))
 
-    def is_vertex(self) -> bool:
-        return len(self.carrier) == 1
-
     def coordinate(self, v: Vertex) -> float:
         """Coordinate at ``v``, zero when ``v`` is outside the carrier."""
         for w, t in zip(self.carrier, self.coords):

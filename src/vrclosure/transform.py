@@ -9,6 +9,7 @@ and failures surface the offending sample pair instead of a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Hashable, Iterator, Mapping, Sequence
 
@@ -18,7 +19,6 @@ from .complex import (
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
-    check_simplicial,
     vietoris_rips,
 )
 from .graph import Graph
@@ -66,7 +66,6 @@ class SampledDomain:
         coords: Sequence,
         triangulation: SimplicialComplex,
         basepoints: Sequence[int] = (),
-        eps_net: float | None = None,
     ):
         self.coords = np.asarray(coords, dtype=float)
         if self.coords.ndim != 2 or len(self.coords) == 0:
@@ -82,12 +81,6 @@ class SampledDomain:
                 raise ValueError(f"basepoint {b} is not a sample index")
         self._distances: np.ndarray | None = None
         self._diameter: float | None = None
-        if eps_net is None:
-            mesh = self.max_simplex_diameter()
-            eps_net = mesh if mesh > 0 else 1.0
-        if eps_net <= 0:
-            raise ValueError("eps_net must be positive")
-        self.eps_net = float(eps_net)
 
     @property
     def n_samples(self) -> int:
@@ -114,9 +107,6 @@ class SampledDomain:
             self._distances = np.sqrt(total, out=total)
         return self._distances
 
-    def distance(self, i: int, j: int) -> float:
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
-
     @property
     def diameter(self) -> float:
         """Largest pairwise distance, computed once and cached; every flood
@@ -125,13 +115,11 @@ class SampledDomain:
             self._diameter = float(self.distances().max())
         return self._diameter
 
-    def simplex_diameter(self, simplex: Sequence[int]) -> float:
-        d = self.distances()
-        verts = list(simplex)
-        return max(
-            (float(d[u, v]) for i, u in enumerate(verts) for v in verts[i + 1 :]),
-            default=0.0,
-        )
+    @cached_property
+    def eps_net(self) -> float:
+        """Net scale: the triangulation's mesh, or 1.0 when the mesh is 0."""
+        mesh = self.max_simplex_diameter()
+        return mesh if mesh > 0 else 1.0
 
     def max_simplex_diameter(self) -> float:
         top = self.triangulation.dimension()
@@ -486,7 +474,8 @@ def convex_transform(
     its values must form a clique; restricting ``f`` to the vertices is then
     simplicial into the clique complex, and shared faces agree exactly by
     construction.  Downward closure makes the edge-level checks cover every
-    simplex.
+    simplex, provided ``target_complex`` is the clique complex of ``f.target``
+    capped at the triangulation's dimension or above, as the default is.
     """
     dist = f.domain.distances()
     for u, w in triangulation.simplices(1):
@@ -507,14 +496,11 @@ def convex_transform(
     if target_complex is None:
         cap = max(2, triangulation.dimension())
         target_complex = vietoris_rips(f.target, cap)
-    m = SimplicialMap(
+    return SimplicialMap(
         triangulation,
         target_complex,
         {v: f.values[v] for v in triangulation.vertices},
     )
-    if not check_simplicial(m):  # pragma: no cover - guaranteed by the checks above
-        raise AssertionError("convex transform produced a non-simplicial map")
-    return m
 
 
 def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tuple:
@@ -526,8 +512,7 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     face_vertex)`` where ``face_vertex`` maps face tuples of the old
     triangulation to new sample indices.
     """
-    tri = domain.triangulation
-    sd, _carriers = barycentric_subdivision(tri)
+    sd = barycentric_subdivision(domain.triangulation)
     n = domain.n_samples
     face_vertex: dict = {}
     new_rows = []
@@ -539,22 +524,22 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
             new_rows.append(domain.coords[list(face)].mean(axis=0))
     coords = np.vstack([domain.coords, np.array(new_rows)]) if new_rows else domain.coords
 
-    top = [
-        tuple(sorted(face_vertex[f] for f in chain))
-        for d in range(1, sd.dim_cap + 1)
-        for chain in sd.simplices(d)
-    ]
-    renamed = SimplicialComplex.from_simplices(
-        top if top else [(face_vertex[f],) for f in sd.vertices],
+    # renaming keeps sd's vertex order (singletons keep their sample index
+    # below n, new faces count up from n in sd's order), so the renamed
+    # chains are already sorted and each level stays lexicographic
+    renamed = SimplicialComplex(
+        sorted(face_vertex.values()),
+        [
+            [tuple(face_vertex[face] for face in chain) for chain in sd.simplices(d)]
+            for d in range(sd.dim_cap + 1)
+        ],
         sd.dim_cap,
-        vertices=sorted(face_vertex.values()),
     )
 
     new_values = dict(values)
     for face, idx in face_vertex.items():
         if len(face) > 1:
-            gaps = np.linalg.norm(domain.coords - coords[idx], axis=1)
-            new_values[idx] = values[int(np.argmin(gaps))]
+            new_values[idx] = values[domain.nearest_sample(coords[idx])]
 
     new_domain = SampledDomain(coords, renamed, domain.basepoints)
     return new_domain, new_values, face_vertex

@@ -1,6 +1,6 @@
 """Small helpers shared by several test modules."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from vrclosure import flood_stages
 
@@ -26,3 +26,41 @@ def chain_subsimplices(simplex, i):
             acc.append(v)
             chain.append(tuple(sorted(acc, key=simplex.index)))
         yield tuple(chain)
+
+
+def assert_well_formed(k):
+    """The well-formedness pass ``SimplicialComplex.__init__`` used to run:
+    every simplex sits at its dimension, uses known vertices in strictly
+    increasing order, and has all its facets one level down.  The builders
+    must produce this; tests check their output with it."""
+    for d in range(k.dim_cap + 1):
+        for s in k.simplices(d):
+            if len(s) != d + 1:
+                raise ValueError(f"simplex {s} stored at dimension {d}")
+            idx = [k.vertex_index.get(v) for v in s]
+            if None in idx:
+                raise ValueError(f"simplex {s} uses unknown vertices")
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                raise ValueError(f"simplex {s} is not strictly sorted")
+            if d > 0:
+                for face in combinations(s, d):
+                    if not k.has_simplex(face):
+                        raise ValueError(f"missing face {face} of {s}")
+
+
+def simplex_diameter(dom, simplex):
+    """Largest distance between two vertices of a simplex of ``dom``."""
+    d = dom.distances()
+    verts = list(simplex)
+    return max(
+        (float(d[u, v]) for i, u in enumerate(verts) for v in verts[i + 1 :]),
+        default=0.0,
+    )
+
+
+def oracle_max_simplex_diameter(dom):
+    """The old per-simplex loop over the top-dimensional simplices."""
+    top = dom.triangulation.dimension()
+    if top < 1:
+        return 0.0
+    return max(simplex_diameter(dom, s) for s in dom.triangulation.simplices(top))

@@ -76,16 +76,39 @@ class TestVietorisRips:
                     assert k.has_simplex(face)
 
 
+class TestFromSimplices:
+    def test_non_pure_closure(self):
+        k = SimplicialComplex.from_simplices([(2, 0, 1), (3, 2), (5,)], dim_cap=2)
+        assert k.vertices == (0, 1, 2, 3, 5)
+        assert k.simplices(1) == ((0, 1), (0, 2), (1, 2), (2, 3))
+        assert k.simplices(2) == ((0, 1, 2),)
+
+    def test_cap_truncates(self):
+        k = SimplicialComplex.from_simplices([(0, 1, 2, 3)], dim_cap=1)
+        assert k.counts() == [4, 6]
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="dim_cap"):
+            SimplicialComplex.from_simplices([(0, 1)], dim_cap=-1)
+
+    def test_simplex_outside_vertex_set_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 5\)"):
+            SimplicialComplex.from_simplices([(0, 5)], 1, vertices=[0, 1])
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            SimplicialComplex.from_simplices([(0, 0)], 1)
+
+
 class TestSubdivision:
     def test_single_edge(self):
         k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
-        sd, carriers = barycentric_subdivision(k)
+        sd = barycentric_subdivision(k)
         assert sd.counts() == [3, 2]
-        assert carriers[(0, 1)] == (0, 1)
 
     def test_full_triangle(self):
         k = vietoris_rips(complete_graph(3), 2)
-        sd, _ = barycentric_subdivision(k)
+        sd = barycentric_subdivision(k)
         assert sd.counts() == [7, 12, 6]
 
     def test_chain_counts_match_poset_oracle(self):
@@ -95,7 +118,7 @@ class TestSubdivision:
             k = vietoris_rips(g, 2)
             if sum(k.counts()) > 20:
                 continue
-            sd, _ = barycentric_subdivision(k)
+            sd = barycentric_subdivision(k)
             faces = list(k.all_simplices())
             # oracle: count strictly increasing chains by brute force
             for d in range(k.dim_cap + 1):
@@ -113,15 +136,8 @@ class TestSubdivision:
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 8))
             k = vietoris_rips(g, 2)
-            sd, _ = barycentric_subdivision(k)
+            sd = barycentric_subdivision(k)
             assert euler_characteristic(sd) == euler_characteristic(k)
-
-    def test_carriers_cover_every_vertex(self):
-        k = vietoris_rips(cycle_graph(5), 2)
-        sd, carriers = barycentric_subdivision(k)
-        assert set(carriers) == set(sd.vertices)
-        for v, carrier in carriers.items():
-            assert v == carrier
 
 
 class TestClosedStar:

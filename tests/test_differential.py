@@ -6,6 +6,7 @@ must agree exactly; the exact subdivision-compatibility check must give the
 the hand-written eliminations; clique enumeration must match networkx."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
 
 import homology_oracle
 from grid_oracle import grid_sd_compatibility
-from helpers import flood_all
+from helpers import assert_well_formed, flood_all, oracle_max_simplex_diameter
 
 # -- oracles: the per-row implementations, kept verbatim in behavior -------
 
@@ -388,14 +389,6 @@ class TestFloodDifferential:
 # -- largest simplex diameter ----------------------------------------------
 
 
-def oracle_max_simplex_diameter(dom):
-    """The old per-simplex loop over the top-dimensional simplices."""
-    top = dom.triangulation.dimension()
-    if top < 1:
-        return 0.0
-    return max(dom.simplex_diameter(s) for s in dom.triangulation.simplices(top))
-
-
 class TestMaxSimplexDiameterDifferential:
     @pytest.mark.parametrize(
         "dom",
@@ -430,7 +423,7 @@ def sd_pair(simplices, graph, cap, m1_images, m2_changes=()):
     its face's first vertex unless ``m2_changes`` says otherwise."""
     k = SimplicialComplex.from_simplices(simplices, dim_cap=len(simplices[0]) - 1)
     target = vietoris_rips(graph, cap)
-    sd, _ = barycentric_subdivision(k)
+    sd = barycentric_subdivision(k)
     m2_images = {face: m1_images[face[0]] for face in sd.vertices}
     m2_images.update(m2_changes)
     m1 = SimplicialMap(k, target, m1_images)
@@ -525,7 +518,7 @@ class TestSdCompatibilityDifferential:
         rng = random.Random(len(simplices[0]))
         dim = len(simplices[0]) - 1
         k = SimplicialComplex.from_simplices(simplices, dim_cap=dim)
-        sd_vertices = barycentric_subdivision(k)[0].vertices
+        sd_vertices = barycentric_subdivision(k).vertices
         verdicts = []
         while len(verdicts) < 150:
             graph = Graph(
@@ -617,3 +610,102 @@ class TestVietorisRipsDifferential:
             got = k.simplices(d)
             assert len(got) == len(set(got))
             assert set(got) == want[d], (seed, d)
+
+
+# -- complex builders ------------------------------------------------------
+
+
+def assert_canonical(k):
+    """The old well-formedness pass, plus each level in lexicographic order
+    of vertex indices without repeats."""
+    assert_well_formed(k)
+    for d in range(k.dim_cap + 1):
+        keys = [tuple(k.vertex_index[v] for v in s) for s in k.simplices(d)]
+        assert keys == sorted(set(keys)), d
+
+
+def oracle_subdivided_triangulation(domain):
+    """The old second build of a subdivided domain's triangulation: rename
+    each chain of sd(K) to sample indices, sort it, and take the downward
+    closure with ``from_simplices``."""
+    sd = barycentric_subdivision(domain.triangulation)
+    n = domain.n_samples
+    new_faces = [face for face in sd.vertices if len(face) > 1]
+    face_vertex = {face: face[0] for face in sd.vertices if len(face) == 1}
+    face_vertex.update({face: n + i for i, face in enumerate(new_faces)})
+    top = [
+        tuple(sorted(face_vertex[f] for f in chain))
+        for d in range(1, sd.dim_cap + 1)
+        for chain in sd.simplices(d)
+    ]
+    return SimplicialComplex.from_simplices(
+        top if top else [(face_vertex[f],) for f in sd.vertices],
+        sd.dim_cap,
+        vertices=sorted(face_vertex.values()),
+    )
+
+
+def cross_polytope_graph(k):
+    """1-skeleton of the k-dimensional cross-polytope: 2k vertices, each
+    adjacent to all but its antipode 2i <-> 2i+1."""
+    return Graph(range(2 * k), [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k) if j != i ^ 1])
+
+
+def non_pure_domain():
+    """A triangle with a dangling edge and an isolated vertex."""
+    tri = SimplicialComplex.from_simplices([(0, 1, 2), (2, 3), (4,)], dim_cap=2)
+    return SampledDomain([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [3.0, 3.0]], tri)
+
+
+class TestBuildersDifferential:
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_vietoris_rips_gnp(self, seed, cap):
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        p = rng.choice([0.2, 0.5, 0.8])
+        g = Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        assert_canonical(vietoris_rips(g, cap))
+
+    def test_flag_torus_and_cross_polytopes(self):
+        k = vietoris_rips(torus_graph(6, 7), 3)
+        assert k.counts() == [42, 126, 84, 0]
+        assert_canonical(k)
+        k = vietoris_rips(cross_polytope_graph(4), 4)
+        assert k.counts() == [8, 24, 32, 16, 0]
+        assert_canonical(k)
+        assert_canonical(barycentric_subdivision(vietoris_rips(octahedron_graph(), 2)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_from_simplices_and_subdivision(self, seed):
+        rng = random.Random(seed)
+        simplices = [tuple(rng.sample(range(9), rng.randint(1, 4))) for _ in range(rng.randint(1, 8))]
+        cap = rng.randint(1, 3)
+        k = SimplicialComplex.from_simplices(simplices, dim_cap=cap)
+        assert_canonical(k)
+        assert set(k.simplices(0)) == {(v,) for s in simplices for v in s}
+        for d in range(1, cap + 1):
+            want = {face for s in simplices for face in combinations(sorted(s), d + 1)}
+            assert set(k.simplices(d)) == want
+        assert_canonical(barycentric_subdivision(k))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: circle_domain(8),
+            lambda: circle_domain(256),
+            lambda: icosphere_domain(0),
+            lambda: icosphere_domain(1),
+            lambda: icosphere_domain(2),
+            non_pure_domain,
+        ],
+        ids=["circle8", "circle256", "icosa0", "icosa1", "icosa2", "non-pure"],
+    )
+    def test_subdivide_domain_equals_rebuild(self, make):
+        dom = make()
+        values = dict.fromkeys(range(dom.n_samples), 0)
+        for _ in range(2):
+            want = oracle_subdivided_triangulation(dom)
+            dom, values, _ = subdivide_domain(dom, values)
+            assert dom.triangulation == want
+            assert_canonical(dom.triangulation)

@@ -35,7 +35,7 @@ from vrclosure.domains import (
 )
 
 from grid_oracle import carriers_compatible
-from helpers import flood_all
+from helpers import flood_all, simplex_diameter
 
 
 def chain_domain(positions, basepoints=()):
@@ -81,7 +81,13 @@ class TestSampledDomain:
     def test_diameter_and_simplex_diameter(self):
         dom = chain_domain([0, 1, 3])
         assert dom.diameter == 3.0
-        assert dom.simplex_diameter((1, 2)) == 2.0
+        assert simplex_diameter(dom, (1, 2)) == 2.0
+
+    def test_eps_net_is_the_mesh_or_one(self):
+        dom = chain_domain([0, 1, 3])
+        assert dom.eps_net == dom.max_simplex_diameter() == 2.0
+        isolated = SampledDomain([[0.0], [1.0]], SimplicialComplex.from_simplices([(0,), (1,)], 1))
+        assert isolated.eps_net == 1.0
 
 
 class TestDiscreteModify:
@@ -393,7 +399,7 @@ class TestCarriersCompatible:
         k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
         target = vietoris_rips(cycle_graph(4), 2)
         m1 = SimplicialMap(k, target, {0: 0, 1: 1})
-        sd, _ = barycentric_subdivision(k)
+        sd = barycentric_subdivision(k)
         m2 = SimplicialMap(sd, target, {(0,): 0, (1,): 1, (0, 1): 0})
         pts = [BaryPoint((0, 1), (1 - t / 10, t / 10)) for t in range(11)]
         assert carriers_compatible(m1, m2, pts)
@@ -404,7 +410,7 @@ class TestCarriersCompatible:
         k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
         target = vietoris_rips(cycle_graph(4), 2)
         m1 = SimplicialMap(k, target, {0: 0, 1: 0})
-        sd, _ = barycentric_subdivision(k)
+        sd = barycentric_subdivision(k)
         m2 = SimplicialMap(sd, target, {(0,): 2, (1,): 2, (0, 1): 2})
         pts = [BaryPoint((0, 1), (0.5, 0.5))]
         assert not carriers_compatible(m1, m2, pts)
@@ -415,7 +421,7 @@ class TestCarriersCompatible:
         k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
         t1 = vietoris_rips(cycle_graph(4), 2)
         t2 = vietoris_rips(cycle_graph(5), 2)
-        sd, _ = barycentric_subdivision(k)
+        sd = barycentric_subdivision(k)
         m1 = SimplicialMap(k, t1, {0: 0, 1: 1})
         m2 = SimplicialMap(sd, t2, {(0,): 0, (1,): 1, (0, 1): 0})
         with pytest.raises(ValueError):
