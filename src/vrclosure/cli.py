@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .complex import SimplicialComplex, vietoris_rips
+from .complex import SimplicialComplex, subdivision_counts, vietoris_rips
 from .domains import (
     antipodal_quarter_arc_map,
     circle_domain,
@@ -27,6 +27,12 @@ from .homology import betti_numbers, euler_characteristic
 from .pipeline import canonical_json, fnv1a64, run_pipeline
 from .realization import BaryPoint, theta_point
 from .transform import CertificateFailure
+
+
+#: most samples ``--subdivisions`` may take a pipeline domain to: building the
+#: refined domain's n-by-n float distances (matrix and one scratch) then
+#: needs at most 1 GiB
+MAX_SUBDIVIDED_SAMPLES = 1 << 13
 
 
 class InputError(ValueError):
@@ -220,11 +226,25 @@ def build_sample_map(spec: str, domain, graph: Graph, seed: int):
     raise InputError(f"unknown map spec {spec!r}")
 
 
+def _check_subdivision_budget(domain, rounds: int) -> None:
+    """Refuse ``rounds`` subdivisions that would take the domain past
+    ``MAX_SUBDIVIDED_SAMPLES`` samples, from simplex counts alone."""
+    counts = domain.triangulation.counts()
+    for _ in range(rounds):  # every CLI domain at least doubles per round
+        counts = subdivision_counts(counts)
+        if counts[0] > MAX_SUBDIVIDED_SAMPLES:
+            raise InputError(
+                f"--subdivisions {rounds} would refine the domain past "
+                f"{MAX_SUBDIVIDED_SAMPLES} samples"
+            )
+
+
 def cmd_pipeline(args) -> int:
     _check_at_least("--subdivisions", args.subdivisions, 0)
     _check_at_least("--grid", args.grid, 1)
     graph = load_graph(args.graph)
     domain = parse_domain_spec(args.domain)
+    _check_subdivision_budget(domain, args.subdivisions)
     sample_points = build_sample_map(args.map, domain, graph, args.seed)
     try:
         report = run_pipeline(

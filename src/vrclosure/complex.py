@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .graph import Graph, sort_vertices
@@ -183,6 +184,23 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
         by_dim.append(nxt)
 
     return SimplicialComplex(new_vertices, by_dim, k.dim_cap)
+
+
+def subdivision_counts(counts: Sequence[int]) -> list:
+    """Simplex counts by dimension of sd(K) from those of K, without building it.
+
+    A j-simplex of sd(K) is a chain of j+1 faces under strict inclusion; an
+    i-simplex tops one such chain per ordered partition of its i+1 vertices
+    into j+1 blocks, counted by inclusion-exclusion over empty blocks.
+    """
+
+    def ordered_partitions(n: int, blocks: int) -> int:
+        return sum((-1) ** t * comb(blocks, t) * (blocks - t) ** n for t in range(blocks + 1))
+
+    return [
+        sum(f * ordered_partitions(i + 1, j + 1) for i, f in enumerate(counts))
+        for j in range(len(counts))
+    ]
 
 
 def closed_star(k: SimplicialComplex, v: Vertex) -> frozenset:

@@ -1,9 +1,17 @@
 """Simplicial homology over GF(2): Betti numbers, Euler characteristic,
 induced maps on H1, and edge-path group presentations.
 
-Boundary matrices are stored column-wise as Python int bitsets, and every
-elimination (ranks, the cycle kernel, the H1 echelon and H1 coordinates)
-is one reduction by the lowest set bit against a dict of pivots.
+Chains are Python int bitsets, and every elimination (coboundary ranks, the
+cycle kernel, the H1 echelon and H1 coordinates) is one reduction by the
+lowest set bit against a dict of pivots, ``_reduce``.  No column whose fate
+is known in advance is reduced:
+
+* beta_0 and the rank of the edge boundary come from a union-find spanning
+  forest, with no elimination at all;
+* the higher ranks come from coboundaries in increasing dimension, skipping
+  the columns that the forest or the previous level's pivots prove dependent
+  (clearing, as in Chen and Kerber's twist and in Ripser);
+* the H1 basis is collected only until beta_1 cycles have survived.
 """
 
 from __future__ import annotations
@@ -50,7 +58,9 @@ def boundary_columns(k: SimplicialComplex, dim: int) -> list:
     """Columns of the boundary map from ``dim``-chains, as row bitsets.
 
     Rows are indexed by the (dim-1)-simplices in the complex's deterministic
-    order; each column has exactly ``dim + 1`` bits set.
+    order; each column has exactly ``dim + 1`` bits set.  ``betti_numbers``
+    reduces coboundaries instead, so only the benchmark's traced replay and
+    the tests call this, until the replay is retired (ROADMAP item 1).
     """
     if dim < 1:
         raise ValueError("boundary columns start at dimension 1")
@@ -64,11 +74,74 @@ def boundary_columns(k: SimplicialComplex, dim: int) -> list:
     return cols
 
 
+def _spanning_forest(k: SimplicialComplex) -> set:
+    """Positions in ``k.simplices(1)`` of the edges that union-find, run over
+    the edges in order, joins into a spanning forest.  Its size is the rank
+    of the edge boundary map."""
+    root = list(range(len(k.vertices)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    index = k.vertex_index
+    forest = set()
+    for j, (u, w) in enumerate(k.simplices(1)):
+        a, b = find(index[u]), find(index[w])
+        if a != b:
+            root[a] = b
+            forest.add(j)
+    return forest
+
+
+def _coboundary_rank(k: SimplicialComplex, d: int, cleared: set) -> tuple:
+    """Rank of the coboundary from d- to (d+1)-cochains, reducing only the
+    columns (d-simplex positions) outside ``cleared``.
+
+    Returns ``(rank, pivots)``, the pivots being the positions of the
+    (d+1)-simplices that are the lowest bits of the reduced columns.
+    """
+    cofaces = k.simplices(d + 1)
+    if not cofaces:
+        return 0, set()
+    index = {s: j for j, s in enumerate(k.simplices(d))}
+    columns = [0] * len(index)
+    for i, s in enumerate(cofaces):
+        bit = 1 << i
+        for face in combinations(s, d + 1):
+            columns[index[face]] |= bit
+    pivots: dict = {}
+    for j, col in enumerate(columns):
+        if j in cleared:
+            continue
+        col, _ = _reduce(pivots, col)
+        if col:
+            pivots[col & -col] = (col, 0)
+    return len(pivots), {low.bit_length() - 1 for low in pivots}
+
+
 def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
     """GF(2) Betti numbers beta_0..beta_max_k.
 
     Requires ``max_k < dim_cap`` so that the rank of the next boundary map is
-    available.
+    available.  With D_i the boundary map from i-chains, beta_i = n_i -
+    rank D_i - rank D_{i+1}, where rank D_0 = 0 and rank D_1 is the size of a
+    spanning forest F.  For d >= 1, rank D_{d+1} is the rank of the
+    coboundary delta_d, whose columns are the d-simplices and whose rows the
+    (d+1)-simplices.  A column known to lie in the span of the
+    others is skipped (cleared), which leaves the rank unchanged:
+
+    * d = 1, the tree edges.  Removing a tree edge t splits its tree into
+      sides A and B.  The edges across that cut are t and non-tree edges, and
+      their sum is the coboundary of A's indicator, so delta_1 t is the sum
+      of delta_1 of those non-tree edges.
+    * d >= 2, the pivots of delta_{d-1}.  A reduced column of delta_{d-1} is
+      a coboundary r whose lowest bit is a d-simplex tau, so delta_d r = 0
+      writes delta_d tau as a sum of columns with larger index.  Taken from
+      the largest down, every cleared column is a sum of uncleared ones.
+
+    A level without (d+1)-simplices has rank 0 and clears nothing above it.
     """
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
@@ -76,9 +149,11 @@ def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
         raise ValueError(
             f"dim_cap {k.dim_cap} too small: need simplices of dimension {max_k + 1}"
         )
-    ranks = {0: 0}
-    for d in range(1, max_k + 2):
-        ranks[d] = gf2_rank(boundary_columns(k, d)) if k.simplices(d) else 0
+    cleared = _spanning_forest(k)
+    ranks = [0, len(cleared)]
+    for d in range(1, max_k + 1):
+        rank, cleared = _coboundary_rank(k, d, cleared)
+        ranks.append(rank)
     return [
         len(k.simplices(i)) - ranks[i] - ranks[i + 1]
         for i in range(max_k + 1)
@@ -93,11 +168,17 @@ def euler_characteristic(k: SimplicialComplex) -> int:
 class _H1Context:
     """Reduction state for one complex: boundary echelon plus a chosen H1 basis.
 
-    Cycles come from the kernel of the edge boundary map, processed in edge
-    order, so the homology basis is the lexicographically first set of
-    surviving cycles.  Every echelon entry carries the GF(2) combination of
-    homology basis elements it absorbs, which lets us read off H1 coordinates
-    of an arbitrary cycle by plain reduction.
+    The triangle boundaries go into the echelon first, so its size is the
+    rank of the triangle boundary map D_2, and beta_1 = |E| - |F| - rank D_2
+    is known before any cycle is seen (F a spanning forest).  Cycles then come from the kernel of the edge
+    boundary map, in edge order, and are inserted with fresh homology
+    coordinates until beta_1 of them have survived, so the basis is the
+    lexicographically first set of surviving cycles.  Stopping there loses
+    nothing: boundaries and survivors then span Z1, so every later cycle would
+    reduce to zero and store nothing.  With beta_1 = 0 the kernel loop never
+    runs.  Every echelon entry carries the GF(2) combination of basis elements
+    it absorbs, which lets us read off H1 coordinates of an arbitrary cycle by
+    plain reduction.
     """
 
     def __init__(self, k: SimplicialComplex):
@@ -106,30 +187,31 @@ class _H1Context:
         self.edges = k.simplices(1)
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
 
-        # kernel of the vertex boundary: reduce edge columns, tracking the
-        # combination of edges that produced each zero reduction
-        vrows = {v: i for i, v in enumerate(k.vertices)}
-        pivots: dict = {}
-        cycles = []
-        for j, (u, w) in enumerate(self.edges):
-            vec, comb = _reduce(pivots, (1 << vrows[u]) | (1 << vrows[w]), 1 << j)
-            if vec:
-                pivots[vec & -vec] = (vec, comb)
-            else:
-                cycles.append(comb)
-
-        # echelon over edge bitsets: boundaries of triangles first, then the
-        # surviving cycles tagged with fresh homology coordinates
         self.echelon: dict = {}
         for s in k.simplices(2):
             bits = 0
             for face in combinations(s, 2):
                 bits |= 1 << self.edge_index[face]
             self._insert(bits, 0)
+        need = len(self.edges) - len(_spanning_forest(k)) - len(self.echelon)
         self.h1_basis = []
-        for z in cycles:
+        cycles = self._edge_cycles(k)
+        while len(self.h1_basis) < need:
+            z = next(cycles)
             if self._insert(z, 1 << len(self.h1_basis)):
                 self.h1_basis.append(z)
+
+    def _edge_cycles(self, k: SimplicialComplex):
+        """Kernel of the vertex boundary, lazily: reduce the edge columns in
+        order and yield the combination of edges behind each zero reduction."""
+        vrows = k.vertex_index
+        pivots: dict = {}
+        for j, (u, w) in enumerate(self.edges):
+            vec, comb = _reduce(pivots, (1 << vrows[u]) | (1 << vrows[w]), 1 << j)
+            if vec:
+                pivots[vec & -vec] = (vec, comb)
+            else:
+                yield comb
 
     def _insert(self, vec: int, coord: int) -> bool:
         vec, coord = _reduce(self.echelon, vec, coord)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -31,8 +31,33 @@ Vertex = Hashable
 BLOCK_CELLS = 1 << 18
 
 
-def _block_rows(n: int) -> int:
-    return max(1, BLOCK_CELLS // n)
+#: cells per row block of the nearest-sample scan (128 KB of floats); 2 MB
+#: blocks ran slower and raised peak memory
+NEAREST_BLOCK_CELLS = 1 << 14
+
+
+def _block_rows(n: int, cells: int = BLOCK_CELLS) -> int:
+    return max(1, cells // n)
+
+
+def _distances_to(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to each coordinate row.
+
+    Squared coordinate gaps are summed one coordinate at a time into the
+    result, so the build needs one scratch array of the result's shape, not
+    a (m, n, d) one.  numpy sums a last axis of up to 7 entries in the same
+    sequential order, so for d <= 7 coordinates the result equals
+    ``sqrt(((p[:, None] - x[None]) ** 2).sum(axis=2))`` and each row
+    ``norm(x - p, axis=1)`` bit for bit; from 8 on numpy sums pairwise and
+    they may differ in the last bit.
+    """
+    total = np.zeros((len(points), len(coords)))
+    gap = np.empty_like(total)
+    for p_column, x_column in zip(points.T, coords.T):
+        np.subtract.outer(p_column, x_column, out=gap)
+        gap *= gap
+        total += gap
+    return np.sqrt(total, out=total)
 
 
 class CertificateFailure(ValueError):
@@ -87,24 +112,10 @@ class SampledDomain:
         return len(self.coords)
 
     def distances(self) -> np.ndarray:
-        """Full pairwise distance matrix, computed once and cached.
-
-        Squared coordinate gaps are summed one coordinate at a time into the
-        result, so the build needs one n-by-n scratch array, not (n, n, d)
-        ones.  numpy sums a last axis of up to 7 entries in the same
-        sequential order, so for d <= 7 coordinates the matrix equals
-        ``sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))`` bit for bit; from
-        8 on numpy sums pairwise and the two may differ in the last bit.
-        """
+        """Full pairwise distance matrix (``_distances_to``), computed once
+        and cached."""
         if self._distances is None:
-            n = self.n_samples
-            total = np.zeros((n, n))
-            gap = np.empty((n, n))
-            for column in self.coords.T:
-                np.subtract.outer(column, column, out=gap)
-                gap *= gap
-                total += gap
-            self._distances = np.sqrt(total, out=total)
+            self._distances = _distances_to(self.coords, self.coords)
         return self._distances
 
     @property
@@ -130,9 +141,20 @@ class SampledDomain:
         pairs = combinations(range(top + 1), 2)
         return float(max(d[tops[:, i], tops[:, j]].max() for i, j in pairs))
 
-    def nearest_sample(self, point) -> int:
-        gaps = np.linalg.norm(self.coords - np.asarray(point, dtype=float), axis=1)
-        return int(np.argmin(gaps))
+    def nearest_samples(self, points) -> np.ndarray:
+        """Index of the nearest sample to each point, the first one on ties.
+
+        Points go in row blocks through ``_distances_to``, so for d <= 7
+        coordinates each index equals ``argmin(norm(coords - point, axis=1))``,
+        ties included.
+        """
+        points = np.asarray(points, dtype=float)
+        out = np.empty(len(points), dtype=np.intp)
+        step = _block_rows(self.n_samples, NEAREST_BLOCK_CELLS)
+        for start in range(0, len(points), step):
+            block = _distances_to(points[start : start + step], self.coords)
+            out[start : start + step] = np.argmin(block, axis=1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -514,15 +536,15 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     """
     sd = barycentric_subdivision(domain.triangulation)
     n = domain.n_samples
-    face_vertex: dict = {}
-    new_rows = []
-    for face in sd.vertices:
-        if len(face) == 1:
-            face_vertex[face] = face[0]
-        else:
-            face_vertex[face] = n + len(new_rows)
-            new_rows.append(domain.coords[list(face)].mean(axis=0))
-    coords = np.vstack([domain.coords, np.array(new_rows)]) if new_rows else domain.coords
+    new_faces = [face for face in sd.vertices if len(face) > 1]
+    face_vertex = {face: face[0] for face in sd.vertices if len(face) == 1}
+    face_vertex.update((face, n + i) for i, face in enumerate(new_faces))
+    # sd lists its vertices by face size, so each size is one block of rows
+    centers = [
+        domain.coords[np.array(list(group))].mean(axis=1)
+        for _, group in groupby(new_faces, key=len)
+    ]
+    coords = np.vstack([domain.coords, *centers])
 
     # renaming keeps sd's vertex order (singletons keep their sample index
     # below n, new faces count up from n in sd's order), so the renamed
@@ -537,9 +559,8 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     )
 
     new_values = dict(values)
-    for face, idx in face_vertex.items():
-        if len(face) > 1:
-            new_values[idx] = values[domain.nearest_sample(coords[idx])]
+    for idx, nearest in enumerate(domain.nearest_samples(coords[n:]).tolist(), start=n):
+        new_values[idx] = values[nearest]
 
     new_domain = SampledDomain(coords, renamed, domain.basepoints)
     return new_domain, new_values, face_vertex

@@ -239,6 +239,13 @@ MALFORMED = {
         ("pipeline", "{graph}", "--domain", "circle:16", "--map", "quarter-arc",
          "--subdivisions", "-1"),
     ),
+    # 9 rounds take circle:16 to 8,192 samples, 10 would pass the budget
+    "huge-subdivisions": (
+        "c4.txt",
+        C4.encode(),
+        ("pipeline", "{graph}", "--domain", "circle:16", "--map", "quarter-arc",
+         "--subdivisions", "10"),
+    ),
 }
 
 

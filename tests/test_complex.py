@@ -20,6 +20,7 @@ from vrclosure import (
     octahedron_graph,
     vietoris_rips,
 )
+from vrclosure.complex import subdivision_counts
 
 
 def random_graph(rng, n, p=0.5):
@@ -110,6 +111,12 @@ class TestSubdivision:
         k = vietoris_rips(complete_graph(3), 2)
         sd = barycentric_subdivision(k)
         assert sd.counts() == [7, 12, 6]
+
+    def test_counts_without_building(self):
+        rng = random.Random(9)
+        for _ in range(12):
+            k = vietoris_rips(random_graph(rng, rng.randint(1, 8)), rng.randint(1, 4))
+            assert subdivision_counts(k.counts()) == barycentric_subdivision(k).counts()
 
     def test_chain_counts_match_poset_oracle(self):
         rng = random.Random(8)

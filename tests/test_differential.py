@@ -645,6 +645,18 @@ def oracle_subdivided_triangulation(domain):
     )
 
 
+def oracle_subdivided_samples(domain, values):
+    """The old per-face loop: each barycenter its own mean, each new value
+    from its own n-row norm and argmin."""
+    sd = barycentric_subdivision(domain.triangulation)
+    rows = [domain.coords[list(face)].mean(axis=0) for face in sd.vertices if len(face) > 1]
+    coords = np.vstack([domain.coords, np.array(rows)]) if rows else domain.coords
+    new_values = dict(values)
+    for idx in range(domain.n_samples, len(coords)):
+        new_values[idx] = values[int(np.argmin(np.linalg.norm(domain.coords - coords[idx], axis=1)))]
+    return coords, new_values
+
+
 def cross_polytope_graph(k):
     """1-skeleton of the k-dimensional cross-polytope: 2k vertices, each
     adjacent to all but its antipode 2i <-> 2i+1."""
@@ -709,3 +721,29 @@ class TestBuildersDifferential:
             dom, values, _ = subdivide_domain(dom, values)
             assert dom.triangulation == want
             assert_canonical(dom.triangulation)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: circle_domain(256),
+            lambda: circle_domain(2048),
+            lambda: icosphere_domain(2),
+            lambda: icosphere_domain(3),
+            non_pure_domain,
+        ],
+        ids=["circle256", "circle2048", "icosa2", "icosa3", "non-pure"],
+    )
+    def test_subdivide_domain_samples_equal_per_face_loop(self, make):
+        # every sample its own value, so each tie-break shows in new_values
+        dom = make()
+        values = {i: i for i in range(dom.n_samples)}
+        coords, want = oracle_subdivided_samples(dom, values)
+        new_dom, new_values, _ = subdivide_domain(dom, values)
+        assert np.array_equal(new_dom.coords, coords)
+        assert new_values == want
+
+
+def test_nearest_samples_takes_first_on_ties():
+    dom = SampledDomain([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]], SimplicialComplex.from_simplices([(0,), (1,), (2,)], 0))
+    assert dom.nearest_samples([[1.0, 0.0], [1.9, 0.0], [1.0, 4.0]]).tolist() == [0, 1, 2]
+    assert dom.nearest_samples(np.empty((0, 2))).tolist() == []

@@ -17,6 +17,8 @@ from vrclosure import (
     octahedron_graph,
     vietoris_rips,
 )
+from vrclosure import homology
+from vrclosure.domains import icosphere_domain
 from vrclosure.homology import boundary_columns, gf2_rank
 
 from homology_oracle import gf2_rank_dense
@@ -110,6 +112,66 @@ class TestBetti:
             k = vietoris_rips(g, len(g.vertices) + 1)
             betti = betti_numbers(k, len(g.vertices))
             assert sum((-1) ** i * b for i, b in enumerate(betti)) == euler_characteristic(k)
+
+
+class TestWorkCounts:
+    """Eliminations counted, not timed: every column and cycle the homology
+    reduces goes through one ``_reduce`` call, so skipped work shows as
+    missing calls."""
+
+    @pytest.fixture
+    def reduce_calls(self, monkeypatch):
+        calls = []
+        real = homology._reduce
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(homology, "_reduce", counted)
+        return calls
+
+    def test_beta0_reduces_nothing(self, reduce_calls):
+        # union-find alone: none of K150's 11,175 edge columns is reduced
+        assert betti_numbers(vietoris_rips(complete_graph(150), 1), 0) == [1]
+        assert reduce_calls == []
+
+    @pytest.mark.parametrize(
+        "g, cap",
+        [
+            (complete_graph(12), 4),
+            (octahedron_graph(), 4),
+            (Graph(range(9), [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4), (4, 6)]), 3),
+        ],
+        ids=["K12", "octahedron", "components"],
+    )
+    def test_betti_reduces_only_uncleared_columns(self, reduce_calls, g, cap):
+        # level d reduces its columns less rank D_d (D_d the boundary from
+        # d-chains), which the forest (d = 1) or the pivots of the level below
+        # (d >= 2) clear; a level with no cofaces reduces nothing
+        k = vietoris_rips(g, cap)
+        betti_numbers(k, cap - 1)
+        want = sum(
+            len(k.simplices(d)) - gf2_rank_dense(boundary_columns(k, d))
+            for d in range(1, cap)
+            if k.simplices(d + 1)
+        )
+        assert len(reduce_calls) == want
+
+    def test_sphere_h1_skips_the_cycle_kernel(self, reduce_calls):
+        # beta_1 = 0 is known once the triangles are in: one call per triangle
+        tri = icosphere_domain(2).triangulation
+        ctx = homology._H1Context(tri)
+        assert ctx.h1_basis == []
+        assert len(reduce_calls) == len(tri.simplices(2))
+
+    def test_h1_stops_at_beta1(self, reduce_calls):
+        # C4 with a 16-edge tail: the only cycle closes at the fourth edge
+        # (0-1, 0-3, 1-2, 2-3), after which no edge is reduced
+        g = Graph(range(20), [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, i + 1) for i in range(3, 19)])
+        ctx = homology._H1Context(vietoris_rips(g, 2))
+        assert len(ctx.h1_basis) == 1
+        assert len(reduce_calls) == 4 + 1
 
 
 class TestEuler:

@@ -441,7 +441,7 @@ class TestSubdivideDomain:
         for face, idx in face_vertex.items():
             if len(face) == 2:
                 # midpoint inherits the nearest original sample's value
-                nearest = dom.nearest_sample(new_dom.coords[idx])
+                nearest = np.argmin(np.linalg.norm(dom.coords - new_dom.coords[idx], axis=1))
                 assert new_values[idx] == values[nearest]
 
     def test_basepoints_preserved(self):
