@@ -29,10 +29,11 @@ from .realization import BaryPoint, theta_point
 from .transform import CertificateFailure
 
 
-#: most samples ``--subdivisions`` may take a pipeline domain to: building the
-#: refined domain's n-by-n float distances (matrix and one scratch) then
-#: needs at most 1 GiB
-MAX_SUBDIVIDED_SAMPLES = 1 << 13
+#: most samples ``--subdivisions`` may take a pipeline domain to.  It keeps
+#: the largest measured domain (sphere2:icosa:5, 10,242 samples) and icosa:4
+#: refined once (15,362); at this size the refined domain's n-by-n float
+#: distance matrix takes 2 GiB
+MAX_SUBDIVIDED_SAMPLES = 1 << 14
 
 
 class InputError(ValueError):

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .complex import SimplicialComplex, SimplicialMap, check_simplicial
 
@@ -44,14 +44,20 @@ def _reduce(pivots: dict, vec: int, tag: int = 0) -> tuple:
     return vec, tag
 
 
-def gf2_rank(columns: Sequence[int]) -> int:
-    """Rank of a GF(2) matrix given as int bitset columns."""
+def _echelon(columns: Iterable[int]) -> dict:
+    """Reduce the int bitset columns in order; returns the pivots dict, one
+    entry per independent column, keyed by its reduced lowest bit."""
     pivots: dict = {}
     for col in columns:
         col, _ = _reduce(pivots, col)
         if col:
             pivots[col & -col] = (col, 0)
-    return len(pivots)
+    return pivots
+
+
+def gf2_rank(columns: Sequence[int]) -> int:
+    """Rank of a GF(2) matrix given as int bitset columns."""
+    return len(_echelon(columns))
 
 
 def boundary_columns(k: SimplicialComplex, dim: int) -> list:
@@ -111,13 +117,7 @@ def _coboundary_rank(k: SimplicialComplex, d: int, cleared: set) -> tuple:
         bit = 1 << i
         for face in combinations(s, d + 1):
             columns[index[face]] |= bit
-    pivots: dict = {}
-    for j, col in enumerate(columns):
-        if j in cleared:
-            continue
-        col, _ = _reduce(pivots, col)
-        if col:
-            pivots[col & -col] = (col, 0)
+    pivots = _echelon(c for j, c in enumerate(columns) if j not in cleared)
     return len(pivots), {low.bit_length() - 1 for low in pivots}
 
 

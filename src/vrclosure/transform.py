@@ -36,8 +36,8 @@ BLOCK_CELLS = 1 << 18
 NEAREST_BLOCK_CELLS = 1 << 14
 
 
-def _block_rows(n: int, cells: int = BLOCK_CELLS) -> int:
-    return max(1, cells // n)
+def _block_rows(n: int) -> int:
+    return max(1, BLOCK_CELLS // n)
 
 
 def _distances_to(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ class SampledDomain:
         """
         points = np.asarray(points, dtype=float)
         out = np.empty(len(points), dtype=np.intp)
-        step = _block_rows(self.n_samples, NEAREST_BLOCK_CELLS)
+        step = max(1, NEAREST_BLOCK_CELLS // self.n_samples)
         for start in range(0, len(points), step):
             block = _distances_to(points[start : start + step], self.coords)
             out[start : start + step] = np.argmin(block, axis=1)

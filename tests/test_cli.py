@@ -239,12 +239,12 @@ MALFORMED = {
         ("pipeline", "{graph}", "--domain", "circle:16", "--map", "quarter-arc",
          "--subdivisions", "-1"),
     ),
-    # 9 rounds take circle:16 to 8,192 samples, 10 would pass the budget
+    # 10 rounds take circle:16 to 16,384 samples, 11 would pass the budget
     "huge-subdivisions": (
         "c4.txt",
         C4.encode(),
         ("pipeline", "{graph}", "--domain", "circle:16", "--map", "quarter-arc",
-         "--subdivisions", "10"),
+         "--subdivisions", "11"),
     ),
 }
 
