@@ -15,7 +15,7 @@ import numpy as np
 from .complex import SimplicialComplex
 from .graph import Graph
 from .realization import BaryPoint
-from .transform import SampledDomain
+from .transform import SampledDomain, _distances_to
 
 Vertex = Hashable
 
@@ -163,11 +163,8 @@ def nearest_pole_map(
         pts = pts @ np.asarray(rotation, dtype=float).T
     if pts.shape[1] != poles.shape[1]:
         raise ValueError("domain and poles have different embedding dimensions")
-    out = {}
-    for i in range(len(pts)):
-        gaps = np.linalg.norm(poles - pts[i], axis=1)
-        out[i] = BaryPoint.of_vertex(graph.vertices[int(np.argmin(gaps))])
-    return out
+    nearest = _distances_to(pts, poles).argmin(axis=1)
+    return {i: BaryPoint.of_vertex(graph.vertices[k]) for i, k in enumerate(nearest.tolist())}
 
 
 def random_rotation(seed: int) -> np.ndarray:

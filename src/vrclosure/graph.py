@@ -40,18 +40,18 @@ class Graph:
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
         self.vertices = sort_vertices(vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.vertex_index) != len(self.vertices):
             raise ValueError("duplicate vertex identifiers")
         adjacency: dict = {v: set() for v in self.vertices}
         edge_set = set()
         for pair in edges:
             u, v = pair
-            if u not in self._index or v not in self._index:
+            if u not in self.vertex_index or v not in self.vertex_index:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the vertex set")
             if u == v:
                 continue  # implicit loop, drop
-            key = (u, v) if self._index[u] < self._index[v] else (v, u)
+            key = (u, v) if self.vertex_index[u] < self.vertex_index[v] else (v, u)
             if key not in edge_set:
                 edge_set.add(key)
                 adjacency[u].add(v)
@@ -63,11 +63,11 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._index
+        return v in self.vertex_index
 
     def index(self, v: Vertex) -> int:
         try:
-            return self._index[v]
+            return self.vertex_index[v]
         except KeyError:
             raise KeyError(f"unknown vertex {v!r}") from None
 
@@ -82,9 +82,10 @@ class Graph:
 
     def are_adjacent(self, u: Vertex, v: Vertex) -> bool:
         """Reflexive adjacency: true iff ``u == v`` or ``{u, v}`` is an edge."""
-        self.index(u)
-        self.index(v)
-        return u == v or v in self._adjacency[u]
+        nbrs = self._adjacency.get(u)
+        if nbrs is None or v not in self._adjacency:
+            raise KeyError(f"unknown vertex {u if nbrs is None else v!r}")
+        return u == v or v in nbrs
 
     def canonical_closure(self) -> ClosureSpace:
         """The closure space whose singleton closures are closed neighborhoods."""

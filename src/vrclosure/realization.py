@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from .complex import SimplicialComplex, SimplicialMap
+from .graph import Graph
 
 Vertex = Hashable
 
@@ -66,12 +67,12 @@ class BaryPoint:
         return BaryPoint(tuple(v for v, _ in kept), tuple(t for _, t in kept))
 
 
-def aligned(point: BaryPoint, complex_: SimplicialComplex) -> BaryPoint:
-    """Reorder a point's carrier into the complex's vertex order."""
+def aligned(point: BaryPoint, complex_: SimplicialComplex | Graph) -> BaryPoint:
+    """Reorder a point's carrier into the vertex order of a complex or graph."""
     try:
         key = [complex_.vertex_index[v] for v in point.carrier]
     except KeyError as exc:
-        raise ValueError(f"carrier vertex {exc.args[0]!r} is not in the complex") from None
+        raise ValueError(f"carrier vertex {exc.args[0]!r} is not a vertex") from None
     if all(a < b for a, b in zip(key, key[1:])):
         return point
     pairs = sorted(zip(key, point.carrier, point.coords))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .complex import (
     vietoris_rips,
 )
 from .graph import Graph
-from .realization import BaryPoint, dominant_vertex
+from .realization import BaryPoint, aligned, dominant_vertex
 
 Vertex = Hashable
 
@@ -34,10 +34,6 @@ BLOCK_CELLS = 1 << 18
 #: cells per row block of the nearest-sample scan (128 KB of floats); 2 MB
 #: blocks ran slower and raised peak memory
 NEAREST_BLOCK_CELLS = 1 << 14
-
-
-def _block_rows(n: int) -> int:
-    return max(1, BLOCK_CELLS // n)
 
 
 def _distances_to(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -132,14 +128,33 @@ class SampledDomain:
         mesh = self.max_simplex_diameter()
         return mesh if mesh > 0 else 1.0
 
+    def row_blocks(self, rows: Sequence[int] | None = None) -> Iterator[tuple]:
+        """Distance rows in blocks of about ``BLOCK_CELLS`` cells.
+
+        Yields ``(lo, block)``: the matrix rows of ``rows[lo : lo + len(block)]``,
+        or of every sample when ``rows`` is None, in which case each block is
+        a view of the cached matrix rather than a copy.
+        """
+        dist = self.distances()
+        index = None if rows is None else np.asarray(rows, dtype=np.intp)
+        count = self.n_samples if index is None else len(index)
+        step = max(1, BLOCK_CELLS // self.n_samples)
+        for lo in range(0, count, step):
+            yield lo, dist[lo : lo + step] if index is None else dist[index[lo : lo + step]]
+
+    def edge_lengths(self, edges: Sequence) -> np.ndarray:
+        """Distance between the endpoints of each sample pair ``(u, w)``."""
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        return self.distances()[pairs[:, 0], pairs[:, 1]]
+
     def max_simplex_diameter(self) -> float:
-        top = self.triangulation.dimension()
-        if top < 1:
-            return 0.0
-        d = self.distances()
-        tops = np.array(self.triangulation.simplices(top))
-        pairs = combinations(range(top + 1), 2)
-        return float(max(d[tops[:, i], tops[:, j]].max() for i, j in pairs))
+        """Mesh of the triangulation: its longest edge, 0.0 without edges.
+
+        On a pure complex this is the largest top-simplex diameter; on a
+        non-pure one it also sees lower-dimensional maximal simplices.
+        """
+        lengths = self.edge_lengths(self.triangulation.simplices(1))
+        return float(lengths.max()) if lengths.size else 0.0
 
     def nearest_samples(self, points) -> np.ndarray:
         """Index of the nearest sample to each point, the first one on ties.
@@ -216,11 +231,6 @@ class CliqueCertificate:
         }
 
 
-def _graph_aligned(point: BaryPoint, graph: Graph) -> BaryPoint:
-    pairs = sorted(zip(point.carrier, point.coords), key=lambda pv: graph.index(pv[0]))
-    return BaryPoint(tuple(v for v, _ in pairs), tuple(t for _, t in pairs))
-
-
 def discrete_modify(
     sample_points: Mapping[int, BaryPoint],
     domain: SampledDomain,
@@ -236,16 +246,15 @@ def discrete_modify(
     for i in range(domain.n_samples):
         if i not in sample_points:
             raise ValueError(f"no image point for sample {i}")
-        point = sample_points[i].canonical()
-        carrier = sorted(point.carrier, key=graph.index)
-        for j, a in enumerate(carrier):
-            for b in carrier[j + 1 :]:
+        point = aligned(sample_points[i].canonical(), graph)
+        for j, a in enumerate(point.carrier):
+            for b in point.carrier[j + 1 :]:
                 if not graph.are_adjacent(a, b):
                     raise ValueError(
-                        f"carrier {tuple(carrier)} of sample {i} is not a clique: "
+                        f"carrier {point.carrier} of sample {i} is not a clique: "
                         f"{a!r} and {b!r} are not adjacent"
                     )
-        values[i] = dominant_vertex(_graph_aligned(point, graph))
+        values[i] = dominant_vertex(point)
 
     if domain.basepoints:
         base = values[domain.basepoints[0]]
@@ -259,6 +268,49 @@ def discrete_modify(
     return DiscreteMap(domain, graph, values, base)
 
 
+def _stage_scan(f: DiscreteMap, v: Vertex, preimage: Sequence[int]) -> Iterator[tuple]:
+    """Row blocks of the flood stage at ``v``: yields ``(lo, block, reach)``.
+
+    ``block`` holds the distance rows of ``preimage[lo : lo + len(block)]``
+    and ``reach`` the distance from each of them to the nearest sample a
+    flooding ball must not contain: one whose value is not adjacent to ``v``,
+    or a basepoint when ``v`` is not the base value (inf when there is none).
+    """
+    n = f.domain.n_samples
+    closed = f.target.closed_neighborhood(v)
+    avoid = np.fromiter((f.values[i] not in closed for i in range(n)), dtype=bool, count=n)
+    if v != f.base_value:
+        avoid[list(f.domain.basepoints)] = True
+    for lo, block in f.domain.row_blocks(preimage):
+        yield lo, block, np.where(avoid, block, np.inf).min(axis=1)
+
+
+def _stage_failure(
+    f: DiscreteMap, v: Vertex, y: int, row: np.ndarray, r: float | None
+) -> CertificateFailure:
+    """The failure of the flood ball of radius ``r`` around preimage sample
+    ``y``, or of its coincident samples when ``r`` is None: the first sample
+    inside with a value not adjacent to ``v``, else the first basepoint."""
+    inside = row <= 0.0 if r is None else row < r
+    closed = f.target.closed_neighborhood(v)
+    stage = f"flood stage {v!r}"
+    for z in np.flatnonzero(inside).tolist():
+        if f.values[z] not in closed:
+            detail = (
+                "coincident sample with non-adjacent value"
+                if r is None
+                else f"value within radius {r:g} of a preimage sample is not adjacent"
+            )
+            return CertificateFailure(stage, (y, z), (v, f.values[z]), detail)
+    a = next(b for b in f.domain.basepoints if inside[b])
+    detail = (
+        "preimage sample coincides with a basepoint"
+        if r is None
+        else "flooding ball touches a basepoint"
+    )
+    return CertificateFailure(stage, (y, a), (v, f.base_value), detail)
+
+
 def flood(f: DiscreteMap, v: Vertex, radii: Mapping[int, float]) -> DiscreteMap:
     """Overwrite with ``v`` on the half-radius balls around its preimage.
 
@@ -270,45 +322,19 @@ def flood(f: DiscreteMap, v: Vertex, radii: Mapping[int, float]) -> DiscreteMap:
     if v not in f.target:
         raise ValueError(f"{v!r} is not a vertex of the target")
     preimage = f.preimage(v)
-    dist = f.domain.distances()
-    closed = f.target.closed_neighborhood(v)
-    adjacent_value = np.fromiter(
-        (f.values[i] in closed for i in range(f.domain.n_samples)),
-        dtype=bool,
-        count=f.domain.n_samples,
-    )
-    basepoints = np.array(f.domain.basepoints, dtype=int)
-
-    for y in preimage:
-        if y not in radii:
-            raise ValueError(f"no radius for preimage sample {y}")
-        r = float(radii[y])
-        if r <= 0:
-            raise ValueError(f"radius for sample {y} must be positive")
-        bad = (dist[y] < r) & ~adjacent_value
-        if bad.any():
-            z = int(np.flatnonzero(bad)[0])
-            raise CertificateFailure(
-                f"flood stage {v!r}",
-                (y, z),
-                (v, f.values[z]),
-                f"value within radius {r:g} of a preimage sample is not adjacent",
-            )
-        if v != f.base_value and basepoints.size and bool((dist[y][basepoints] < r).any()):
-            a = int(basepoints[np.flatnonzero(dist[y][basepoints] < r)[0]])
-            raise CertificateFailure(
-                f"flood stage {v!r}",
-                (y, a),
-                (v, f.base_value),
-                "flooding ball touches a basepoint",
-            )
-
     covered = np.zeros(f.domain.n_samples, dtype=bool)
-    step = _block_rows(f.domain.n_samples)
-    for lo in range(0, len(preimage), step):
-        rows = list(preimage[lo : lo + step])
-        half = np.array([float(radii[y]) / 2.0 for y in rows])
-        covered |= (dist[rows] < half[:, None]).any(axis=0)
+    for lo, block, reach in _stage_scan(f, v, preimage):
+        half = np.empty(len(block))
+        for i, y in enumerate(preimage[lo : lo + len(block)]):
+            if y not in radii:
+                raise ValueError(f"no radius for preimage sample {y}")
+            r = float(radii[y])
+            if r <= 0:
+                raise ValueError(f"radius for sample {y} must be positive")
+            if r > reach[i]:
+                raise _stage_failure(f, v, y, block[i], r)
+            half[i] = r / 2.0
+        covered |= (block < half[:, None]).any(axis=0)
     new_values = dict(f.values)
     for z in np.flatnonzero(covered).tolist():
         new_values[z] = v
@@ -326,42 +352,16 @@ def flood_stage_radii(f: DiscreteMap, v: Vertex) -> dict:
     preimage = f.preimage(v)
     if not preimage:
         return {}
-    dist = f.domain.distances()
-    closed = f.target.closed_neighborhood(v)
-    bad = np.fromiter(
-        (f.values[i] not in closed for i in range(f.domain.n_samples)),
-        dtype=bool,
-        count=f.domain.n_samples,
-    )
-    basepoints = np.array(f.domain.basepoints, dtype=int)
     diameter = f.domain.diameter
     cap = diameter / 2.0 if diameter > 0 else 1.0
     radii = {}
-    for y in preimage:
-        r = cap
-        if bad.any():
-            nearest_bad = float(dist[y][bad].min())
-            if nearest_bad <= 0.0:
-                z = int(np.flatnonzero(bad & (dist[y] <= 0.0))[0])
-                raise CertificateFailure(
-                    f"flood stage {v!r}",
-                    (y, z),
-                    (v, f.values[z]),
-                    "coincident sample with non-adjacent value",
-                )
-            r = min(r, nearest_bad)
-        if v != f.base_value and basepoints.size:
-            nearest_base = float(dist[y][basepoints].min())
-            if nearest_base <= 0.0:
-                a = int(basepoints[np.argmin(dist[y][basepoints])])
-                raise CertificateFailure(
-                    f"flood stage {v!r}",
-                    (y, a),
-                    (v, f.base_value),
-                    "preimage sample coincides with a basepoint",
-                )
-            r = min(r, nearest_base)
-        radii[y] = r
+    for lo, block, reach in _stage_scan(f, v, preimage):
+        rows = preimage[lo : lo + len(block)]
+        failing = np.flatnonzero(reach <= 0.0)
+        if failing.size:
+            i = int(failing[0])
+            raise _stage_failure(f, v, rows[i], block[i], None)
+        radii.update(zip(rows, np.minimum(reach, cap).tolist()))
     return radii
 
 
@@ -399,7 +399,6 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     stable distance order on the first such row; when no two image values
     are non-adjacent, the radius is the domain diameter.
     """
-    dist = f.domain.distances()
     n = f.domain.n_samples
     diameter = f.domain.diameter if n > 1 else 0.0
     fallback = diameter if diameter > 0 else 1.0
@@ -425,16 +424,15 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
         labels = np.fromiter((code[f.values[z]] for z in range(n)), dtype=np.intp, count=n)
         by_value = np.argsort(labels, kind="stable")
         class_starts = np.searchsorted(labels[by_value], np.arange(k))
-        step = _block_rows(n)
-        for lo in range(0, n, step):
-            block = dist[lo : lo + step]
+        for lo, block in f.domain.row_blocks():
             nearest = np.minimum.reduceat(block[:, by_value], class_starts, axis=1)
             level = _conflict_level(nearest, adjacent, k)
-            below[lo : lo + step] = np.where(block < level[:, None], block, -np.inf).max(axis=1)
-            failing = np.flatnonzero(below[lo : lo + step] <= 0.0)
+            rows = slice(lo, lo + len(block))
+            below[rows] = np.where(block < level[:, None], block, -np.inf).max(axis=1)
+            failing = np.flatnonzero(below[rows] <= 0.0)
             if failing.size:
-                y = lo + int(failing[0])
-                raise _row_failure(f, y, dist[y])
+                i = int(failing[0])
+                raise _row_failure(f, lo + i, block[i])
     radii = {y: float(r) for y, r in enumerate(below)}
     return CliqueCertificate(radii, min(radii.values()))
 
@@ -499,14 +497,14 @@ def convex_transform(
     simplex, provided ``target_complex`` is the clique complex of ``f.target``
     capped at the triangulation's dimension or above, as the default is.
     """
-    dist = f.domain.distances()
-    for u, w in triangulation.simplices(1):
-        if float(dist[u, w]) >= cert.delta:
+    edges = triangulation.simplices(1)
+    for (u, w), length in zip(edges, f.domain.edge_lengths(edges).tolist()):
+        if length >= cert.delta:
             raise CertificateFailure(
                 "convex transform",
                 (u, w),
                 (f.values[u], f.values[w]),
-                f"edge length {float(dist[u, w]):g} is not below delta {cert.delta:g}",
+                f"edge length {length:g} is not below delta {cert.delta:g}",
             )
         if not f.target.are_adjacent(f.values[u], f.values[w]):
             raise CertificateFailure(

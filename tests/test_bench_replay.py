@@ -1,8 +1,10 @@
 """The benchmark's traced replay (``bench/layers.py``) calls the program's
 public functions by name, so a rename in ``src/`` breaks it only when a
 traced run happens.  Replaying a few small operations here catches that
-first: each replay must print what ``cli.main`` prints for the same argv."""
+first: each replay must print what ``cli.main`` prints for the same argv,
+on the failure path too."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -36,3 +38,20 @@ def test_replay_prints_what_the_cli_prints(op, bench, tmp_path, capsys):
     assert main(list(argv)) == 0
     stdout = capsys.readouterr().out
     assert layers.replay(layers.Tracer(), list(argv), op) + "\n" == stdout
+
+
+def test_replay_prints_the_cli_failure(bench, tmp_path, capsys):
+    # quarter arcs of circle:16 onto C4 with sample 5 sent to the vertex
+    # opposite its arc's: the clique certificate fails, exit 1
+    _harness, layers = bench
+    graph = tmp_path / "c4.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    values = {str(i): str(i * 4 // 16) for i in range(16)}
+    values["5"] = "3"
+    jump = tmp_path / "jump.json"
+    jump.write_text(json.dumps({"base": "0", "values": values}), encoding="utf-8")
+    argv = ["pipeline", str(graph), "--domain", "circle:16", "--map", "@" + str(jump)]
+    assert main(list(argv)) == 1
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)["failure"]["stage"] == "clique certificate"
+    assert layers.replay(layers.Tracer(), list(argv), "jump") + "\n" == stdout

@@ -105,6 +105,82 @@ def oracle_certificate(f):
     return transform.CliqueCertificate(radii, min(radii.values()))
 
 
+def oracle_stage_radii(f, v):
+    """The old per-row radii scan: each preimage row masked by the samples
+    with non-adjacent values, then by the basepoints."""
+    preimage = f.preimage(v)
+    if not preimage:
+        return {}
+    dist = f.domain.distances()
+    closed = f.target.closed_neighborhood(v)
+    bad = np.array([f.values[i] not in closed for i in range(f.domain.n_samples)], dtype=bool)
+    basepoints = np.array(f.domain.basepoints, dtype=int)
+    diameter = f.domain.diameter
+    cap = diameter / 2.0 if diameter > 0 else 1.0
+    radii = {}
+    for y in preimage:
+        r = cap
+        if bad.any():
+            nearest_bad = float(dist[y][bad].min())
+            if nearest_bad <= 0.0:
+                z = int(np.flatnonzero(bad & (dist[y] <= 0.0))[0])
+                raise CertificateFailure(
+                    f"flood stage {v!r}",
+                    (y, z),
+                    (v, f.values[z]),
+                    "coincident sample with non-adjacent value",
+                )
+            r = min(r, nearest_bad)
+        if v != f.base_value and basepoints.size:
+            nearest_base = float(dist[y][basepoints].min())
+            if nearest_base <= 0.0:
+                a = int(basepoints[np.argmin(dist[y][basepoints])])
+                raise CertificateFailure(
+                    f"flood stage {v!r}",
+                    (y, a),
+                    (v, f.base_value),
+                    "preimage sample coincides with a basepoint",
+                )
+            r = min(r, nearest_base)
+        radii[y] = r
+    return radii
+
+
+def oracle_flood(f, v, radii):
+    """The old per-row ball checks, in preimage order, then the old
+    overwrite; returns the new values."""
+    if v not in f.target:
+        raise ValueError(f"{v!r} is not a vertex of the target")
+    dist = f.domain.distances()
+    closed = f.target.closed_neighborhood(v)
+    adjacent_value = np.array([f.values[i] in closed for i in range(f.domain.n_samples)], dtype=bool)
+    basepoints = np.array(f.domain.basepoints, dtype=int)
+    for y in f.preimage(v):
+        if y not in radii:
+            raise ValueError(f"no radius for preimage sample {y}")
+        r = float(radii[y])
+        if r <= 0:
+            raise ValueError(f"radius for sample {y} must be positive")
+        bad = (dist[y] < r) & ~adjacent_value
+        if bad.any():
+            z = int(np.flatnonzero(bad)[0])
+            raise CertificateFailure(
+                f"flood stage {v!r}",
+                (y, z),
+                (v, f.values[z]),
+                f"value within radius {r:g} of a preimage sample is not adjacent",
+            )
+        if v != f.base_value and basepoints.size and bool((dist[y][basepoints] < r).any()):
+            a = int(basepoints[np.flatnonzero(dist[y][basepoints] < r)[0]])
+            raise CertificateFailure(
+                f"flood stage {v!r}",
+                (y, a),
+                (v, f.base_value),
+                "flooding ball touches a basepoint",
+            )
+    return oracle_overwrite(f, v, radii)
+
+
 def oracle_overwrite(f, v, radii):
     """The old overwrite: assign ``v`` to every member of every half-radius
     ball around the preimage, one sample at a time."""
@@ -145,14 +221,26 @@ def assert_same_certificate(f):
 
 
 def assert_same_flood(f, v, radii):
-    """``flood`` either refuses the radii in its (unchanged) ball checks or
+    """``flood`` refuses the radii with the old checks' failure or error, or
     overwrites exactly what the old loop overwrote."""
-    try:
-        got = flood(f, v, radii)
-    except CertificateFailure:
-        return "fail"
-    assert got.values == oracle_overwrite(f, v, radii)
-    return "ok"
+
+    def flood_outcome(fn):
+        try:
+            return outcome(fn, f, v, radii)
+        except ValueError as exc:
+            return ("error", str(exc))
+
+    want = flood_outcome(oracle_flood)
+    assert flood_outcome(lambda *args: flood(*args).values) == want
+    return want[0]
+
+
+def assert_same_radii(f, v):
+    """The stage's radii (``==``) or failure equal the old per-row scan's;
+    returns that outcome."""
+    want = outcome(oracle_stage_radii, f, v)
+    assert outcome(flood_stage_radii, f, v) == want
+    return want
 
 
 def point_cloud(coords, basepoints=()):
@@ -353,9 +441,8 @@ class TestFloodDifferential:
         for sample in range(1, dom.n_samples, 9):
             current = flipped(base, sample)
             for v in current.image_vertices():
-                try:
-                    radii = flood_stage_radii(current, v)
-                except CertificateFailure:
+                kind, radii = assert_same_radii(current, v)
+                if kind == "fail":
                     break
                 if not radii:
                     continue
@@ -374,16 +461,100 @@ class TestFloodDifferential:
         c4 = cycle_graph(4)
         current = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
         for v in current.image_vertices():
-            radii = flood_stage_radii(current, v)
+            _, radii = assert_same_radii(current, v)
             for r in (0.05, 0.4, 1.0, 2.5):
                 assert_same_flood(current, v, dict.fromkeys(radii, r))
             current = flood(current, v, radii)
 
+    def test_coincident_samples(self, block_cells):
+        c4 = cycle_graph(4)
+        # sample 2 sits on sample 0, whose value 0 is not adjacent to 2;
+        # the basepoint 0 is the first such sample and is named
+        dom = point_cloud([[0.0], [4.0], [0.0], [0.0]], basepoints=(0,))
+        f = DiscreteMap(dom, c4, {0: 0, 1: 1, 2: 2, 3: 0}, 0)
+        assert assert_same_radii(f, 2)[0] == "fail"
+        assert assert_same_flood(f, 2, {2: 1.0}) == "fail"
+        # a coincident basepoint with an adjacent value
+        dom = point_cloud([[0.0], [0.0], [1.0]], basepoints=(0,))
+        f = DiscreteMap(dom, c4, {0: 1, 1: 2, 2: 2}, 1)
+        assert assert_same_radii(f, 2)[0] == "fail"
+        assert assert_same_radii(f, 1) == ("ok", {0: 0.5})
+        # coincident samples with adjacent values pass, and flood together
+        dom = point_cloud([[0.0], [0.0], [2.0], [2.0], [5.0]])
+        f = DiscreteMap(dom, c4, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}, 0)
+        for v in (0, 1, 2):
+            kind, radii = assert_same_radii(f, v)
+            assert kind == "ok"
+            assert assert_same_flood(f, v, radii) == "ok"
+            assert assert_same_flood(f, v, dict.fromkeys(radii, 2.0)) in ("ok", "fail")
+
     def test_basepoint_failure(self, block_cells):
         dom = point_cloud([[0.0], [1.0], [2.0], [3.0]], basepoints=(0,))
         f = DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 0, 2: 1, 3: 1}, 0)
+        assert assert_same_radii(f, 1) == ("ok", {2: 1.5, 3: 1.5})
         assert assert_same_flood(f, 1, {2: 2.5, 3: 0.5}) == "fail"
         assert assert_same_flood(f, 1, {2: 1.5, 3: 0.5}) == "ok"
+        # a ball reaching both a non-adjacent value and a basepoint names
+        # the value: values 0 and 2 are not adjacent in C4
+        g = DiscreteMap(dom, cycle_graph(4), {0: 1, 1: 0, 2: 2, 3: 2}, 1)
+        assert assert_same_flood(g, 2, {2: 3.0, 3: 0.5}) == "fail"
+        with pytest.raises(CertificateFailure) as exc:
+            flood(g, 2, {2: 3.0, 3: 0.5})
+        assert exc.value.pair == (2, 1)
+
+    def test_rows_fail_in_preimage_order(self, block_cells):
+        # each row is checked whole before the next: an earlier row's ball
+        # failure wins over a later row's missing radius, and an earlier
+        # missing radius over a later row's failure
+        dom = point_cloud([[0.0], [1.0], [2.0], [3.0]], basepoints=(0,))
+        f = DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 0, 2: 1, 3: 1}, 0)
+        assert assert_same_flood(f, 1, {2: 2.5}) == "fail"
+        with pytest.raises(CertificateFailure) as exc:
+            flood(f, 1, {2: 2.5})
+        assert (exc.value.pair, exc.value.detail) == ((2, 0), "flooding ball touches a basepoint")
+        assert assert_same_flood(f, 1, {3: 3.5}) == "error"
+        with pytest.raises(ValueError, match="no radius for preimage sample 2"):
+            flood(f, 1, {3: 3.5})
+        assert assert_same_flood(f, 1, {2: -1.0, 3: 3.5}) == "error"
+
+    def test_small_integer_clouds(self):
+        # integer coordinates in a small box: exact distance ties,
+        # coincident samples and balls that reach basepoints
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def stage_cases(draw):
+            n = draw(st.integers(1, 9))
+            dim = draw(st.integers(1, 2))
+            coords = draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim), min_size=n, max_size=n))
+            graph = draw(st.sampled_from([cycle_graph(4), octahedron_graph(), cycle_graph(5)]))
+            values = draw(st.lists(st.sampled_from(graph.vertices), min_size=n, max_size=n))
+            basepoints = draw(st.sets(st.integers(0, n - 1), max_size=2))
+            base = values[min(basepoints)] if basepoints else values[0]
+            for b in basepoints:
+                values[b] = base
+            f = DiscreteMap(point_cloud(coords, basepoints), graph, dict(enumerate(values)), base)
+            radius = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+            trial = draw(st.dictionaries(st.integers(0, n - 1), radius))
+            return f, trial
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(stage_cases())
+        def check(case):
+            f, trial = case
+            for cells in (transform.BLOCK_CELLS, 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(transform, "BLOCK_CELLS", cells)
+                    for v in f.target.vertices:
+                        kind, radii = assert_same_radii(f, v)
+                        if kind == "ok":
+                            for scale in (1.0, 2.0):
+                                assert_same_flood(f, v, {y: r * scale for y, r in radii.items()})
+                        hypothesis.event(f"radii {kind}")
+                        hypothesis.event(f"trial {assert_same_flood(f, v, trial)}")
+
+        check()
 
 
 # -- largest simplex diameter ----------------------------------------------

@@ -86,6 +86,10 @@ class TestQueries:
     def test_unknown_vertex(self):
         with pytest.raises(KeyError):
             cycle_graph(4).are_adjacent(0, 9)
+        # either endpoint, and a vertex paired with itself, is named
+        for u, v, named in [(0, 9, 9), (9, 0, 9), (9, 9, 9), (8, 9, 8)]:
+            with pytest.raises(KeyError, match=f"unknown vertex {named}"):
+                cycle_graph(4).are_adjacent(u, v)
 
     def test_octahedron_antipodes(self):
         g = octahedron_graph()

@@ -89,6 +89,42 @@ class TestSampledDomain:
         isolated = SampledDomain([[0.0], [1.0]], SimplicialComplex.from_simplices([(0,), (1,)], 1))
         assert isolated.eps_net == 1.0
 
+    def test_row_blocks_cover_the_matrix(self, monkeypatch):
+        dom = chain_domain([0, 1, 3, 7, 8])
+        dist = dom.distances()
+        blocks = list(dom.row_blocks())
+        assert [lo for lo, _ in blocks] == [0]
+        # every row read as views of the cached matrix, not copies
+        assert all(block.base is dist for _, block in blocks)
+        # the block size is read from BLOCK_CELLS at each call
+        monkeypatch.setattr(transform, "BLOCK_CELLS", 10)
+        blocks = list(dom.row_blocks())
+        assert [lo for lo, _ in blocks] == [0, 2, 4]
+        assert np.array_equal(np.vstack([block for _, block in blocks]), dist)
+        picked = list(dom.row_blocks((4, 0, 2)))
+        assert [lo for lo, _ in picked] == [0, 2]
+        assert np.array_equal(np.vstack([block for _, block in picked]), dist[[4, 0, 2]])
+        assert list(dom.row_blocks(())) == []
+
+    def test_edge_lengths(self):
+        dom = chain_domain([0, 1, 3])
+        assert dom.edge_lengths([(0, 1), (2, 0), (1, 2)]).tolist() == [1.0, 3.0, 2.0]
+        assert dom.edge_lengths([]).shape == (0,)
+
+    def test_mesh_sees_a_longer_lower_dimensional_simplex(self):
+        # a small triangle with a long dangling edge: the mesh is the edge,
+        # so the pipeline subdivides once where the top simplices alone
+        # would call for no subdivision and fail the convex transform
+        from vrclosure.pipeline import build_pipeline
+
+        tri = SimplicialComplex.from_simplices([(0, 1, 2), (2, 3)], dim_cap=2)
+        dom = SampledDomain([[0, 0], [0.1, 0], [0, 0.1], [3, 0]], tri, basepoints=(0,))
+        assert dom.max_simplex_diameter() == math.dist((0, 0.1), (3, 0))
+        points = {i: BaryPoint.of_vertex(v) for i, v in enumerate([0, 0, 0, 1])}
+        art = build_pipeline(complete_graph(2), dom, points)
+        assert art.required_depth == art.depth == 1
+        assert check_simplicial(art.simplicial_map)
+
 
 class TestDiscreteModify:
     def test_constant_at_vertex(self):
@@ -112,6 +148,11 @@ class TestDiscreteModify:
         g = cycle_graph(4)
         pts = {0: BaryPoint((1, 2), (0.5, 0.5))}
         assert discrete_modify(pts, dom, g)(0) == 1
+
+    def test_unknown_carrier_vertex(self):
+        dom = chain_domain([0.0])
+        with pytest.raises(ValueError, match="carrier vertex 7"):
+            discrete_modify({0: BaryPoint((1, 7), (0.5, 0.5))}, dom, cycle_graph(4))
 
     def test_carrier_must_be_clique(self):
         dom = chain_domain([0.0])
