@@ -29,11 +29,11 @@ from .realization import BaryPoint, theta_point
 from .transform import CertificateFailure
 
 
-#: most samples ``--subdivisions`` may take a pipeline domain to.  It keeps
-#: the largest measured domain (sphere2:icosa:5, 10,242 samples) and icosa:4
-#: refined once (15,362); at this size the refined domain's n-by-n float
-#: distance matrix takes 2 GiB
-MAX_SUBDIVIDED_SAMPLES = 1 << 14
+#: most samples a pipeline domain may have, as given or after
+#: ``--subdivisions``.  It keeps the largest measured domain (sphere2:icosa:5,
+#: 10,242 samples) and icosa:4 refined once (15,362); the certificate's full
+#: scan is quadratic, 2.7e8 distances at this size
+MAX_SAMPLES = 1 << 14
 
 
 class InputError(ValueError):
@@ -181,13 +181,25 @@ def cmd_theta(args) -> int:
     return 0
 
 
+def _check_samples(samples) -> None:
+    """Refuse a domain of more than ``MAX_SAMPLES`` samples before it is built."""
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"more than {MAX_SAMPLES} samples")
+
+
 def parse_domain_spec(spec: str):
     parts = spec.split(":")
     try:
         if parts[0] == "circle" and len(parts) == 2:
-            return circle_domain(int(parts[1]))
+            n = int(parts[1])
+            _check_samples(n)
+            return circle_domain(n)
         if parts[0] == "sphere2" and len(parts) == 3 and parts[1] == "icosa":
-            return icosphere_domain(int(parts[2]))
+            k = int(parts[2])
+            # 10 * 4^k + 2 samples; k >= 6 is over the ceiling, so the
+            # exponent is capped to keep a huge k cheap to refuse
+            _check_samples(10 * 4 ** min(k, 8) + 2)
+            return icosphere_domain(k)
     except ValueError as exc:
         raise InputError(f"bad domain spec {spec!r}: {exc}") from exc
     raise InputError(f"unknown domain spec {spec!r} (use circle:N or sphere2:icosa:K)")
@@ -229,14 +241,14 @@ def build_sample_map(spec: str, domain, graph: Graph, seed: int):
 
 def _check_subdivision_budget(domain, rounds: int) -> None:
     """Refuse ``rounds`` subdivisions that would take the domain past
-    ``MAX_SUBDIVIDED_SAMPLES`` samples, from simplex counts alone."""
+    ``MAX_SAMPLES`` samples, from simplex counts alone."""
     counts = domain.triangulation.counts()
     for _ in range(rounds):  # every CLI domain at least doubles per round
         counts = subdivision_counts(counts)
-        if counts[0] > MAX_SUBDIVIDED_SAMPLES:
+        if counts[0] > MAX_SAMPLES:
             raise InputError(
                 f"--subdivisions {rounds} would refine the domain past "
-                f"{MAX_SUBDIVIDED_SAMPLES} samples"
+                f"{MAX_SAMPLES} samples"
             )
 
 

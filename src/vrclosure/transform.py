@@ -27,7 +27,7 @@ from .realization import BaryPoint, aligned, dominant_vertex
 Vertex = Hashable
 
 
-#: distance-matrix cells per row block in the blocked scans (2 MB of floats)
+#: distance cells per row block in the blocked scans (2 MB of floats)
 BLOCK_CELLS = 1 << 18
 
 
@@ -39,17 +39,20 @@ NEAREST_BLOCK_CELLS = 1 << 14
 def _distances_to(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to each coordinate row.
 
-    Squared coordinate gaps are summed one coordinate at a time into the
-    result, so the build needs one scratch array of the result's shape, not
-    a (m, n, d) one.  numpy sums a last axis of up to 7 entries in the same
-    sequential order, so for d <= 7 coordinates the result equals
-    ``sqrt(((p[:, None] - x[None]) ** 2).sum(axis=2))`` and each row
-    ``norm(x - p, axis=1)`` bit for bit; from 8 on numpy sums pairwise and
-    they may differ in the last bit.
+    Squared coordinate gaps are summed one coordinate at a time, starting
+    from the first coordinate's, so the build needs one scratch array of the
+    result's shape, not a (m, n, d) one.  numpy sums a last axis of up to 7
+    entries in the same sequential order, so for d <= 7 coordinates the
+    result equals ``sqrt(((p[:, None] - x[None]) ** 2).sum(axis=2))`` and
+    each row ``norm(x - p, axis=1)`` bit for bit; from 8 on numpy sums
+    pairwise and they may differ in the last bit.
     """
-    total = np.zeros((len(points), len(coords)))
+    columns = zip(points.T, coords.T)
+    p_column, x_column = next(columns)
+    total = np.subtract.outer(p_column, x_column)
+    total *= total
     gap = np.empty_like(total)
-    for p_column, x_column in zip(points.T, coords.T):
+    for p_column, x_column in columns:
         np.subtract.outer(p_column, x_column, out=gap)
         gap *= gap
         total += gap
@@ -89,7 +92,7 @@ class SampledDomain:
         basepoints: Sequence[int] = (),
     ):
         self.coords = np.asarray(coords, dtype=float)
-        if self.coords.ndim != 2 or len(self.coords) == 0:
+        if self.coords.ndim != 2 or 0 in self.coords.shape:
             raise ValueError("coords must be a nonempty (n, d) array")
         n = len(self.coords)
         for v in triangulation.vertices:
@@ -100,27 +103,25 @@ class SampledDomain:
         for b in self.basepoints:
             if not 0 <= b < n:
                 raise ValueError(f"basepoint {b} is not a sample index")
-        self._distances: np.ndarray | None = None
-        self._diameter: float | None = None
 
     @property
     def n_samples(self) -> int:
         return len(self.coords)
 
-    def distances(self) -> np.ndarray:
-        """Full pairwise distance matrix (``_distances_to``), computed once
-        and cached."""
-        if self._distances is None:
-            self._distances = _distances_to(self.coords, self.coords)
-        return self._distances
-
-    @property
+    @cached_property
     def diameter(self) -> float:
-        """Largest pairwise distance, computed once and cached; every flood
-        stage reads it."""
-        if self._diameter is None:
-            self._diameter = float(self.distances().max())
-        return self._diameter
+        """Largest pairwise distance, computed once; every flood stage reads it.
+
+        Row block ``[lo:hi]`` is built against ``coords[lo:]`` only, a scan of
+        the upper triangle: d[i, j] and d[j, i] are bitwise equal, since a gap
+        and its negation square to the same float.
+        """
+        n = self.n_samples
+        step = max(1, BLOCK_CELLS // n)
+        return max(
+            float(_distances_to(self.coords[lo : lo + step], self.coords[lo:]).max())
+            for lo in range(0, n, step)
+        )
 
     @cached_property
     def eps_net(self) -> float:
@@ -129,23 +130,29 @@ class SampledDomain:
         return mesh if mesh > 0 else 1.0
 
     def row_blocks(self, rows: Sequence[int] | None = None) -> Iterator[tuple]:
-        """Distance rows in blocks of about ``BLOCK_CELLS`` cells.
+        """Distance rows in blocks of about ``BLOCK_CELLS`` cells, built on demand.
 
-        Yields ``(lo, block)``: the matrix rows of ``rows[lo : lo + len(block)]``,
-        or of every sample when ``rows`` is None, in which case each block is
-        a view of the cached matrix rather than a copy.
+        Yields ``(lo, block)``: the distances from the samples
+        ``rows[lo : lo + len(block)]`` (every sample when ``rows`` is None) to
+        every sample.  Each block is built when the iteration reaches it.
         """
-        dist = self.distances()
-        index = None if rows is None else np.asarray(rows, dtype=np.intp)
-        count = self.n_samples if index is None else len(index)
+        points = self.coords if rows is None else self.coords[np.asarray(rows, dtype=np.intp)]
         step = max(1, BLOCK_CELLS // self.n_samples)
-        for lo in range(0, count, step):
-            yield lo, dist[lo : lo + step] if index is None else dist[index[lo : lo + step]]
+        for lo in range(0, len(points), step):
+            yield lo, _distances_to(points[lo : lo + step], self.coords)
 
     def edge_lengths(self, edges: Sequence) -> np.ndarray:
-        """Distance between the endpoints of each sample pair ``(u, w)``."""
+        """Distance between the endpoints of each sample pair ``(u, w)``.
+
+        Gaps are gathered and squared one coordinate at a time, the sum of
+        ``_distances_to``, so each length equals the row entry bit for bit.
+        """
         pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        return self.distances()[pairs[:, 0], pairs[:, 1]]
+        total = np.zeros(len(pairs))
+        for column in self.coords.T:
+            gap = column[pairs[:, 0]] - column[pairs[:, 1]]
+            total += gap * gap
+        return np.sqrt(total)
 
     def max_simplex_diameter(self) -> float:
         """Mesh of the triangulation: its longest edge, 0.0 without edges.
@@ -268,21 +275,63 @@ def discrete_modify(
     return DiscreteMap(domain, graph, values, base)
 
 
-def _stage_scan(f: DiscreteMap, v: Vertex, preimage: Sequence[int]) -> Iterator[tuple]:
-    """Row blocks of the flood stage at ``v``: yields ``(lo, block, reach)``.
+def _flood_scan(
+    f: DiscreteMap, v: Vertex, radii: Mapping[int, float] | None = None
+) -> tuple:
+    """One row build of the flood stage at ``v``: returns ``(radii, covered)``.
 
-    ``block`` holds the distance rows of ``preimage[lo : lo + len(block)]``
-    and ``reach`` the distance from each of them to the nearest sample a
-    flooding ball must not contain: one whose value is not adjacent to ``v``,
-    or a basepoint when ``v`` is not the base value (inf when there is none).
+    Each block of preimage rows gives ``reach``, the distance from each row's
+    sample to the nearest sample a flooding ball must not contain: one whose
+    value is not adjacent to ``v``, or a basepoint when ``v`` is not the base
+    value (inf when there is none).  With ``radii`` None the radii are
+    maximal, ``reach`` capped at half the diameter, and the first row with
+    ``reach`` 0 fails; otherwise the given radii are checked row by row in
+    preimage order.  ``covered`` marks the union of the half-radius balls.
     """
     n = f.domain.n_samples
+    covered = np.zeros(n, dtype=bool)
+    preimage = f.preimage(v)
+    if not preimage:
+        return {}, covered
     closed = f.target.closed_neighborhood(v)
     avoid = np.fromiter((f.values[i] not in closed for i in range(n)), dtype=bool, count=n)
     if v != f.base_value:
         avoid[list(f.domain.basepoints)] = True
+    maximal = radii is None
+    if maximal:
+        diameter = f.domain.diameter
+        cap = diameter / 2.0 if diameter > 0 else 1.0
+        radii = {}
     for lo, block in f.domain.row_blocks(preimage):
-        yield lo, block, np.where(avoid, block, np.inf).min(axis=1)
+        rows = preimage[lo : lo + len(block)]
+        reach = np.where(avoid, block, np.inf).min(axis=1)
+        if maximal:
+            failing = np.flatnonzero(reach <= 0.0)
+            if failing.size:
+                i = int(failing[0])
+                raise _stage_failure(f, v, rows[i], block[i], None)
+            r = np.minimum(reach, cap)
+            radii.update(zip(rows, r.tolist()))
+        else:
+            r = np.empty(len(block))
+            for i, y in enumerate(rows):
+                if y not in radii:
+                    raise ValueError(f"no radius for preimage sample {y}")
+                r[i] = float(radii[y])
+                if r[i] <= 0:
+                    raise ValueError(f"radius for sample {y} must be positive")
+                if r[i] > reach[i]:
+                    raise _stage_failure(f, v, y, block[i], float(r[i]))
+        covered |= (block < r[:, None] / 2.0).any(axis=0)
+    return radii, covered
+
+
+def _overwritten(f: DiscreteMap, v: Vertex, covered: np.ndarray) -> DiscreteMap:
+    """``f`` with value ``v`` on the covered samples."""
+    new_values = dict(f.values)
+    for z in np.flatnonzero(covered).tolist():
+        new_values[z] = v
+    return f.with_values(new_values)
 
 
 def _stage_failure(
@@ -321,24 +370,8 @@ def flood(f: DiscreteMap, v: Vertex, radii: Mapping[int, float]) -> DiscreteMap:
     """
     if v not in f.target:
         raise ValueError(f"{v!r} is not a vertex of the target")
-    preimage = f.preimage(v)
-    covered = np.zeros(f.domain.n_samples, dtype=bool)
-    for lo, block, reach in _stage_scan(f, v, preimage):
-        half = np.empty(len(block))
-        for i, y in enumerate(preimage[lo : lo + len(block)]):
-            if y not in radii:
-                raise ValueError(f"no radius for preimage sample {y}")
-            r = float(radii[y])
-            if r <= 0:
-                raise ValueError(f"radius for sample {y} must be positive")
-            if r > reach[i]:
-                raise _stage_failure(f, v, y, block[i], r)
-            half[i] = r / 2.0
-        covered |= (block < half[:, None]).any(axis=0)
-    new_values = dict(f.values)
-    for z in np.flatnonzero(covered).tolist():
-        new_values[z] = v
-    return f.with_values(new_values)
+    _, covered = _flood_scan(f, v, radii)
+    return _overwritten(f, v, covered)
 
 
 def flood_stage_radii(f: DiscreteMap, v: Vertex) -> dict:
@@ -349,34 +382,23 @@ def flood_stage_radii(f: DiscreteMap, v: Vertex) -> dict:
     (when ``v`` differs from the base value) and at half the domain diameter.
     Raises ``CertificateFailure`` when no positive radius exists.
     """
-    preimage = f.preimage(v)
-    if not preimage:
-        return {}
-    diameter = f.domain.diameter
-    cap = diameter / 2.0 if diameter > 0 else 1.0
-    radii = {}
-    for lo, block, reach in _stage_scan(f, v, preimage):
-        rows = preimage[lo : lo + len(block)]
-        failing = np.flatnonzero(reach <= 0.0)
-        if failing.size:
-            i = int(failing[0])
-            raise _stage_failure(f, v, rows[i], block[i], None)
-        radii.update(zip(rows, np.minimum(reach, cap).tolist()))
-    return radii
+    return _flood_scan(f, v)[0]
 
 
 def flood_stages(f: DiscreteMap) -> Iterator[tuple]:
     """Flood once per image vertex of ``f``, in the target's vertex order,
     with maximal radii, yielding ``(v, radii, flooded)`` after each stage.
 
-    A stage whose preimage earlier floods overwrote yields empty radii and
-    the map unchanged.  Errors from a stage propagate with the stage named.
+    Each stage builds its preimage rows once, for both the radii and the
+    overwrite.  A stage whose preimage earlier floods overwrote yields empty
+    radii and the map unchanged.  Errors from a stage propagate with the
+    stage named.
     """
     current = f
     for v in f.image_vertices():
-        radii = flood_stage_radii(current, v)
+        radii, covered = _flood_scan(current, v)
         if radii:
-            current = flood(current, v, radii)
+            current = _overwritten(current, v, covered)
         yield v, radii, current
 
 
@@ -384,7 +406,7 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     """Largest per-sample radii whose closed balls carry pairwise-adjacent values.
 
     Radii are drawn from the finite set of pairwise distances.  For each row
-    block of the distance matrix, D[y, u] is the distance from sample y to
+    block of distance rows, D[y, u] is the distance from sample y to
     the nearest sample carrying value u; the closed ball of radius r around
     y carries both u and w exactly when r >= max(D[y, u], D[y, w]).  The
     row's conflict level is the least such maximum over non-adjacent image
@@ -393,11 +415,12 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     row distance strictly below that level.  For k image values this takes
     O(n^2 + n k log k) numpy time, plus O(j^2) adjacency lookups per row
     where j is the rank of that first conflicting value (2 or 3 on a
-    continuous map), and O(block * n) memory beyond the cached distance
-    matrix.  When even the nearest neighbors violate adjacency there is no
-    positive radius and the certificate fails, naming the pair met first in
-    stable distance order on the first such row; when no two image values
-    are non-adjacent, the radius is the domain diameter.
+    continuous map), and O(block * n) memory: each row block is built on
+    demand and dropped before the next.  When even the nearest neighbors
+    violate adjacency there is no positive radius and the certificate fails,
+    naming the pair met first in stable distance order on the first such
+    row; when no two image values are non-adjacent, the radius is the domain
+    diameter.
     """
     n = f.domain.n_samples
     diameter = f.domain.diameter if n > 1 else 0.0

@@ -2,6 +2,8 @@
 
 from itertools import combinations, permutations
 
+import numpy as np
+
 from vrclosure import flood_stages
 
 
@@ -48,14 +50,23 @@ def assert_well_formed(k):
                         raise ValueError(f"missing face {face} of {s}")
 
 
+def oracle_distances(points, coords=None):
+    """Distances from each point to each row of ``coords`` (default: the
+    points themselves) by the broadcast formula."""
+    coords = points if coords is None else coords
+    diff = points[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def distances(dom):
+    """The full distance matrix of a sampled domain, which the domain itself
+    never builds; its row blocks equal these rows bit for bit."""
+    return oracle_distances(dom.coords)
+
+
 def simplex_diameter(dom, simplex):
     """Largest distance between two vertices of a simplex of ``dom``."""
-    d = dom.distances()
-    verts = list(simplex)
-    return max(
-        (float(d[u, v]) for i, u in enumerate(verts) for v in verts[i + 1 :]),
-        default=0.0,
-    )
+    return float(oracle_distances(dom.coords[list(simplex)]).max())
 
 
 def oracle_max_simplex_diameter(dom):

@@ -44,7 +44,7 @@ from vrclosure.domains import (
 from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
 
 from grid_oracle import grid_sd_compatibility
-from helpers import chain_subsimplices
+from helpers import chain_subsimplices, distances
 from homology_oracle import induced_h1 as oracle_induced_h1
 
 
@@ -135,9 +135,8 @@ def test_criterion_4_flood_contract():
     start = time.perf_counter()
     instances = [(icosphere_domain(1), seed) for seed in range(80)]
     instances += [(icosphere_domain(2), 1000 + seed) for seed in range(20)]
-    # reuse the two domains' distance matrices across instances
     for domain, seed in instances:
-        dist = domain.distances()
+        dist = distances(domain)
         pts = nearest_pole_map(domain, g, rotation=random_rotation(seed))
         try:
             current = discrete_modify(pts, domain, g)

@@ -246,6 +246,27 @@ MALFORMED = {
         ("pipeline", "{graph}", "--domain", "circle:16", "--map", "quarter-arc",
          "--subdivisions", "11"),
     ),
+    # domains past 16,384 samples are refused before they are built
+    "huge-circle": (
+        "c4.txt",
+        C4.encode(),
+        ("pipeline", "{graph}", "--domain", "circle:16385", "--map", "quarter-arc"),
+    ),
+    "huge-circle-unbounded": (
+        "c4.txt",
+        C4.encode(),
+        ("pipeline", "{graph}", "--domain", "circle:100000000", "--map", "quarter-arc"),
+    ),
+    "huge-icosphere": (
+        "octa.txt",
+        OCTA.encode(),
+        ("pipeline", "{graph}", "--domain", "sphere2:icosa:6", "--map", "nearest-vertex"),
+    ),
+    "huge-icosphere-unbounded": (
+        "octa.txt",
+        OCTA.encode(),
+        ("pipeline", "{graph}", "--domain", "sphere2:icosa:9", "--map", "nearest-vertex"),
+    ),
 }
 
 

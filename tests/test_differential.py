@@ -1,9 +1,10 @@
 """Differential tests of rewritten routines against the code they replaced
 or an independent oracle: the clique certificate (radii and failure pairs),
-the distance build, the flood overwrite and the largest simplex diameter
-must agree exactly; the exact subdivision-compatibility check must give the
-1/N-grid check's verdict; Betti numbers and induced maps on H1 must equal
-the hand-written eliminations; clique enumeration must match networkx."""
+the distance rows, diameter and edge lengths built on demand, the flood
+overwrite and the largest simplex diameter must agree exactly; the exact
+subdivision-compatibility check must give the 1/N-grid check's verdict;
+Betti numbers and induced maps on H1 must equal the hand-written
+eliminations; clique enumeration must match networkx."""
 
 import random
 from itertools import combinations
@@ -45,20 +46,21 @@ from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
 
 import homology_oracle
 from grid_oracle import grid_sd_compatibility
-from helpers import assert_well_formed, flood_all, oracle_max_simplex_diameter
+from helpers import (
+    assert_well_formed,
+    distances,
+    flood_all,
+    oracle_distances,
+    oracle_max_simplex_diameter,
+)
 
 # -- oracles: the per-row implementations, kept verbatim in behavior -------
-
-
-def oracle_distances(coords):
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def oracle_certificate(f):
     """Stable per-row scan: walk each row in distance order, level by level,
     until a new value conflicts with one already present."""
-    dist = f.domain.distances()
+    dist = distances(f.domain)
     n = f.domain.n_samples
     diameter = f.domain.diameter if n > 1 else 0.0
     fallback = diameter if diameter > 0 else 1.0
@@ -111,7 +113,7 @@ def oracle_stage_radii(f, v):
     preimage = f.preimage(v)
     if not preimage:
         return {}
-    dist = f.domain.distances()
+    dist = distances(f.domain)
     closed = f.target.closed_neighborhood(v)
     bad = np.array([f.values[i] not in closed for i in range(f.domain.n_samples)], dtype=bool)
     basepoints = np.array(f.domain.basepoints, dtype=int)
@@ -151,7 +153,7 @@ def oracle_flood(f, v, radii):
     overwrite; returns the new values."""
     if v not in f.target:
         raise ValueError(f"{v!r} is not a vertex of the target")
-    dist = f.domain.distances()
+    dist = distances(f.domain)
     closed = f.target.closed_neighborhood(v)
     adjacent_value = np.array([f.values[i] in closed for i in range(f.domain.n_samples)], dtype=bool)
     basepoints = np.array(f.domain.basepoints, dtype=int)
@@ -184,10 +186,11 @@ def oracle_flood(f, v, radii):
 def oracle_overwrite(f, v, radii):
     """The old overwrite: assign ``v`` to every member of every half-radius
     ball around the preimage, one sample at a time."""
+    dist = distances(f.domain)
     new_values = dict(f.values)
     for y in f.preimage(v):
         half = float(radii[y]) / 2.0
-        for z in np.flatnonzero(f.domain.distances()[y] < half):
+        for z in np.flatnonzero(dist[y] < half):
             new_values[int(z)] = v
     return new_values
 
@@ -389,42 +392,71 @@ class TestCertificateDifferential:
 # -- distances -------------------------------------------------------------
 
 
-class TestDistancesDifferential:
-    @pytest.mark.parametrize(
-        "dom",
-        [
-            circle_domain(3),
-            circle_domain(64),
-            circle_domain(1000),
-            icosphere_domain(0),
-            icosphere_domain(1),
-            icosphere_domain(2),
-            icosphere_domain(3),
-            point_cloud([[0.25, -1.5, 3.0]]),
-            point_cloud(np.random.default_rng(3).normal(size=(50, 7)) * 1e3),
-        ],
-        ids=[
-            "circle3", "circle64", "circle1000", "icosa0", "icosa1", "icosa2",
-            "icosa3", "one-sample", "cloud7d",
-        ],
-    )
-    def test_equals_broadcast_formula(self, dom):
-        assert np.array_equal(dom.distances(), oracle_distances(dom.coords))
+def chain(positions):
+    """Samples on a line, triangulated by consecutive edges."""
+    edges = [(i, i + 1) for i in range(len(positions) - 1)]
+    tri = SimplicialComplex.from_simplices(edges, dim_cap=1, vertices=range(len(positions)))
+    return SampledDomain([[float(p)] for p in positions], tri)
+
+
+def assert_reads_match_oracle(dom):
+    """Row blocks (all rows and a selection), the diameter and edge lengths
+    equal the broadcast formula's matrix entries bit for bit."""
+    coords = dom.coords
+    n = dom.n_samples
+    seen = 0
+    largest = 0.0
+    for lo, block in dom.row_blocks():
+        assert lo == seen
+        want = oracle_distances(coords[lo : lo + len(block)], coords)
+        assert np.array_equal(block, want)
+        seen += len(block)
+        largest = max(largest, float(want.max()))
+    assert seen == n
+    assert dom.diameter == largest
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([rng.integers(0, n, size=min(n, 40)), [n - 1, 0, n - 1]])
+    picked = list(dom.row_blocks(rows.tolist()))
+    assert [lo for lo, _ in picked] == list(range(0, len(rows), len(picked[0][1])))
+    assert np.array_equal(np.vstack([block for _, block in picked]), oracle_distances(coords[rows], coords))
+    edges = list(dom.triangulation.simplices(1)) + rng.integers(0, n, size=(20, 2)).tolist()
+    want = [oracle_distances(coords[[u]], coords[[w]])[0, 0] for u, w in edges]
+    assert np.array_equal(dom.edge_lengths(edges), want)
+
+
+class TestMatrixFreeReadsDifferential:
+    DOMAINS = {
+        "circle3": lambda: circle_domain(3),
+        "circle256": lambda: circle_domain(256),
+        "circle1000": lambda: circle_domain(1000),
+        "circle2048": lambda: circle_domain(2048),
+        "icosa0": lambda: icosphere_domain(0),
+        "icosa1": lambda: icosphere_domain(1),
+        "icosa2": lambda: icosphere_domain(2),
+        "icosa3": lambda: icosphere_domain(3),
+        "icosa1-subdivided": lambda: subdivide_domain(
+            icosphere_domain(1), dict.fromkeys(range(42), 0)
+        )[0],
+        "chain": lambda: chain([0, 1, 3, 3, 7, 8.5, -2, 11]),
+        "one-sample": lambda: point_cloud([[0.25, -1.5, 3.0]]),
+        "cloud7d": lambda: point_cloud(np.random.default_rng(3).normal(size=(50, 7)) * 1e3),
+    }
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 7])
+    @pytest.mark.parametrize("name", list(DOMAINS))
+    def test_equal_the_broadcast_formula(self, name, rows_per_block, monkeypatch):
+        # a fresh domain per block size: the diameter is cached on first read
+        dom = self.DOMAINS[name]()
+        if rows_per_block is not None:
+            monkeypatch.setattr(transform, "BLOCK_CELLS", rows_per_block * dom.n_samples)
+        assert_reads_match_oracle(dom)
 
     @pytest.mark.parametrize("dim", range(1, 8))
-    def test_random_clouds_up_to_seven_coordinates(self, dim):
+    def test_random_clouds_up_to_seven_coordinates(self, dim, block_cells):
         # numpy sums a last axis of 8 or more entries pairwise, so equality
         # with the broadcast formula is claimed up to 7 coordinates only
         coords = np.random.default_rng(dim).normal(size=(40, dim)) * 10.0 ** np.arange(dim)
-        dom = point_cloud(coords)
-        assert np.array_equal(dom.distances(), oracle_distances(dom.coords))
-
-    def test_subdivided_domain(self):
-        dom = icosphere_domain(1)
-        octa = octahedron_graph()
-        f = discrete_modify(nearest_pole_map(dom, octa), dom, octa)
-        sub, _values, _faces = subdivide_domain(dom, f.values)
-        assert np.array_equal(sub.distances(), oracle_distances(sub.coords))
+        assert_reads_match_oracle(point_cloud(coords))
 
 
 # -- flood -----------------------------------------------------------------

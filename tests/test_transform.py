@@ -35,7 +35,7 @@ from vrclosure.domains import (
 )
 
 from grid_oracle import carriers_compatible
-from helpers import flood_all, simplex_diameter
+from helpers import distances, flood_all, simplex_diameter
 
 
 def chain_domain(positions, basepoints=()):
@@ -52,7 +52,7 @@ def brute_force_certificate_delta(f):
     """Independent oracle: for each sample, the largest pairwise distance d
     such that the closed d-ball around it carries pairwise-adjacent values."""
     n = f.domain.n_samples
-    d = f.domain.distances()
+    d = distances(f.domain)
     best = []
     for y in range(n):
         candidates = sorted(set(float(x) for x in d[y]))
@@ -91,11 +91,10 @@ class TestSampledDomain:
 
     def test_row_blocks_cover_the_matrix(self, monkeypatch):
         dom = chain_domain([0, 1, 3, 7, 8])
-        dist = dom.distances()
+        dist = distances(dom)
         blocks = list(dom.row_blocks())
         assert [lo for lo, _ in blocks] == [0]
-        # every row read as views of the cached matrix, not copies
-        assert all(block.base is dist for _, block in blocks)
+        assert np.array_equal(blocks[0][1], dist)
         # the block size is read from BLOCK_CELLS at each call
         monkeypatch.setattr(transform, "BLOCK_CELLS", 10)
         blocks = list(dom.row_blocks())
@@ -124,6 +123,71 @@ class TestSampledDomain:
         art = build_pipeline(complete_graph(2), dom, points)
         assert art.required_depth == art.depth == 1
         assert check_simplicial(art.simplicial_map)
+
+
+class TestMatrixFree:
+    """No n-by-n array is built: rows come in blocks, each flood stage
+    builds its preimage rows once and the diameter the upper triangle."""
+
+    @staticmethod
+    def count_cells(monkeypatch):
+        """Record the shape of every row build."""
+        shapes = []
+        build = transform._distances_to
+
+        def counted(points, coords):
+            shapes.append((len(points), len(coords)))
+            return build(points, coords)
+
+        monkeypatch.setattr(transform, "_distances_to", counted)
+        return shapes
+
+    def test_pipeline_peak_stays_a_few_row_blocks(self):
+        from vrclosure.pipeline import build_pipeline
+
+        dom = circle_domain(2048)
+        c4 = cycle_graph(4)
+        points = quarter_arc_map(dom, c4)
+        tracemalloc.start()
+        try:
+            art = build_pipeline(c4, dom, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert art.certificate.delta > 0
+        # a 2048-sample matrix alone is 32 MiB, twice that while built
+        assert peak < 8 * transform.BLOCK_CELLS * 8
+
+    @pytest.mark.parametrize("rows_per_block", [1, None])
+    def test_diameter_scans_the_upper_triangle(self, rows_per_block, monkeypatch):
+        n = 300
+        dom = circle_domain(n)
+        if rows_per_block is not None:
+            monkeypatch.setattr(transform, "BLOCK_CELLS", rows_per_block * n)
+        step = max(1, transform.BLOCK_CELLS // n)
+        shapes = self.count_cells(monkeypatch)
+        assert dom.diameter == dom.diameter == 2.0
+        cells = sum(m * k for m, k in shapes)
+        # each block of ``step`` rows also holds its own lower-left corner
+        assert n * (n + 1) // 2 <= cells <= n * (n + 1) // 2 + n * (step - 1) // 2
+        if rows_per_block == 1:
+            assert cells == n * (n + 1) // 2
+
+    def test_flood_stages_build_each_preimage_row_once(self, monkeypatch):
+        dom = icosphere_domain(2)
+        octa = octahedron_graph()
+        f = discrete_modify(nearest_pole_map(dom, octa, rotation=random_rotation(4)), dom, octa)
+        dom.diameter
+        shapes = self.count_cells(monkeypatch)
+        stages = flood_stages(f)
+        built = []
+        for v, radii, _flooded in stages:
+            assert all(k == dom.n_samples for _, k in shapes)
+            built.append((sum(m for m, _ in shapes), len(radii)))
+            shapes.clear()
+        assert len(built) == 6
+        assert all(rows == preimage for rows, preimage in built)
+        assert any(preimage for _, preimage in built)
 
 
 class TestDiscreteModify:
@@ -212,7 +276,7 @@ class TestFlood:
         f = DiscreteMap(dom, g, {0: 0, 1: 1, 2: 1, 3: 1, 4: 0}, 0)
         radii = {0: 2.9, 4: 2.9}
         out = flood(f, 0, radii)
-        dist = dom.distances()
+        dist = distances(dom)
         for z in range(5):
             inside = any(dist[y][z] < radii[y] / 2 for y in (0, 4))
             if not inside:
@@ -350,10 +414,9 @@ class TestCliqueCertificate:
 
     def test_memory_does_not_grow_with_the_image(self):
         # 128 image values leave about 8K non-adjacent pairs; scratch space
-        # must stay a few distance-matrix row blocks regardless
+        # must stay a few distance row blocks regardless
         dom = circle_domain(256)
         f = DiscreteMap(dom, cycle_graph(128), {i: i // 2 for i in range(256)}, 0)
-        dom.distances()
         tracemalloc.start()
         try:
             cert = clique_certificate(f)
@@ -370,7 +433,7 @@ class TestCliqueCertificate:
         dom = circle_domain(64)
         g = cycle_graph(4)
         f = discrete_modify(quarter_arc_map(dom, g), dom, g)
-        d = dom.distances()
+        d = distances(dom)
         closest = min(
             d[i][j]
             for i in range(64)
@@ -526,7 +589,7 @@ class TestRandomizedSphereInstances:
     def test_flood_safety_on_rotated_maps(self):
         g = octahedron_graph()
         dom = icosphere_domain(1)
-        dist = dom.distances()
+        dist = distances(dom)
         for seed in range(8):  # the acceptance suite runs the full batch
             pts = nearest_pole_map(dom, g, rotation=random_rotation(seed))
             current = discrete_modify(pts, dom, g)
