@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .complex import SimplicialComplex, subdivision_counts, vietoris_rips
+from .complex import SimplicialComplex, TooManySimplices, subdivision_counts, vietoris_rips
 from .domains import (
     antipodal_quarter_arc_map,
     circle_domain,
@@ -22,7 +22,7 @@ from .domains import (
     quarter_arc_map,
     random_rotation,
 )
-from .graph import Graph
+from .graph import Graph, sort_vertices
 from .homology import betti_numbers, euler_characteristic
 from .pipeline import canonical_json, fnv1a64, run_pipeline
 from .realization import BaryPoint, theta_point
@@ -46,38 +46,45 @@ def parse_edge_list(text: str) -> Graph:
 
     Vertex tokens are ordered numerically when every token is numeric and
     lexicographically otherwise; this order drives all downstream
-    tie-breaking.
+    tie-breaking.  Each distinct token is converted once, and the graph is
+    built from the flat list of endpoint indices.
     """
-    entries = []  # (line_number, tokens)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) > 2:
-            raise InputError(
-                f"line {lineno}: expected 'u v' or a single vertex, got {len(tokens)} tokens"
-            )
-        entries.append((lineno, tokens))
-    if not entries:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = [line.split() for line in lines]
+    if max(map(len, rows), default=0) > 2:
+        lineno, tokens = next((i, r) for i, r in enumerate(rows, start=1) if len(r) > 2)
+        raise InputError(
+            f"line {lineno}: expected 'u v' or a single vertex, got {len(tokens)} tokens"
+        )
+    # a single-token line declares a vertex: read it as the loop "v v"
+    ends = [t for r in rows for t in (r if len(r) == 2 else r * 2)]
+    if not ends:
         raise InputError("no vertices or edges found")
-    numeric = all(tok.isdigit() for _, toks in entries for tok in toks)
-    convert = int if numeric else str
-    vertices = []
-    seen = set()
-    edges = []
-    for lineno, tokens in entries:
+    tokens = set(ends)
+    if "".join(tokens).isdigit():
         try:
-            toks = [convert(t) for t in tokens]
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: bad vertex token: {exc}") from exc
-        for t in toks:
-            if t not in seen:
-                seen.add(t)
-                vertices.append(t)
-        if len(toks) == 2 and toks[0] != toks[1]:
-            edges.append((toks[0], toks[1]))
-    return Graph(vertices, edges)
+            label = dict(zip(tokens, map(int, tokens)))
+        except ValueError:
+            raise _bad_token(rows) from None
+    else:
+        label = dict(zip(tokens, tokens))
+    vertices = sort_vertices(set(label.values()))
+    position = dict(zip(vertices, range(len(vertices))))
+    index = {tok: position[v] for tok, v in label.items()}
+    return Graph.from_index_pairs(vertices, list(map(index.__getitem__, ends)))
+
+
+def _bad_token(rows: list) -> InputError:
+    """The error for the first line holding a digit token that ``int``
+    refuses, such as a superscript digit."""
+    for lineno, tokens in enumerate(rows, start=1):
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError as exc:
+                return InputError(f"line {lineno}: bad vertex token: {exc}")
 
 
 def load_graph(path: str) -> Graph:
@@ -131,7 +138,9 @@ def cmd_betti(args) -> int:
     dim_cap = args.max_dim if args.max_dim is not None else args.max_k + 1
     if args.max_k >= dim_cap:
         raise InputError(f"--max-k {args.max_k} needs --max-dim at least {args.max_k + 1}")
-    k = vietoris_rips(graph, dim_cap)
+    # Betti numbers and the Euler characteristic do not depend on the vertex
+    # order, and the reductions are shorter in descending-degree order
+    k = vietoris_rips(graph.by_degree(), dim_cap)
     report = {
         "field": "GF(2)",
         "betti": betti_numbers(k, args.max_k),
@@ -336,7 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, TooManySimplices) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CertificateFailure as exc:

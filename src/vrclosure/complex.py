@@ -10,6 +10,7 @@ dimensions <= 3 only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -44,7 +45,10 @@ class SimplicialComplex:
         self.dim_cap = dim_cap
         filled = [tuple(by_dim[d]) if d < len(by_dim) else () for d in range(dim_cap + 1)]
         self._by_dim: tuple = tuple(filled)
-        self._sets = tuple(frozenset(level) for level in self._by_dim)
+
+    @cached_property
+    def _sets(self) -> tuple:
+        return tuple(frozenset(level) for level in self._by_dim)
 
     # -- queries ---------------------------------------------------
 
@@ -124,37 +128,61 @@ class SimplicialComplex:
         return cls(verts, by_dim, dim_cap)
 
 
+#: most simplices a clique complex may have; about 27 times the 19,656 of
+#: the largest complex the benchmark builds
+MAX_SIMPLICES = 1 << 19
+
+
+class TooManySimplices(ValueError):
+    """A clique complex would pass ``MAX_SIMPLICES`` simplices."""
+
+    def __init__(self, dim: int):
+        super().__init__(
+            f"the clique complex has more than {MAX_SIMPLICES} simplices up to dimension {dim}"
+        )
+
+
 def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     """Clique complex of a reflexive graph, capped at ``dim_cap``.
 
-    k-simplices are exactly the (k+1)-cliques.  Enumeration is by incremental
-    expansion: each simplex is extended only by common neighbors that come
-    later in the vertex order, so every clique is produced exactly once and
-    the output order is deterministic.
+    k-simplices are exactly the (k+1)-cliques.  Enumeration runs on vertex
+    indices: each simplex carries the set of its common neighbours that come
+    after its last vertex, so a child costs one intersection, every clique
+    is produced exactly once, and each level comes out in lexicographic
+    order.  Simplices without candidates have no children and are not
+    carried; the top level carries none.
+
+    The carried sets of a level hold exactly the simplices of the next, so
+    their sizes are counted as soon as they are made.  Once the count passes
+    ``MAX_SIMPLICES``, checked after each parent, ``TooManySimplices`` names
+    the dimension that overflows, before that level is built.
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
-    verts = graph.vertices
-    n = len(verts)
-    nbr_after = [
-        frozenset(graph.index(w) for w in graph.neighbors(verts[i]) if graph.index(w) > i)
-        for i in range(n)
-    ]
-    by_dim: list = [[(i,) for i in range(n)]]
-    for _ in range(dim_cap):
-        prev = by_dim[-1]
-        nxt = []
-        for s in prev:
-            common = nbr_after[s[0]]
-            for i in s[1:]:
-                common = common & nbr_after[i]
-                if not common:
-                    break
-            for j in sorted(common):
-                nxt.append(s + (j,))
-        by_dim.append(nxt)
-    levels = [[tuple(verts[i] for i in s) for s in level] for level in by_dim]
-    return SimplicialComplex(verts, levels, dim_cap)
+    one = [(v,) for v in graph.vertices]
+    later = [{j for j in s if j > i} for i, s in enumerate(graph.index_neighbors)]
+    by_dim = [one]
+    parents = [(s, c) for s, c in zip(one, later) if c] if dim_cap else []
+    owed = len(one) + sum(len(c) for _, c in parents)
+    for d in range(1, dim_cap + 1):
+        if owed > MAX_SIMPLICES:
+            raise TooManySimplices(d)
+        level: list = []
+        children: list = []
+        for s, cand in parents:
+            for j in sorted(cand):
+                t = s + one[j]
+                level.append(t)
+                if d < dim_cap:
+                    c = cand & later[j]
+                    if c:
+                        children.append((t, c))
+                        owed += len(c)
+            if owed > MAX_SIMPLICES:
+                raise TooManySimplices(d + 1)
+        by_dim.append(level)
+        parents = children
+    return SimplicialComplex(graph.vertices, by_dim, dim_cap)
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:

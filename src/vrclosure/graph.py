@@ -4,10 +4,16 @@ Reflexivity is implicit: loops are never stored, and every adjacency query
 treats a vertex as adjacent to itself.  The vertex order fixed here (numeric
 when every identifier is an int, lexicographic otherwise) is the total order
 that all downstream tie-breaking refers to.
+
+A graph is stored on vertex indices: ``index_neighbors[i]`` is the set of
+indices adjacent to ``vertices[i]``, O(V + E) in all.  The label-level views
+(``edges``, ``neighbors``, ``closed_neighborhood``, ``are_adjacent``) are
+built from it on first use.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .closure import ClosureSpace
@@ -31,33 +37,92 @@ def sort_vertices(tokens: Iterable[Vertex]) -> tuple:
     raise ValueError("vertex identifiers must be all ints, all strings, or all tuples")
 
 
+def _neighbor_sets(n: int, ends: Sequence[int]) -> list:
+    """Per-index neighbour sets of the index pairs ``ends[0::2]``,
+    ``ends[1::2]``, loops dropped."""
+    nbrs = [set() for _ in range(n)]
+    it = iter(ends)
+    for a, b in zip(it, it):
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for i, s in enumerate(nbrs):
+        s.discard(i)
+    return nbrs
+
+
 class Graph:
     """Finite simple reflexive graph with a fixed total vertex order.
 
     Edges are unordered pairs of distinct vertices; explicit loops in the
     input are accepted and dropped, since reflexivity is implicit.
+    ``index_neighbors`` is read-only: the label views are built from it
+    once.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
-        self.vertices = sort_vertices(vertices)
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.vertex_index) != len(self.vertices):
+        verts = sort_vertices(vertices)
+        index = dict(zip(verts, range(len(verts))))
+        if len(index) != len(verts):
             raise ValueError("duplicate vertex identifiers")
-        adjacency: dict = {v: set() for v in self.vertices}
-        edge_set = set()
+        ends = []
         for pair in edges:
             u, v = pair
-            if u not in self.vertex_index or v not in self.vertex_index:
+            if u not in index or v not in index:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the vertex set")
-            if u == v:
-                continue  # implicit loop, drop
-            key = (u, v) if self.vertex_index[u] < self.vertex_index[v] else (v, u)
-            if key not in edge_set:
-                edge_set.add(key)
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-        self.edges = frozenset(edge_set)
-        self._adjacency = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
+            ends += (index[u], index[v])
+        self.vertices = verts
+        self.vertex_index = index
+        self.index_neighbors = _neighbor_sets(len(verts), ends)
+
+    @classmethod
+    def from_index_pairs(cls, vertices: Sequence[Vertex], ends: Sequence[int]) -> "Graph":
+        """The graph on ``vertices``, already distinct and in vertex order,
+        whose edges are the consecutive pairs of the flat index list ``ends``.
+
+        A pair ``(i, i)`` adds no edge, so it can declare an isolated vertex.
+        """
+        return cls._of(tuple(vertices), _neighbor_sets(len(vertices), ends))
+
+    @classmethod
+    def _of(cls, verts: tuple, nbrs: list) -> "Graph":
+        g = cls.__new__(cls)
+        g.vertices = verts
+        g.vertex_index = dict(zip(verts, range(len(verts))))
+        g.index_neighbors = nbrs
+        return g
+
+    def by_degree(self) -> "Graph":
+        """The same graph on vertices ``0..n-1``, numbered by descending
+        degree, ties in this graph's vertex order.
+
+        Relabelling changes no invariant of the clique complex, and the GF(2)
+        reductions of dense flag complexes are shorter in this order.
+        """
+        nbrs = self.index_neighbors
+        order = sorted(range(len(nbrs)), key=lambda i: -len(nbrs[i]))
+        new = [0] * len(order)
+        for r, i in enumerate(order):
+            new[i] = r
+        return Graph._of(tuple(range(len(order))), [set(map(new.__getitem__, nbrs[i])) for i in order])
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """Edges as label pairs ``(u, v)`` with ``u`` before ``v``."""
+        verts = self.vertices
+        return frozenset(
+            (verts[i], verts[j])
+            for i, s in enumerate(self.index_neighbors)
+            for j in s
+            if i < j
+        )
+
+    @cached_property
+    def _adjacency(self) -> dict:
+        verts = self.vertices
+        return {
+            verts[i]: frozenset(verts[j] for j in s)
+            for i, s in enumerate(self.index_neighbors)
+        }
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"

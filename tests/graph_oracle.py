@@ -1,0 +1,66 @@
+"""The label-level edge-list parser and clique enumeration that the
+index-native graph layer replaced, kept as test oracles: the parser converts
+each line's tokens on its own, and the enumeration intersects label-index
+neighbour sets for every simplex, then relabels the levels."""
+
+from vrclosure import Graph, SimplicialComplex
+from vrclosure.cli import InputError
+
+
+def parse_edge_list(text: str) -> Graph:
+    entries = []  # (line_number, tokens)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) > 2:
+            raise InputError(
+                f"line {lineno}: expected 'u v' or a single vertex, got {len(tokens)} tokens"
+            )
+        entries.append((lineno, tokens))
+    if not entries:
+        raise InputError("no vertices or edges found")
+    numeric = all(tok.isdigit() for _, toks in entries for tok in toks)
+    convert = int if numeric else str
+    vertices = []
+    seen = set()
+    edges = []
+    for lineno, tokens in entries:
+        try:
+            toks = [convert(t) for t in tokens]
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: bad vertex token: {exc}") from exc
+        for t in toks:
+            if t not in seen:
+                seen.add(t)
+                vertices.append(t)
+        if len(toks) == 2 and toks[0] != toks[1]:
+            edges.append((toks[0], toks[1]))
+    return Graph(vertices, edges)
+
+
+def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
+    if dim_cap < 0:
+        raise ValueError("dim_cap must be nonnegative")
+    verts = graph.vertices
+    n = len(verts)
+    nbr_after = [
+        frozenset(graph.index(w) for w in graph.neighbors(verts[i]) if graph.index(w) > i)
+        for i in range(n)
+    ]
+    by_dim: list = [[(i,) for i in range(n)]]
+    for _ in range(dim_cap):
+        prev = by_dim[-1]
+        nxt = []
+        for s in prev:
+            common = nbr_after[s[0]]
+            for i in s[1:]:
+                common = common & nbr_after[i]
+                if not common:
+                    break
+            for j in sorted(common):
+                nxt.append(s + (j,))
+        by_dim.append(nxt)
+    levels = [[tuple(verts[i] for i in s) for s in level] for level in by_dim]
+    return SimplicialComplex(verts, levels, dim_cap)

@@ -26,14 +26,28 @@ def bench(monkeypatch):
     return harness, layers
 
 
-@pytest.mark.parametrize("op", ["probe-pipeline", "probe-betti", "build"])
+# an octahedron on k-prefixed string labels, as the benchmark's Klein bottle
+# is written, and a triangle with a pendant edge on spread integer labels
+OCTAHEDRON_K = "".join(
+    f"k{i} k{j}\n" for i in range(6) for j in range(i + 1, 6) if i // 2 != j // 2
+)
+SPREAD = "40 7\n7 1000\n1000 40\n40 12\n55\n"
+
+
+@pytest.mark.parametrize(
+    "op", ["probe-pipeline", "probe-betti", "build", "betti-string-labels", "build-spread-labels"]
+)
 def test_replay_prints_what_the_cli_prints(op, bench, tmp_path, capsys):
     harness, layers = bench
     probe_pipeline, probe_betti = harness.write_probes(tmp_path)
+    (tmp_path / "octahedron-k.txt").write_text(OCTAHEDRON_K, encoding="utf-8")
+    (tmp_path / "spread.txt").write_text(SPREAD, encoding="utf-8")
     argv = {
         "probe-pipeline": probe_pipeline,
         "probe-betti": probe_betti,
         "build": ["build", probe_betti[1], "--max-dim", "2"],
+        "betti-string-labels": ["betti", str(tmp_path / "octahedron-k.txt"), "--max-k", "2"],
+        "build-spread-labels": ["build", str(tmp_path / "spread.txt"), "--max-dim", "2"],
     }[op]
     assert main(list(argv)) == 0
     stdout = capsys.readouterr().out

@@ -1,0 +1,210 @@
+"""The index-native graph layer against the label-level code it replaced
+(``graph_oracle``) and independent oracles: the one-pass edge-list parser,
+clique enumeration with carried candidate sets, ``betti`` computed in
+descending-degree order, the clique ceiling and the layer's memory."""
+
+import contextlib
+import io
+import json
+import random
+import time
+import tracemalloc
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+import graph_oracle  # noqa: E402
+import homology_oracle  # noqa: E402
+from vrclosure import Graph, complete_graph, euler_characteristic, vietoris_rips  # noqa: E402
+from vrclosure.cli import InputError, main, parse_edge_list  # noqa: E402
+from vrclosure.complex import MAX_SIMPLICES, TooManySimplices  # noqa: E402
+from vrclosure.pipeline import canonical_json  # noqa: E402
+
+FUZZ = hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# label pools per text: numeric (with a leading zero and a Unicode digit
+# that int() reads as 3), k-prefixed strings as the benchmark writes them,
+# and a mix that makes every label a string
+INT_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "5", "10", "007", "٣"])
+STR_TOKENS = st.sampled_from(["k0", "k1", "k2", "k10", "a", "b"])
+MIXED_TOKENS = st.one_of(INT_TOKENS, STR_TOKENS, st.sampled_from(["²", "-1", "x1"]))
+SPACES = st.sampled_from([" ", "\t", "  "])
+
+
+def edge_list_lines(token):
+    pair = st.tuples(token, SPACES, token).map("".join)  # loops, repeats, reversals
+    return st.one_of(
+        pair,
+        pair,
+        token,  # an isolated vertex
+        st.just(""),
+        st.just("# comment"),
+        st.tuples(pair, st.just("  # trailing")).map("".join),
+        st.tuples(st.just("  "), pair, st.just(" ")).map("".join),
+        st.tuples(token, token, token).map(" ".join),  # refused: three tokens
+    )
+
+
+EDGE_LISTS = st.sampled_from([INT_TOKENS, STR_TOKENS, MIXED_TOKENS]).flatmap(
+    lambda token: st.lists(edge_list_lines(token), max_size=10).map("\n".join)
+)
+
+
+def parsed(parse, text):
+    try:
+        g = parse(text)
+    except InputError as exc:
+        return "error", str(exc)
+    return g.vertices, g.edges, g.index_neighbors
+
+
+@FUZZ
+@hypothesis.given(EDGE_LISTS)
+def test_parse_edge_list_matches_the_line_by_line_parser(text):
+    assert parsed(parse_edge_list, text) == parsed(graph_oracle.parse_edge_list, text)
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs with isolated vertices and several components, on
+    labels 0..n-1, spread ints or strings."""
+    n = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    kind = draw(st.sampled_from(["identity", "spread", "string"]))
+    label = {
+        "identity": lambda i: i,
+        "spread": lambda i: 1000 - 37 * i,
+        "string": lambda i: f"k{i}",
+    }[kind]
+    return Graph([label(i) for i in range(n)], [(label(i), label(j)) for i, j in edges])
+
+
+def networkx_levels(g, cap):
+    """Cliques by size from networkx, each level in canonical order."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    key = g.vertex_index.__getitem__
+    levels = [[] for _ in range(cap + 1)]
+    for clique in nx.enumerate_all_cliques(h):
+        if len(clique) > cap + 1:
+            break
+        levels[len(clique) - 1].append(tuple(sorted(clique, key=key)))
+    return [sorted(level, key=lambda s: tuple(map(key, s))) for level in levels]
+
+
+@FUZZ
+@hypothesis.given(graphs(), st.integers(0, 6))
+def test_vietoris_rips_matches_the_old_enumeration_and_networkx(g, cap):
+    k = vietoris_rips(g, cap)
+    assert k == graph_oracle.vietoris_rips(g, cap)
+    assert [list(k.simplices(d)) for d in range(cap + 1)] == networkx_levels(g, cap)
+
+
+def edge_list_text(g):
+    lines = [f"{u} {v}" for u, v in sorted(g.edges)]
+    lines += [str(v) for v in g.vertices if not g.index_neighbors[g.vertex_index[v]]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def graph_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("graph-layer") / "graph.txt"
+
+
+@FUZZ
+@hypothesis.given(graphs(), st.integers(0, 3))
+def test_betti_prints_the_canonical_complex_homology(graph_file, g, max_k):
+    hypothesis.assume(g.vertices)
+    graph_file.write_text(edge_list_text(g), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["betti", str(graph_file), "--max-k", str(max_k)])
+    assert code == 0
+    k = vietoris_rips(parse_edge_list(graph_file.read_text(encoding="utf-8")), max_k + 1)
+    want = {
+        "field": "GF(2)",
+        "betti": homology_oracle.betti_numbers(k, max_k),
+        "euler": euler_characteristic(k),
+    }
+    assert out.getvalue() == canonical_json(want) + "\n"
+
+
+def test_by_degree_numbers_vertices_by_descending_degree():
+    # degrees: 0:1, 1:3, 2:2, 3:2, 4:0 -> order 1, 2, 3, 0, 4
+    g = Graph([0, 1, 2, 3, 4], [(0, 1), (1, 2), (1, 3), (2, 3)])
+    h = g.by_degree()
+    assert h.vertices == (0, 1, 2, 3, 4)
+    assert h.edges == {(0, 3), (0, 1), (0, 2), (1, 2)}
+    assert [len(s) for s in h.index_neighbors] == [3, 2, 2, 1, 0]
+
+
+# -- clique ceiling and memory ---------------------------------------------
+
+
+def complete_edge_list(tmp_path, n):
+    path = tmp_path / f"k{n}.txt"
+    path.write_text("".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n)))
+    return str(path)
+
+
+def test_the_benchmark_complexes_stay_far_below_the_ceiling():
+    # gnp-build, the largest complex the benchmark builds, has 19,656 simplices
+    assert MAX_SIMPLICES >= 25 * 19_656
+
+
+def test_k30_at_max_dim_29_exits_2_naming_the_dimension(tmp_path, capsys):
+    # 174,436 simplices up to dimension 4, then 593,775 6-cliques
+    path = complete_edge_list(tmp_path, 30)
+    start = time.perf_counter()
+    code = main(["build", path, "--max-dim", "29"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"more than {MAX_SIMPLICES} simplices up to dimension 5" in captured.err
+    assert elapsed < 1.0
+    assert main(["betti", path, "--max-k", "28"]) == 2
+
+
+def test_the_overflowing_level_is_never_built():
+    # K60 has 523,685 simplices up to dimension 3, under the ceiling, and
+    # 5,461,512 4-simplices, whose tuples alone would take over 500 MB
+    graph = complete_graph(60)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManySimplices, match="up to dimension 4"):
+            vietoris_rips(graph, 59)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def test_a_sparse_graph_with_spread_labels_takes_memory_linear_in_its_size():
+    # n-bit adjacency masks would add about 100 MB on this cycle
+    n = 40_000
+    rng = random.Random(0)
+    labels = rng.sample(range(10**9), n)
+    text = "".join(f"{labels[i]} {labels[(i + 1) % n]}\n" for i in range(n))
+    tracemalloc.start()
+    try:
+        k = vietoris_rips(parse_edge_list(text), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k.counts() == [n, n, 0]
+    assert peak < 600 * (n + n)
+
+
+def test_an_unconvertible_digit_names_its_line(tmp_path, capsys):
+    path = tmp_path / "digit.txt"
+    path.write_text("0 1\n1 ²\n", encoding="utf-8")
+    assert main(["betti", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: bad vertex token" in captured.err
