@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .complex import SimplicialComplex, TooManySimplices, subdivision_counts, vietoris_rips
+from .complex import SimplicialComplex, TooManySimplices, vietoris_rips
 from .domains import (
     antipodal_quarter_arc_map,
     circle_domain,
@@ -25,15 +25,8 @@ from .domains import (
 from .graph import Graph, sort_vertices
 from .homology import betti_numbers, euler_characteristic
 from .pipeline import canonical_json, fnv1a64, run_pipeline
-from .realization import BaryPoint, theta_point
-from .transform import CertificateFailure
-
-
-#: most samples a pipeline domain may have, as given or after
-#: ``--subdivisions``.  It keeps the largest measured domain (sphere2:icosa:5,
-#: 10,242 samples) and icosa:4 refined once (15,362); the certificate's full
-#: scan is quadratic, 2.7e8 distances at this size
-MAX_SAMPLES = 1 << 14
+from .realization import BaryPoint, NotAClique, theta_on_graph
+from .transform import CertificateFailure, TooManySamples, check_sample_budget
 
 
 class InputError(ValueError):
@@ -180,20 +173,8 @@ def cmd_theta(args) -> int:
         raise
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad point JSON: {exc}") from exc
-    k = vietoris_rips(graph, max(1, len(carrier) - 1))
-    try:
-        vertex = theta_point(k, point)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit({"vertex": vertex}, args.out)
+    _emit({"vertex": theta_on_graph(graph, point)}, args.out)
     return 0
-
-
-def _check_samples(samples) -> None:
-    """Refuse a domain of more than ``MAX_SAMPLES`` samples before it is built."""
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"more than {MAX_SAMPLES} samples")
 
 
 def parse_domain_spec(spec: str):
@@ -201,13 +182,13 @@ def parse_domain_spec(spec: str):
     try:
         if parts[0] == "circle" and len(parts) == 2:
             n = int(parts[1])
-            _check_samples(n)
+            check_sample_budget([n])
             return circle_domain(n)
         if parts[0] == "sphere2" and len(parts) == 3 and parts[1] == "icosa":
             k = int(parts[2])
             # 10 * 4^k + 2 samples; k >= 6 is over the ceiling, so the
             # exponent is capped to keep a huge k cheap to refuse
-            _check_samples(10 * 4 ** min(k, 8) + 2)
+            check_sample_budget([10 * 4 ** min(k, 8) + 2])
             return icosphere_domain(k)
     except ValueError as exc:
         raise InputError(f"bad domain spec {spec!r}: {exc}") from exc
@@ -248,45 +229,19 @@ def build_sample_map(spec: str, domain, graph: Graph, seed: int):
     raise InputError(f"unknown map spec {spec!r}")
 
 
-def _check_subdivision_budget(domain, rounds: int) -> None:
-    """Refuse ``rounds`` subdivisions that would take the domain past
-    ``MAX_SAMPLES`` samples, from simplex counts alone."""
-    counts = domain.triangulation.counts()
-    for _ in range(rounds):  # every CLI domain at least doubles per round
-        counts = subdivision_counts(counts)
-        if counts[0] > MAX_SAMPLES:
-            raise InputError(
-                f"--subdivisions {rounds} would refine the domain past "
-                f"{MAX_SAMPLES} samples"
-            )
-
-
 def cmd_pipeline(args) -> int:
     _check_at_least("--subdivisions", args.subdivisions, 0)
     _check_at_least("--grid", args.grid, 1)
     graph = load_graph(args.graph)
     domain = parse_domain_spec(args.domain)
-    _check_subdivision_budget(domain, args.subdivisions)
     sample_points = build_sample_map(args.map, domain, graph, args.seed)
-    try:
-        report = run_pipeline(
-            graph,
-            domain,
-            sample_points,
-            extra_subdivisions=args.subdivisions,
-            check_sd=args.check_sd,
-        )
-    except CertificateFailure as exc:
-        failure = {
-            "failure": {
-                "stage": exc.stage,
-                "pair": [exc.pair[0], exc.pair[1]],
-                "values": [str(exc.values[0]), str(exc.values[1])],
-                "detail": exc.detail,
-            }
-        }
-        _emit(failure, args.out)
-        return 1
+    report = run_pipeline(
+        graph,
+        domain,
+        sample_points,
+        extra_subdivisions=args.subdivisions,
+        check_sd=args.check_sd,
+    )
     report["seed"] = args.seed
     report["map"] = args.map
     report["domain_spec"] = args.domain
@@ -341,15 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where a refusal becomes an exit code:
+    2 for malformed or oversized input, 1 for a failed certificate (reported
+    as JSON, like a success) or a non-clique ``theta`` carrier."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, TooManySimplices) as exc:
+    except (InputError, TooManySimplices, TooManySamples) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CertificateFailure as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
+        _emit({"failure": exc.to_json_dict()}, args.out)
+        return 1
+    except NotAClique as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

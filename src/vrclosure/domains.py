@@ -145,25 +145,22 @@ def antipodal_quarter_arc_map(domain: SampledDomain, graph: Graph) -> dict:
 
 
 def nearest_pole_map(
-    domain: SampledDomain,
-    graph: Graph,
-    poles: np.ndarray | None = None,
-    rotation: np.ndarray | None = None,
+    domain: SampledDomain, graph: Graph, rotation: np.ndarray | None = None
 ) -> dict:
-    """Each sample to the graph vertex of its nearest pole.
+    """Each sample to the graph vertex of its nearest octahedron pole.
 
-    Pole k corresponds to ``graph.vertices[k]``; an optional rotation is
-    applied to the samples first.  Ties resolve to the first pole.
+    Pole k of ``OCTAHEDRON_POLES`` corresponds to ``graph.vertices[k]``; an
+    optional rotation is applied to the samples first.  Ties resolve to the
+    first pole.
     """
-    poles = OCTAHEDRON_POLES if poles is None else np.asarray(poles, dtype=float)
-    if len(graph.vertices) != len(poles):
-        raise ValueError(f"graph has {len(graph.vertices)} vertices but {len(poles)} poles given")
+    if len(graph.vertices) != len(OCTAHEDRON_POLES):
+        raise ValueError(f"graph has {len(graph.vertices)} vertices but 6 poles given")
     pts = domain.coords
     if rotation is not None:
         pts = pts @ np.asarray(rotation, dtype=float).T
-    if pts.shape[1] != poles.shape[1]:
+    if pts.shape[1] != 3:
         raise ValueError("domain and poles have different embedding dimensions")
-    nearest = _distances_to(pts, poles).argmin(axis=1)
+    nearest = _distances_to(pts, OCTAHEDRON_POLES).argmin(axis=1)
     return {i: BaryPoint.of_vertex(graph.vertices[k]) for i, k in enumerate(nearest.tolist())}
 
 

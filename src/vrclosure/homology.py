@@ -64,9 +64,7 @@ def boundary_columns(k: SimplicialComplex, dim: int) -> list:
     """Columns of the boundary map from ``dim``-chains, as row bitsets.
 
     Rows are indexed by the (dim-1)-simplices in the complex's deterministic
-    order; each column has exactly ``dim + 1`` bits set.  ``betti_numbers``
-    reduces coboundaries instead, so only the benchmark's traced replay and
-    the tests call this, until the replay is retired (ROADMAP item 1).
+    order; each column has exactly ``dim + 1`` bits set.
     """
     if dim < 1:
         raise ValueError("boundary columns start at dimension 1")
@@ -188,10 +186,7 @@ class _H1Context:
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
 
         self.echelon: dict = {}
-        for s in k.simplices(2):
-            bits = 0
-            for face in combinations(s, 2):
-                bits |= 1 << self.edge_index[face]
+        for bits in boundary_columns(k, 2):
             self._insert(bits, 0)
         need = len(self.edges) - len(_spanning_forest(k)) - len(self.echelon)
         self.h1_basis = []

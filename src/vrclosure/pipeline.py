@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Hashable, Mapping
+from typing import Mapping
 
 from .complex import SimplicialComplex, SimplicialMap, vietoris_rips
 from .graph import Graph
@@ -21,14 +21,13 @@ from .transform import (
     CliqueCertificate,
     DiscreteMap,
     SampledDomain,
+    check_sample_budget,
     clique_certificate,
     convex_transform,
     discrete_modify,
     flood_stages,
     subdivide_domain,
 )
-
-Vertex = Hashable
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -77,8 +76,13 @@ def build_pipeline(
     """Run every stage and keep the intermediate objects.
 
     Raises ``CertificateFailure`` when a finite continuity certificate fails;
-    the exception names the stage and the offending sample pair.
+    the exception names the stage and the offending sample pair.  Raises
+    ``TooManySamples`` before any flood when ``extra_subdivisions`` would
+    refine the domain past ``MAX_SAMPLES``, and before any subdivision when
+    the chosen depth would.
     """
+    counts = domain.triangulation.counts()
+    check_sample_budget(counts, extra_subdivisions)
     f0 = discrete_modify(sample_points, domain, graph)
     stage_log = [{"stage": "discrete_modify", "digest": digest_map(f0), "changed": 0}]
     current = f0
@@ -98,12 +102,11 @@ def build_pipeline(
 
     cert = clique_certificate(current)
 
-    tri = domain.triangulation
     mesh = domain.max_simplex_diameter()
-    required = (
-        subdivision_depth_for_mesh(tri.dimension(), mesh, cert.delta) if mesh > 0 else 0
-    )
+    dim = domain.triangulation.dimension()
+    required = subdivision_depth_for_mesh(dim, mesh, cert.delta) if mesh > 0 else 0
     depth = max(required, extra_subdivisions)
+    check_sample_budget(counts, depth)
 
     cur_domain, cur_values = domain, dict(current.values)
     for _ in range(depth):

@@ -124,6 +124,22 @@ def theta_point(complex_: SimplicialComplex, point: BaryPoint) -> Vertex:
     return dominant_vertex(p)
 
 
+class NotAClique(ValueError):
+    """A point's carrier is not a clique of the graph, so the point is not in
+    the clique complex's realization."""
+
+
+def theta_on_graph(graph: Graph, point: BaryPoint) -> Vertex:
+    """``theta_point`` on the clique complex of ``graph``, decided on the
+    graph: the support carrier is a simplex exactly when its vertices are
+    pairwise adjacent, so no complex is built."""
+    p = aligned(point.canonical(), graph)
+    for a, b in combinations(p.carrier, 2):
+        if not graph.are_adjacent(a, b):
+            raise NotAClique(f"carrier {p.carrier} is not a clique: {a!r} and {b!r} are not adjacent")
+    return dominant_vertex(p)
+
+
 def pl_evaluate(m: SimplicialMap, point: BaryPoint) -> BaryPoint:
     """Piecewise-linear evaluation of a simplicial map at a point.
 

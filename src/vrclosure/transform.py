@@ -19,16 +19,24 @@ from .complex import (
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
+    subdivision_counts,
     vietoris_rips,
 )
 from .graph import Graph
-from .realization import BaryPoint, aligned, dominant_vertex
+from .realization import BaryPoint, NotAClique, theta_on_graph
 
 Vertex = Hashable
 
 
 #: distance cells per row block in the blocked scans (2 MB of floats)
 BLOCK_CELLS = 1 << 18
+
+
+#: most samples a pipeline domain may have, as given or after its chosen
+#: subdivision depth.  It keeps the largest measured domain (sphere2:icosa:5,
+#: 10,242 samples) and icosa:4 refined once (15,362); the certificate's full
+#: scan is quadratic, 2.7e8 distances at this size
+MAX_SAMPLES = 1 << 14
 
 
 #: cells per row block of the nearest-sample scan (128 KB of floats); 2 MB
@@ -74,6 +82,28 @@ class CertificateFailure(ValueError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+    def to_json_dict(self) -> dict:
+        values = [str(v) for v in self.values]
+        return {"stage": self.stage, "pair": list(self.pair), "values": values, "detail": self.detail}
+
+
+class TooManySamples(ValueError):
+    """A domain would pass ``MAX_SAMPLES`` samples."""
+
+
+def check_sample_budget(counts: Sequence[int], rounds: int = 0) -> None:
+    """Refuse simplex ``counts`` of more than ``MAX_SAMPLES`` samples, as given
+    or after ``rounds`` barycentric subdivisions, from the counts alone; a
+    domain with an edge at least doubles per round, so a huge ``rounds`` is
+    refused within a few."""
+    for _ in range(rounds):
+        if counts[0] > MAX_SAMPLES:
+            break
+        counts = subdivision_counts(counts)
+    if counts[0] > MAX_SAMPLES:
+        suffix = f" after {rounds} subdivision rounds" if rounds else ""
+        raise TooManySamples(f"more than {MAX_SAMPLES} samples{suffix}")
 
 
 class SampledDomain:
@@ -186,7 +216,7 @@ class DiscreteMap:
     domain: SampledDomain
     target: Graph
     values: Mapping[int, Vertex] = field(hash=False)
-    base_value: Vertex = None
+    base_value: Vertex
 
     def __post_init__(self):
         for i in range(self.domain.n_samples):
@@ -245,23 +275,19 @@ def discrete_modify(
 ) -> DiscreteMap:
     """Compose a sampled realization-valued map with the vertex retraction.
 
-    Every sample's image point must be carried by a clique of the graph; the
-    resulting value is the least-index vertex with maximal coordinate, so
-    samples already sitting on vertices keep their value.
+    Every sample's image point must be carried by a clique of the graph
+    (``NotAClique`` otherwise); the resulting value is the least-index vertex
+    with maximal coordinate, so samples already sitting on vertices keep
+    their value.
     """
     values = {}
     for i in range(domain.n_samples):
         if i not in sample_points:
             raise ValueError(f"no image point for sample {i}")
-        point = aligned(sample_points[i].canonical(), graph)
-        for j, a in enumerate(point.carrier):
-            for b in point.carrier[j + 1 :]:
-                if not graph.are_adjacent(a, b):
-                    raise ValueError(
-                        f"carrier {point.carrier} of sample {i} is not a clique: "
-                        f"{a!r} and {b!r} are not adjacent"
-                    )
-        values[i] = dominant_vertex(point)
+        try:
+            values[i] = theta_on_graph(graph, sample_points[i])
+        except NotAClique as exc:
+            raise NotAClique(f"sample {i}: {exc}") from None
 
     if domain.basepoints:
         base = values[domain.basepoints[0]]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from vrclosure import cli, pipeline, transform
 from vrclosure.cli import InputError, main, parse_edge_list
+from vrclosure.transform import MAX_SAMPLES, TooManySamples, check_sample_budget
 
 C4 = "0 1\n1 2\n2 3\n3 0\n"
 K3 = "0 1\n1 2\n0 2\n"
@@ -155,11 +157,35 @@ class TestTheta:
         assert code == 0
         assert json.loads(out) == {"vertex": 1}
 
+    def test_carrier_out_of_vertex_order(self, capsys, c4_file):
+        point = json.dumps({"carrier": [2, 1], "coords": [0.5, 0.5]})
+        code, out, _ = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out) == (0, '{"vertex":1}\n')
+
+    def test_string_carrier_vertex_read_as_int(self, capsys, c4_file):
+        point = json.dumps({"carrier": ["2", 3], "coords": [0.25, 0.75]})
+        code, out, _ = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out) == (0, '{"vertex":3}\n')
+
+    def test_int_carrier_vertex_read_as_string(self, capsys, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("a 1\n1 b\n")  # not all numeric, so every label is a string
+        point = json.dumps({"carrier": [1, "b"], "coords": [0.75, 0.25]})
+        code, out, _ = run_cli(capsys, "theta", str(path), point)
+        assert (code, out) == (0, '{"vertex":"1"}\n')
+
+    def test_unknown_carrier_vertex_is_input_error(self, capsys, c4_file):
+        point = json.dumps({"carrier": [1, 9], "coords": [0.5, 0.5]})
+        code, out, err = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out) == (2, "")
+        assert "carrier vertex 9 is not a vertex" in err
+
     def test_non_clique_carrier_fails(self, capsys, c4_file):
         point = json.dumps({"carrier": [0, 2], "coords": [0.5, 0.5]})
-        code, _, err = run_cli(capsys, "theta", c4_file, point)
-        assert code == 1
+        code, out, err = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out) == (1, "")
         assert "error" in err
+        assert "not a clique" in err
 
 
 class TestPipeline:
@@ -204,6 +230,50 @@ class TestPipeline:
         assert "failure" in report
         assert set(report["failure"]["values"]) == {"0", "2"}
 
+    def test_antipodal_composition(self, capsys, c4_file):
+        code, out, _ = run_cli(
+            capsys, "pipeline", c4_file, "--domain", "circle:64", "--map", "antipodal-composition"
+        )
+        assert code == 0
+        assert json.loads(out)["h1"]["rank"] == 1
+
+    def test_nearest_vertex(self, capsys, tmp_path):
+        path = tmp_path / "octa.txt"
+        path.write_text(OCTA)
+        code, out, _ = run_cli(
+            capsys, "pipeline", str(path), "--domain", "sphere2:icosa:1", "--map", "nearest-vertex"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["domain"]["samples"] == 42
+        assert report["h1"] == {"rank": 0, "source_betti1": 0, "target_betti1": 0}
+
+    def test_map_spec_that_does_not_fit(self, capsys, c4_file):
+        # nearest-vertex needs the six octahedron vertices
+        code, out, err = run_cli(
+            capsys, "pipeline", c4_file, "--domain", "sphere2:icosa:0", "--map", "nearest-vertex"
+        )
+        assert (code, out) == (2, "")
+        assert "does not fit" in err
+
+    def test_malformed_values_file(self, capsys, c4_file, tmp_path):
+        vpath = tmp_path / "values.json"
+        vpath.write_text('{"values": {"0": 0,')
+        code, out, err = run_cli(
+            capsys, "pipeline", c4_file, "--domain", "circle:8", "--map", f"@{vpath}"
+        )
+        assert (code, out) == (2, "")
+        assert "bad values file" in err
+
+    def test_values_file_with_unknown_vertex(self, capsys, c4_file, tmp_path):
+        vpath = tmp_path / "values.json"
+        vpath.write_text(json.dumps({"values": {str(i): "x" for i in range(8)}}))
+        code, out, err = run_cli(
+            capsys, "pipeline", c4_file, "--domain", "circle:8", "--map", f"@{vpath}"
+        )
+        assert (code, out) == (2, "")
+        assert "carrier vertex 'x' is not a vertex" in err
+
     def test_unknown_domain(self, capsys, c4_file):
         code, _, err = run_cli(
             capsys, "pipeline", c4_file, "--domain", "torus:9", "--map", "constant"
@@ -216,6 +286,66 @@ class TestPipeline:
             capsys, "pipeline", c4_file, "--domain", "circle:8", "--map", "mystery"
         )
         assert code == 2
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("called after the refusal should have fired")
+
+
+class TestRefusals:
+    """Each refusal exits through ``cli.main`` at the point where it is known,
+    before the work it refuses."""
+
+    def test_theta_on_a_large_clique_builds_no_complex(self, capsys, tmp_path, monkeypatch):
+        # the clique complex of K_120 up to dimension 4 is past MAX_SIMPLICES
+        path = tmp_path / "k120.txt"
+        path.write_text("".join(f"{i} {j}\n" for i in range(120) for j in range(i + 1, 120)))
+        monkeypatch.setattr(cli, "vietoris_rips", _fail_if_called)
+        point = json.dumps({"carrier": [4, 0, 1, 2, 3], "coords": [0.1, 0.1, 0.2, 0.4, 0.2]})
+        code, out, _ = run_cli(capsys, "theta", str(path), point)
+        assert (code, out) == (0, '{"vertex":2}\n')
+
+    def test_extra_subdivisions_refused_before_any_flood(self, capsys, c4_file, monkeypatch):
+        monkeypatch.setattr(transform, "flood_stages", _fail_if_called)
+        monkeypatch.setattr(pipeline, "flood_stages", _fail_if_called)
+        code, out, err = run_cli(
+            capsys, "pipeline", c4_file, "--domain", "circle:16", "--map", "quarter-arc",
+            "--subdivisions", "11",
+        )
+        assert (code, out) == (2, "")
+        assert "after 11 subdivision rounds" in err
+
+    def test_required_depth_refused_before_subdividing(self, capsys, c4_file, monkeypatch):
+        # three rounds take circle:4096 to 32,768 samples
+        monkeypatch.setattr(pipeline, "subdivision_depth_for_mesh", lambda *args: 3)
+        monkeypatch.setattr(pipeline, "subdivide_domain", _fail_if_called)
+        code, out, err = run_cli(
+            capsys, "pipeline", c4_file, "--domain", "circle:4096", "--map", "constant"
+        )
+        assert (code, out) == (2, "")
+        assert "after 3 subdivision rounds" in err
+
+    def test_budget_boundary(self):
+        circle = [4096, 4096]  # each round doubles a circle's samples
+        check_sample_budget(circle, 2)  # exactly MAX_SAMPLES
+        with pytest.raises(TooManySamples):
+            check_sample_budget(circle, 3)
+        check_sample_budget([MAX_SAMPLES])
+        with pytest.raises(TooManySamples):
+            check_sample_budget([MAX_SAMPLES + 1], 10**18)
+
+    def test_certificate_failure_out_file_equals_stdout(self, capsys, c4_file, tmp_path):
+        values = {str(i): str(0 if i % 2 == 0 else 2) for i in range(16)}
+        vpath = tmp_path / "bad.json"
+        vpath.write_text(json.dumps({"values": values}))
+        argv = ("pipeline", c4_file, "--domain", "circle:16", "--map", f"@{vpath}")
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 1
+        target = tmp_path / "failure.json"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert target.read_text() == stdout
+        assert json.loads(stdout)["failure"]["stage"] == "clique certificate"
 
 
 MALFORMED = {

@@ -33,6 +33,7 @@ from vrclosure.domains import (
     quarter_arc_map,
     random_rotation,
 )
+from vrclosure.realization import NotAClique
 
 from grid_oracle import carriers_compatible
 from helpers import distances, flood_all, simplex_diameter
@@ -224,6 +225,16 @@ class TestDiscreteModify:
         pts = {0: BaryPoint((0, 2), (0.5, 0.5))}
         with pytest.raises(ValueError, match="not a clique"):
             discrete_modify(pts, dom, g)
+
+    def test_non_clique_carrier_names_the_sample(self):
+        dom = chain_domain([0.0, 1.0])
+        pts = {0: BaryPoint.of_vertex(0), 1: BaryPoint((2, 0), (0.5, 0.5))}
+        with pytest.raises(NotAClique, match=r"sample 1: carrier \(0, 2\) is not a clique"):
+            discrete_modify(pts, dom, cycle_graph(4))
+
+    def test_base_value_is_required(self):
+        with pytest.raises(TypeError):
+            DiscreteMap(chain_domain([0.0]), cycle_graph(4), {0: 0})
 
     def test_basepoint_value_becomes_base(self):
         dom = chain_domain([0, 1, 2], basepoints=(1,))
