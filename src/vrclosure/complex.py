@@ -3,8 +3,8 @@ subdivision, stars, and simplicial maps.
 
 Simplices are tuples of vertex identifiers, strictly increasing in the
 complex's vertex order, grouped by dimension up to a mandatory cap.  The cap
-is required because clique complexes blow up; everything downstream needs
-dimensions <= 3 only.
+is required because clique complexes blow up; the pipeline builds its
+target up to dimension 2d+1 for a d-dimensional domain (5 on spheres).
 """
 
 from __future__ import annotations
@@ -70,6 +70,18 @@ class SimplicialComplex:
     def sort_simplex(self, vertices: Iterable[Vertex]) -> Simplex:
         """Sort distinct vertices into this complex's simplex order."""
         return tuple(sorted(vertices, key=lambda v: self.vertex_index[v]))
+
+    def maximal_simplices(self):
+        """Simplices that are a face of no other, top dimension first.
+
+        Downward closure makes a simplex non-maximal exactly when it is a
+        face of a simplex one dimension up, so each level is read once.
+        """
+        covered: set = set()
+        for d in range(self.dim_cap, -1, -1):
+            level = self._by_dim[d]
+            yield from (s for s in level if s not in covered)
+            covered = {face for s in level for face in combinations(s, d)}
 
     def counts(self) -> list:
         return [len(level) for level in self._by_dim]
@@ -186,32 +198,32 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Barycentric subdivision sd(K).
+    """Barycentric subdivision sd(K) whose vertices are the simplices of K
+    themselves (their barycenters), so each new vertex is its own carrier."""
+    return subdivision_on(k, list(k.all_simplices()))
 
-    Vertices of sd(K) are the simplices of K themselves (their barycenters),
-    so each new vertex is its own carrier; d-simplices of sd(K) are chains of
-    d+1 faces under strict inclusion, listed in lexicographic order.
+
+def subdivision_on(k: SimplicialComplex, names: Sequence[Vertex]) -> SimplicialComplex:
+    """Barycentric subdivision sd(K) with ``names[i]`` as the vertex at the
+    barycenter of the i-th simplex of ``k.all_simplices()``.
+
+    d-simplices of sd(K) are chains of d+1 faces under strict inclusion.
+    ``all_simplices()`` lists faces by size, then lexicographically, and each
+    chain grows by the cofaces of its last face in that order, so every level
+    comes out lexicographic in the order of ``names`` without a sort.
     """
-    faces = [s for s in k.all_simplices()]
-    order_key = {s: (len(s), tuple(k.vertex_index[v] for v in s)) for s in faces}
-    new_vertices = tuple(sorted(faces, key=order_key.__getitem__))
-
-    # strict-coface lists, used to extend chains one step at a time
-    cofaces: dict = {s: [] for s in faces}
+    faces = list(k.all_simplices())
+    name_of = dict(zip(faces, names))
+    cofaces: dict = {name: [] for name in names}  # strict cofaces, in face order
     for s in faces:
-        for d in range(len(s) - 1):
-            for face in combinations(s, d + 1):
-                cofaces[face].append(s)
-    for s in faces:
-        cofaces[s].sort(key=order_key.__getitem__)
+        for size in range(1, len(s)):
+            for face in combinations(s, size):
+                cofaces[name_of[face]].append(name_of[s])
 
-    by_dim: list = [[(s,) for s in new_vertices]]
+    by_dim: list = [[(name,) for name in names]]
     for _ in range(k.dim_cap):
-        prev = by_dim[-1]
-        nxt = [chain + (big,) for chain in prev for big in cofaces[chain[-1]]]
-        by_dim.append(nxt)
-
-    return SimplicialComplex(new_vertices, by_dim, k.dim_cap)
+        by_dim.append([chain + (big,) for chain in by_dim[-1] for big in cofaces[chain[-1]]])
+    return SimplicialComplex(names, by_dim, k.dim_cap)
 
 
 def subdivision_counts(counts: Sequence[int]) -> list:
@@ -271,8 +283,9 @@ class SimplicialMap:
 
 
 def check_simplicial(m: SimplicialMap) -> bool:
-    """True iff every source simplex lands on a target simplex."""
-    for s in m.source.all_simplices():
+    """True iff every source simplex lands on a target simplex; the maximal
+    ones suffice, since the target is downward closed."""
+    for s in m.source.maximal_simplices():
         if not m.target.has_simplex(m.image_simplex(s)):
             return False
     return True

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Mapping
 
 from .complex import SimplicialComplex, SimplicialMap, vietoris_rips
@@ -135,33 +134,26 @@ def build_pipeline(
 def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int = 0) -> bool:
     """Exact common-carrier check between a map and its subdivision refinement.
 
-    A point of a maximal simplex s lies in the sd-simplex of a maximal chain
-    F0 < ... < Fd = s, and its two image carriers lie in U = m1(s) plus the
-    m2-images of the chain's barycenters, which interior points reach; so the
-    maps share carriers on |s| iff every chain's U is a target simplex.  Every
-    point of the source lies in some maximal simplex, so visiting all of them,
-    not only the top-dimensional ones, makes the check exact for any complex.
-    O(sum of (d+1)! over maximal d-simplices); ``grid_steps`` is unused and
-    kept only for positional callers.
+    ``m2.source`` must be the barycentric subdivision of ``m1.source`` with
+    vertex ``face_vertex[F]`` at the barycenter of face F and smaller faces
+    first in its vertex order, as ``subdivide_domain`` and
+    ``barycentric_subdivision`` build it, so a chain's last vertex is its
+    largest face.  Its maximal simplices are the maximal chains
+    F0 < ... < Fd = s, s maximal in ``m1.source``.  Every point of the source
+    lies in one of them, and its two image carriers lie in U = m2(chain)
+    plus m1(s), which interior points reach; so the maps share carriers
+    everywhere iff every such U is a target simplex, for any complex.
+    ``grid_steps`` is unused and kept only for positional callers.
     """
     target = m1.target
     if target != m2.target:
         raise ValueError("maps have different target complexes")
-    source = m1.source
-    covered: set = set()  # faces of the simplices one dimension up
-    for d in range(source.dimension(), -1, -1):
-        for s in source.simplices(d):
-            if s in covered:
-                continue
-            base = {m1.vertex_images[v] for v in s}
-            for order in permutations(range(len(s))):
-                union = set(base)
-                for size in range(1, len(s) + 1):
-                    face = tuple(s[i] for i in sorted(order[:size]))
-                    union.add(m2.vertex_images[face_vertex[face]])
-                if not target.has_simplex(target.sort_simplex(union)):
-                    return False
-        covered = {face for s in source.simplices(d) for face in combinations(s, d)}
+    face_of = {v: face for face, v in face_vertex.items()}
+    for chain in m2.source.maximal_simplices():
+        union = {m2.vertex_images[v] for v in chain}
+        union.update(m1.vertex_images[v] for v in face_of[chain[-1]])
+        if not target.has_simplex(target.sort_simplex(union)):
+            return False
     return True
 
 
@@ -210,6 +202,7 @@ def run_pipeline(
         "final_digest": digest_map(art.final_map),
     }
     if check_sd:
+        check_sample_budget(art.final_domain.triangulation.counts(), 1)
         m2, face_vertex = refine_once(art)
         report["sd_compatible"] = sd_compatibility(art.simplicial_map, m2, face_vertex)
     return report

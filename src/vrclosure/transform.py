@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -18,8 +17,8 @@ import numpy as np
 from .complex import (
     SimplicialComplex,
     SimplicialMap,
-    barycentric_subdivision,
     subdivision_counts,
+    subdivision_on,
     vietoris_rips,
 )
 from .graph import Graph
@@ -581,33 +580,20 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     face_vertex)`` where ``face_vertex`` maps face tuples of the old
     triangulation to new sample indices.
     """
-    sd = barycentric_subdivision(domain.triangulation)
+    tri = domain.triangulation
     n = domain.n_samples
-    new_faces = [face for face in sd.vertices if len(face) > 1]
-    face_vertex = {face: face[0] for face in sd.vertices if len(face) == 1}
-    face_vertex.update((face, n + i) for i, face in enumerate(new_faces))
-    # sd lists its vertices by face size, so each size is one block of rows
-    centers = [
-        domain.coords[np.array(list(group))].mean(axis=1)
-        for _, group in groupby(new_faces, key=len)
-    ]
+    # old samples keep their index and new faces count up from n in face
+    # order, so sd(K) is built once, directly on sample indices
+    levels = [tri.simplices(d) for d in range(1, tri.dim_cap + 1)]
+    names = [v for (v,) in tri.simplices(0)]
+    names += range(n, n + sum(map(len, levels)))
+    face_vertex = dict(zip(tri.all_simplices(), names))
+    centers = [domain.coords[np.array(level)].mean(axis=1) for level in levels if level]
     coords = np.vstack([domain.coords, *centers])
-
-    # renaming keeps sd's vertex order (singletons keep their sample index
-    # below n, new faces count up from n in sd's order), so the renamed
-    # chains are already sorted and each level stays lexicographic
-    renamed = SimplicialComplex(
-        sorted(face_vertex.values()),
-        [
-            [tuple(face_vertex[face] for face in chain) for chain in sd.simplices(d)]
-            for d in range(sd.dim_cap + 1)
-        ],
-        sd.dim_cap,
-    )
 
     new_values = dict(values)
     for idx, nearest in enumerate(domain.nearest_samples(coords[n:]).tolist(), start=n):
         new_values[idx] = values[nearest]
 
-    new_domain = SampledDomain(coords, renamed, domain.basepoints)
+    new_domain = SampledDomain(coords, subdivision_on(tri, names), domain.basepoints)
     return new_domain, new_values, face_vertex

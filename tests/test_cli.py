@@ -325,6 +325,19 @@ class TestRefusals:
         assert (code, out) == (2, "")
         assert "after 3 subdivision rounds" in err
 
+    def test_check_sd_round_refused_before_refining(self, capsys, c4_file, monkeypatch):
+        # circle:16 quarter-arc needs no subdivision; the --check-sd round
+        # would take it to 32 samples
+        monkeypatch.setattr(transform, "MAX_SAMPLES", 31)
+        monkeypatch.setattr(pipeline, "refine_once", _fail_if_called)
+        argv = ["pipeline", c4_file, "--domain", "circle:16", "--map", "quarter-arc"]
+        code, out, err = run_cli(capsys, *argv, "--check-sd")
+        assert (code, out) == (2, "")
+        assert "more than 31 samples after 1 subdivision rounds" in err
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["depth"] == {"chosen": 0, "required": 0}
+
     def test_budget_boundary(self):
         circle = [4096, 4096]  # each round doubles a circle's samples
         check_sample_budget(circle, 2)  # exactly MAX_SAMPLES

@@ -6,12 +6,14 @@ on exit 2."""
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from vrclosure import transform  # noqa: E402
 from vrclosure.cli import InputError, main, parse_edge_list  # noqa: E402
 from vrclosure.graph import Graph  # noqa: E402
 
@@ -56,7 +58,8 @@ def graph_file(tmp_path_factory):
 
 
 def run_cli(argv):
-    """Exit code of ``main(argv)``, after the boundary's three assertions."""
+    """Exit code and stderr of ``main(argv)``, after the boundary's three
+    assertions."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -68,7 +71,7 @@ def run_cli(argv):
     if code == 2:
         assert out.getvalue() == ""
     hypothesis.event(f"exit {code}")
-    return code
+    return code, err.getvalue()
 
 
 @FUZZ
@@ -161,7 +164,10 @@ def pipeline_argvs(draw):
     flags = ["--subdivisions", str(subdivisions), "--seed", str(draw(st.integers(0, 3)))]
     if draw(st.integers(0, 3)) == 0:
         flags.append("--check-sd")
-    return domain, spec, values, flags
+    # a lowered MAX_SAMPLES lets small circles reach the refusals of the
+    # required depth and of the --check-sd round
+    ceiling = draw(st.sampled_from([None, None, None, 8, 12, 16, 24, 32]))
+    return domain, spec, values, flags, ceiling, None
 
 
 @pytest.fixture(scope="module")
@@ -172,15 +178,31 @@ def pipeline_files(tmp_path_factory):
     return graph, d / "values.json"
 
 
+# circle:8 quarter-arc requires one subdivision round, to 16 samples: a
+# ceiling of 15 refuses that depth, one of 16 the --check-sd round after it;
+# the last field is the refusal that must fire
+ROUND_0 = ["--subdivisions", "0", "--seed", "0"]
+
+
 @FUZZ
+@hypothesis.example(
+    case=("circle:8", "quarter-arc", None, ROUND_0, 15, "more than 15 samples after 1 subdivision rounds")
+)
+@hypothesis.example(
+    case=("circle:8", "quarter-arc", None, [*ROUND_0, "--check-sd"], 16,
+          "more than 16 samples after 1 subdivision rounds")
+)
 @hypothesis.given(pipeline_argvs())
 def test_pipeline_exit_codes(pipeline_files, case):
     graph, values_file = pipeline_files
-    domain, spec, values, flags = case
+    domain, spec, values, flags, ceiling, refusal = case
     if values is not None:
         values_file.write_text(json.dumps(values))
         spec = "@" + str(values_file)
-    code = run_cli(["pipeline", str(graph), "--domain", domain, "--map", spec, *flags])
+    with mock.patch.object(transform, "MAX_SAMPLES", ceiling or transform.MAX_SAMPLES):
+        code, err = run_cli(["pipeline", str(graph), "--domain", domain, "--map", spec, *flags])
     if domain in HUGE_DOMAINS or int(flags[1]) < 0 or int(flags[1]) >= 12:
         assert code == 2
-
+    if refusal is not None:
+        assert code == 2
+        assert refusal in err

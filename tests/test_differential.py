@@ -2,7 +2,10 @@
 or an independent oracle: the clique certificate (radii and failure pairs),
 the distance rows, diameter and edge lengths built on demand, the flood
 overwrite and the largest simplex diameter must agree exactly; the exact
-subdivision-compatibility check must give the 1/N-grid check's verdict;
+subdivision-compatibility check must give the 1/N-grid check's verdict,
+and the subdivision builder, the compatibility check over maximal chains
+and the simpliciality check over maximal simplices must equal the code they
+replaced;
 Betti numbers and induced maps on H1 must equal the hand-written
 eliminations; clique enumeration must match networkx."""
 
@@ -45,6 +48,7 @@ from vrclosure.domains import (
 from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
 
 import homology_oracle
+import sd_oracle
 from grid_oracle import grid_sd_compatibility
 from helpers import (
     assert_well_formed,
@@ -944,6 +948,74 @@ class TestBuildersDifferential:
         new_dom, new_values, _ = subdivide_domain(dom, values)
         assert np.array_equal(new_dom.coords, coords)
         assert new_values == want
+
+
+# -- one subdivision builder and one maximal-simplex walk ------------------
+
+
+def domain_map(name):
+    """A domain and its vertex-valued map: nearest pole onto the octahedron
+    for spheres, the quarter-arc wrap onto C4 for circles (on circle:3 not
+    simplicial), the constant map on the non-pure complex."""
+    if name == "non-pure":
+        dom = non_pure_domain()
+        return dom, cycle_graph(4), dict.fromkeys(range(dom.n_samples), 0)
+    kind, size = name.split(":")
+    if kind == "icosa":
+        dom, graph = icosphere_domain(int(size)), octahedron_graph()
+        pts = nearest_pole_map(dom, graph)
+    else:
+        dom, graph = circle_domain(int(size)), cycle_graph(4)
+        pts = quarter_arc_map(dom, graph)
+    return dom, graph, {i: p.carrier[0] for i, p in pts.items()}
+
+
+def antipode(graph, v):
+    """The vertex of the octahedron or of C4 that ``v`` is not adjacent to."""
+    return v ^ 1 if len(graph.vertices) == 6 else (v + 2) % 4
+
+
+SD_DOMAINS = ["icosa:0", "icosa:1", "icosa:2", "icosa:3", "circle:3", "circle:256", "non-pure"]
+
+
+@pytest.mark.parametrize("name", SD_DOMAINS)
+class TestSubdivisionOracles:
+    def test_builders_equal_sorted_build_and_rename(self, name):
+        dom, _, values = domain_map(name)
+        tri = dom.triangulation
+        assert barycentric_subdivision(tri) == sd_oracle.sorted_barycentric_subdivision(tri)
+        new_dom, _, face_vertex = subdivide_domain(dom, values)
+        assert (new_dom.triangulation, face_vertex) == sd_oracle.renamed_subdivision(dom)
+
+    def test_maximal_simplices_by_definition(self, name):
+        dom, _, values = domain_map(name)
+        for k in (dom.triangulation, subdivide_domain(dom, values)[0].triangulation):
+            got = list(k.maximal_simplices())
+            assert len(got) == len(set(got))
+            assert set(got) == set(sd_oracle.maximal_by_definition(k))
+
+    def test_verdicts_equal_oracles(self, name):
+        # the map and its refinement, then one sample at a time sent to its
+        # antipode, coarse samples in m1 and new ones in m2
+        dom, graph, values = domain_map(name)
+        new_dom, new_values, face_vertex = subdivide_domain(dom, values)
+        target = vietoris_rips(graph, 5)
+        n, n2 = dom.n_samples, new_dom.n_samples
+        pairs = [(values, new_values)]
+        for i in range(0, n, max(1, n // 6)):
+            pairs.append(({**values, i: antipode(graph, values[i])}, new_values))
+        for i in range(n, n2, max(1, (n2 - n) // 6)):
+            pairs.append((values, {**new_values, i: antipode(graph, new_values[i])}))
+        verdicts = set()
+        for coarse, fine in pairs:
+            m1 = SimplicialMap(dom.triangulation, target, coarse)
+            m2 = SimplicialMap(new_dom.triangulation, target, fine)
+            for m in (m1, m2):
+                assert check_simplicial(m) == sd_oracle.all_simplices_check_simplicial(m)
+            verdict = sd_compatibility(m1, m2, face_vertex)
+            assert verdict == sd_oracle.permutation_sd_compatibility(m1, m2, face_vertex)
+            verdicts.add(verdict)
+        assert verdicts == ({False} if name == "circle:3" else {True, False})
 
 
 def test_nearest_samples_takes_first_on_ties():

@@ -1,6 +1,9 @@
 """Property tests of the GF(2) homology against the hand-written eliminations
 in ``homology_oracle``: Betti numbers at every level a complex allows, and
-the whole induced map on H1 of random simplicial self-maps."""
+the whole induced map on H1 of random simplicial self-maps.  The same maps,
+perturbed until some are not simplicial, and random complexes check the
+subdivision builders, the maximal-simplex walk, ``check_simplicial`` and
+``sd_compatibility`` against the code they replaced, in ``sd_oracle``."""
 
 from itertools import combinations
 
@@ -10,7 +13,20 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import homology_oracle  # noqa: E402
-from vrclosure import Graph, SimplicialMap, betti_numbers, check_simplicial, induced_h1, vietoris_rips  # noqa: E402
+import sd_oracle  # noqa: E402
+from vrclosure import (  # noqa: E402
+    Graph,
+    SampledDomain,
+    SimplicialComplex,
+    SimplicialMap,
+    barycentric_subdivision,
+    betti_numbers,
+    check_simplicial,
+    induced_h1,
+    subdivide_domain,
+    vietoris_rips,
+)
+from vrclosure.pipeline import sd_compatibility  # noqa: E402
 
 FUZZ = hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -105,3 +121,68 @@ def test_induced_h1_matches_oracle(m):
     got = induced_h1(m)
     assert got == homology_oracle.induced_h1(m)
     hypothesis.event("beta_1 > 0" if got.source_betti1 else "beta_1 = 0")
+
+
+# -- subdivision builders and the maximal-simplex walk ----------------------
+
+
+@st.composite
+def complexes(draw):
+    """The downward closure of a few random simplices on up to 8 vertices,
+    under a random cap: non-pure complexes and isolated vertices included."""
+    simplices = draw(
+        st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), min_size=1, max_size=6)
+    )
+    return SimplicialComplex.from_simplices(simplices, draw(st.integers(0, 3)))
+
+
+@FUZZ
+@hypothesis.given(complexes())
+def test_subdivision_builders_match_oracle(k):
+    assert barycentric_subdivision(k) == sd_oracle.sorted_barycentric_subdivision(k)
+    got = list(k.maximal_simplices())
+    assert len(got) == len(set(got))
+    assert set(got) == set(sd_oracle.maximal_by_definition(k))
+    dom = SampledDomain([[float(v), float(v * v)] for v in range(max(k.vertices) + 1)], k)
+    new_dom, _, face_vertex = subdivide_domain(dom, dict.fromkeys(range(dom.n_samples), 0))
+    assert (new_dom.triangulation, face_vertex) == sd_oracle.renamed_subdivision(dom)
+
+
+def assert_verdicts_match_oracles(draw, m1, images):
+    """``check_simplicial`` and ``sd_compatibility`` on ``m1`` and a
+    refinement on sd(K), whose barycenters take the m1-image of their face's
+    first vertex or, for a drawn few, any of ``images``."""
+    sd = barycentric_subdivision(m1.source)
+    fine = {face: m1(face[0]) for face in sd.vertices}
+    for face in draw(st.lists(st.sampled_from(sd.vertices), max_size=3)):
+        fine[face] = draw(st.sampled_from(images))
+    m2 = SimplicialMap(sd, m1.target, fine)
+    for m in (m1, m2):
+        assert check_simplicial(m) == sd_oracle.all_simplices_check_simplicial(m)
+    face_vertex = {face: face for face in sd.vertices}
+    verdict = sd_compatibility(m1, m2, face_vertex)
+    assert verdict == sd_oracle.permutation_sd_compatibility(m1, m2, face_vertex)
+    hypothesis.event(f"m2 simplicial: {check_simplicial(m2)}, compatible: {verdict}")
+
+
+@FUZZ
+@hypothesis.given(complexes(), st.data())
+def test_random_maps_match_oracles(k, data):
+    # any vertex map into a random clique complex on 5 vertices
+    draw = data.draw
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(5), 2)))))
+    target = vietoris_rips(Graph(range(5), edges), draw(st.integers(0, 3)))
+    m1 = SimplicialMap(k, target, {v: draw(st.integers(0, 4)) for v in k.vertices})
+    assert_verdicts_match_oracles(draw, m1, list(range(5)))
+
+
+@FUZZ
+@hypothesis.given(self_maps(), st.data())
+def test_perturbed_self_maps_match_oracles(m, data):
+    draw = data.draw
+    images = dict(m.vertex_images)
+    for v in draw(st.lists(st.sampled_from(m.source.vertices), max_size=2)):
+        images[v] = draw(st.sampled_from(m.target.vertices))
+    m1 = SimplicialMap(m.source, m.target, images)
+    hypothesis.event(f"m1 simplicial: {check_simplicial(m1)}")
+    assert_verdicts_match_oracles(draw, m1, list(m.target.vertices))
