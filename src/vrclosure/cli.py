@@ -97,8 +97,9 @@ def complex_to_json(k: SimplicialComplex) -> dict:
     }
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = canonical_json(report)
+def _emit(report: dict | str, out: str | None) -> None:
+    """Print a report, or write it to ``out``; a string is its canonical JSON."""
+    text = report if isinstance(report, str) else canonical_json(report)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {out}", file=sys.stderr)
@@ -117,10 +118,11 @@ def cmd_build(args) -> int:
     graph = load_graph(args.graph)
     k = vietoris_rips(graph, args.max_dim)
     print(f"simplex counts by dimension: {k.counts()}", file=sys.stderr)
-    body = complex_to_json(k)
-    report = dict(body)
-    report["digest"] = fnv1a64(canonical_json(body))
-    _emit(report, args.out)
+    # the body is encoded once: the report is its canonical text with
+    # "digest" spliced in at its sorted place, right after "counts"
+    body = canonical_json(complex_to_json(k))
+    at = len(f'{{"counts":{canonical_json(k.counts())}')
+    _emit(f'{body[:at]},"digest":"{fnv1a64(body)}"{body[at:]}', args.out)
     return 0
 
 

@@ -124,19 +124,21 @@ class SimplicialComplex:
         else:
             verts = sort_vertices(vertices)
         index = {v: i for i, v in enumerate(verts)}
+        # faces are collected as sorted index tuples, whose default order is
+        # the simplex order, and named by their vertices once at the end
         levels: list = [set() for _ in range(dim_cap + 1)]
-        for v in verts:
-            levels[0].add((v,))
+        levels[0].update((i,) for i in range(len(verts)))
         for s in given:
             if len(set(s)) != len(s):
                 raise ValueError(f"simplex {s} has repeated vertices")
             if not all(v in index for v in s):
                 raise ValueError(f"simplex {s} uses vertices outside the vertex set")
-            canon = tuple(sorted(s, key=index.__getitem__))
+            canon = sorted(map(index.__getitem__, s))
             for k in range(1, min(len(canon), dim_cap + 1)):
-                for face in combinations(canon, k + 1):
-                    levels[k].add(face)
-        by_dim = [sorted(level, key=lambda s: tuple(index[v] for v in s)) for level in levels]
+                levels[k].update(combinations(canon, k + 1))
+        by_dim = [sorted(level) for level in levels]
+        if verts != tuple(range(len(verts))):
+            by_dim = [[tuple(map(verts.__getitem__, s)) for s in level] for level in by_dim]
         return cls(verts, by_dim, dim_cap)
 
 

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
-from .complex import SimplicialComplex, SimplicialMap, vietoris_rips
+import numpy as np
+
+from .complex import SimplicialComplex, SimplicialMap, subdivision_counts, vietoris_rips
 from .graph import Graph
 from .homology import induced_h1
 from .realization import BaryPoint, subdivision_depth_for_mesh
@@ -30,6 +34,16 @@ from .transform import (
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+
+#: bytes hashed per numpy pass; the chunk's scratch and the power table
+#: below stay a few tens of KB
+FNV_CHUNK = 1 << 12
+
+#: FNV_PRIME ** (k + 1) mod 2**64 at index k; uint64 products wrap
+_FNV_POWERS = np.full(FNV_CHUNK, FNV_PRIME, dtype=np.uint64)
+np.cumprod(_FNV_POWERS, out=_FNV_POWERS)
+_FNV_PRIME_LOW = np.uint8(FNV_PRIME & 0xFF)
 
 
 def canonical_json(obj) -> str:
@@ -38,16 +52,61 @@ def canonical_json(obj) -> str:
 
 
 def fnv1a64(text: str) -> str:
-    """64-bit FNV-1a digest of a string, as fixed-width hex."""
+    """64-bit FNV-1a digest of a string's UTF-8 bytes, as fixed-width hex.
+
+    Exact, without a loop over bytes.  The xor with byte b only changes the
+    state's low byte l, so it adds d = (l ^ b) - l, and after m bytes the
+    state is P**m * h + sum(P**(m - i) * d_i) mod 2**64: one uint64 dot
+    product.  The low bytes follow l' = (l ^ b) * P mod 256, where bit j of
+    l' is bit j of l ^ b xor a function of its lower bits, so once the lower
+    bits of every l are known, bit j is a prefix xor: eight passes of
+    ``bitwise_xor.accumulate``.  Chunks of ``FNV_CHUNK`` bytes carry the
+    state from one to the next.
+    """
+    raw = text.encode("utf-8")
     h = FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    for start in range(0, len(raw), FNV_CHUNK):
+        m = min(FNV_CHUNK, len(raw) - start)
+        data = np.frombuffer(raw, dtype=np.uint8, count=m, offset=start)
+        low = np.zeros(m, dtype=np.uint8)
+        low[0] = h & 0xFF
+        step = np.empty_like(low)
+        for j in range(8):
+            # with bits j and up of low[1:] still 0, bit j of step[i] is
+            # bit j of low[i + 1] xor low[i]; low[0] is whole, so the prefix
+            # xor is bit j of low[i + 1] itself
+            np.bitwise_xor(low, data, out=step)
+            np.multiply(step, _FNV_PRIME_LOW, out=step)
+            np.bitwise_and(step, np.uint8(1 << j), out=step)
+            np.bitwise_xor.accumulate(step, out=step)
+            low[1:] |= step[:-1]
+        # byte i of m adds d_i * P**(m - i): the powers dotted with d reversed
+        low, data = low[::-1], data[::-1]
+        d = (low ^ data).astype(np.uint64)
+        d -= low  # a negative difference wraps mod 2**64
+        h = (int(_FNV_POWERS[m - 1]) * h + int(np.dot(_FNV_POWERS[:m], d))) & _MASK64
     return f"{h:016x}"
 
 
+@lru_cache(maxsize=4)
+def _sample_keys(n: int) -> tuple:
+    """Samples 0..n-1 in the string order of their JSON keys, and each key
+    with its colon: the layout ``canonical_json`` gives a value map."""
+    order = tuple(sorted(range(n), key=str))
+    return order, tuple(f'"{i}":' for i in order)
+
+
 def digest_map(f: DiscreteMap) -> str:
-    return fnv1a64(canonical_json(f.to_json_dict()))
+    """``fnv1a64`` of the canonical JSON of ``{"base": str(base), "values":
+    {str(i): str(value)}}``, written directly: one token per distinct value,
+    escaped as ``canonical_json`` escapes strings."""
+    order, keys = _sample_keys(f.domain.n_samples)
+    values = list(map(f.values.__getitem__, order))
+    distinct = set(values)
+    token = dict(zip(distinct, map(encode_basestring_ascii, map(str, distinct))))
+    body = ",".join(map(str.__add__, keys, map(token.__getitem__, values)))
+    base = encode_basestring_ascii(str(f.base_value))
+    return fnv1a64(f'{{"base":{base},"values":{{{body}}}}}')
 
 
 @dataclass
@@ -176,8 +235,22 @@ def run_pipeline(
     extra_subdivisions: int = 0,
     check_sd: bool = False,
 ) -> dict:
-    """Run the full pipeline and return the per-stage report dict."""
+    """Run the full pipeline and return the per-stage report dict.
+
+    With ``check_sd`` the extra round is refused before any flood when the
+    domain refined ``extra_subdivisions`` times, the least depth the pipeline
+    can choose, is already too big for it; subdivision never shrinks a
+    domain.  The final domain's own counts are checked before ``induced_h1``.
+    """
+    if check_sd:
+        counts = domain.triangulation.counts()
+        check_sample_budget(counts, extra_subdivisions)
+        for _ in range(extra_subdivisions):
+            counts = subdivision_counts(counts)
+        check_sample_budget(counts, 1)
     art = build_pipeline(graph, domain, sample_points, extra_subdivisions)
+    if check_sd:
+        check_sample_budget(art.final_domain.triangulation.counts(), 1)
     ih1 = induced_h1(art.simplicial_map)
     report = {
         "graph": {"vertices": len(graph.vertices), "edges": len(graph.edges)},
@@ -202,7 +275,6 @@ def run_pipeline(
         "final_digest": digest_map(art.final_map),
     }
     if check_sd:
-        check_sample_budget(art.final_domain.triangulation.counts(), 1)
         m2, face_vertex = refine_once(art)
         report["sd_compatible"] = sd_compatibility(art.simplicial_map, m2, face_vertex)
     return report

@@ -27,8 +27,11 @@ from .realization import BaryPoint, NotAClique, theta_on_graph
 Vertex = Hashable
 
 
-#: distance cells per row block in the blocked scans (2 MB of floats)
-BLOCK_CELLS = 1 << 18
+#: distance cells per row block in every blocked scan: 256 KB of floats, so
+#: a block and the scratch arrays of its size stay within a 2 MB per-core L2
+#: cache; 2 MB blocks ran the scans at memory speed, about twice as slow.
+#: Each cell and each row's min and max do not depend on the block bounds
+BLOCK_CELLS = 1 << 15
 
 
 #: most samples a pipeline domain may have, as given or after its chosen
@@ -36,11 +39,6 @@ BLOCK_CELLS = 1 << 18
 #: 10,242 samples) and icosa:4 refined once (15,362); the certificate's full
 #: scan is quadratic, 2.7e8 distances at this size
 MAX_SAMPLES = 1 << 14
-
-
-#: cells per row block of the nearest-sample scan (128 KB of floats); 2 MB
-#: blocks ran slower and raised peak memory
-NEAREST_BLOCK_CELLS = 1 << 14
 
 
 def _distances_to(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -201,7 +199,7 @@ class SampledDomain:
         """
         points = np.asarray(points, dtype=float)
         out = np.empty(len(points), dtype=np.intp)
-        step = max(1, NEAREST_BLOCK_CELLS // self.n_samples)
+        step = max(1, BLOCK_CELLS // self.n_samples)
         for start in range(0, len(points), step):
             block = _distances_to(points[start : start + step], self.coords)
             out[start : start + step] = np.argmin(block, axis=1)
@@ -244,12 +242,6 @@ class DiscreteMap:
 
     def with_values(self, new_values: Mapping[int, Vertex]) -> "DiscreteMap":
         return DiscreteMap(self.domain, self.target, dict(new_values), self.base_value)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": str(self.base_value),
-            "values": {str(i): str(self.values[i]) for i in range(self.domain.n_samples)},
-        }
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
-"""The label-level edge-list parser and clique enumeration that the
-index-native graph layer replaced, kept as test oracles: the parser converts
-each line's tokens on its own, and the enumeration intersects label-index
-neighbour sets for every simplex, then relabels the levels."""
+"""The label-level edge-list parser, clique enumeration and simplex sort
+that the index-native graph layer replaced, kept as test oracles: the parser
+converts each line's tokens on its own, the enumeration intersects
+label-index neighbour sets for every simplex, then relabels the levels, and
+``from_simplices`` sorts label tuples by a key of vertex indices."""
+
+from itertools import combinations
 
 from vrclosure import Graph, SimplicialComplex
 from vrclosure.cli import InputError
+from vrclosure.graph import sort_vertices
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -64,3 +68,20 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
         by_dim.append(nxt)
     levels = [[tuple(verts[i] for i in s) for s in level] for level in by_dim]
     return SimplicialComplex(verts, levels, dim_cap)
+
+
+def from_simplices(simplices, dim_cap, vertices=None):
+    """Downward closure on label tuples, each level sorted by a key of
+    vertex indices built per simplex."""
+    given = [tuple(s) for s in simplices]
+    verts = sort_vertices({v for s in given for v in s} if vertices is None else vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    levels = [set() for _ in range(dim_cap + 1)]
+    for v in verts:
+        levels[0].add((v,))
+    for s in given:
+        canon = tuple(sorted(s, key=index.__getitem__))
+        for k in range(1, min(len(canon), dim_cap + 1)):
+            levels[k].update(combinations(canon, k + 1))
+    by_dim = [sorted(level, key=lambda s: tuple(index[v] for v in s)) for level in levels]
+    return SimplicialComplex(verts, by_dim, dim_cap)

@@ -331,12 +331,26 @@ class TestRefusals:
         monkeypatch.setattr(transform, "MAX_SAMPLES", 31)
         monkeypatch.setattr(pipeline, "refine_once", _fail_if_called)
         argv = ["pipeline", c4_file, "--domain", "circle:16", "--map", "quarter-arc"]
-        code, out, err = run_cli(capsys, *argv, "--check-sd")
+        with monkeypatch.context() as mp:
+            # the least depth, --subdivisions, already refuses the round
+            mp.setattr(pipeline, "flood_stages", _fail_if_called)
+            code, out, err = run_cli(capsys, *argv, "--check-sd")
         assert (code, out) == (2, "")
         assert "more than 31 samples after 1 subdivision rounds" in err
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["depth"] == {"chosen": 0, "required": 0}
+
+    def test_check_sd_round_refused_before_induced_h1(self, capsys, c4_file, monkeypatch):
+        # a chosen depth of 2 takes circle:16 to 64 samples, under the
+        # ceiling; only the --check-sd round from there passes it
+        monkeypatch.setattr(transform, "MAX_SAMPLES", 127)
+        monkeypatch.setattr(pipeline, "subdivision_depth_for_mesh", lambda *args: 2)
+        monkeypatch.setattr(pipeline, "induced_h1", _fail_if_called)
+        argv = ["pipeline", c4_file, "--domain", "circle:16", "--map", "quarter-arc", "--check-sd"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "more than 127 samples after 1 subdivision rounds" in err
 
     def test_budget_boundary(self):
         circle = [4096, 4096]  # each round doubles a circle's samples

@@ -30,6 +30,7 @@ from vrclosure import (
     discrete_modify,
     flood,
     flood_stage_radii,
+    flood_stages,
     induced_h1,
     octahedron_graph,
     subdivide_domain,
@@ -37,6 +38,7 @@ from vrclosure import (
 )
 from vrclosure import transform
 from vrclosure.domains import (
+    OCTAHEDRON_POLES,
     antipodal_quarter_arc_map,
     circle_domain,
     constant_map,
@@ -591,6 +593,86 @@ class TestFloodDifferential:
                         hypothesis.event(f"trial {assert_same_flood(f, v, trial)}")
 
         check()
+
+
+
+# -- block size ------------------------------------------------------------
+
+
+def near_pole_flip(dom, f, pole, rank):
+    """``f`` with its ``rank``-th sample nearest ``pole`` (never the
+    basepoint 0) sent to the antipodal vertex, as the benchmark's flipped
+    map is drawn: no flood overwrites such a flip."""
+    gaps = np.linalg.norm(dom.coords - OCTAHEDRON_POLES[pole], axis=1)
+    near = sorted(range(1, dom.n_samples), key=lambda i: (gaps[i], i))
+    return flipped(f, near[rank])
+
+
+def blocked_scans(make_map):
+    """What every blocked scan gives on a freshly built domain and map: the
+    diameter, each flood stage's radii and values, the certificate's radii
+    or failure, and the nearest sample to each subdivision barycenter."""
+    f = make_map()
+    dom = f.domain
+    stages = []
+    try:
+        for v, radii, flooded in flood_stages(f):
+            stages.append((v, radii, dict(flooded.values)))
+        final = flooded
+    except CertificateFailure as exc:
+        stages.append((exc.stage, exc.pair, exc.values, exc.detail))
+        final = f
+    cert = outcome(clique_certificate, final)
+    cert = cert if cert[0] == "fail" else ("ok", cert[1].radii, cert[1].delta)
+    tri = dom.triangulation
+    centers = np.vstack([dom.coords[np.array(tri.simplices(d))].mean(axis=1) for d in (1, 2) if tri.simplices(d)])
+    return dom.diameter, stages, cert, dom.nearest_samples(centers).tolist()
+
+
+def icosa_map(k, flip=None):
+    def make():
+        dom = icosphere_domain(k)
+        octa = octahedron_graph()
+        f = discrete_modify(nearest_pole_map(dom, octa), dom, octa)
+        return f if flip is None else near_pole_flip(dom, f, *flip)
+
+    return make
+
+
+def circle_map(n):
+    def make():
+        dom = circle_domain(n)
+        return discrete_modify(quarter_arc_map(dom, cycle_graph(4)), dom, cycle_graph(4))
+
+    return make
+
+
+class TestBlockIndependence:
+    """Every cell is the same ``_distances_to`` sum whatever the block, and
+    row minima and maxima do not depend on where blocks start."""
+
+    @pytest.mark.parametrize(
+        "make_map",
+        [icosa_map(3), icosa_map(3, flip=(4, 0)), icosa_map(3, flip=(1, 5)), circle_map(256), circle_map(300)],
+        ids=["icosa3", "icosa3-flipped-a", "icosa3-flipped-b", "circle256", "circle300"],
+    )
+    def test_one_cell_and_whole_matrix_blocks(self, make_map, monkeypatch):
+        default = blocked_scans(make_map)
+        for cells in (1, 1 << 30):
+            monkeypatch.setattr(transform, "BLOCK_CELLS", cells)
+            assert blocked_scans(make_map) == default
+
+    def test_flipped_maps_fail_at_the_flip(self):
+        # the flipped maps above pass every flood stage and fail the
+        # certificate at the flipped sample
+        plain = icosa_map(3)().values
+        for flip in ((4, 0), (1, 5)):
+            flipped_map = icosa_map(3, flip=flip)
+            (sample,) = [i for i, v in flipped_map().values.items() if v != plain[i]]
+            _, stages, cert, _ = blocked_scans(flipped_map)
+            assert len(stages) == 6
+            assert cert[0] == "fail" and cert[1][0] == "clique certificate"
+            assert sample in cert[1][1]
 
 
 # -- largest simplex diameter ----------------------------------------------
