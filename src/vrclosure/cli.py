@@ -133,9 +133,7 @@ def cmd_betti(args) -> int:
     dim_cap = args.max_dim if args.max_dim is not None else args.max_k + 1
     if args.max_k >= dim_cap:
         raise InputError(f"--max-k {args.max_k} needs --max-dim at least {args.max_k + 1}")
-    # Betti numbers and the Euler characteristic do not depend on the vertex
-    # order, and the reductions are shorter in descending-degree order
-    k = vietoris_rips(graph.by_degree(), dim_cap)
+    k = vietoris_rips(graph, dim_cap)
     report = {
         "field": "GF(2)",
         "betti": betti_numbers(k, args.max_k),

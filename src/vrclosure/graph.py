@@ -91,20 +91,6 @@ class Graph:
         g.index_neighbors = nbrs
         return g
 
-    def by_degree(self) -> "Graph":
-        """The same graph on vertices ``0..n-1``, numbered by descending
-        degree, ties in this graph's vertex order.
-
-        Relabelling changes no invariant of the clique complex, and the GF(2)
-        reductions of dense flag complexes are shorter in this order.
-        """
-        nbrs = self.index_neighbors
-        order = sorted(range(len(nbrs)), key=lambda i: -len(nbrs[i]))
-        new = [0] * len(order)
-        for r, i in enumerate(order):
-            new[i] = r
-        return Graph._of(tuple(range(len(order))), [set(map(new.__getitem__, nbrs[i])) for i in order])
-
     @cached_property
     def edges(self) -> frozenset:
         """Edges as label pairs ``(u, v)`` with ``u`` before ``v``."""

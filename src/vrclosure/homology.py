@@ -3,8 +3,11 @@ induced maps on H1, and edge-path group presentations.
 
 Chains are Python int bitsets, and every elimination (coboundary ranks, the
 cycle kernel, the H1 echelon and H1 coordinates) is one reduction by the
-lowest set bit against a dict of pivots, ``_reduce``.  No column whose fate
-is known in advance is reduced:
+highest set bit against a dict of pivots keyed by ``bit_length()``,
+``_reduce``: each step is one XOR and one lookup under a small int, with no
+big-int negation or mask.  Pivoting from the top, as Ripser's coboundary
+reduction does, keeps dense flag complexes short in their own vertex order.
+No column whose fate is known in advance is reduced:
 
 * beta_0 and the rank of the edge boundary come from a union-find spanning
   forest, with no elimination at all;
@@ -28,17 +31,18 @@ Vertex = Hashable
 
 
 def _reduce(pivots: dict, vec: int, tag: int = 0) -> tuple:
-    """Reduce ``vec`` by its lowest set bit against ``pivots``, which maps
-    each lowest bit to ``(vector, tag)``, XOR-ing the tags of the pivots used.
+    """Reduce ``vec`` by its highest set bit against ``pivots``, which maps
+    each ``bit_length()`` to ``(vector, tag)``, XOR-ing the tags of the pivots
+    used.
 
-    Returns ``(residue, tag)``: the residue is zero, or its lowest bit has no
-    pivot yet and it can be stored as a new one under that bit.
+    Returns ``(residue, tag)``: the residue is zero, or its ``bit_length()``
+    has no pivot yet and it can be stored as a new one under that key.
     """
     while vec:
-        low = vec & -vec
-        if low not in pivots:
+        top = vec.bit_length()
+        if top not in pivots:
             break
-        pvec, ptag = pivots[low]
+        pvec, ptag = pivots[top]
         vec ^= pvec
         tag ^= ptag
     return vec, tag
@@ -46,12 +50,13 @@ def _reduce(pivots: dict, vec: int, tag: int = 0) -> tuple:
 
 def _echelon(columns: Iterable[int]) -> dict:
     """Reduce the int bitset columns in order; returns the pivots dict, one
-    entry per independent column, keyed by its reduced lowest bit."""
+    entry per independent column, keyed by the ``bit_length()`` of its
+    reduction."""
     pivots: dict = {}
     for col in columns:
         col, _ = _reduce(pivots, col)
         if col:
-            pivots[col & -col] = (col, 0)
+            pivots[col.bit_length()] = (col, 0)
     return pivots
 
 
@@ -104,7 +109,7 @@ def _coboundary_rank(k: SimplicialComplex, d: int, cleared: set) -> tuple:
     columns (d-simplex positions) outside ``cleared``.
 
     Returns ``(rank, pivots)``, the pivots being the positions of the
-    (d+1)-simplices that are the lowest bits of the reduced columns.
+    (d+1)-simplices that are the highest bits of the reduced columns.
     """
     cofaces = k.simplices(d + 1)
     if not cofaces:
@@ -116,7 +121,7 @@ def _coboundary_rank(k: SimplicialComplex, d: int, cleared: set) -> tuple:
         for face in combinations(s, d + 1):
             columns[index[face]] |= bit
     pivots = _echelon(c for j, c in enumerate(columns) if j not in cleared)
-    return len(pivots), {low.bit_length() - 1 for low in pivots}
+    return len(pivots), {top - 1 for top in pivots}
 
 
 def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
@@ -135,9 +140,9 @@ def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
       their sum is the coboundary of A's indicator, so delta_1 t is the sum
       of delta_1 of those non-tree edges.
     * d >= 2, the pivots of delta_{d-1}.  A reduced column of delta_{d-1} is
-      a coboundary r whose lowest bit is a d-simplex tau, so delta_d r = 0
-      writes delta_d tau as a sum of columns with larger index.  Taken from
-      the largest down, every cleared column is a sum of uncleared ones.
+      a coboundary r whose highest bit is a d-simplex tau, so delta_d r = 0
+      writes delta_d tau as a sum of columns with smaller index.  Taken from
+      the smallest up, every cleared column is a sum of uncleared ones.
 
     A level without (d+1)-simplices has rank 0 and clears nothing above it.
     """
@@ -186,8 +191,9 @@ class _H1Context:
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
 
         self.echelon: dict = {}
-        for bits in boundary_columns(k, 2):
-            self._insert(bits, 0)
+        index = self.edge_index
+        for a, b, c in k.simplices(2):
+            self._insert((1 << index[a, b]) | (1 << index[a, c]) | (1 << index[b, c]), 0)
         need = len(self.edges) - len(_spanning_forest(k)) - len(self.echelon)
         self.h1_basis = []
         cycles = self._edge_cycles(k)
@@ -204,14 +210,14 @@ class _H1Context:
         for j, (u, w) in enumerate(self.edges):
             vec, comb = _reduce(pivots, (1 << vrows[u]) | (1 << vrows[w]), 1 << j)
             if vec:
-                pivots[vec & -vec] = (vec, comb)
+                pivots[vec.bit_length()] = (vec, comb)
             else:
                 yield comb
 
     def _insert(self, vec: int, coord: int) -> bool:
         vec, coord = _reduce(self.echelon, vec, coord)
         if vec:
-            self.echelon[vec & -vec] = (vec, coord)
+            self.echelon[vec.bit_length()] = (vec, coord)
         return bool(vec)
 
     def coordinates(self, cycle: int) -> int:

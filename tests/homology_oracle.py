@@ -1,7 +1,9 @@
 """The hand-written GF(2) eliminations that ``homology._reduce`` replaced,
 kept as test oracles: the dense bitset rank, the H1 reduction context with
 its own copies of the kernel, insertion and coordinate loops, and the Betti
-numbers and induced map on H1 built on them."""
+numbers and induced map on H1 built on them.  They pivot on the lowest set
+bit, so they share no convention with ``_reduce``, which pivots on the
+highest."""
 
 from itertools import combinations
 

@@ -1,7 +1,7 @@
 """The index-native graph layer against the label-level code it replaced
 (``graph_oracle``) and independent oracles: the one-pass edge-list parser,
-clique enumeration with carried candidate sets, ``betti`` computed in
-descending-degree order, the clique ceiling and the layer's memory."""
+clique enumeration with carried candidate sets, ``betti`` against the
+dense-rank oracle, the clique ceiling and the layer's memory."""
 
 import contextlib
 import io
@@ -132,15 +132,6 @@ def test_betti_prints_the_canonical_complex_homology(graph_file, g, max_k):
         "euler": euler_characteristic(k),
     }
     assert out.getvalue() == canonical_json(want) + "\n"
-
-
-def test_by_degree_numbers_vertices_by_descending_degree():
-    # degrees: 0:1, 1:3, 2:2, 3:2, 4:0 -> order 1, 2, 3, 0, 4
-    g = Graph([0, 1, 2, 3, 4], [(0, 1), (1, 2), (1, 3), (2, 3)])
-    h = g.by_degree()
-    assert h.vertices == (0, 1, 2, 3, 4)
-    assert h.edges == {(0, 3), (0, 1), (0, 2), (1, 2)}
-    assert [len(s) for s in h.index_neighbors] == [3, 2, 2, 1, 0]
 
 
 # -- clique ceiling and memory ---------------------------------------------

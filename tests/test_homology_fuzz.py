@@ -1,5 +1,6 @@
 """Property tests of the GF(2) homology against the hand-written eliminations
-in ``homology_oracle``: Betti numbers at every level a complex allows, and
+in ``homology_oracle``: Betti numbers at every level a complex allows, each
+cleared coboundary rank against the dense rank of the full coboundary, and
 the whole induced map on H1 of random simplicial self-maps.  The same maps,
 perturbed until some are not simplicial, and random complexes check the
 subdivision builders, the maximal-simplex walk, ``check_simplicial`` and
@@ -22,22 +23,33 @@ from vrclosure import (  # noqa: E402
     barycentric_subdivision,
     betti_numbers,
     check_simplicial,
+    complete_graph,
     induced_h1,
     subdivide_domain,
     vietoris_rips,
 )
+from vrclosure import homology  # noqa: E402
 from vrclosure.pipeline import sd_compatibility  # noqa: E402
 
 FUZZ = hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+SIZES = {
+    "random": st.integers(1, 6),
+    "cycle": st.integers(4, 8),
+    "complete": st.integers(5, 6),
+    "cross": st.sampled_from([4, 6, 8]),
+}
+
+
 @st.composite
-def blocks(draw):
+def blocks(draw, kinds=("random", "cycle")):
     """Components of a graph as vertex lists over shuffled labels, with their
-    kind: random (isolated vertices and cliques included) or a cycle C_m,
-    m >= 4, whose clique complex has beta_1 = 1."""
-    kinds = draw(st.lists(st.sampled_from(["random", "cycle"]), min_size=1, max_size=4))
-    sizes = [draw(st.integers(1, 6) if kind == "random" else st.integers(4, 8)) for kind in kinds]
+    kind: random (isolated vertices and cliques included), a cycle C_m,
+    m >= 4, whose clique complex has beta_1 = 1, and, when asked for, K5 or
+    K6 and the cross-polytopes of dimension 2 to 4 (spheres S^1 to S^3)."""
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    sizes = [draw(SIZES[kind]) for kind in kinds]
     labels = draw(st.permutations(range(sum(sizes))))
     out, start = [], 0
     for kind, size in zip(kinds, sizes):
@@ -50,14 +62,20 @@ def block_edges(draw, kind, vs):
     if kind == "cycle":
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
     pairs = list(combinations(vs, 2))
+    if kind == "complete":
+        return pairs
+    if kind == "cross":
+        # every pair but the antipodes vs[i], vs[i + m]
+        m = len(vs) // 2
+        return [(vs[i], vs[j]) for i, j in combinations(range(len(vs)), 2) if j != i + m]
     if draw(st.booleans()):
         return pairs
     return [p for p in pairs if draw(st.booleans())]
 
 
 @st.composite
-def graphs_with_blocks(draw):
-    parts = draw(blocks())
+def graphs_with_blocks(draw, kinds=("random", "cycle")):
+    parts = draw(blocks(kinds))
     edges = [e for kind, vs in parts for e in block_edges(draw, kind, vs)]
     return Graph(range(sum(len(vs) for _, vs in parts)), edges), parts
 
@@ -70,6 +88,38 @@ def test_betti_numbers_match_oracle(case, cap):
     k = vietoris_rips(g, cap)
     for max_k in range(cap):
         assert betti_numbers(k, max_k) == homology_oracle.betti_numbers(k, max_k)
+
+
+def coboundary_columns(k, d):
+    """The full coboundary delta_d: one column per d-simplex, one row per
+    (d+1)-simplex, no column cleared."""
+    index = {s: j for j, s in enumerate(k.simplices(d))}
+    columns = [0] * len(index)
+    for i, s in enumerate(k.simplices(d + 1)):
+        for face in combinations(s, d + 1):
+            columns[index[face]] |= 1 << i
+    return columns
+
+
+@FUZZ
+@hypothesis.given(graphs_with_blocks(("random", "cycle", "complete", "cross")), st.integers(2, 7))
+@hypothesis.example((complete_graph(6), None), 6)
+@hypothesis.example((Graph(range(8), [(i, j) for i, j in combinations(range(8), 2) if j != i + 4]), None), 5)
+def test_cleared_coboundary_ranks_match_the_full_rank(case, cap):
+    # clearing skips the forest's edges at d = 1 and the pivots of the level
+    # below at d >= 2; neither may change the rank, and every pivot must be
+    # a (d+1)-simplex, or the next level would skip a column it should not
+    g, _ = case
+    k = vietoris_rips(g, cap)
+    cleared = homology._spanning_forest(k)
+    for d in range(1, cap):
+        rank, pivots = homology._coboundary_rank(k, d, cleared)
+        assert rank == homology_oracle.gf2_rank_dense(coboundary_columns(k, d))
+        assert len(pivots) == rank
+        assert all(0 <= p < len(k.simplices(d + 1)) for p in pivots)
+        if d >= 2:
+            hypothesis.event("d >= 2 clears columns" if cleared else "d >= 2 clears nothing")
+        cleared = pivots
 
 
 def dominated_fold(g, vs):
