@@ -201,11 +201,13 @@ def build_sample_map(spec: str, domain, graph: Graph, seed: int):
         try:
             data = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
             values = data["values"]
+            point: dict = {}  # by repr, which keeps 1, 1.0, True and "1" apart
             out = {}
             for i in range(domain.n_samples):
-                tok = values[str(i)]
-                (vertex,) = _coerce_carrier(graph, [tok])
-                out[i] = BaryPoint.of_vertex(vertex)
+                key = repr(tok := values[str(i)])
+                if key not in point:
+                    point[key] = BaryPoint.of_vertex(*_coerce_carrier(graph, [tok]))
+                out[i] = point[key]
             return out
         except InputError:
             raise

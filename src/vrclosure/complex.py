@@ -31,8 +31,8 @@ class SimplicialComplex:
     The constructor trusts its levels: each simplex must be strictly
     increasing in the vertex order, every face of a simplex must be present,
     and each level must be in that lexicographic order.  ``from_simplices``,
-    ``vietoris_rips`` and ``barycentric_subdivision`` build such levels;
-    arbitrary simplex lists go through ``from_simplices``.
+    ``vietoris_rips``, ``barycentric_subdivision`` and the domain builders
+    build such levels; arbitrary simplex lists go through ``from_simplices``.
     """
 
     def __init__(self, vertices: Sequence[Vertex], by_dim: Sequence[Sequence[Simplex]], dim_cap: int):

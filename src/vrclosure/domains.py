@@ -38,8 +38,8 @@ def circle_domain(n: int, basepoint: int = 0) -> SampledDomain:
         raise ValueError("need at least 3 samples on the circle")
     angles = 2.0 * math.pi * np.arange(n) / n
     coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    tri = SimplicialComplex.from_simplices(edges, dim_cap=2, vertices=range(n))
+    edges = [(0, 1), (0, n - 1), *((i, i + 1) for i in range(1, n - 1))]  # lexicographic
+    tri = SimplicialComplex(range(n), [[(i,) for i in range(n)], edges], dim_cap=2)
     return SampledDomain(coords, tri, basepoints=(basepoint,))
 
 
@@ -68,38 +68,34 @@ def _icosahedron() -> tuple:
 def icosphere(subdivisions: int) -> tuple:
     """Icosahedron-based triangulation of the unit sphere.
 
-    Each round splits every triangle four ways at edge midpoints and projects
-    the new vertices back onto the sphere; midpoints are shared between the
-    two triangles of an edge.
+    Each round splits every triangle (a, b, c) into (a, ab, ca), (b, bc, ab),
+    (c, ca, bc) and (ab, bc, ca); midpoints are numbered as the faces first
+    meet their edges (a, b), (b, c), (c, a), and divided by ``sqrt(m.dot(m))``,
+    the ``np.linalg.norm`` of one vector, which a row-wise sum may miss by a bit.
     """
     if subdivisions < 0:
         raise ValueError("subdivision count must be nonnegative")
-    vertices, faces = _icosahedron()
-    verts = [row for row in vertices]
+    verts, faces = _icosahedron()
     for _ in range(subdivisions):
-        midpoint: dict = {}
-
-        def split(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                m = (verts[i] + verts[j]) / 2.0
-                m = m / np.linalg.norm(m)
-                midpoint[key] = len(verts)
-                verts.append(m)
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = split(a, b), split(b, c), split(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = new_faces
-    return np.array(verts), faces
+        mid: dict = {}  # sorted edge -> midpoint index
+        splits = [[mid.setdefault((i, j) if i < j else (j, i), len(verts) + len(mid))
+                   for i, j in ((a, b), (b, c), (c, a))] for a, b, c in faces]
+        ends = np.array(list(mid))
+        mids = (verts[ends[:, 0]] + verts[ends[:, 1]]) / 2.0
+        mids /= np.sqrt([m.dot(m) for m in mids])[:, None]
+        verts = np.vstack([verts, mids])
+        faces = [face for (a, b, c), (ab, bc, ca) in zip(faces, splits)
+                 for face in ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca))]
+    return verts, faces
 
 
 def icosphere_domain(subdivisions: int, basepoint: int = 0) -> SampledDomain:
     """Sampled 2-sphere: a subdivided icosahedron with its face triangulation."""
     coords, faces = icosphere(subdivisions)
-    tri = SimplicialComplex.from_simplices(faces, dim_cap=3, vertices=range(len(coords)))
+    n = len(coords)
+    triangles = sorted(tuple(sorted(face)) for face in faces)
+    edges = sorted({e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))})
+    tri = SimplicialComplex(range(n), [[(i,) for i in range(n)], edges, triangles], dim_cap=3)
     return SampledDomain(coords, tri, basepoints=(basepoint,))
 
 
@@ -110,7 +106,7 @@ def constant_map(domain: SampledDomain, graph: Graph, vertex: Vertex | None = No
     """Every sample to one vertex (the first in vertex order by default)."""
     v = graph.vertices[0] if vertex is None else vertex
     graph.index(v)
-    return {i: BaryPoint.of_vertex(v) for i in range(domain.n_samples)}
+    return dict.fromkeys(range(domain.n_samples), BaryPoint.of_vertex(v))
 
 
 def _sector_map(domain: SampledDomain, graph: Graph, offset: float) -> dict:
@@ -118,15 +114,15 @@ def _sector_map(domain: SampledDomain, graph: Graph, offset: float) -> dict:
         raise ValueError("arc maps need a planar (circle) domain")
     if len(graph.vertices) < 4:
         raise ValueError("arc maps need at least 4 target vertices")
+    points = [BaryPoint.of_vertex(v) for v in graph.vertices[:4]]
     out = {}
-    for i in range(domain.n_samples):
-        x, y = domain.coords[i]
+    for i, (x, y) in enumerate(domain.coords.tolist()):
         angle = (math.atan2(y, x) + offset) % (2.0 * math.pi)
         # keep samples that sit on a sector boundary in the upper (half-open)
         # arc despite rounding; the nudge is far below any sample spacing
         angle = (angle + 1e-9) % (2.0 * math.pi)
         sector = min(3, int(angle / (math.pi / 2.0)))
-        out[i] = BaryPoint.of_vertex(graph.vertices[sector])
+        out[i] = points[sector]
     return out
 
 
@@ -161,7 +157,8 @@ def nearest_pole_map(
     if pts.shape[1] != 3:
         raise ValueError("domain and poles have different embedding dimensions")
     nearest = _distances_to(pts, OCTAHEDRON_POLES).argmin(axis=1)
-    return {i: BaryPoint.of_vertex(graph.vertices[k]) for i, k in enumerate(nearest.tolist())}
+    points = [BaryPoint.of_vertex(v) for v in graph.vertices]
+    return dict(enumerate(map(points.__getitem__, nearest.tolist())))
 
 
 def random_rotation(seed: int) -> np.ndarray:

@@ -156,17 +156,18 @@ class SampledDomain:
         mesh = self.max_simplex_diameter()
         return mesh if mesh > 0 else 1.0
 
-    def row_blocks(self, rows: Sequence[int] | None = None) -> Iterator[tuple]:
+    def row_blocks(self, rows: Sequence[int] | None = None, columns=None) -> Iterator[tuple]:
         """Distance rows in blocks of about ``BLOCK_CELLS`` cells, built on demand.
 
-        Yields ``(lo, block)``: the distances from the samples
-        ``rows[lo : lo + len(block)]`` (every sample when ``rows`` is None) to
-        every sample.  Each block is built when the iteration reaches it.
+        Yields ``(lo, block)``: the distances from the samples ``rows[lo : lo
+        + len(block)]`` to the samples ``columns`` (every sample for None),
+        each block built when the iteration reaches it.
         """
         points = self.coords if rows is None else self.coords[np.asarray(rows, dtype=np.intp)]
-        step = max(1, BLOCK_CELLS // self.n_samples)
+        targets = self.coords if columns is None else self.coords[columns]
+        step = max(1, BLOCK_CELLS // max(1, len(targets)))
         for lo in range(0, len(points), step):
-            yield lo, _distances_to(points[lo : lo + step], self.coords)
+            yield lo, _distances_to(points[lo : lo + step], targets)
 
     def edge_lengths(self, edges: Sequence) -> np.ndarray:
         """Distance between the endpoints of each sample pair ``(u, w)``.
@@ -216,11 +217,16 @@ class DiscreteMap:
     base_value: Vertex
 
     def __post_init__(self):
-        for i in range(self.domain.n_samples):
-            if i not in self.values:
-                raise ValueError(f"no value for sample {i}")
-            if self.values[i] not in self.target:
-                raise ValueError(f"value {self.values[i]!r} is not a vertex of the target")
+        samples, values = range(self.domain.n_samples), self.values
+        is_vertex = self.target.vertex_index.__contains__
+        # the whole map at C speed; the loop below only names the first offender
+        if not (all(map(values.__contains__, samples))
+                and all(map(is_vertex, map(values.__getitem__, samples)))):
+            for i in samples:
+                if i not in values:
+                    raise ValueError(f"no value for sample {i}")
+                if values[i] not in self.target:
+                    raise ValueError(f"value {values[i]!r} is not a vertex of the target")
         if self.base_value not in self.target:
             raise ValueError(f"base value {self.base_value!r} is not a vertex of the target")
         for b in self.domain.basepoints:
@@ -267,18 +273,22 @@ def discrete_modify(
     """Compose a sampled realization-valued map with the vertex retraction.
 
     Every sample's image point must be carried by a clique of the graph
-    (``NotAClique`` otherwise); the resulting value is the least-index vertex
-    with maximal coordinate, so samples already sitting on vertices keep
-    their value.
+    (``NotAClique`` otherwise, naming the first such sample); each distinct
+    point object is retracted once, to its least-index vertex of maximal
+    coordinate, so samples already sitting on vertices keep their value.
     """
     values = {}
+    retracted: dict = {}  # id(point) -> (point, vertex); the point keeps its id unique
     for i in range(domain.n_samples):
         if i not in sample_points:
             raise ValueError(f"no image point for sample {i}")
-        try:
-            values[i] = theta_on_graph(graph, sample_points[i])
-        except NotAClique as exc:
-            raise NotAClique(f"sample {i}: {exc}") from None
+        p = sample_points[i]
+        if id(p) not in retracted:
+            try:
+                retracted[id(p)] = p, theta_on_graph(graph, p)
+            except NotAClique as exc:
+                raise NotAClique(f"sample {i}: {exc}") from None
+        values[i] = retracted[id(p)][1]
 
     if domain.basepoints:
         base = values[domain.basepoints[0]]
@@ -304,29 +314,35 @@ def _flood_scan(
     maximal, ``reach`` capped at half the diameter, and the first row with
     ``reach`` 0 fails; otherwise the given radii are checked row by row in
     preimage order.  ``covered`` marks the union of the half-radius balls.
+    Rows reach only the samples whose value is not the object ``v``: writing
+    ``v`` over ``v`` changes nothing, and every sample to avoid is among
+    them, so a single-valued map reads no column.
     """
     n = f.domain.n_samples
     covered = np.zeros(n, dtype=bool)
     preimage = f.preimage(v)
     if not preimage:
         return {}, covered
+    values = list(map(f.values.__getitem__, range(n)))
+    columns = np.flatnonzero([x is not v for x in values])
     closed = f.target.closed_neighborhood(v)
-    avoid = np.fromiter((f.values[i] not in closed for i in range(n)), dtype=bool, count=n)
+    avoid = ~np.fromiter(map(closed.__contains__, values), dtype=bool, count=n)
     if v != f.base_value:
         avoid[list(f.domain.basepoints)] = True
+    avoid = avoid[columns]
     maximal = radii is None
     if maximal:
         diameter = f.domain.diameter
         cap = diameter / 2.0 if diameter > 0 else 1.0
         radii = {}
-    for lo, block in f.domain.row_blocks(preimage):
+    for lo, block in f.domain.row_blocks(preimage, columns):
         rows = preimage[lo : lo + len(block)]
-        reach = np.where(avoid, block, np.inf).min(axis=1)
+        reach = np.where(avoid, block, np.inf).min(axis=1, initial=np.inf)
         if maximal:
             failing = np.flatnonzero(reach <= 0.0)
             if failing.size:
                 i = int(failing[0])
-                raise _stage_failure(f, v, rows[i], block[i], None)
+                raise _stage_failure(f, v, rows[i], None)
             r = np.minimum(reach, cap)
             radii.update(zip(rows, r.tolist()))
         else:
@@ -338,8 +354,8 @@ def _flood_scan(
                 if r[i] <= 0:
                     raise ValueError(f"radius for sample {y} must be positive")
                 if r[i] > reach[i]:
-                    raise _stage_failure(f, v, y, block[i], float(r[i]))
-        covered |= (block < r[:, None] / 2.0).any(axis=0)
+                    raise _stage_failure(f, v, y, float(r[i]))
+        covered[columns] |= (block < r[:, None] / 2.0).any(axis=0)
     return radii, covered
 
 
@@ -351,12 +367,11 @@ def _overwritten(f: DiscreteMap, v: Vertex, covered: np.ndarray) -> DiscreteMap:
     return f.with_values(new_values)
 
 
-def _stage_failure(
-    f: DiscreteMap, v: Vertex, y: int, row: np.ndarray, r: float | None
-) -> CertificateFailure:
+def _stage_failure(f: DiscreteMap, v: Vertex, y: int, r: float | None) -> CertificateFailure:
     """The failure of the flood ball of radius ``r`` around preimage sample
     ``y``, or of its coincident samples when ``r`` is None: the first sample
     inside with a value not adjacent to ``v``, else the first basepoint."""
+    row = next(f.domain.row_blocks([y]))[1][0]  # in full, whatever the stage read
     inside = row <= 0.0 if r is None else row < r
     closed = f.target.closed_neighborhood(v)
     stage = f"flood stage {v!r}"

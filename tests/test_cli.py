@@ -274,6 +274,41 @@ class TestPipeline:
         assert (code, out) == (2, "")
         assert "carrier vertex 'x' is not a vertex" in err
 
+    def test_values_file_repeats_tokens_in_both_spellings(self, capsys, c4_file, tmp_path):
+        # each vertex appears as an int and as a string token; both name it
+        vpath = tmp_path / "values.json"
+        quarter = [(i * 4) // 16 for i in range(16)]
+        mixed = {str(i): v if i % 2 else str(v) for i, v in enumerate(quarter)}
+        vpath.write_text(json.dumps({"values": mixed}))
+        graph, domain = cli.load_graph(c4_file), cli.parse_domain_spec("circle:16")
+        points = cli.build_sample_map(f"@{vpath}", domain, graph, 0)
+        assert [p.carrier for p in points.values()] == [(v,) for v in quarter]
+        assert all(type(p.carrier[0]) is int for p in points.values())
+        outputs = []
+        for values in (mixed, {str(i): str(v) for i, v in enumerate(quarter)}):
+            vpath.write_text(json.dumps({"values": values}))
+            outputs.append(run_cli(capsys, "pipeline", c4_file, "--domain", "circle:16", "--map", f"@{vpath}"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ([0, "x", "0", "x"], "carrier vertex 'x' is not a vertex of the graph"),
+            (["1", 1, 7, "7"], "carrier vertex 7 is not a vertex of the graph"),
+            ([2, "2", "y", 7], "carrier vertex 'y' is not a vertex of the graph"),
+            ([0, [1], "0", [1]], "bad values file '{path}': unhashable type: 'list'"),
+        ],
+    )
+    def test_values_file_with_repeated_bad_tokens(self, tokens, message, capsys, c4_file, tmp_path):
+        vpath = tmp_path / "values.json"
+        vpath.write_text(json.dumps({"values": {str(i): tokens[i % 4] for i in range(16)}}))
+        code, out, err = run_cli(
+            capsys, "pipeline", c4_file, "--domain", "circle:16", "--map", f"@{vpath}"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message.format(path=vpath)}\n"
+
     def test_unknown_domain(self, capsys, c4_file):
         code, _, err = run_cli(
             capsys, "pipeline", c4_file, "--domain", "torus:9", "--map", "constant"

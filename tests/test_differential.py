@@ -555,6 +555,57 @@ class TestFloodDifferential:
             flood(f, 1, {3: 3.5})
         assert assert_same_flood(f, 1, {2: -1.0, 3: 3.5}) == "error"
 
+    def test_single_valued_maps(self, block_cells):
+        # no sample holds another value: the stage reads no column
+        dom = circle_domain(24)
+        c4 = cycle_graph(4)
+        f = discrete_modify(constant_map(dom, c4, 2), dom, c4)
+        kind, radii = assert_same_radii(f, 2)
+        assert kind == "ok" and set(radii.values()) == {1.0}
+        for r in (0.1, 1.0, 5.0):
+            assert assert_same_flood(f, 2, dict.fromkeys(radii, r)) == "ok"
+        assert assert_same_flood(f, 2, {0: 1.0}) == "error"
+        # without basepoints the base value may differ from the only value
+        g = DiscreteMap(point_cloud([[0.0], [0.0], [3.0]]), c4, dict.fromkeys(range(3), 1), 0)
+        assert assert_same_radii(g, 1) == ("ok", {0: 1.5, 1: 1.5, 2: 1.5})
+        assert assert_same_flood(g, 1, dict.fromkeys(range(3), 9.0)) == "ok"
+
+    def test_failures_past_samples_of_the_stage_value(self, block_cells):
+        # the samples holding v are skipped by the scan; the failing row is
+        # built in full, so the first offender in sample order is named
+        c4 = cycle_graph(4)
+        dom = point_cloud([[0.0], [0.5], [1.0], [1.0], [3.0], [0.0]])
+        f = DiscreteMap(dom, c4, {0: 2, 1: 2, 2: 2, 3: 0, 4: 1, 5: 2}, 2)
+        # maximal radii: sample 3 (value 0, not adjacent to 2) sits on sample 2
+        assert assert_same_radii(f, 2)[1] == (
+            "flood stage 2", (2, 3), (2, 0), "coincident sample with non-adjacent value")
+        # given radii: row 0's ball reaches sample 3 past samples 1, 2 and 5
+        assert assert_same_flood(f, 2, {0: 1.5, 1: 0.1, 2: 0.1, 5: 0.1}) == "fail"
+        with pytest.raises(CertificateFailure) as exc:
+            flood(f, 2, {0: 1.5, 1: 0.1, 2: 0.1, 5: 0.1})
+        assert exc.value.pair == (0, 3)
+        assert assert_same_flood(f, 2, {0: 0.1, 1: 0.1, 2: 0.1, 5: 9.0}) == "fail"
+        # a basepoint coincident with a later preimage sample
+        dom = point_cloud([[0.0], [1.0], [2.0], [2.0]], basepoints=(3,))
+        g = DiscreteMap(dom, c4, {0: 2, 1: 2, 2: 2, 3: 1}, 1)
+        assert assert_same_radii(g, 2)[1] == (
+            "flood stage 2", (2, 3), (2, 1), "preimage sample coincides with a basepoint")
+        assert assert_same_flood(g, 2, {0: 0.5, 1: 1.5, 2: 0.5}) == "fail"
+
+    def test_values_equal_to_the_stage_value_are_overwritten_by_it(self):
+        # 1.0 == 1, so samples 1 and 2 are preimage samples whose balls
+        # cover them, but 1.0 is not the vertex 1: they are read, and the
+        # flood writes 1 over them, as the overwrite of every covered
+        # sample did; sample 3 holds another value
+        dom = point_cloud([[0.0], [1.0], [2.0], [9.0]])
+        f = DiscreteMap(dom, cycle_graph(4), {0: 1, 1: 1.0, 2: 1.0, 3: 2}, 1)
+        radii = flood_stage_radii(f, 1)
+        assert radii == oracle_stage_radii(f, 1)
+        flooded = flood(f, 1, radii)
+        assert flooded.values == oracle_flood(f, 1, radii)
+        assert [type(x) for x in flooded.values.values()] == [int, int, int, int]
+        assert flooded.values[3] == 2
+
     def test_small_integer_clouds(self):
         # integer coordinates in a small box: exact distance ties,
         # coincident samples and balls that reach basepoints

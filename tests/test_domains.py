@@ -18,6 +18,8 @@ from vrclosure.domains import (
     random_rotation,
 )
 
+import domain_oracle
+
 
 class TestCircle:
     def test_counts(self):
@@ -82,6 +84,18 @@ class TestBuiltinMaps:
         for i in range(64):
             assert shifted[i].carrier[0] == (plain[(i + 32) % 64].carrier[0])
 
+    def test_maps_share_one_point_per_vertex(self):
+        c4, octa = cycle_graph(4), octahedron_graph()
+        circle, sphere = circle_domain(64), icosphere_domain(2)
+        for pts in (
+            constant_map(circle, c4),
+            quarter_arc_map(circle, c4),
+            antipodal_quarter_arc_map(circle, c4),
+            nearest_pole_map(sphere, octa, rotation=random_rotation(1)),
+        ):
+            shared = {}
+            assert all(shared.setdefault(p.carrier, p) is p for p in pts.values())
+
     def test_quarter_arc_needs_circle(self):
         with pytest.raises(ValueError):
             quarter_arc_map(icosphere_domain(0), cycle_graph(4))
@@ -110,3 +124,26 @@ class TestRandomRotation:
 
     def test_deterministic(self):
         assert np.array_equal(random_rotation(9), random_rotation(9))
+
+
+class TestArrayBuildsMatchTheOracle:
+    """The array-built domains equal the per-midpoint split loop and the
+    ``from_simplices`` closure they replaced, coordinates bit for bit."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_icosphere(self, k):
+        coords, faces = icosphere(k)
+        want_coords, want_faces = domain_oracle.icosphere(k)
+        assert coords.tobytes() == want_coords.tobytes()
+        assert faces == want_faces
+        dom, want = icosphere_domain(k), domain_oracle.icosphere_domain(k)
+        assert dom.coords.tobytes() == want.coords.tobytes()
+        assert dom.triangulation == want.triangulation
+        assert dom.basepoints == want.basepoints
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 64, 2048])
+    def test_circle(self, n):
+        dom, want = circle_domain(n, basepoint=n - 1), domain_oracle.circle_domain(n, n - 1)
+        assert dom.coords.tobytes() == want.coords.tobytes()
+        assert dom.triangulation == want.triangulation
+        assert dom.basepoints == want.basepoints == (n - 1,)

@@ -33,7 +33,7 @@ from vrclosure.domains import (
     quarter_arc_map,
     random_rotation,
 )
-from vrclosure.realization import NotAClique
+from vrclosure.realization import NotAClique, theta_on_graph
 
 from grid_oracle import carriers_compatible
 from helpers import distances, flood_all, simplex_diameter
@@ -105,6 +105,12 @@ class TestSampledDomain:
         assert [lo for lo, _ in picked] == [0, 2]
         assert np.array_equal(np.vstack([block for _, block in picked]), dist[[4, 0, 2]])
         assert list(dom.row_blocks(())) == []
+        # a column subset: BLOCK_CELLS // 2 = 5 rows per block
+        cut = list(dom.row_blocks((4, 0, 2), np.array([3, 1])))
+        assert [lo for lo, _ in cut] == [0]
+        assert np.array_equal(cut[0][1], dist[[4, 0, 2]][:, [3, 1]])
+        empty = list(dom.row_blocks((4, 0, 2), np.array([], dtype=np.intp)))
+        assert [(lo, block.shape) for lo, block in empty] == [(0, (3, 0))]
 
     def test_edge_lengths(self):
         dom = chain_domain([0, 1, 3])
@@ -182,10 +188,15 @@ class TestMatrixFree:
         shapes = self.count_cells(monkeypatch)
         stages = flood_stages(f)
         built = []
-        for v, radii, _flooded in stages:
-            assert all(k == dom.n_samples for _, k in shapes)
+        current = f
+        for v, radii, flooded in stages:
+            # each row reaches only the samples whose value is not v
+            others = sum(current.values[i] is not v for i in range(dom.n_samples))
+            assert 0 < others < dom.n_samples
+            assert all(k == others for _, k in shapes)
             built.append((sum(m for m, _ in shapes), len(radii)))
             shapes.clear()
+            current = flooded
         assert len(built) == 6
         assert all(rows == preimage for rows, preimage in built)
         assert any(preimage for _, preimage in built)
@@ -242,6 +253,82 @@ class TestDiscreteModify:
         pts = {0: BaryPoint.of_vertex(0), 1: BaryPoint.of_vertex(1), 2: BaryPoint.of_vertex(2)}
         f = discrete_modify(pts, dom, g)
         assert f.base_value == 1
+
+
+class TestSharedPoints:
+    """A point object shared by many samples is retracted once, with the
+    result and the failure of one retraction per sample."""
+
+    def test_repeated_non_clique_point_names_its_first_sample(self):
+        dom = chain_domain(range(6))
+        good, bad = BaryPoint.of_vertex(0), BaryPoint((0, 2), (0.5, 0.5))
+        pts = {0: good, 1: good, 2: bad, 3: good, 4: bad, 5: bad}
+        with pytest.raises(NotAClique, match=r"^sample 2: carrier \(0, 2\) is not a clique"):
+            discrete_modify(pts, dom, cycle_graph(4))
+        # an equal but distinct point earlier in sample order is named first
+        pts[1] = BaryPoint((0, 2), (0.5, 0.5))
+        with pytest.raises(NotAClique, match=r"^sample 1: "):
+            discrete_modify(pts, dom, cycle_graph(4))
+        # a missing sample before the first failing one is reported instead
+        del pts[0]
+        with pytest.raises(ValueError, match="^no image point for sample 0$"):
+            discrete_modify(pts, dom, cycle_graph(4))
+
+    def test_shared_equal_and_edge_carrier_points_retract_per_sample(self):
+        g = cycle_graph(4)
+        edge = BaryPoint((2, 1), (0.3, 0.7))
+        tie = BaryPoint((1, 2), (0.5, 0.5))
+        pts = {0: edge, 1: edge, 2: tie, 3: BaryPoint((1, 2), (0.5, 0.5)), 4: edge,
+               5: BaryPoint.of_vertex(3), 6: BaryPoint.of_vertex(3), 7: tie}
+        f = discrete_modify(pts, chain_domain(range(8)), g)
+        assert f.values == {i: theta_on_graph(g, p) for i, p in pts.items()}
+        assert list(f.values.values()) == [1, 1, 1, 1, 1, 3, 3, 1]
+
+    def test_mapping_that_builds_a_new_point_per_lookup(self):
+        # each lookup returns a fresh object that may reuse a freed one's id
+        class Fresh(dict):
+            def __getitem__(self, i):
+                return BaryPoint.of_vertex(super().__getitem__(i))
+
+        wanted = [0, 1, 2, 3, 0, 1, 2, 3, 3, 2]
+        f = discrete_modify(Fresh(enumerate(wanted)), chain_domain(range(10)), cycle_graph(4))
+        assert list(f.values.values()) == wanted
+
+
+class TestDiscreteMapValidation:
+    """Each refusal of ``DiscreteMap`` names its first offender in sample
+    order; keys beyond the samples are not read."""
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({0: 0, 2: 1}, "no value for sample 1"),
+            ({0: 0, 1: 9, 2: 1}, "value 9 is not a vertex of the target"),
+            ({0: 0, 1: 1}, "no value for sample 2"),
+            ({0: "x", 2: 1}, "value 'x' is not a vertex of the target"),
+            ({0: 0, 2: 9}, "no value for sample 1"),
+            ({0: 0, 1: 7, 2: 8}, "value 7 is not a vertex of the target"),
+        ],
+    )
+    def test_sample_values(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DiscreteMap(chain_domain([0, 1, 2]), cycle_graph(4), values, 0)
+
+    def test_base_value(self):
+        with pytest.raises(ValueError, match="^base value 9 is not a vertex of the target$"):
+            DiscreteMap(chain_domain([0, 1, 2]), cycle_graph(4), {0: 0, 1: 1, 2: 2}, 9)
+
+    def test_basepoint_value(self):
+        dom = chain_domain([0, 1, 2], basepoints=(0, 2))
+        with pytest.raises(ValueError, match="^basepoint 2 has value 1, expected 0$"):
+            DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 1, 2: 1}, 0)
+        # the sample values are checked before the base value
+        with pytest.raises(ValueError, match="^value 5 is not a vertex of the target$"):
+            DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 5, 2: 1}, 9)
+
+    def test_keys_beyond_the_samples_are_not_read(self):
+        f = DiscreteMap(chain_domain([0, 1]), cycle_graph(4), {0: 0, 1: 1, 5: "x", "y": None}, 0)
+        assert f.image_vertices() == (0, 1)
 
 
 class TestFlood:
