@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -80,8 +80,8 @@ class SimplicialComplex:
         covered: set = set()
         for d in range(self.dim_cap, -1, -1):
             level = self._by_dim[d]
-            yield from (s for s in level if s not in covered)
-            covered = {face for s in level for face in combinations(s, d)}
+            yield from filterfalse(covered.__contains__, level)
+            covered = set(chain.from_iterable(map(combinations, level, repeat(d))))
 
     def counts(self) -> list:
         return [len(level) for level in self._by_dim]
@@ -270,11 +270,16 @@ class SimplicialMap:
     vertex_images: Mapping[Vertex, Vertex] = field(hash=False)
 
     def __post_init__(self):
-        for v in self.source.vertices:
-            if v not in self.vertex_images:
-                raise ValueError(f"no image for source vertex {v!r}")
-            if self.vertex_images[v] not in self.target.vertex_index:
-                raise ValueError(f"image {self.vertex_images[v]!r} is not a target vertex")
+        vertices, images = self.source.vertices, self.vertex_images
+        is_vertex = self.target.vertex_index.__contains__
+        # the whole map at C speed; the loop below only names the first offender
+        if not (all(map(images.__contains__, vertices))
+                and all(map(is_vertex, map(images.__getitem__, vertices)))):
+            for v in vertices:
+                if v not in images:
+                    raise ValueError(f"no image for source vertex {v!r}")
+                if images[v] not in self.target.vertex_index:
+                    raise ValueError(f"image {images[v]!r} is not a target vertex")
 
     def __call__(self, v: Vertex) -> Vertex:
         return self.vertex_images[v]
@@ -286,11 +291,11 @@ class SimplicialMap:
 
 def check_simplicial(m: SimplicialMap) -> bool:
     """True iff every source simplex lands on a target simplex; the maximal
-    ones suffice, since the target is downward closed."""
-    for s in m.source.maximal_simplices():
-        if not m.target.has_simplex(m.image_simplex(s)):
-            return False
-    return True
+    ones suffice, since the target is downward closed.  Many maximal
+    simplices share an image, so each distinct image is looked up once."""
+    image = m.vertex_images.__getitem__
+    images = set(map(frozenset, map(map, repeat(image), m.source.maximal_simplices())))
+    return all(m.target.has_simplex(m.target.sort_simplex(s)) for s in images)
 
 
 def compose_simplicial(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:

@@ -15,7 +15,7 @@ import numpy as np
 from .complex import SimplicialComplex
 from .graph import Graph
 from .realization import BaryPoint
-from .transform import SampledDomain, _distances_to
+from .transform import SampledDomain, _nearest_targets
 
 Vertex = Hashable
 
@@ -156,7 +156,7 @@ def nearest_pole_map(
         pts = pts @ np.asarray(rotation, dtype=float).T
     if pts.shape[1] != 3:
         raise ValueError("domain and poles have different embedding dimensions")
-    nearest = _distances_to(pts, OCTAHEDRON_POLES).argmin(axis=1)
+    nearest = _nearest_targets(pts, OCTAHEDRON_POLES)
     points = [BaryPoint.of_vertex(v) for v in graph.vertices]
     return dict(enumerate(map(points.__getitem__, nearest.tolist())))
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter, ne
 from typing import Mapping
 
 import numpy as np
@@ -144,13 +146,13 @@ def build_pipeline(
     f0 = discrete_modify(sample_points, domain, graph)
     stage_log = [{"stage": "discrete_modify", "digest": digest_map(f0), "changed": 0}]
     current = f0
+    samples = range(domain.n_samples)
     for v, radii, flooded in flood_stages(f0):
         entry = {
             "stage": f"flood:{v}",
             "preimage": len(radii),
-            "changed": sum(
-                1 for i in range(domain.n_samples) if flooded.values[i] != current.values[i]
-            ),
+            "changed": sum(map(ne, map(flooded.values.__getitem__, samples),
+                               map(current.values.__getitem__, samples))),
             "digest": digest_map(flooded),
         }
         if radii:
@@ -202,18 +204,22 @@ def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int = 0) -> bool:
     lies in one of them, and its two image carriers lie in U = m2(chain)
     plus m1(s), which interior points reach; so the maps share carriers
     everywhere iff every such U is a target simplex, for any complex.
-    ``grid_steps`` is unused and kept only for positional callers.
+    Thousands of chains share a few dozen unions, so each distinct union is
+    looked up once.  ``grid_steps`` is unused and kept only for positional
+    callers.
     """
     target = m1.target
     if target != m2.target:
         raise ValueError("maps have different target complexes")
-    face_of = {v: face for face, v in face_vertex.items()}
-    for chain in m2.source.maximal_simplices():
-        union = {m2.vertex_images[v] for v in chain}
-        union.update(m1.vertex_images[v] for v in face_of[chain[-1]])
-        if not target.has_simplex(target.sort_simplex(union)):
-            return False
-    return True
+    coarse = m1.vertex_images.__getitem__
+    top = {face_vertex[s]: frozenset(map(coarse, s)) for s in m1.source.maximal_simplices()}
+    chains = list(m2.source.maximal_simplices())
+    unions = set(map(
+        frozenset.union,
+        map(top.__getitem__, map(itemgetter(-1), chains)),
+        map(map, repeat(m2.vertex_images.__getitem__), chains),
+    ))
+    return all(target.has_simplex(target.sort_simplex(union)) for union in unions)
 
 
 def refine_once(art: PipelineArtifacts) -> tuple:

@@ -8,8 +8,11 @@ and failures surface the offending sample pair instead of a verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
+from operator import eq, is_not
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -27,10 +30,12 @@ from .realization import BaryPoint, NotAClique, theta_on_graph
 Vertex = Hashable
 
 
-#: distance cells per row block in every blocked scan: 256 KB of floats, so
-#: a block and the scratch arrays of its size stay within a 2 MB per-core L2
-#: cache; 2 MB blocks ran the scans at memory speed, about twice as slow.
-#: Each cell and each row's min and max do not depend on the block bounds
+#: distance cells per row block in every blocked scan: 256 KB of floats.  A
+#: scan reuses one workspace of two blocks, the squared sum and its scratch,
+#: which stays within a 2 MB per-core L2 cache (2 MB blocks ran the scans at
+#: memory speed, about twice as slow) and spares a one-shot process the page
+#: faults of fresh blocks.  No cell and no row's min or max depends on the
+#: block bounds
 BLOCK_CELLS = 1 << 15
 
 
@@ -41,27 +46,77 @@ BLOCK_CELLS = 1 << 15
 MAX_SAMPLES = 1 << 14
 
 
-def _distances_to(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to each coordinate row.
+def _squared_distances_to(
+    points: np.ndarray, columns: np.ndarray, out: np.ndarray, gap: np.ndarray
+) -> np.ndarray:
+    """Squared Euclidean distance from each point to each target, into ``out``.
 
-    Squared coordinate gaps are summed one coordinate at a time, starting
-    from the first coordinate's, so the build needs one scratch array of the
-    result's shape, not a (m, n, d) one.  numpy sums a last axis of up to 7
-    entries in the same sequential order, so for d <= 7 coordinates the
-    result equals ``sqrt(((p[:, None] - x[None]) ** 2).sum(axis=2))`` and
-    each row ``norm(x - p, axis=1)`` bit for bit; from 8 on numpy sums
-    pairwise and they may differ in the last bit.
+    ``columns`` holds the targets' coordinates transposed, one row per
+    coordinate, and ``gap`` is scratch of ``out``'s shape.  Squared gaps are
+    summed one coordinate at a time, starting from the first coordinate's.
+    numpy sums a last axis of up to 7 entries in the same sequential order,
+    so for d <= 7 coordinates the root of each cell equals
+    ``sqrt(((p[:, None] - x[None]) ** 2).sum(axis=2))`` and each row
+    ``norm(x - p, axis=1)`` bit for bit; from 8 on numpy sums pairwise and
+    they may differ in the last bit.
     """
-    columns = zip(points.T, coords.T)
-    p_column, x_column = next(columns)
-    total = np.subtract.outer(p_column, x_column)
-    total *= total
-    gap = np.empty_like(total)
-    for p_column, x_column in columns:
+    pairs = zip(points.T, columns)
+    p_column, x_column = next(pairs)
+    np.subtract.outer(p_column, x_column, out=out)
+    out *= out
+    for p_column, x_column in pairs:
         np.subtract.outer(p_column, x_column, out=gap)
         gap *= gap
-        total += gap
-    return np.sqrt(total, out=total)
+        out += gap
+    return out
+
+
+def _squared_blocks(
+    points: np.ndarray, targets: np.ndarray, upper: bool = False
+) -> Iterator[tuple]:
+    """Yields ``(lo, block)``: the squared distances from the rows
+    ``points[lo : lo + len(block)]`` to ``targets`` (to ``targets[lo:]`` with
+    ``upper``, a self-scan's upper triangle), about ``BLOCK_CELLS`` cells.
+    Every block is a view into one workspace that the next one overwrites.
+    """
+    columns = np.ascontiguousarray(targets.T)
+    step = max(1, BLOCK_CELLS // max(1, len(targets)))
+    work = np.empty((2, min(step, len(points)) * len(targets)))
+    for lo in range(0, len(points), step):
+        rows = points[lo : lo + step]
+        reached = columns[:, lo:] if upper else columns
+        shape = len(rows), reached.shape[1]
+        out, gap = work[:, : shape[0] * shape[1]].reshape(2, *shape)
+        yield lo, _squared_distances_to(rows, reached, out, gap)
+
+
+def _nearest_targets(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the nearest target to each point, the first one on ties; the
+    argmin reads roots, since distinct squares can share a root."""
+    out = np.empty(len(points), dtype=np.intp)
+    for lo, block in _squared_blocks(points, targets):
+        out[lo : lo + len(block)] = np.argmin(np.sqrt(block, out=block), axis=1)
+    return out
+
+
+def _squared_bound(t: np.ndarray) -> np.ndarray:
+    """Per entry, B(t): the least float s with ``sqrt(s) >= t``.
+
+    IEEE ``sqrt`` is correctly rounded, so it never decreases: it commutes
+    with min and max, and ``sqrt(x) < t`` holds exactly when ``x < B(t)``.
+    This is what lets the scans compare squared distances.  Each entry steps
+    from ``t * t`` (at most an ulp or two off) until no entry moves.
+    """
+    with np.errstate(over="ignore"):  # t * t and steps past the largest float
+        s = np.square(np.maximum(t, 0.0))
+        while True:
+            below = np.nextafter(s, 0.0)
+            up = np.sqrt(s) < t
+            down = np.sqrt(below) >= t
+            down &= below < s
+            if not (up | down).any():
+                return s
+            s = np.nextafter(s, np.where(up, np.inf, np.where(down, 0.0, s)))
 
 
 class CertificateFailure(ValueError):
@@ -141,14 +196,11 @@ class SampledDomain:
 
         Row block ``[lo:hi]`` is built against ``coords[lo:]`` only, a scan of
         the upper triangle: d[i, j] and d[j, i] are bitwise equal, since a gap
-        and its negation square to the same float.
+        and its negation square to the same float.  It is the root of the
+        largest square (``_squared_bound`` says why that is exact).
         """
-        n = self.n_samples
-        step = max(1, BLOCK_CELLS // n)
-        return max(
-            float(_distances_to(self.coords[lo : lo + step], self.coords[lo:]).max())
-            for lo in range(0, n, step)
-        )
+        blocks = _squared_blocks(self.coords, self.coords, upper=True)
+        return math.sqrt(max(float(block.max()) for _, block in blocks))
 
     @cached_property
     def eps_net(self) -> float:
@@ -161,19 +213,20 @@ class SampledDomain:
 
         Yields ``(lo, block)``: the distances from the samples ``rows[lo : lo
         + len(block)]`` to the samples ``columns`` (every sample for None),
-        each block built when the iteration reaches it.
+        each a fresh array of roots.  Only failing rows, rebuilt to name
+        their offender, are read this way; the scans read squares.
         """
         points = self.coords if rows is None else self.coords[np.asarray(rows, dtype=np.intp)]
         targets = self.coords if columns is None else self.coords[columns]
-        step = max(1, BLOCK_CELLS // max(1, len(targets)))
-        for lo in range(0, len(points), step):
-            yield lo, _distances_to(points[lo : lo + step], targets)
+        for lo, block in _squared_blocks(points, targets):
+            yield lo, np.sqrt(block)
 
     def edge_lengths(self, edges: Sequence) -> np.ndarray:
         """Distance between the endpoints of each sample pair ``(u, w)``.
 
         Gaps are gathered and squared one coordinate at a time, the sum of
-        ``_distances_to``, so each length equals the row entry bit for bit.
+        ``_squared_distances_to``, so each length equals the row entry bit
+        for bit.
         """
         pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         total = np.zeros(len(pairs))
@@ -194,17 +247,10 @@ class SampledDomain:
     def nearest_samples(self, points) -> np.ndarray:
         """Index of the nearest sample to each point, the first one on ties.
 
-        Points go in row blocks through ``_distances_to``, so for d <= 7
-        coordinates each index equals ``argmin(norm(coords - point, axis=1))``,
-        ties included.
+        For d <= 7 coordinates each index equals ``argmin(norm(coords -
+        point, axis=1))``, ties included (``_nearest_targets``).
         """
-        points = np.asarray(points, dtype=float)
-        out = np.empty(len(points), dtype=np.intp)
-        step = max(1, BLOCK_CELLS // self.n_samples)
-        for start in range(0, len(points), step):
-            block = _distances_to(points[start : start + step], self.coords)
-            out[start : start + step] = np.argmin(block, axis=1)
-        return out
+        return _nearest_targets(np.asarray(points, dtype=float), self.coords)
 
 
 @dataclass(frozen=True)
@@ -244,7 +290,8 @@ class DiscreteMap:
         return tuple(v for v in self.target.vertices if v in image)
 
     def preimage(self, v: Vertex) -> tuple:
-        return tuple(i for i in range(self.domain.n_samples) if self.values[i] == v)
+        samples = range(self.domain.n_samples)
+        return tuple(compress(samples, map(eq, map(self.values.__getitem__, samples), repeat(v))))
 
     def with_values(self, new_values: Mapping[int, Vertex]) -> "DiscreteMap":
         return DiscreteMap(self.domain, self.target, dict(new_values), self.base_value)
@@ -317,6 +364,10 @@ def _flood_scan(
     Rows reach only the samples whose value is not the object ``v``: writing
     ``v`` over ``v`` changes nothing, and every sample to avoid is among
     them, so a single-valued map reads no column.
+
+    The scan reads squared distances: ``reach`` is the root of the least
+    square to avoid, and a ball test ``d < r / 2`` is ``d * d < B(r / 2)``,
+    both exact (``_squared_bound``).
     """
     n = f.domain.n_samples
     covered = np.zeros(n, dtype=bool)
@@ -324,7 +375,7 @@ def _flood_scan(
     if not preimage:
         return {}, covered
     values = list(map(f.values.__getitem__, range(n)))
-    columns = np.flatnonzero([x is not v for x in values])
+    columns = np.flatnonzero(np.fromiter(map(is_not, values, repeat(v)), dtype=bool, count=n))
     closed = f.target.closed_neighborhood(v)
     avoid = ~np.fromiter(map(closed.__contains__, values), dtype=bool, count=n)
     if v != f.base_value:
@@ -335,9 +386,10 @@ def _flood_scan(
         diameter = f.domain.diameter
         cap = diameter / 2.0 if diameter > 0 else 1.0
         radii = {}
-    for lo, block in f.domain.row_blocks(preimage, columns):
+    coords = f.domain.coords
+    for lo, block in _squared_blocks(coords[np.asarray(preimage)], coords[columns]):
         rows = preimage[lo : lo + len(block)]
-        reach = np.where(avoid, block, np.inf).min(axis=1, initial=np.inf)
+        reach = np.sqrt(np.min(block, axis=1, where=avoid, initial=np.inf))
         if maximal:
             failing = np.flatnonzero(reach <= 0.0)
             if failing.size:
@@ -355,7 +407,7 @@ def _flood_scan(
                     raise ValueError(f"radius for sample {y} must be positive")
                 if r[i] > reach[i]:
                     raise _stage_failure(f, v, y, float(r[i]))
-        covered[columns] |= (block < r[:, None] / 2.0).any(axis=0)
+        covered[columns] |= (block < _squared_bound(r / 2.0)[:, None]).any(axis=0)
     return radii, covered
 
 
@@ -444,7 +496,12 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     row's conflict level is the least such maximum over non-adjacent image
     values: walking the row's values in ascending D order, it is D of the
     first value not adjacent to an earlier one.  The radius is the largest
-    row distance strictly below that level.  For k image values this takes
+    row distance strictly below that level.  Blocks hold squared distances,
+    their columns grouped by value, and only per-row results are rooted:
+    D[y, u] is the root of a least square, the level the root of the
+    squares' conflict level (a least maximum, whatever the order of ties),
+    and the radius the root of the largest square below B(level), all
+    exact (``_squared_bound``).  For k image values this takes
     O(n^2 + n k log k) numpy time, plus O(j^2) adjacency lookups per row
     where j is the rank of that first conflicting value (2 or 3 on a
     continuous map), and O(block * n) memory: each row block is built on
@@ -479,15 +536,17 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
         labels = np.fromiter((code[f.values[z]] for z in range(n)), dtype=np.intp, count=n)
         by_value = np.argsort(labels, kind="stable")
         class_starts = np.searchsorted(labels[by_value], np.arange(k))
-        for lo, block in f.domain.row_blocks():
-            nearest = np.minimum.reduceat(block[:, by_value], class_starts, axis=1)
-            level = _conflict_level(nearest, adjacent, k)
+        coords = f.domain.coords
+        for lo, block in _squared_blocks(coords, coords[by_value]):
+            nearest = np.minimum.reduceat(block, class_starts, axis=1)
+            level = np.sqrt(_conflict_level(nearest, adjacent, k))
+            inside = block < _squared_bound(level)[:, None]
             rows = slice(lo, lo + len(block))
-            below[rows] = np.where(block < level[:, None], block, -np.inf).max(axis=1)
+            # a row with nothing inside fails like one with only its own sample
+            np.sqrt(np.max(block, axis=1, where=inside, initial=0.0), out=below[rows])
             failing = np.flatnonzero(below[rows] <= 0.0)
             if failing.size:
-                i = int(failing[0])
-                raise _row_failure(f, lo + i, block[i])
+                raise _row_failure(f, lo + int(failing[0]))
     radii = {y: float(r) for y, r in enumerate(below)}
     return CliqueCertificate(radii, min(radii.values()))
 
@@ -517,9 +576,10 @@ def _conflict_level(nearest: np.ndarray, adjacent: np.ndarray, k: int) -> np.nda
     return level
 
 
-def _row_failure(f: DiscreteMap, y: int, row: np.ndarray) -> CertificateFailure:
+def _row_failure(f: DiscreteMap, y: int) -> CertificateFailure:
     """The first non-adjacent value pair met in stable distance order from
     sample ``y``, for a row that has no positive certificate radius."""
+    row = next(f.domain.row_blocks([y]))[1][0]  # rooted and in sample order
     present: dict = {}  # value -> first sample seen carrying it
     for z in np.argsort(row, kind="stable").tolist():
         vz = f.values[z]
@@ -551,23 +611,28 @@ def convex_transform(
     construction.  Downward closure makes the edge-level checks cover every
     simplex, provided ``target_complex`` is the clique complex of ``f.target``
     capped at the triangulation's dimension or above, as the default is.
+    The first failing edge is named, its length before its clique;
+    adjacency is looked up once per distinct value pair.
     """
     edges = triangulation.simplices(1)
-    for (u, w), length in zip(edges, f.domain.edge_lengths(edges).tolist()):
-        if length >= cert.delta:
-            raise CertificateFailure(
-                "convex transform",
-                (u, w),
-                (f.values[u], f.values[w]),
-                f"edge length {length:g} is not below delta {cert.delta:g}",
-            )
-        if not f.target.are_adjacent(f.values[u], f.values[w]):
-            raise CertificateFailure(
-                "convex transform",
-                (u, w),
-                (f.values[u], f.values[w]),
-                "triangulation edge does not map to a clique",
-            )
+    pairs = [(f.values[u], f.values[w]) for u, w in edges]
+    apart = {p for p in set(pairs) if not f.target.are_adjacent(*p)}
+    lengths = f.domain.edge_lengths(edges)
+    failing = lengths >= cert.delta
+    if apart:
+        failing |= np.fromiter(map(apart.__contains__, pairs), dtype=bool, count=len(pairs))
+    failing = np.flatnonzero(failing)
+    if failing.size:
+        i = int(failing[0])
+        length = float(lengths[i])
+        raise CertificateFailure(
+            "convex transform",
+            edges[i],
+            pairs[i],
+            f"edge length {length:g} is not below delta {cert.delta:g}"
+            if length >= cert.delta
+            else "triangulation edge does not map to a clique",
+        )
     if target_complex is None:
         cap = max(2, triangulation.dimension())
         target_complex = vietoris_rips(f.target, cap)

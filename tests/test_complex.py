@@ -197,6 +197,33 @@ class TestSimplicialMaps:
         assert check_simplicial(m)
 
 
+class TestSimplicialMapValidation:
+    """Each refusal of ``SimplicialMap`` names its first offender in the
+    source's vertex order; keys beyond the source vertices are not read."""
+
+    @pytest.mark.parametrize(
+        "images, error, message",
+        [
+            ({0: 0, 2: 1, 3: 0}, ValueError, "no image for source vertex 1"),
+            ({0: 0, 1: 9, 2: 1, 3: 0}, ValueError, "image 9 is not a target vertex"),
+            ({0: 0, 1: 1, 2: 2}, ValueError, "no image for source vertex 3"),
+            ({0: "x", 2: 1}, ValueError, "image 'x' is not a target vertex"),
+            ({0: 0, 2: 9}, ValueError, "no image for source vertex 1"),
+            ({0: 0, 1: 7, 2: 8, 3: 0}, ValueError, "image 7 is not a target vertex"),
+            ({0: 0, 1: [1], 2: 9, 3: 0}, TypeError, "unhashable type"),
+        ],
+    )
+    def test_vertex_images(self, images, error, message):
+        k = vietoris_rips(cycle_graph(4), 2)
+        with pytest.raises(error, match=f"^{message}"):
+            SimplicialMap(k, k, images)
+
+    def test_keys_beyond_the_source_are_not_read(self):
+        k = vietoris_rips(cycle_graph(4), 2)
+        m = SimplicialMap(k, k, {0: 0, 1: 1, 2: 2, 3: 3, 9: "x", "y": [None]})
+        assert check_simplicial(m)
+
+
 class TestStarCondition:
     def setup_method(self):
         self.k = vietoris_rips(cycle_graph(4), 2)

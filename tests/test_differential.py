@@ -5,7 +5,8 @@ overwrite and the largest simplex diameter must agree exactly; the exact
 subdivision-compatibility check must give the 1/N-grid check's verdict,
 and the subdivision builder, the compatibility check over maximal chains
 and the simpliciality check over maximal simplices must equal the code they
-replaced;
+replaced, as must the convex transform's first failing edge and each flood
+stage's preimages and changed count;
 Betti numbers and induced maps on H1 must equal the hand-written
 eliminations; clique enumeration must match networkx."""
 
@@ -50,6 +51,7 @@ from vrclosure.domains import (
 from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
 
 import homology_oracle
+import loop_oracle
 import sd_oracle
 from grid_oracle import grid_sd_compatibility
 from helpers import (
@@ -647,6 +649,41 @@ class TestFloodDifferential:
 
 
 
+BUILT_IN_MAPS = [
+    (cycle_graph(4), "circle:64", spec)
+    for spec in ("constant", "constant:2", "quarter-arc", "antipodal-composition")
+] + [
+    (octahedron_graph(), "sphere2:icosa:2", spec)
+    for spec in ("constant", "constant:5", "nearest-vertex", "rotated-nearest")
+]
+
+
+@pytest.mark.parametrize("graph, domain, spec", BUILT_IN_MAPS)
+def test_stage_preimages_and_changed_counts_equal_the_loops(graph, domain, spec):
+    # the stage log counts what each stage changed at C speed; the loop is
+    # the count it replaced, over the same stages
+    from vrclosure.cli import build_sample_map, parse_domain_spec
+
+    dom = parse_domain_spec(domain)
+    art = build_pipeline(graph, dom, build_sample_map(spec, dom, graph, 3))
+    current = art.discrete
+    want = []
+    for v, _, flooded in flood_stages(current):
+        assert current.preimage(v) == loop_oracle.preimage(current, v)
+        want.append(loop_oracle.changed(current, flooded))
+        current = flooded
+    assert [entry["changed"] for entry in art.stage_log[1:]] == want
+    assert len(want) == len(art.discrete.image_vertices())
+
+
+def test_preimage_takes_equal_values():
+    dom = point_cloud([[0.0], [1.0], [2.0], [3.0]])
+    f = DiscreteMap(dom, cycle_graph(4), {0: 1, 1: 1.0, 2: True, 3: 2}, 1)
+    for v in (1, 1.0, True, 2, 3):
+        assert f.preimage(v) == loop_oracle.preimage(f, v)
+    assert f.preimage(1.0) == (0, 1, 2)
+
+
 # -- block size ------------------------------------------------------------
 
 
@@ -699,8 +736,8 @@ def circle_map(n):
 
 
 class TestBlockIndependence:
-    """Every cell is the same ``_distances_to`` sum whatever the block, and
-    row minima and maxima do not depend on where blocks start."""
+    """Every cell is the same ``_squared_distances_to`` sum whatever the
+    block, and row minima and maxima do not depend on where blocks start."""
 
     @pytest.mark.parametrize(
         "make_map",
@@ -754,6 +791,68 @@ class TestMaxSimplexDiameterDifferential:
         assert got == oracle_max_simplex_diameter(dom)
 
 
+# -- convex transform ------------------------------------------------------
+
+
+def assert_same_convex(f, delta):
+    """``convex_transform`` names the failing edge the edge-by-edge loop
+    names, or builds the map when the loop finds none; returns the failing
+    edge's index in edge order, or None."""
+    tri = f.domain.triangulation
+    want = loop_oracle.convex_edge_failure(f, tri, delta)
+    cert = transform.CliqueCertificate({}, delta)
+    target = vietoris_rips(f.target, 2)
+    if want is None:
+        m = transform.convex_transform(f, tri, cert, target)
+        assert dict(m.vertex_images) == {v: f.values[v] for v in tri.vertices}
+        return None
+    with pytest.raises(CertificateFailure) as info:
+        transform.convex_transform(f, tri, cert, target)
+    got = info.value
+    assert (got.pair, got.values, str(got)) == (want.pair, want.values, str(want))
+    return tri.simplices(1).index(got.pair)
+
+
+class TestConvexTransformDifferential:
+    # a path whose edges, in edge order, are 1, 2, 0.5, 3.5 and 1 long
+    POSITIONS = [0, 1, 3, 3.5, 7, 8]
+
+    @pytest.mark.parametrize(
+        "jump, delta, edge, kind",
+        [
+            (1, 3.0, 1, "clique"),  # the first non-clique edge before the first long one
+            (4, 3.0, 3, "length"),  # and after it
+            (3, 3.0, 3, "length"),  # both on one edge: its length is named
+            (None, 3.0, 3, "length"),
+            (1, 4.0, 1, "clique"),
+            (None, 3.5, 3, "length"),  # a length equal to delta is not below it
+            (None, 4.0, None, None),
+        ],
+    )
+    def test_first_failing_edge(self, jump, delta, edge, kind):
+        # the values jump from 0 to 2, not adjacent in C4, across edge ``jump``
+        n = len(self.POSITIONS)
+        values = {i: 0 if jump is None or i <= jump else 2 for i in range(n)}
+        f = DiscreteMap(chain(self.POSITIONS), cycle_graph(4), values, 0)
+        assert assert_same_convex(f, delta) == edge
+        if kind is not None:
+            detail = loop_oracle.convex_edge_failure(f, f.domain.triangulation, delta).detail
+            assert detail.startswith("edge length") == (kind == "length")
+
+    def test_flipped_sphere_maps(self):
+        # the nearest-pole map and, one sample at a time, the map with that
+        # sample sent to its antipode, against deltas at which no edge, some
+        # edges and every edge is too long
+        dom = icosphere_domain(2)
+        octa = octahedron_graph()
+        base = discrete_modify(nearest_pole_map(dom, octa), dom, octa)
+        lengths = np.sort(dom.edge_lengths(dom.triangulation.simplices(1)))
+        deltas = [float(lengths[-1]) * 2, float(lengths[len(lengths) // 2]), float(lengths[0])]
+        maps = [base] + [flipped(base, sample) for sample in range(1, dom.n_samples, 7)]
+        failing = {assert_same_convex(f, delta) for f in maps for delta in deltas}
+        assert None in failing and len(failing) > 3
+
+
 # -- subdivision compatibility ---------------------------------------------
 
 
@@ -774,6 +873,7 @@ def sd_pair(simplices, graph, cap, m1_images, m2_changes=()):
 def assert_same_sd_verdict(m1, m2, face_vertex, grid_steps=50):
     want = grid_sd_compatibility(m1, m2, face_vertex, grid_steps)
     assert sd_compatibility(m1, m2, face_vertex) == want
+    assert loop_oracle.sd_compatibility(m1, m2, face_vertex) == want
     return want
 
 
@@ -869,6 +969,8 @@ class TestSdCompatibilityDifferential:
             changes = {face: rng.randrange(6) for face in rng.sample(sd_vertices, 2)}
             cap = rng.choice([dim, 5])
             m1, m2, face_vertex = sd_pair(simplices, graph, cap, m1_images, changes)
+            assert check_simplicial(m1) == loop_oracle.check_simplicial(m1)
+            assert check_simplicial(m2) == loop_oracle.check_simplicial(m2)
             if not (check_simplicial(m1) and check_simplicial(m2)):
                 continue
             verdicts.append(assert_same_sd_verdict(m1, m2, face_vertex, grid_steps=12))
@@ -1124,6 +1226,7 @@ class TestSubdivisionOracles:
         dom, _, values = domain_map(name)
         for k in (dom.triangulation, subdivide_domain(dom, values)[0].triangulation):
             got = list(k.maximal_simplices())
+            assert got == list(loop_oracle.maximal_simplices(k))
             assert len(got) == len(set(got))
             assert set(got) == set(sd_oracle.maximal_by_definition(k))
 
@@ -1139,16 +1242,22 @@ class TestSubdivisionOracles:
             pairs.append(({**values, i: antipode(graph, values[i])}, new_values))
         for i in range(n, n2, max(1, (n2 - n) // 6)):
             pairs.append((values, {**new_values, i: antipode(graph, new_values[i])}))
-        verdicts = set()
+        verdicts, simplicial = set(), set()
         for coarse, fine in pairs:
             m1 = SimplicialMap(dom.triangulation, target, coarse)
             m2 = SimplicialMap(new_dom.triangulation, target, fine)
             for m in (m1, m2):
-                assert check_simplicial(m) == sd_oracle.all_simplices_check_simplicial(m)
+                got = check_simplicial(m)
+                assert got == sd_oracle.all_simplices_check_simplicial(m)
+                assert got == loop_oracle.check_simplicial(m)
+                simplicial.add(got)
             verdict = sd_compatibility(m1, m2, face_vertex)
             assert verdict == sd_oracle.permutation_sd_compatibility(m1, m2, face_vertex)
+            assert verdict == loop_oracle.sd_compatibility(m1, m2, face_vertex)
             verdicts.add(verdict)
         assert verdicts == ({False} if name == "circle:3" else {True, False})
+        # an antipode breaks some simplex, so non-simplicial maps are checked too
+        assert False in simplicial
 
 
 def test_nearest_samples_takes_first_on_ties():

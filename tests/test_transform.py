@@ -138,15 +138,15 @@ class TestMatrixFree:
 
     @staticmethod
     def count_cells(monkeypatch):
-        """Record the shape of every row build."""
+        """Record the shape of every block the squared-distance kernel builds."""
         shapes = []
-        build = transform._distances_to
+        build = transform._squared_distances_to
 
-        def counted(points, coords):
-            shapes.append((len(points), len(coords)))
-            return build(points, coords)
+        def counted(points, columns, out, gap):
+            shapes.append(out.shape)
+            return build(points, columns, out, gap)
 
-        monkeypatch.setattr(transform, "_distances_to", counted)
+        monkeypatch.setattr(transform, "_squared_distances_to", counted)
         return shapes
 
     def test_pipeline_peak_stays_a_few_row_blocks(self):
@@ -164,6 +164,21 @@ class TestMatrixFree:
         assert art.certificate.delta > 0
         # a 2048-sample matrix alone is 32 MiB, twice that while built
         assert peak < 8 * transform.BLOCK_CELLS * 8
+
+    def test_certificate_peak_stays_under_four_blocks(self):
+        # the scan's workspace is two blocks; one more block-sized float
+        # temporary per block (a gathered copy, a masked copy) passes four
+        dom = circle_domain(2048)
+        c4 = cycle_graph(4)
+        f = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
+        tracemalloc.start()
+        try:
+            cert = clique_certificate(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.delta > 0
+        assert peak < 4 * transform.BLOCK_CELLS * 8
 
     @pytest.mark.parametrize("rows_per_block", [1, None])
     def test_diameter_scans_the_upper_triangle(self, rows_per_block, monkeypatch):
@@ -200,6 +215,75 @@ class TestMatrixFree:
         assert len(built) == 6
         assert all(rows == preimage for rows, preimage in built)
         assert any(preimage for _, preimage in built)
+
+
+def float_neighbors(x, steps=2):
+    """``x`` and the floats up to ``steps`` ulps on either side of each entry."""
+    out = [x]
+    up = down = x
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+    return np.concatenate(out)
+
+
+class TestSquaredBound:
+    """B(t) against its definition, the least float s with sqrt(s) >= t, and
+    the equivalence the scans rest on: sqrt(x) < t exactly when x < B(t)."""
+
+    @staticmethod
+    def assert_bound(t):
+        b = transform._squared_bound(t)
+        assert b.shape == t.shape
+        real = ~np.isnan(t)
+        assert np.isnan(b[~real]).all()
+        assert (np.sqrt(b[real]) >= t[real]).all()
+        # the float below B(t) falls short of t; B(t) is 0 only for t <= 0
+        positive = real & (b > 0)
+        assert (np.sqrt(np.nextafter(b[positive], 0.0)) < t[positive]).all()
+        assert (t[real & (b == 0)] <= 0).all()
+        # at B(t), at its float neighbours and around t * t
+        with np.errstate(over="ignore"):
+            near = np.concatenate([b[:, None], (t * t)[:, None]], axis=1)
+        for column in near.T:
+            for x in np.split(float_neighbors(column), 5):
+                x = np.where(np.isnan(x) | (x < 0), 0.0, x)
+                assert np.array_equal(x < b, np.sqrt(x) < t)
+
+    def test_random_values(self):
+        rng = np.random.default_rng(0)
+        t = np.concatenate([
+            rng.random(20000) * 4.0,
+            np.exp(rng.uniform(-700, 700, 20000)),
+            np.sqrt(rng.random(20000)),
+        ])
+        self.assert_bound(float_neighbors(t))
+
+    def test_exact_squares_and_their_neighbors(self):
+        rng = np.random.default_rng(1)
+        roots = np.concatenate([
+            np.arange(1.0, 2001.0),
+            np.sqrt(rng.random(2000) * 1e6),
+            2.0 ** np.arange(-60, 60),
+        ])
+        self.assert_bound(float_neighbors(roots))
+        # B of an exact root of a float never exceeds that float
+        squares = rng.random(2000) * 100.0
+        assert (transform._squared_bound(np.sqrt(squares)) <= squares).all()
+
+    def test_extremes(self):
+        tiny = np.finfo(float).tiny
+        huge = np.sqrt(np.finfo(float).max)
+        t = np.array([
+            0.0, -0.0, -1.0, -np.inf, 5e-324, 1e-320, 1e-310, tiny, 1e-200, 1e-162,
+            1.5e-154, 1e154, huge, 1.35e154, 1e200, np.finfo(float).max, np.inf, np.nan,
+        ])
+        self.assert_bound(float_neighbors(t))
+        b = transform._squared_bound(t)
+        assert b[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert b[4] == 5e-324 and b[-2] == np.inf
+        assert (b[-5:-2] == np.inf).all()  # no finite root reaches them
 
 
 class TestDiscreteModify:
