@@ -26,7 +26,7 @@ from .graph import Graph, sort_vertices
 from .homology import betti_numbers, euler_characteristic
 from .pipeline import canonical_json, fnv1a64, run_pipeline
 from .realization import BaryPoint, NotAClique, theta_on_graph
-from .transform import CertificateFailure, TooManySamples, check_sample_budget
+from .transform import CertificateFailure, TooManySamples
 
 
 class InputError(ValueError):
@@ -144,12 +144,16 @@ def cmd_betti(args) -> int:
 
 
 def _coerce_carrier(graph: Graph, raw_carrier) -> tuple:
+    """Each token as the graph's own label: the vertex equal to the token, to
+    its string or to its integer; a boolean is refused, as ``sort_vertices``
+    refuses boolean labels, although ``True == 1``."""
+
     def coerce(tok):
-        if tok in graph:
-            return tok
-        alt = str(tok)
-        if alt in graph:
-            return alt
+        if isinstance(tok, bool):
+            raise InputError(f"carrier vertex {tok!r} is a boolean, not a vertex label")
+        for alt in (tok, str(tok)):
+            if alt in graph:
+                return graph.vertices[graph.index(alt)]
         try:
             num = int(tok)
         except (TypeError, ValueError):
@@ -181,15 +185,9 @@ def parse_domain_spec(spec: str):
     parts = spec.split(":")
     try:
         if parts[0] == "circle" and len(parts) == 2:
-            n = int(parts[1])
-            check_sample_budget([n])
-            return circle_domain(n)
+            return circle_domain(int(parts[1]))
         if parts[0] == "sphere2" and len(parts) == 3 and parts[1] == "icosa":
-            k = int(parts[2])
-            # 10 * 4^k + 2 samples; k >= 6 is over the ceiling, so the
-            # exponent is capped to keep a huge k cheap to refuse
-            check_sample_budget([10 * 4 ** min(k, 8) + 2])
-            return icosphere_domain(k)
+            return icosphere_domain(int(parts[2]))
     except ValueError as exc:
         raise InputError(f"bad domain spec {spec!r}: {exc}") from exc
     raise InputError(f"unknown domain spec {spec!r} (use circle:N or sphere2:icosa:K)")
@@ -208,6 +206,9 @@ def build_sample_map(spec: str, domain, graph: Graph, seed: int):
                 if key not in point:
                     point[key] = BaryPoint.of_vertex(*_coerce_carrier(graph, [tok]))
                 out[i] = point[key]
+            # the built-in domains' basepoint is sample 0
+            if "base" in data and _coerce_carrier(graph, [data["base"]]) != out[0].carrier:
+                raise InputError(f"base {data['base']!r} is not the value of basepoint 0")
             return out
         except InputError:
             raise

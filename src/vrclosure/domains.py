@@ -15,7 +15,7 @@ import numpy as np
 from .complex import SimplicialComplex
 from .graph import Graph
 from .realization import BaryPoint
-from .transform import SampledDomain, _nearest_targets
+from .transform import SampledDomain, _nearest_targets, check_sample_budget
 
 Vertex = Hashable
 
@@ -32,15 +32,17 @@ OCTAHEDRON_POLES = np.array(
 )
 
 
-def circle_domain(n: int, basepoint: int = 0) -> SampledDomain:
-    """Regular n-gon sample of the unit circle, triangulated by its edges."""
+def circle_domain(n: int) -> SampledDomain:
+    """Regular n-gon sample of the unit circle, triangulated by its edges,
+    with basepoint 0; ``TooManySamples`` past ``MAX_SAMPLES``."""
     if n < 3:
         raise ValueError("need at least 3 samples on the circle")
+    check_sample_budget([n])
     angles = 2.0 * math.pi * np.arange(n) / n
     coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     edges = [(0, 1), (0, n - 1), *((i, i + 1) for i in range(1, n - 1))]  # lexicographic
     tri = SimplicialComplex(range(n), [[(i,) for i in range(n)], edges], dim_cap=2)
-    return SampledDomain(coords, tri, basepoints=(basepoint,))
+    return SampledDomain(coords, tri, basepoints=(0,))
 
 
 _ICOSA_FACES = [
@@ -89,14 +91,18 @@ def icosphere(subdivisions: int) -> tuple:
     return verts, faces
 
 
-def icosphere_domain(subdivisions: int, basepoint: int = 0) -> SampledDomain:
-    """Sampled 2-sphere: a subdivided icosahedron with its face triangulation."""
+def icosphere_domain(subdivisions: int) -> SampledDomain:
+    """Sampled 2-sphere: a subdivided icosahedron with its face triangulation,
+    with basepoint 0; ``TooManySamples`` past ``MAX_SAMPLES``."""
+    # 10 * 4^k + 2 samples; k >= 6 is over the ceiling, so the exponent is
+    # capped to keep a huge k cheap to refuse
+    check_sample_budget([10 * 4 ** min(subdivisions, 8) + 2])
     coords, faces = icosphere(subdivisions)
     n = len(coords)
     triangles = sorted(tuple(sorted(face)) for face in faces)
     edges = sorted({e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))})
     tri = SimplicialComplex(range(n), [[(i,) for i in range(n)], edges, triangles], dim_cap=3)
-    return SampledDomain(coords, tri, basepoints=(basepoint,))
+    return SampledDomain(coords, tri, basepoints=(0,))
 
 
 # -- built-in sample maps ------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .complex import SimplicialComplex, SimplicialMap, subdivision_counts, vietoris_rips
+from .complex import SimplicialComplex, SimplicialMap, vietoris_rips
 from .graph import Graph
 from .homology import induced_h1
 from .realization import BaryPoint, subdivision_depth_for_mesh
@@ -164,7 +164,7 @@ def build_pipeline(
 
     mesh = domain.max_simplex_diameter()
     dim = domain.triangulation.dimension()
-    required = subdivision_depth_for_mesh(dim, mesh, cert.delta) if mesh > 0 else 0
+    required = subdivision_depth_for_mesh(dim, mesh, cert.delta)
     depth = max(required, extra_subdivisions)
     check_sample_budget(counts, depth)
 
@@ -243,20 +243,17 @@ def run_pipeline(
 ) -> dict:
     """Run the full pipeline and return the per-stage report dict.
 
-    With ``check_sd`` the extra round is refused before any flood when the
-    domain refined ``extra_subdivisions`` times, the least depth the pipeline
-    can choose, is already too big for it; subdivision never shrinks a
-    domain.  The final domain's own counts are checked before ``induced_h1``.
+    With ``check_sd`` the final map is refined once more and checked for
+    subdivision compatibility.  That round is refused before any flood when
+    the domain refined ``extra_subdivisions + 1`` times is too big, since the
+    pipeline chooses at least ``extra_subdivisions``; otherwise the refining
+    ``subdivide_domain`` refuses it, before ``induced_h1`` runs.
     """
     if check_sd:
-        counts = domain.triangulation.counts()
-        check_sample_budget(counts, extra_subdivisions)
-        for _ in range(extra_subdivisions):
-            counts = subdivision_counts(counts)
-        check_sample_budget(counts, 1)
+        check_sample_budget(domain.triangulation.counts(), extra_subdivisions + 1)
     art = build_pipeline(graph, domain, sample_points, extra_subdivisions)
     if check_sd:
-        check_sample_budget(art.final_domain.triangulation.counts(), 1)
+        sd_compatible = sd_compatibility(art.simplicial_map, *refine_once(art))
     ih1 = induced_h1(art.simplicial_map)
     report = {
         "graph": {"vertices": len(graph.vertices), "edges": len(graph.edges)},
@@ -281,6 +278,5 @@ def run_pipeline(
         "final_digest": digest_map(art.final_map),
     }
     if check_sd:
-        m2, face_vertex = refine_once(art)
-        report["sd_compatible"] = sd_compatibility(art.simplicial_map, m2, face_vertex)
+        report["sd_compatible"] = sd_compatible
     return report

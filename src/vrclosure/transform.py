@@ -22,7 +22,6 @@ from .complex import (
     SimplicialMap,
     subdivision_counts,
     subdivision_on,
-    vietoris_rips,
 )
 from .graph import Graph
 from .realization import BaryPoint, NotAClique, theta_on_graph
@@ -88,6 +87,12 @@ def _squared_blocks(
         shape = len(rows), reached.shape[1]
         out, gap = work[:, : shape[0] * shape[1]].reshape(2, *shape)
         yield lo, _squared_distances_to(rows, reached, out, gap)
+
+
+def _distance_row(coords: np.ndarray, y: int) -> np.ndarray:
+    """The distances from sample ``y`` to every sample, rooted and in sample
+    order: the row a failure rebuilds to name its offender."""
+    return np.sqrt(next(_squared_blocks(coords[y : y + 1], coords))[1][0])
 
 
 def _nearest_targets(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -208,19 +213,6 @@ class SampledDomain:
         mesh = self.max_simplex_diameter()
         return mesh if mesh > 0 else 1.0
 
-    def row_blocks(self, rows: Sequence[int] | None = None, columns=None) -> Iterator[tuple]:
-        """Distance rows in blocks of about ``BLOCK_CELLS`` cells, built on demand.
-
-        Yields ``(lo, block)``: the distances from the samples ``rows[lo : lo
-        + len(block)]`` to the samples ``columns`` (every sample for None),
-        each a fresh array of roots.  Only failing rows, rebuilt to name
-        their offender, are read this way; the scans read squares.
-        """
-        points = self.coords if rows is None else self.coords[np.asarray(rows, dtype=np.intp)]
-        targets = self.coords if columns is None else self.coords[columns]
-        for lo, block in _squared_blocks(points, targets):
-            yield lo, np.sqrt(block)
-
     def edge_lengths(self, edges: Sequence) -> np.ndarray:
         """Distance between the endpoints of each sample pair ``(u, w)``.
 
@@ -243,14 +235,6 @@ class SampledDomain:
         """
         lengths = self.edge_lengths(self.triangulation.simplices(1))
         return float(lengths.max()) if lengths.size else 0.0
-
-    def nearest_samples(self, points) -> np.ndarray:
-        """Index of the nearest sample to each point, the first one on ties.
-
-        For d <= 7 coordinates each index equals ``argmin(norm(coords -
-        point, axis=1))``, ties included (``_nearest_targets``).
-        """
-        return _nearest_targets(np.asarray(points, dtype=float), self.coords)
 
 
 @dataclass(frozen=True)
@@ -293,9 +277,6 @@ class DiscreteMap:
         samples = range(self.domain.n_samples)
         return tuple(compress(samples, map(eq, map(self.values.__getitem__, samples), repeat(v))))
 
-    def with_values(self, new_values: Mapping[int, Vertex]) -> "DiscreteMap":
-        return DiscreteMap(self.domain, self.target, dict(new_values), self.base_value)
-
 
 @dataclass(frozen=True)
 class CliqueCertificate:
@@ -306,10 +287,7 @@ class CliqueCertificate:
     delta: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "radii": {str(i): self.radii[i] for i in sorted(self.radii)},
-        }
+        return {"delta": self.delta, "radii": {str(i): r for i, r in self.radii.items()}}
 
 
 def discrete_modify(
@@ -412,18 +390,17 @@ def _flood_scan(
 
 
 def _overwritten(f: DiscreteMap, v: Vertex, covered: np.ndarray) -> DiscreteMap:
-    """``f`` with value ``v`` on the covered samples."""
+    """``f`` with value ``v`` on the covered samples, in one copy of its values."""
     new_values = dict(f.values)
-    for z in np.flatnonzero(covered).tolist():
-        new_values[z] = v
-    return f.with_values(new_values)
+    new_values.update(zip(np.flatnonzero(covered).tolist(), repeat(v)))
+    return DiscreteMap(f.domain, f.target, new_values, f.base_value)
 
 
 def _stage_failure(f: DiscreteMap, v: Vertex, y: int, r: float | None) -> CertificateFailure:
     """The failure of the flood ball of radius ``r`` around preimage sample
     ``y``, or of its coincident samples when ``r`` is None: the first sample
     inside with a value not adjacent to ``v``, else the first basepoint."""
-    row = next(f.domain.row_blocks([y]))[1][0]  # in full, whatever the stage read
+    row = _distance_row(f.domain.coords, y)  # in full, whatever the stage read
     inside = row <= 0.0 if r is None else row < r
     closed = f.target.closed_neighborhood(v)
     stage = f"flood stage {v!r}"
@@ -504,8 +481,8 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     exact (``_squared_bound``).  For k image values this takes
     O(n^2 + n k log k) numpy time, plus O(j^2) adjacency lookups per row
     where j is the rank of that first conflicting value (2 or 3 on a
-    continuous map), and O(block * n) memory: each row block is built on
-    demand and dropped before the next.  When even the nearest neighbors
+    continuous map), and O(block * n) memory: every row block is written
+    into one reused workspace.  When even the nearest neighbors
     violate adjacency there is no positive radius and the certificate fails,
     naming the pair met first in stable distance order on the first such
     row; when no two image values are non-adjacent, the radius is the domain
@@ -579,7 +556,7 @@ def _conflict_level(nearest: np.ndarray, adjacent: np.ndarray, k: int) -> np.nda
 def _row_failure(f: DiscreteMap, y: int) -> CertificateFailure:
     """The first non-adjacent value pair met in stable distance order from
     sample ``y``, for a row that has no positive certificate radius."""
-    row = next(f.domain.row_blocks([y]))[1][0]  # rooted and in sample order
+    row = _distance_row(f.domain.coords, y)
     present: dict = {}  # value -> first sample seen carrying it
     for z in np.argsort(row, kind="stable").tolist():
         vz = f.values[z]
@@ -601,7 +578,7 @@ def convex_transform(
     f: DiscreteMap,
     triangulation: SimplicialComplex,
     cert: CliqueCertificate,
-    target_complex: SimplicialComplex | None = None,
+    target_complex: SimplicialComplex,
 ) -> SimplicialMap:
     """The simplicial map induced by a vertex-valued map on a fine triangulation.
 
@@ -610,7 +587,7 @@ def convex_transform(
     simplicial into the clique complex, and shared faces agree exactly by
     construction.  Downward closure makes the edge-level checks cover every
     simplex, provided ``target_complex`` is the clique complex of ``f.target``
-    capped at the triangulation's dimension or above, as the default is.
+    capped at the triangulation's dimension or above.
     The first failing edge is named, its length before its clique;
     adjacency is looked up once per distinct value pair.
     """
@@ -633,9 +610,6 @@ def convex_transform(
             if length >= cert.delta
             else "triangulation edge does not map to a clique",
         )
-    if target_complex is None:
-        cap = max(2, triangulation.dimension())
-        target_complex = vietoris_rips(f.target, cap)
     return SimplicialMap(
         triangulation,
         target_complex,
@@ -650,9 +624,11 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     the value of the nearest pre-existing sample, the finite stand-in for
     evaluating the map at the new point.  Returns ``(new_domain, new_values,
     face_vertex)`` where ``face_vertex`` maps face tuples of the old
-    triangulation to new sample indices.
+    triangulation to new sample indices.  Raises ``TooManySamples`` before
+    building anything when the result would pass ``MAX_SAMPLES``.
     """
     tri = domain.triangulation
+    check_sample_budget(tri.counts(), 1)
     n = domain.n_samples
     # old samples keep their index and new faces count up from n in face
     # order, so sd(K) is built once, directly on sample indices
@@ -664,7 +640,7 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     coords = np.vstack([domain.coords, *centers])
 
     new_values = dict(values)
-    for idx, nearest in enumerate(domain.nearest_samples(coords[n:]).tolist(), start=n):
+    for idx, nearest in enumerate(_nearest_targets(coords[n:], domain.coords).tolist(), start=n):
         new_values[idx] = values[nearest]
 
     new_domain = SampledDomain(coords, subdivision_on(tri, names), domain.basepoints)

@@ -55,15 +55,15 @@ def icosphere(subdivisions):
     return np.array(verts), faces
 
 
-def icosphere_domain(subdivisions, basepoint=0):
+def icosphere_domain(subdivisions):
     coords, faces = icosphere(subdivisions)
     tri = SimplicialComplex.from_simplices(faces, dim_cap=3, vertices=range(len(coords)))
-    return SampledDomain(coords, tri, basepoints=(basepoint,))
+    return SampledDomain(coords, tri, basepoints=(0,))
 
 
-def circle_domain(n, basepoint=0):
+def circle_domain(n):
     angles = 2.0 * math.pi * np.arange(n) / n
     coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     edges = [(i, (i + 1) % n) for i in range(n)]
     tri = SimplicialComplex.from_simplices(edges, dim_cap=2, vertices=range(n))
-    return SampledDomain(coords, tri, basepoints=(basepoint,))
+    return SampledDomain(coords, tri, basepoints=(0,))

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from vrclosure import flood_stages
+from vrclosure import transform
 
 
 def flood_all(f):
@@ -62,6 +63,13 @@ def distances(dom):
     """The full distance matrix of a sampled domain, which the domain itself
     never builds; its row blocks equal these rows bit for bit."""
     return oracle_distances(dom.coords)
+
+
+def rooted_blocks(points, targets):
+    """``transform._squared_blocks(points, targets)`` rooted: ``(lo, block)``
+    with the distances from ``points[lo : lo + len(block)]`` to ``targets``,
+    each block a fresh array rather than the reused workspace."""
+    return [(lo, np.sqrt(block)) for lo, block in transform._squared_blocks(points, targets)]
 
 
 def simplex_diameter(dom, simplex):

@@ -174,6 +174,19 @@ class TestTheta:
         code, out, _ = run_cli(capsys, "theta", str(path), point)
         assert (code, out) == (0, '{"vertex":"1"}\n')
 
+    def test_carrier_token_equal_to_a_vertex_prints_its_label(self, capsys, c4_file):
+        # 1.0 == 1: the float names vertex 1, which prints as the graph's int
+        point = json.dumps({"carrier": [1.0, 2], "coords": [0.7, 0.3]})
+        code, out, _ = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out) == (0, '{"vertex":1}\n')
+
+    def test_boolean_carrier_vertex_is_input_error(self, capsys, c4_file):
+        # True == 1, but no graph has boolean labels
+        point = json.dumps({"carrier": [True, 2], "coords": [0.7, 0.3]})
+        code, out, err = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out) == (2, "")
+        assert err == "input error: carrier vertex True is a boolean, not a vertex label\n"
+
     def test_unknown_carrier_vertex_is_input_error(self, capsys, c4_file):
         point = json.dumps({"carrier": [1, 9], "coords": [0.5, 0.5]})
         code, out, err = run_cli(capsys, "theta", c4_file, point)
@@ -298,6 +311,7 @@ class TestPipeline:
             (["1", 1, 7, "7"], "carrier vertex 7 is not a vertex of the graph"),
             ([2, "2", "y", 7], "carrier vertex 'y' is not a vertex of the graph"),
             ([0, [1], "0", [1]], "bad values file '{path}': unhashable type: 'list'"),
+            ([0, True, 2, 3], "carrier vertex True is a boolean, not a vertex label"),
         ],
     )
     def test_values_file_with_repeated_bad_tokens(self, tokens, message, capsys, c4_file, tmp_path):
@@ -308,6 +322,34 @@ class TestPipeline:
         )
         assert (code, out) == (2, "")
         assert err == f"input error: {message.format(path=vpath)}\n"
+
+    def test_float_tokens_print_the_int_tokens_bytes(self, capsys, c4_file, tmp_path):
+        # the quarter-arc map of circle:16 as a values file; 1.0 names vertex 1
+        vpath = tmp_path / "values.json"
+        argv = ["pipeline", c4_file, "--domain", "circle:16", "--map", f"@{vpath}"]
+        quarter = [(i * 4) // 16 for i in range(16)]
+        outputs = []
+        for tokens in (quarter, [float(v) for v in quarter]):
+            vpath.write_text(json.dumps({"values": dict(zip(map(str, range(16)), tokens))}))
+            outputs.append(run_cli(capsys, *argv))
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0][1])
+        assert outputs[0][0] == 0
+        assert report["stages"][0]["digest"] == "dc8ae0cdfd40f984"
+        assert report["final_digest"] == "fa58ea3ff71ec24b"
+
+    def test_values_file_base_is_the_basepoint_value(self, capsys, c4_file, tmp_path):
+        vpath = tmp_path / "values.json"
+        argv = ["pipeline", c4_file, "--domain", "circle:16", "--map", f"@{vpath}"]
+        values = {str(i): (i * 4) // 16 for i in range(16)}
+        outputs = []
+        for base in ({}, {"base": "0"}, {"base": 0.0}, {"base": "2"}, {"base": True}):
+            vpath.write_text(json.dumps({**base, "values": values}))
+            outputs.append(run_cli(capsys, *argv))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0] == 0
+        assert outputs[3] == (2, "", "input error: base '2' is not the value of basepoint 0\n")
+        assert outputs[4][:2] == (2, "")
 
     def test_unknown_domain(self, capsys, c4_file):
         code, _, err = run_cli(

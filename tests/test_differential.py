@@ -60,6 +60,7 @@ from helpers import (
     flood_all,
     oracle_distances,
     oracle_max_simplex_diameter,
+    rooted_blocks,
 )
 
 # -- oracles: the per-row implementations, kept verbatim in behavior -------
@@ -265,7 +266,7 @@ def flipped(f, sample):
     """``f`` with one sample sent to the antipodal octahedron vertex."""
     values = dict(f.values)
     values[sample] = values[sample] ^ 1
-    return f.with_values(values)
+    return DiscreteMap(f.domain, f.target, values, f.base_value)
 
 
 @pytest.fixture(params=["default", "tiny"])
@@ -408,13 +409,14 @@ def chain(positions):
 
 
 def assert_reads_match_oracle(dom):
-    """Row blocks (all rows and a selection), the diameter and edge lengths
-    equal the broadcast formula's matrix entries bit for bit."""
+    """Rooted squared blocks (all rows and a selection), the diameter, edge
+    lengths and a failure's distance row equal the broadcast formula's
+    matrix entries bit for bit."""
     coords = dom.coords
     n = dom.n_samples
     seen = 0
     largest = 0.0
-    for lo, block in dom.row_blocks():
+    for lo, block in rooted_blocks(coords, coords):
         assert lo == seen
         want = oracle_distances(coords[lo : lo + len(block)], coords)
         assert np.array_equal(block, want)
@@ -424,12 +426,14 @@ def assert_reads_match_oracle(dom):
     assert dom.diameter == largest
     rng = np.random.default_rng(n)
     rows = np.concatenate([rng.integers(0, n, size=min(n, 40)), [n - 1, 0, n - 1]])
-    picked = list(dom.row_blocks(rows.tolist()))
+    picked = rooted_blocks(coords[rows], coords)
     assert [lo for lo, _ in picked] == list(range(0, len(rows), len(picked[0][1])))
     assert np.array_equal(np.vstack([block for _, block in picked]), oracle_distances(coords[rows], coords))
     edges = list(dom.triangulation.simplices(1)) + rng.integers(0, n, size=(20, 2)).tolist()
     want = [oracle_distances(coords[[u]], coords[[w]])[0, 0] for u, w in edges]
     assert np.array_equal(dom.edge_lengths(edges), want)
+    for y in {0, n // 2, n - 1}:
+        assert np.array_equal(transform._distance_row(coords, y), oracle_distances(coords[[y]], coords)[0])
 
 
 class TestMatrixFreeReadsDifferential:
@@ -714,7 +718,7 @@ def blocked_scans(make_map):
     cert = cert if cert[0] == "fail" else ("ok", cert[1].radii, cert[1].delta)
     tri = dom.triangulation
     centers = np.vstack([dom.coords[np.array(tri.simplices(d))].mean(axis=1) for d in (1, 2) if tri.simplices(d)])
-    return dom.diameter, stages, cert, dom.nearest_samples(centers).tolist()
+    return dom.diameter, stages, cert, transform._nearest_targets(centers, dom.coords).tolist()
 
 
 def icosa_map(k, flip=None):
@@ -1261,6 +1265,7 @@ class TestSubdivisionOracles:
 
 
 def test_nearest_samples_takes_first_on_ties():
-    dom = SampledDomain([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]], SimplicialComplex.from_simplices([(0,), (1,), (2,)], 0))
-    assert dom.nearest_samples([[1.0, 0.0], [1.9, 0.0], [1.0, 4.0]]).tolist() == [0, 1, 2]
-    assert dom.nearest_samples(np.empty((0, 2))).tolist() == []
+    samples = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]])
+    nearest = transform._nearest_targets
+    assert nearest(np.array([[1.0, 0.0], [1.9, 0.0], [1.0, 4.0]]), samples).tolist() == [0, 1, 2]
+    assert nearest(np.empty((0, 2)), samples).tolist() == []

@@ -1,6 +1,7 @@
 """Sphere domain generators and the built-in sample maps."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from vrclosure.domains import (
     quarter_arc_map,
     random_rotation,
 )
+from vrclosure.transform import MAX_SAMPLES, TooManySamples
 
 import domain_oracle
 
@@ -31,13 +33,28 @@ class TestCircle:
         dom = circle_domain(12)
         assert np.allclose(np.linalg.norm(dom.coords, axis=1), 1.0)
 
-    def test_basepoint(self):
-        assert circle_domain(8).basepoints == (0,)
-        assert circle_domain(8, basepoint=3).basepoints == (3,)
-
     def test_too_small(self):
         with pytest.raises(ValueError):
             circle_domain(2)
+
+
+class TestSampleBudget:
+    """The builders refuse an oversized domain from its sample count alone,
+    before allocating anything."""
+
+    @pytest.mark.parametrize(
+        "build, arg",
+        [(circle_domain, MAX_SAMPLES + 1), (circle_domain, 10**9),
+         (icosphere_domain, 6), (icosphere_domain, 10**9)],
+    )
+    def test_oversized_domain_refused_at_once(self, build, arg):
+        start = time.perf_counter()
+        with pytest.raises(TooManySamples, match=f"^more than {MAX_SAMPLES} samples$"):
+            build(arg)
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_circle_is_built(self):
+        assert circle_domain(MAX_SAMPLES).n_samples == MAX_SAMPLES
 
 
 class TestIcosphere:
@@ -143,7 +160,7 @@ class TestArrayBuildsMatchTheOracle:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 64, 2048])
     def test_circle(self, n):
-        dom, want = circle_domain(n, basepoint=n - 1), domain_oracle.circle_domain(n, n - 1)
+        dom, want = circle_domain(n), domain_oracle.circle_domain(n)
         assert dom.coords.tobytes() == want.coords.tobytes()
         assert dom.triangulation == want.triangulation
-        assert dom.basepoints == want.basepoints == (n - 1,)
+        assert dom.basepoints == want.basepoints == (0,)

@@ -36,7 +36,7 @@ from vrclosure.domains import (
 from vrclosure.realization import NotAClique, theta_on_graph
 
 from grid_oracle import carriers_compatible
-from helpers import distances, flood_all, simplex_diameter
+from helpers import distances, flood_all, rooted_blocks, simplex_diameter
 
 
 def chain_domain(positions, basepoints=()):
@@ -90,27 +90,29 @@ class TestSampledDomain:
         isolated = SampledDomain([[0.0], [1.0]], SimplicialComplex.from_simplices([(0,), (1,)], 1))
         assert isolated.eps_net == 1.0
 
-    def test_row_blocks_cover_the_matrix(self, monkeypatch):
+    def test_squared_blocks_cover_the_matrix(self, monkeypatch):
         dom = chain_domain([0, 1, 3, 7, 8])
-        dist = distances(dom)
-        blocks = list(dom.row_blocks())
+        coords, dist = dom.coords, distances(dom)
+        blocks = rooted_blocks(coords, coords)
         assert [lo for lo, _ in blocks] == [0]
         assert np.array_equal(blocks[0][1], dist)
         # the block size is read from BLOCK_CELLS at each call
         monkeypatch.setattr(transform, "BLOCK_CELLS", 10)
-        blocks = list(dom.row_blocks())
+        blocks = rooted_blocks(coords, coords)
         assert [lo for lo, _ in blocks] == [0, 2, 4]
         assert np.array_equal(np.vstack([block for _, block in blocks]), dist)
-        picked = list(dom.row_blocks((4, 0, 2)))
+        picked = rooted_blocks(coords[[4, 0, 2]], coords)
         assert [lo for lo, _ in picked] == [0, 2]
         assert np.array_equal(np.vstack([block for _, block in picked]), dist[[4, 0, 2]])
-        assert list(dom.row_blocks(())) == []
+        assert rooted_blocks(coords[[]], coords) == []
         # a column subset: BLOCK_CELLS // 2 = 5 rows per block
-        cut = list(dom.row_blocks((4, 0, 2), np.array([3, 1])))
+        cut = rooted_blocks(coords[[4, 0, 2]], coords[[3, 1]])
         assert [lo for lo, _ in cut] == [0]
         assert np.array_equal(cut[0][1], dist[[4, 0, 2]][:, [3, 1]])
-        empty = list(dom.row_blocks((4, 0, 2), np.array([], dtype=np.intp)))
+        empty = rooted_blocks(coords[[4, 0, 2]], coords[[]])
         assert [(lo, block.shape) for lo, block in empty] == [(0, (3, 0))]
+        # the row a failure rebuilds is the same row, in sample order
+        assert np.array_equal(transform._distance_row(coords, 3), dist[3])
 
     def test_edge_lengths(self):
         dom = chain_domain([0, 1, 3])
@@ -632,7 +634,7 @@ class TestConvexTransform:
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {i: 3 for i in range(8)}, 3)
         cert = clique_certificate(f)
-        m = convex_transform(f, dom.triangulation, cert)
+        m = convex_transform(f, dom.triangulation, cert, vietoris_rips(g, 2))
         assert check_simplicial(m)
         assert all(m(v) == 3 for v in dom.triangulation.vertices)
 
@@ -641,7 +643,7 @@ class TestConvexTransform:
         g = cycle_graph(4)
         f = flood_all(discrete_modify(quarter_arc_map(dom, g), dom, g))
         cert = clique_certificate(f)
-        m = convex_transform(f, dom.triangulation, cert)
+        m = convex_transform(f, dom.triangulation, cert, vietoris_rips(g, 2))
         assert check_simplicial(m)
         for v in dom.triangulation.vertices:
             assert m(v) == f(v)
@@ -654,7 +656,7 @@ class TestConvexTransform:
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {0: 0, 1: 0, 2: 1, 3: 0}, 0)
         cert = clique_certificate(f)
-        m = convex_transform(f, tri, cert)
+        m = convex_transform(f, tri, cert, vietoris_rips(g, 2))
         assert m.image_simplex((0, 1, 2)) == (0, 1)
 
     def test_oversized_simplex_rejected(self):
@@ -664,7 +666,7 @@ class TestConvexTransform:
         cert = clique_certificate(f)
         fake = type(cert)(dict(cert.radii), min(cert.delta, 0.5))
         with pytest.raises(CertificateFailure, match="delta"):
-            convex_transform(f, dom.triangulation, fake)
+            convex_transform(f, dom.triangulation, fake, vietoris_rips(g, 2))
 
     def test_non_clique_simplex_rejected(self):
         from vrclosure import CliqueCertificate
@@ -675,7 +677,7 @@ class TestConvexTransform:
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {0: 0, 1: 2}, 0)
         with pytest.raises(CertificateFailure):
-            convex_transform(f, tri, CliqueCertificate({0: 1.0, 1: 1.0}, 1.0))
+            convex_transform(f, tri, CliqueCertificate({0: 1.0, 1: 1.0}, 1.0), vietoris_rips(g, 2))
 
 
 class TestCarriersCompatible:
@@ -733,8 +735,21 @@ class TestSubdivideDomain:
     def test_basepoints_preserved(self):
         dom = circle_domain(8)
         values = {i: 0 for i in range(8)}
-        new_dom, _, _ = subdivide_domain(dom, values)
-        assert new_dom.basepoints == dom.basepoints
+        for basepoints in ((0,), (3, 5)):
+            dom = SampledDomain(dom.coords, dom.triangulation, basepoints=basepoints)
+            new_dom, _, _ = subdivide_domain(dom, values)
+            assert new_dom.basepoints == basepoints
+
+    def test_oversized_result_refused_before_subdividing(self, monkeypatch):
+        # one round takes circle:16 to 32 samples
+        dom, values = circle_domain(16), dict.fromkeys(range(16), 0)
+        monkeypatch.setattr(transform, "MAX_SAMPLES", 31)
+        with monkeypatch.context() as mp:
+            mp.setattr(transform, "subdivision_on", lambda *args: pytest.fail("subdivided"))
+            with pytest.raises(transform.TooManySamples, match="^more than 31 samples after 1 subdivision rounds$"):
+                subdivide_domain(dom, values)
+        monkeypatch.setattr(transform, "MAX_SAMPLES", 32)
+        assert subdivide_domain(dom, values)[0].n_samples == 32
 
     def test_mesh_shrinks(self):
         dom = icosphere_domain(0)
