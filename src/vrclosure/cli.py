@@ -93,7 +93,8 @@ def complex_to_json(k: SimplicialComplex) -> dict:
         "dim_cap": k.dim_cap,
         "vertices": list(k.vertices),
         "counts": k.counts(),
-        "simplices": [[list(s) for s in k.simplices(d)] for d in range(k.dim_cap + 1)],
+        # json writes the simplex tuples as arrays
+        "simplices": [k.simplices(d) for d in range(k.dim_cap + 1)],
     }
 
 
@@ -146,7 +147,8 @@ def cmd_betti(args) -> int:
 def _coerce_carrier(graph: Graph, raw_carrier) -> tuple:
     """Each token as the graph's own label: the vertex equal to the token, to
     its string or to its integer; a boolean is refused, as ``sort_vertices``
-    refuses boolean labels, although ``True == 1``."""
+    refuses boolean labels, although ``True == 1``, and so is a float that
+    is not integral, which ``int`` would truncate (``1.0`` names 1)."""
 
     def coerce(tok):
         if isinstance(tok, bool):
@@ -154,10 +156,12 @@ def _coerce_carrier(graph: Graph, raw_carrier) -> tuple:
         for alt in (tok, str(tok)):
             if alt in graph:
                 return graph.vertices[graph.index(alt)]
-        try:
-            num = int(tok)
-        except (TypeError, ValueError):
-            num = None
+        num = None
+        if not isinstance(tok, float) or tok.is_integer():
+            try:
+                num = int(tok)
+            except (TypeError, ValueError):
+                pass
         if num is not None and num in graph:
             return num
         raise InputError(f"carrier vertex {tok!r} is not a vertex of the graph")

@@ -290,11 +290,12 @@ class SimplicialMap:
 
 
 def check_simplicial(m: SimplicialMap) -> bool:
-    """True iff every source simplex lands on a target simplex; the maximal
-    ones suffice, since the target is downward closed.  Many maximal
-    simplices share an image, so each distinct image is looked up once."""
+    """True iff every source simplex lands on a target simplex.  Many
+    simplices share an image, so each distinct image is looked up once;
+    checking every simplex costs less than finding the maximal ones, which
+    would suffice since the target is downward closed."""
     image = m.vertex_images.__getitem__
-    images = set(map(frozenset, map(map, repeat(image), m.source.maximal_simplices())))
+    images = set(map(frozenset, map(map, repeat(image), m.source.all_simplices())))
     return all(m.target.has_simplex(m.target.sort_simplex(s)) for s in images)
 
 

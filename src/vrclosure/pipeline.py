@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -38,14 +38,19 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-#: bytes hashed per numpy pass; the chunk's scratch and the power table
-#: below stay a few tens of KB
-FNV_CHUNK = 1 << 12
+#: bytes hashed per numpy pass.  A chunk costs about a hundred numpy calls
+#: whatever its length, so chunks must be long to pay for them: at 2**12
+#: bytes the lanes are no faster than eight per-byte xor accumulates.  The
+#: power table below holds 8 bytes per chunk byte (256 KB), and hashing a
+#: chunk allocates about 13 bytes per byte
+FNV_CHUNK = 1 << 15
 
 #: FNV_PRIME ** (k + 1) mod 2**64 at index k; uint64 products wrap
 _FNV_POWERS = np.full(FNV_CHUNK, FNV_PRIME, dtype=np.uint64)
 np.cumprod(_FNV_POWERS, out=_FNV_POWERS)
 _FNV_PRIME_LOW = np.uint8(FNV_PRIME & 0xFF)
+#: byte lanes of a little-endian uint64 word: 1 in each byte
+_LANES = np.uint64(0x0101010101010101)
 
 
 def canonical_json(obj) -> str:
@@ -61,29 +66,48 @@ def fnv1a64(text: str) -> str:
     state is P**m * h + sum(P**(m - i) * d_i) mod 2**64: one uint64 dot
     product.  The low bytes follow l' = (l ^ b) * P mod 256, where bit j of
     l' is bit j of l ^ b xor a function of its lower bits, so once the lower
-    bits of every l are known, bit j is a prefix xor: eight passes of
-    ``bitwise_xor.accumulate``.  Chunks of ``FNV_CHUNK`` bytes carry the
-    state from one to the next.
+    bits of every l are known, bit j is a prefix xor: eight passes, one per
+    bit.  Each pass runs in the byte lanes of uint64 words: bit j of each
+    byte moved to the lane's bit 0, one multiply by 0x0101...01 sums each
+    word's lanes up to every lane (at most 8, so no lane carries into the
+    next), and each word's total, accumulated over the words before it,
+    is broadcast into its lanes; the parity of a lane is its prefix xor.
+    Chunks of ``FNV_CHUNK`` bytes carry the state from one to the next.
+    Every operand is a numpy uint64, which numpy 1.x and 2.x both keep
+    unsigned and wrap mod 2**64.
     """
     raw = text.encode("utf-8")
     h = FNV_OFFSET
     for start in range(0, len(raw), FNV_CHUNK):
         m = min(FNV_CHUNK, len(raw) - start)
-        data = np.frombuffer(raw, dtype=np.uint8, count=m, offset=start)
-        low = np.zeros(m, dtype=np.uint8)
+        words = -(-m // 8)
+        # data, the low bytes, their step and a word of lane sums, padded
+        # to whole words; padding only ever reaches bytes after the text
+        scratch = np.zeros((4, 8 * words), dtype=np.uint8)
+        data, low, step, _ = scratch
+        data[:m] = np.frombuffer(raw, dtype=np.uint8, count=m, offset=start)
         low[0] = h & 0xFF
-        step = np.empty_like(low)
+        data_w, low_w, step_w, before = scratch.view("<u8")
+        total = np.empty(words, dtype="<u8")
         for j in range(8):
-            # with bits j and up of low[1:] still 0, bit j of step[i] is
-            # bit j of low[i + 1] xor low[i]; low[0] is whole, so the prefix
-            # xor is bit j of low[i + 1] itself
-            np.bitwise_xor(low, data, out=step)
+            np.bitwise_xor(low_w, data_w, out=step_w)
             np.multiply(step, _FNV_PRIME_LOW, out=step)
-            np.bitwise_and(step, np.uint8(1 << j), out=step)
-            np.bitwise_xor.accumulate(step, out=step)
-            low[1:] |= step[:-1]
+            # with bits j and up of low[1:] still 0, bit j of step[i] is bit
+            # j of low[i + 1] xor low[i]; low[0] is whole, so the prefix xor
+            # of step[:i] is bit j of low[i] itself
+            np.right_shift(step_w, np.uint64(j), out=step_w)
+            step_w &= _LANES
+            step_w *= _LANES  # lane k: how many of lanes 0..k have the bit
+            np.right_shift(step_w, np.uint64(56), out=total)
+            np.bitwise_xor.accumulate(total, out=total)  # bit 0: parity so far
+            np.left_shift(step_w, np.uint64(8), out=before)  # lanes 0..k-1
+            total *= _LANES
+            before[1:] ^= total[:-1]
+            before &= _LANES
+            before <<= np.uint64(j)
+            low_w |= before
         # byte i of m adds d_i * P**(m - i): the powers dotted with d reversed
-        low, data = low[::-1], data[::-1]
+        low, data = low[m - 1 :: -1], data[m - 1 :: -1]
         d = (low ^ data).astype(np.uint64)
         d -= low  # a negative difference wraps mod 2**64
         h = (int(_FNV_POWERS[m - 1]) * h + int(np.dot(_FNV_POWERS[:m], d))) & _MASK64
@@ -93,22 +117,50 @@ def fnv1a64(text: str) -> str:
 @lru_cache(maxsize=4)
 def _sample_keys(n: int) -> tuple:
     """Samples 0..n-1 in the string order of their JSON keys, and each key
-    with its colon: the layout ``canonical_json`` gives a value map."""
-    order = tuple(sorted(range(n), key=str))
-    return order, tuple(f'"{i}":' for i in order)
+    with its colon, after a comma but the first: the layout ``canonical_json``
+    gives a map keyed by samples."""
+    order = np.array(sorted(range(n), key=str), dtype=np.intp)
+    order.flags.writeable = False
+    keys = [f',"{i}":' for i in order.tolist()]
+    keys[0] = keys[0][1:]
+    return order, tuple(keys)
+
+
+def _members(keys: tuple, values) -> str:
+    """The members of a JSON object: each key text followed by its value text."""
+    parts = [None] * (2 * len(keys))
+    parts[0::2] = keys
+    parts[1::2] = values
+    return "".join(parts)
+
+
+@lru_cache(maxsize=4)
+def _vertex_tokens(graph: Graph) -> tuple:
+    """Each vertex's label as ``canonical_json`` writes ``str(label)``, in
+    vertex order; cached per graph object, whose labels never change."""
+    return tuple(map(encode_basestring_ascii, map(str, graph.vertices)))
 
 
 def digest_map(f: DiscreteMap) -> str:
     """``fnv1a64`` of the canonical JSON of ``{"base": str(base), "values":
-    {str(i): str(value)}}``, written directly: one token per distinct value,
-    escaped as ``canonical_json`` escapes strings."""
+    {str(i): str(value)}}``, written directly from the value indices: one
+    cached token per vertex, escaped as ``canonical_json`` escapes strings."""
     order, keys = _sample_keys(f.domain.n_samples)
-    values = list(map(f.values.__getitem__, order))
-    distinct = set(values)
-    token = dict(zip(distinct, map(encode_basestring_ascii, map(str, distinct))))
-    body = ",".join(map(str.__add__, keys, map(token.__getitem__, values)))
-    base = encode_basestring_ascii(str(f.base_value))
-    return fnv1a64(f'{{"base":{base},"values":{{{body}}}}}')
+    tokens = _vertex_tokens(f.target)
+    body = _members(keys, map(tokens.__getitem__, f.codes[order].tolist()))
+    return fnv1a64(f'{{"base":{tokens[f.base_code]},"values":{{{body}}}}}')
+
+
+def digest_radii(cert: CliqueCertificate) -> str:
+    """``fnv1a64(canonical_json(cert.to_json_dict()))`` for radii keyed by
+    the samples 0..n-1, as ``clique_certificate`` builds them, written
+    directly: keys in string order, the numbers from one canonical list,
+    whose separators no number contains."""
+    order, keys = _sample_keys(len(cert.radii))
+    numbers = canonical_json([cert.delta, *map(cert.radii.__getitem__, order.tolist())])
+    delta, *radii = numbers[1:-1].split(",")
+    body = _members(keys, radii)
+    return fnv1a64(f'{{"delta":{delta},"radii":{{{body}}}}}')
 
 
 @dataclass
@@ -144,17 +196,15 @@ def build_pipeline(
     counts = domain.triangulation.counts()
     check_sample_budget(counts, extra_subdivisions)
     f0 = discrete_modify(sample_points, domain, graph)
-    stage_log = [{"stage": "discrete_modify", "digest": digest_map(f0), "changed": 0}]
+    digest = digest_map(f0)
+    stage_log = [{"stage": "discrete_modify", "digest": digest, "changed": 0}]
     current = f0
-    samples = range(domain.n_samples)
     for v, radii, flooded in flood_stages(f0):
-        entry = {
-            "stage": f"flood:{v}",
-            "preimage": len(radii),
-            "changed": sum(map(ne, map(flooded.values.__getitem__, samples),
-                               map(current.values.__getitem__, samples))),
-            "digest": digest_map(flooded),
-        }
+        changed = int(np.count_nonzero(flooded.codes != current.codes))
+        if changed:
+            digest = digest_map(flooded)
+        entry = {"stage": f"flood:{v}", "preimage": len(radii),
+                 "changed": changed, "digest": digest}
         if radii:
             entry["min_radius"] = min(radii.values())
         stage_log.append(entry)
@@ -168,15 +218,18 @@ def build_pipeline(
     depth = max(required, extra_subdivisions)
     check_sample_budget(counts, depth)
 
-    cur_domain, cur_values = domain, dict(current.values)
-    for _ in range(depth):
-        cur_domain, cur_values, _fv = subdivide_domain(cur_domain, cur_values)
-    f_final = DiscreteMap(cur_domain, graph, cur_values, current.base_value)
+    f_final = current  # unrefined, the final map is the flooded one
+    if depth:
+        cur_domain, cur_values = domain, current.values
+        for _ in range(depth):
+            cur_domain, cur_values, _fv = subdivide_domain(cur_domain, cur_values)
+        f_final = DiscreteMap(cur_domain, graph, cur_values, current.base_value)
+    triangulation = f_final.domain.triangulation
 
     # headroom for carrier unions in the subdivision-compatibility check
-    cap = max(2, 2 * cur_domain.triangulation.dimension() + 1)
+    cap = max(2, 2 * triangulation.dimension() + 1)
     target = vietoris_rips(graph, cap)
-    m = convex_transform(f_final, cur_domain.triangulation, cert, target)
+    m = convex_transform(f_final, triangulation, cert, target)
 
     return PipelineArtifacts(
         discrete=f0,
@@ -185,7 +238,7 @@ def build_pipeline(
         certificate=cert,
         required_depth=required,
         depth=depth,
-        final_domain=cur_domain,
+        final_domain=f_final.domain,
         final_map=f_final,
         simplicial_map=m,
         target=target,
@@ -200,9 +253,11 @@ def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int = 0) -> bool:
     first in its vertex order, as ``subdivide_domain`` and
     ``barycentric_subdivision`` build it, so a chain's last vertex is its
     largest face.  Its maximal simplices are the maximal chains
-    F0 < ... < Fd = s, s maximal in ``m1.source``.  Every point of the source
-    lies in one of them, and its two image carriers lie in U = m2(chain)
-    plus m1(s), which interior points reach; so the maps share carriers
+    F0 < ... < Fe = s, s a maximal e-simplex of ``m1.source``: exactly its
+    level-e chains that end at ``face_vertex[s]``, so they are read off the
+    levels and no face of sd(K) is listed.  Every point of the source lies
+    in one of them, and its two image carriers lie in U = m2(chain) plus
+    m1(s), which interior points reach; so the maps share carriers
     everywhere iff every such U is a target simplex, for any complex.
     Thousands of chains share a few dozen unions, so each distinct union is
     looked up once.  ``grid_steps`` is unused and kept only for positional
@@ -211,14 +266,18 @@ def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int = 0) -> bool:
     target = m1.target
     if target != m2.target:
         raise ValueError("maps have different target complexes")
-    coarse = m1.vertex_images.__getitem__
-    top = {face_vertex[s]: frozenset(map(coarse, s)) for s in m1.source.maximal_simplices()}
-    chains = list(m2.source.maximal_simplices())
-    unions = set(map(
-        frozenset.union,
-        map(top.__getitem__, map(itemgetter(-1), chains)),
-        map(map, repeat(m2.vertex_images.__getitem__), chains),
-    ))
+    coarse, fine = m1.vertex_images.__getitem__, m2.vertex_images.__getitem__
+    tops: dict = {}  # e -> {face_vertex[s]: m1(s)} for the maximal e-simplices s
+    for s in m1.source.maximal_simplices():
+        tops.setdefault(len(s) - 1, {})[face_vertex[s]] = frozenset(map(coarse, s))
+    unions: set = set()
+    for e, top in tops.items():
+        chains = [chain for chain in m2.source.simplices(e) if chain[-1] in top]
+        unions.update(map(
+            frozenset.union,
+            map(top.__getitem__, map(itemgetter(-1), chains)),
+            map(map, repeat(fine), chains),
+        ))
     return all(target.has_simplex(target.sort_simplex(union)) for union in unions)
 
 
@@ -266,7 +325,7 @@ def run_pipeline(
         "stages": art.stage_log,
         "certificate": {
             "delta": art.certificate.delta,
-            "radii_digest": fnv1a64(canonical_json(art.certificate.to_json_dict())),
+            "radii_digest": digest_radii(art.certificate),
         },
         "depth": {"required": art.required_depth, "chosen": art.depth},
         "simplicial": True,  # induced_h1 refuses a map that is not simplicial
@@ -275,7 +334,9 @@ def run_pipeline(
             "source_betti1": ih1.source_betti1,
             "target_betti1": ih1.target_betti1,
         },
-        "final_digest": digest_map(art.final_map),
+        "final_digest": (
+            digest_map(art.final_map) if art.depth else art.stage_log[-1]["digest"]
+        ),
     }
     if check_sd:
         report["sd_compatible"] = sd_compatible

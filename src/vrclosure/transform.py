@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
-from operator import eq, is_not
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -237,45 +235,69 @@ class SampledDomain:
         return float(lengths.max()) if lengths.size else 0.0
 
 
-@dataclass(frozen=True)
 class DiscreteMap:
-    """Vertex-valued map on the samples of a domain, with a marked base value."""
+    """Vertex-valued map on the samples of a domain, with a marked base value.
 
-    domain: SampledDomain
-    target: Graph
-    values: Mapping[int, Vertex] = field(hash=False)
-    base_value: Vertex
+    The values are held once, as ``codes``: an int array of target vertex
+    indices, one per sample, checked where the map is built.  ``values`` is
+    the label view ``{sample: vertex}``, built on first read; a value equal
+    to a vertex but another object (``1.0`` for the vertex ``1``) reads back
+    as the graph's own label, and so does ``base_value``.
+    """
 
-    def __post_init__(self):
-        samples, values = range(self.domain.n_samples), self.values
-        is_vertex = self.target.vertex_index.__contains__
-        # the whole map at C speed; the loop below only names the first offender
-        if not (all(map(values.__contains__, samples))
-                and all(map(is_vertex, map(values.__getitem__, samples)))):
+    def __init__(
+        self, domain: SampledDomain, target: Graph, values: Mapping[int, Vertex], base_value: Vertex
+    ):
+        samples, index = range(domain.n_samples), target.vertex_index
+        try:
+            codes = np.fromiter(map(index.__getitem__, map(values.__getitem__, samples)),
+                                dtype=np.intp, count=len(samples))
+        except KeyError:
+            # the whole map at C speed; this loop only names the first offender
             for i in samples:
                 if i not in values:
-                    raise ValueError(f"no value for sample {i}")
-                if values[i] not in self.target:
-                    raise ValueError(f"value {values[i]!r} is not a vertex of the target")
-        if self.base_value not in self.target:
-            raise ValueError(f"base value {self.base_value!r} is not a vertex of the target")
-        for b in self.domain.basepoints:
-            if self.values[b] != self.base_value:
+                    raise ValueError(f"no value for sample {i}") from None
+                if values[i] not in target:
+                    raise ValueError(f"value {values[i]!r} is not a vertex of the target") from None
+        if base_value not in target:
+            raise ValueError(f"base value {base_value!r} is not a vertex of the target")
+        base = index[base_value]
+        for b in domain.basepoints:
+            if codes[b] != base:
                 raise ValueError(
-                    f"basepoint {b} has value {self.values[b]!r}, expected {self.base_value!r}"
+                    f"basepoint {b} has value {values[b]!r}, expected {base_value!r}"
                 )
+        self.domain, self.target, self.codes, self.base_code = domain, target, codes, base
+
+    @classmethod
+    def _of(cls, domain: SampledDomain, target: Graph, codes: np.ndarray, base: int):
+        """The map with vertex indices ``codes`` and base vertex index ``base``,
+        which the caller has checked."""
+        f = cls.__new__(cls)
+        f.domain, f.target, f.codes, f.base_code = domain, target, codes, base
+        return f
+
+    @property
+    def base_value(self) -> Vertex:
+        return self.target.vertices[self.base_code]
+
+    @cached_property
+    def values(self) -> dict:
+        return dict(enumerate(map(self.target.vertices.__getitem__, self.codes.tolist())))
 
     def __call__(self, sample: int) -> Vertex:
-        return self.values[sample]
+        return self.target.vertices[self.codes[sample]]
+
+    def image_codes(self) -> np.ndarray:
+        """Indices of the distinct values, ascending: the target's vertex order."""
+        return np.flatnonzero(np.bincount(self.codes, minlength=len(self.target.vertices)))
 
     def image_vertices(self) -> tuple:
         """Distinct values in the target graph's vertex order."""
-        image = set(self.values.values())
-        return tuple(v for v in self.target.vertices if v in image)
+        return tuple(map(self.target.vertices.__getitem__, self.image_codes().tolist()))
 
     def preimage(self, v: Vertex) -> tuple:
-        samples = range(self.domain.n_samples)
-        return tuple(compress(samples, map(eq, map(self.values.__getitem__, samples), repeat(v))))
+        return tuple(np.flatnonzero(self.codes == self.target.vertex_index.get(v, -1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -302,29 +324,29 @@ def discrete_modify(
     point object is retracted once, to its least-index vertex of maximal
     coordinate, so samples already sitting on vertices keep their value.
     """
-    values = {}
-    retracted: dict = {}  # id(point) -> (point, vertex); the point keeps its id unique
+    index = graph.vertex_index
+    codes = []
+    retracted: dict = {}  # id(point) -> (point, vertex index); the point keeps its id unique
     for i in range(domain.n_samples):
         if i not in sample_points:
             raise ValueError(f"no image point for sample {i}")
         p = sample_points[i]
         if id(p) not in retracted:
             try:
-                retracted[id(p)] = p, theta_on_graph(graph, p)
+                retracted[id(p)] = p, index[theta_on_graph(graph, p)]
             except NotAClique as exc:
                 raise NotAClique(f"sample {i}: {exc}") from None
-        values[i] = retracted[id(p)][1]
+        codes.append(retracted[id(p)][1])
 
-    if domain.basepoints:
-        base = values[domain.basepoints[0]]
-        for b in domain.basepoints:
-            if values[b] != base:
-                raise ValueError(
-                    f"basepoints map to different vertices: {values[b]!r} vs {base!r}"
-                )
-    else:
-        base = values[0]
-    return DiscreteMap(domain, graph, values, base)
+    codes = np.array(codes, dtype=np.intp)
+    base = codes[domain.basepoints[0] if domain.basepoints else 0]
+    for b in domain.basepoints:
+        if codes[b] != base:
+            raise ValueError(
+                "basepoints map to different vertices: "
+                f"{graph.vertices[codes[b]]!r} vs {graph.vertices[base]!r}"
+            )
+    return DiscreteMap._of(domain, graph, codes, int(base))
 
 
 def _flood_scan(
@@ -339,9 +361,10 @@ def _flood_scan(
     maximal, ``reach`` capped at half the diameter, and the first row with
     ``reach`` 0 fails; otherwise the given radii are checked row by row in
     preimage order.  ``covered`` marks the union of the half-radius balls.
-    Rows reach only the samples whose value is not the object ``v``: writing
-    ``v`` over ``v`` changes nothing, and every sample to avoid is among
-    them, so a single-valued map reads no column.
+    Rows reach only the samples whose value is not ``v``: writing ``v`` over
+    ``v`` changes nothing, and every sample to avoid is among them, so a
+    single-valued map reads no column and ``covered`` counts the samples the
+    overwrite changes.
 
     The scan reads squared distances: ``reach`` is the root of the least
     square to avoid, and a ball test ``d < r / 2`` is ``d * d < B(r / 2)``,
@@ -349,14 +372,15 @@ def _flood_scan(
     """
     n = f.domain.n_samples
     covered = np.zeros(n, dtype=bool)
-    preimage = f.preimage(v)
-    if not preimage:
+    c = f.target.vertex_index.get(v, -1)
+    preimage = np.flatnonzero(f.codes == c)
+    if not preimage.size:
         return {}, covered
-    values = list(map(f.values.__getitem__, range(n)))
-    columns = np.flatnonzero(np.fromiter(map(is_not, values, repeat(v)), dtype=bool, count=n))
-    closed = f.target.closed_neighborhood(v)
-    avoid = ~np.fromiter(map(closed.__contains__, values), dtype=bool, count=n)
-    if v != f.base_value:
+    columns = np.flatnonzero(f.codes != c)
+    closed = np.zeros(len(f.target.vertices), dtype=bool)
+    closed[[c, *f.target.index_neighbors[c]]] = True
+    avoid = ~closed[f.codes]
+    if c != f.base_code:
         avoid[list(f.domain.basepoints)] = True
     avoid = avoid[columns]
     maximal = radii is None
@@ -365,8 +389,8 @@ def _flood_scan(
         cap = diameter / 2.0 if diameter > 0 else 1.0
         radii = {}
     coords = f.domain.coords
-    for lo, block in _squared_blocks(coords[np.asarray(preimage)], coords[columns]):
-        rows = preimage[lo : lo + len(block)]
+    for lo, block in _squared_blocks(coords[preimage], coords[columns]):
+        rows = preimage[lo : lo + len(block)].tolist()
         reach = np.sqrt(np.min(block, axis=1, where=avoid, initial=np.inf))
         if maximal:
             failing = np.flatnonzero(reach <= 0.0)
@@ -390,10 +414,10 @@ def _flood_scan(
 
 
 def _overwritten(f: DiscreteMap, v: Vertex, covered: np.ndarray) -> DiscreteMap:
-    """``f`` with value ``v`` on the covered samples, in one copy of its values."""
-    new_values = dict(f.values)
-    new_values.update(zip(np.flatnonzero(covered).tolist(), repeat(v)))
-    return DiscreteMap(f.domain, f.target, new_values, f.base_value)
+    """``f`` with value ``v`` on the covered samples."""
+    codes = f.codes.copy()
+    codes[covered] = f.target.vertex_index[v]
+    return DiscreteMap._of(f.domain, f.target, codes, f.base_code)
 
 
 def _stage_failure(f: DiscreteMap, v: Vertex, y: int, r: float | None) -> CertificateFailure:
@@ -451,9 +475,9 @@ def flood_stages(f: DiscreteMap) -> Iterator[tuple]:
     with maximal radii, yielding ``(v, radii, flooded)`` after each stage.
 
     Each stage builds its preimage rows once, for both the radii and the
-    overwrite.  A stage whose preimage earlier floods overwrote yields empty
-    radii and the map unchanged.  Errors from a stage propagate with the
-    stage named.
+    overwrite, and writes one new code array.  A stage whose preimage
+    earlier floods overwrote yields empty radii and the map unchanged.
+    Errors from a stage propagate with the stage named.
     """
     current = f
     for v in f.image_vertices():
@@ -491,18 +515,19 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     n = f.domain.n_samples
     diameter = f.domain.diameter if n > 1 else 0.0
     fallback = diameter if diameter > 0 else 1.0
-    image = f.image_vertices()
+    image = f.image_codes()
     k = len(image)
-    code = {u: c for c, u in enumerate(image)}
+    rank = np.full(len(f.target.vertices), -1, dtype=np.intp)
+    rank[image] = np.arange(k)
     # adjacent image pairs a < b as sorted keys a * k + b, closed by a
     # sentinel above every key so that a lookup never runs off the end
     adjacent = np.sort(
         np.fromiter(
             (
-                code[u] * k + code[w]
-                for u in image
-                for w in f.target.neighbors(u)
-                if code.get(w, -1) > code[u]
+                a * k + b
+                for a, u in enumerate(image.tolist())
+                for b in rank[list(f.target.index_neighbors[u])].tolist()
+                if b > a
             ),
             dtype=np.int64,
         )
@@ -510,7 +535,7 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     adjacent = np.append(adjacent, k * k)
     below = np.full(n, fallback)
     if len(adjacent) - 1 < k * (k - 1) // 2:
-        labels = np.fromiter((code[f.values[z]] for z in range(n)), dtype=np.intp, count=n)
+        labels = rank[f.codes]
         by_value = np.argsort(labels, kind="stable")
         class_starts = np.searchsorted(labels[by_value], np.arange(k))
         coords = f.domain.coords
@@ -524,7 +549,7 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
             failing = np.flatnonzero(below[rows] <= 0.0)
             if failing.size:
                 raise _row_failure(f, lo + int(failing[0]))
-    radii = {y: float(r) for y, r in enumerate(below)}
+    radii = dict(enumerate(below.tolist()))
     return CliqueCertificate(radii, min(radii.values()))
 
 
@@ -592,28 +617,32 @@ def convex_transform(
     adjacency is looked up once per distinct value pair.
     """
     edges = triangulation.simplices(1)
-    pairs = [(f.values[u], f.values[w]) for u, w in edges]
-    apart = {p for p in set(pairs) if not f.target.are_adjacent(*p)}
-    lengths = f.domain.edge_lengths(edges)
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    ends = f.codes[pairs]
+    width, neighbors = len(f.target.vertices), f.target.index_neighbors
+    keys = ends[:, 0] * width + ends[:, 1]
+    apart = [key for key in set(keys.tolist())
+             if key // width != key % width and key % width not in neighbors[key // width]]
+    lengths = f.domain.edge_lengths(pairs)
     failing = lengths >= cert.delta
     if apart:
-        failing |= np.fromiter(map(apart.__contains__, pairs), dtype=bool, count=len(pairs))
+        failing |= np.isin(keys, apart)
     failing = np.flatnonzero(failing)
     if failing.size:
         i = int(failing[0])
         length = float(lengths[i])
+        u, w = edges[i]
         raise CertificateFailure(
             "convex transform",
             edges[i],
-            pairs[i],
+            (f(u), f(w)),
             f"edge length {length:g} is not below delta {cert.delta:g}"
             if length >= cert.delta
             else "triangulation edge does not map to a clique",
         )
+    vertices = triangulation.vertices
     return SimplicialMap(
-        triangulation,
-        target_complex,
-        {v: f.values[v] for v in triangulation.vertices},
+        triangulation, target_complex, dict(zip(vertices, map(f.values.__getitem__, vertices)))
     )
 
 
@@ -640,8 +669,8 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     coords = np.vstack([domain.coords, *centers])
 
     new_values = dict(values)
-    for idx, nearest in enumerate(_nearest_targets(coords[n:], domain.coords).tolist(), start=n):
-        new_values[idx] = values[nearest]
+    nearest = _nearest_targets(coords[n:], domain.coords).tolist()
+    new_values.update(zip(range(n, len(coords)), map(values.__getitem__, nearest)))
 
     new_domain = SampledDomain(coords, subdivision_on(tri, names), domain.basepoints)
     return new_domain, new_values, face_vertex

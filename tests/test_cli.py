@@ -180,6 +180,15 @@ class TestTheta:
         code, out, _ = run_cli(capsys, "theta", c4_file, point)
         assert (code, out) == (0, '{"vertex":1}\n')
 
+    @pytest.mark.parametrize("token", ["1.5", "0.9999", "-0.5", "1e-300", "Infinity", "NaN"])
+    def test_non_integral_float_carrier_vertex_is_input_error(self, token, capsys, c4_file):
+        # int() would truncate 1.5 to the vertex 1; only an integral float
+        # names a vertex
+        point = f'{{"carrier": [{token}, 2], "coords": [0.7, 0.3]}}'
+        code, out, err = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out) == (2, "")
+        assert err == f"input error: carrier vertex {float(token)!r} is not a vertex of the graph\n"
+
     def test_boolean_carrier_vertex_is_input_error(self, capsys, c4_file):
         # True == 1, but no graph has boolean labels
         point = json.dumps({"carrier": [True, 2], "coords": [0.7, 0.3]})
@@ -312,6 +321,8 @@ class TestPipeline:
             ([2, "2", "y", 7], "carrier vertex 'y' is not a vertex of the graph"),
             ([0, [1], "0", [1]], "bad values file '{path}': unhashable type: 'list'"),
             ([0, True, 2, 3], "carrier vertex True is a boolean, not a vertex label"),
+            ([0, 1.0, 1.5, 3], "carrier vertex 1.5 is not a vertex of the graph"),
+            ([0, 2.0, 3.0, -0.25], "carrier vertex -0.25 is not a vertex of the graph"),
         ],
     )
     def test_values_file_with_repeated_bad_tokens(self, tokens, message, capsys, c4_file, tmp_path):

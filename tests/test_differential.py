@@ -3,8 +3,8 @@ or an independent oracle: the clique certificate (radii and failure pairs),
 the distance rows, diameter and edge lengths built on demand, the flood
 overwrite and the largest simplex diameter must agree exactly; the exact
 subdivision-compatibility check must give the 1/N-grid check's verdict,
-and the subdivision builder, the compatibility check over maximal chains
-and the simpliciality check over maximal simplices must equal the code they
+and the subdivision builder, the compatibility check over the full flags
+and the simpliciality check over every simplex must equal the code they
 replaced, as must the convex transform's first failing edge and each flood
 stage's preimages and changed count;
 Betti numbers and induced maps on H1 must equal the hand-written
@@ -599,10 +599,10 @@ class TestFloodDifferential:
         assert assert_same_flood(g, 2, {0: 0.5, 1: 1.5, 2: 0.5}) == "fail"
 
     def test_values_equal_to_the_stage_value_are_overwritten_by_it(self):
-        # 1.0 == 1, so samples 1 and 2 are preimage samples whose balls
-        # cover them, but 1.0 is not the vertex 1: they are read, and the
-        # flood writes 1 over them, as the overwrite of every covered
-        # sample did; sample 3 holds another value
+        # 1.0 == 1, so samples 1 and 2 are preimage samples; the map holds
+        # them as the vertex 1, so after the flood every value is the int
+        # label, as when the overwrite of every covered sample wrote 1 over
+        # the float; sample 3 holds another value
         dom = point_cloud([[0.0], [1.0], [2.0], [9.0]])
         f = DiscreteMap(dom, cycle_graph(4), {0: 1, 1: 1.0, 2: 1.0, 3: 2}, 1)
         radii = flood_stage_radii(f, 1)

@@ -1,22 +1,48 @@
 """Differential tests of the digest layer against the code it replaced: the
 numpy FNV-1a kernel against the byte loop, ``digest_map``'s directly written
-text against the JSON of the old ``to_json_dict``, ``cmd_build``'s spliced
-report against the dict it used to encode twice, and ``from_simplices``'s
-index-tuple sort against the per-simplex key sort."""
+text against the JSON of the old ``to_json_dict``, the pipeline's stage log,
+radii digest and final digest from int-coded maps against the flood stages
+on value dicts, ``cmd_build``'s spliced report against the dict it used to
+encode twice, and ``from_simplices``'s index-tuple sort against the
+per-simplex key sort."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from vrclosure import DiscreteMap, Graph, SimplicialComplex, subdivide_domain
-from vrclosure.cli import complex_to_json, main, parse_edge_list
+from vrclosure import (
+    BaryPoint,
+    CertificateFailure,
+    CliqueCertificate,
+    DiscreteMap,
+    Graph,
+    SimplicialComplex,
+    cycle_graph,
+    octahedron_graph,
+    subdivide_domain,
+)
+from vrclosure.cli import (
+    build_sample_map,
+    complex_to_json,
+    main,
+    parse_domain_spec,
+    parse_edge_list,
+)
 from vrclosure.complex import vietoris_rips
 from vrclosure.domains import circle_domain, icosphere_domain
-from vrclosure.pipeline import FNV_CHUNK, digest_map, fnv1a64
+from vrclosure.pipeline import (
+    FNV_CHUNK,
+    canonical_json,
+    digest_map,
+    digest_radii,
+    fnv1a64,
+    run_pipeline,
+)
 
 import digest_oracle
 import graph_oracle
+import stage_oracle
 
 #: characters of one to four UTF-8 bytes, quotes and backslashes included
 CHARS = 'ab"\\ \t\n\x00\x7f\xe9ÿΔ☃￿\U0001f600'
@@ -49,6 +75,31 @@ class TestFnv1a:
         text = "x" * (FNV_CHUNK - 4 + split) + "\U0001f600" + "y" * 5
         assert len(text.encode()) == FNV_CHUNK + split + 5
         assert fnv1a64(text) == digest_oracle.fnv1a64(text)
+
+    @pytest.mark.parametrize(
+        "length",
+        [*range(18), *(FNV_CHUNK + k for k in (-9, -8, -7, -1, 0, 1, 7, 8, 9)),
+         2 * FNV_CHUNK, 2 * FNV_CHUNK + 3, 3 * FNV_CHUNK - 5, 3 * FNV_CHUNK],
+    )
+    def test_lengths_at_lane_and_chunk_bounds(self, length):
+        # 8-byte lanes: whole words, one byte either side, and a chunk's
+        # last partial word
+        rng = random.Random(length)
+        text = "".join(chr(rng.randrange(256)) for _ in range(length // 2))
+        text += "".join(chr(rng.randrange(128)) for _ in range(length - len(text.encode())))
+        assert len(text.encode()) == length
+        assert fnv1a64(text) == digest_oracle.fnv1a64(text)
+
+    @pytest.mark.parametrize("bound", [8, 16, 64, FNV_CHUNK - 8, FNV_CHUNK, 2 * FNV_CHUNK])
+    @pytest.mark.parametrize("char", ["\xe9", "\u2603", "\U0001f600"])
+    def test_multibyte_character_across_a_lane_bound(self, bound, char):
+        # every split of the character's bytes by a word bound, which at
+        # the chunk sizes is also a chunk bound
+        size = len(char.encode())
+        for split in range(1, size):
+            text = "q" * (bound - split) + char + "z" * 3
+            assert len(text[: bound - split].encode()) + split == bound
+            assert fnv1a64(text) == digest_oracle.fnv1a64(text)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_text_over_several_chunks(self, seed):
@@ -125,6 +176,85 @@ class TestDigestMap:
             assert digest_map(f) == digest_oracle.digest_map(f)
 
         check()
+
+
+# -- the pipeline's digests ---------------------------------------------------
+
+
+def run_digests(graph, domain, points, extra=0):
+    """The stage log, radii digest and final digest of ``run_pipeline``, or
+    the failure it raises, as the oracle returns them."""
+    try:
+        report = run_pipeline(graph, domain, points, extra)
+    except CertificateFailure as exc:
+        return exc
+    return report["stages"], report["certificate"]["radii_digest"], report["final_digest"]
+
+
+def assert_same_digests(graph, domain, points, extra=0):
+    got = run_digests(graph, domain, points, extra)
+    want = stage_oracle.pipeline_digests(graph, domain, points, extra)
+    if isinstance(want, CertificateFailure):
+        assert isinstance(got, CertificateFailure), got
+        assert (got.stage, got.pair, got.values, got.detail) == (
+            want.stage, want.pair, want.values, want.detail)
+        return "fail"
+    assert got == want
+    return "ok"
+
+
+PIPELINE_MAPS = [
+    (cycle_graph(4), "circle:64", spec, 0)
+    for spec in ("constant", "constant:2", "quarter-arc", "antipodal-composition")
+] + [
+    (cycle_graph(4), "circle:2048", "quarter-arc", 0),
+    (cycle_graph(4), "circle:16", "quarter-arc", 2),
+] + [
+    (octahedron_graph(), f"sphere2:icosa:{k}", spec, 0)
+    for k in (2, 3)
+    for spec in ("constant", "constant:5", "nearest-vertex", "rotated-nearest")
+] + [
+    (octahedron_graph(), "sphere2:icosa:2", "nearest-vertex", 1),
+]
+
+
+class TestPipelineDigests:
+    @pytest.mark.parametrize("graph, domain, spec, extra", PIPELINE_MAPS)
+    def test_built_in_maps(self, graph, domain, spec, extra):
+        dom = parse_domain_spec(domain)
+        points = build_sample_map(spec, dom, graph, 3)
+        assert assert_same_digests(graph, dom, points, extra) == "ok"
+
+    def test_flipped_maps(self):
+        # one sample sent to the antipodal vertex: some floods overwrite the
+        # flip and the map passes, the others fail a stage or the certificate
+        graph, dom = octahedron_graph(), icosphere_domain(2)
+        plain = build_sample_map("nearest-vertex", dom, graph, 0)
+        outcomes = set()
+        for sample in random.Random(0).sample(range(1, dom.n_samples), 12):
+            points = dict(plain)
+            points[sample] = BaryPoint.of_vertex(plain[sample].carrier[0] ^ 1)
+            outcomes.add(assert_same_digests(graph, dom, points))
+        assert outcomes == {"ok", "fail"}
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 101])
+    def test_radii_digest_of_every_number_json_writes(self, n):
+        # from 11 samples on "10" sorts before "2"; inf and nan are written
+        # as JSON's Infinity and NaN, ints without a point
+        numbers = [0.1, 2.0, -0.0, 1e-300, 1e300, float("inf"), float("nan"), 3, 1 / 3]
+        radii = {i: numbers[i % len(numbers)] for i in range(n)}
+        cert = CliqueCertificate(radii, 0.25)
+        want = digest_oracle.fnv1a64(canonical_json(cert.to_json_dict()))
+        assert digest_radii(cert) == want
+
+    def test_many_stages(self):
+        # C_64 on circle:256, four samples per vertex: 64 flood stages
+        graph, dom = cycle_graph(64), circle_domain(256)
+        vertex = [BaryPoint.of_vertex(v) for v in graph.vertices]
+        points = {i: vertex[i // 4] for i in range(dom.n_samples)}
+        stages = run_digests(graph, dom, points)[0]
+        assert len(stages) == 65
+        assert assert_same_digests(graph, dom, points) == "ok"
 
 
 # -- the build report --------------------------------------------------------
