@@ -1,19 +1,22 @@
 """Simplicial complexes: clique (Vietoris-Rips) construction, barycentric
 subdivision, stars, and simplicial maps.
 
-Simplices are tuples of vertex identifiers, strictly increasing in the
-complex's vertex order, grouped by dimension up to a mandatory cap.  The cap
-is required because clique complexes blow up; the pipeline builds its
+Each level of a complex is one ``(n_d, d + 1)`` array of vertex indices, up
+to a mandatory cap: clique complexes blow up, and the pipeline builds its
 target up to dimension 2d+1 for a d-dimensional domain (5 on spheres).
+Builders write the arrays and the product reads them; label tuples are a
+view, built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, filterfalse, repeat
+from itertools import chain, combinations
 from math import comb
 from typing import Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .graph import Graph, sort_vertices
 
@@ -24,82 +27,119 @@ Simplex = tuple
 class SimplicialComplex:
     """A finite, downward-closed family of simplices capped at ``dim_cap``.
 
-    ``by_dim[k]`` holds the k-simplices as sorted tuples, in lexicographic
-    order of vertex indices; this ordering is the deterministic simplex order
-    used by boundary matrices and serialization.
-
-    The constructor trusts its levels: each simplex must be strictly
-    increasing in the vertex order, every face of a simplex must be present,
-    and each level must be in that lexicographic order.  ``from_simplices``,
-    ``vietoris_rips``, ``barycentric_subdivision`` and the domain builders
-    build such levels; arbitrary simplex lists go through ``from_simplices``.
+    ``rows[d]`` holds the d-simplices as vertex-index rows in lexicographic
+    order, the simplex order of boundary matrices and serialization; faces
+    are numbered through the levels in that order, as ``all_simplices()``
+    lists them.  The constructor trusts its rows (strictly increasing, every
+    face present, levels lexicographic) and ``prefixes``, which builders that
+    grow rows pass: per level d >= 1, the position in level d - 1 of each
+    row's prefix, all but its last vertex.  ``from_simplices`` validates.
     """
 
-    def __init__(self, vertices: Sequence[Vertex], by_dim: Sequence[Sequence[Simplex]], dim_cap: int):
+    def __init__(self, vertices: Sequence[Vertex], rows: Sequence, dim_cap: int,
+                 prefixes: Sequence | None = None):
         if dim_cap < 0:
             raise ValueError("dim_cap must be nonnegative")
-        self.vertices = tuple(vertices)
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.vertex_index) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        self.dim_cap = dim_cap
-        filled = [tuple(by_dim[d]) if d < len(by_dim) else () for d in range(dim_cap + 1)]
-        self._by_dim: tuple = tuple(filled)
+        self.vertices, self.dim_cap, self._prefixes = tuple(vertices), dim_cap, prefixes
+        self.rows = tuple(np.asarray(rows[d] if d < len(rows) else (), np.intp).reshape(-1, d + 1)
+                          for d in range(dim_cap + 1))
+        self._starts = np.cumsum([0, *map(len, self.rows)])  # each level's first face number
+        self._facets: dict = {}
 
     @cached_property
-    def _sets(self) -> tuple:
-        return tuple(frozenset(level) for level in self._by_dim)
+    def vertex_index(self) -> dict:
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The vertex labels as an object array, to gather rows by."""
+        return np.fromiter(self.vertices, dtype=object, count=len(self.vertices))
+
+    @cached_property
+    def _label_levels(self) -> list:
+        return [tuple(map(tuple, self.labels[level].tolist())) for level in self.rows]
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(map(tuple, chain.from_iterable(level.tolist() for level in self.rows)))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Per face, increasing: its last vertex plus the vertex count times
+        one more than its prefix's face number (-1 for the empty prefix);
+        then a sentinel above every key."""
+        keys = np.array([np.iinfo(np.intp).max])
+        for d, level in enumerate(self.rows):
+            prefix = (self._starts[d - 1] + self._prefixes[d - 1] if d and self._prefixes is not None
+                      else self.positions(level[:, :-1], keys))
+            level_keys = (prefix + 1) * len(self.vertices) + level[:, -1]
+            keys = np.concatenate([keys[:-1], level_keys, keys[-1:]])
+        return keys
 
     # -- queries ---------------------------------------------------
 
     def simplices(self, dim: int) -> tuple:
-        """All simplices of the given dimension, in deterministic order."""
-        if dim < 0 or dim > self.dim_cap:
-            return ()
-        return self._by_dim[dim]
+        """The ``dim``-simplices as label tuples, in order; built on first read."""
+        return self._label_levels[dim] if 0 <= dim <= self.dim_cap else ()
 
     def all_simplices(self):
-        for level in self._by_dim:
-            yield from level
+        return chain.from_iterable(self._label_levels)
+
+    def positions(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+        """The face number of each row of ascending vertex indices, a repeated
+        vertex counting once; negative for a row that is no simplex.  Rows
+        are read one vertex at a time, so keys stay below faces times
+        vertices, where a mixed-radix row code overflows int64 at 200
+        vertices and 9-vertex rows; ``_keys`` passes the levels built so far."""
+        keys = self._keys if keys is None else keys
+        at = np.full(len(rows), -1, dtype=np.intp)  # the empty face; -2 once not found
+        for j in range(rows.shape[1]):
+            query = (at + 1) * len(self.vertices) + rows[:, j]
+            found = np.searchsorted(keys, query)
+            found[keys[found] != query] = -2
+            at = np.where(rows[:, j] == rows[:, j - 1], at, found) if j else found
+        return at
 
     def has_simplex(self, simplex: Sequence[Vertex]) -> bool:
-        s = tuple(simplex)
-        d = len(s) - 1
-        return 0 <= d <= self.dim_cap and s in self._sets[d]
+        """Whether a label sequence, in the vertex order, is a simplex."""
+        try:
+            return tuple(map(self.vertex_index.__getitem__, simplex)) in self._members
+        except KeyError:
+            return False
+
+    def has_simplices(self, rows: np.ndarray) -> bool:
+        """Whether the vertex set of every row of vertex indices, in any
+        order and with repeats, is a simplex."""
+        return bool((self.positions(np.sort(rows, axis=1)) >= 0).all())
 
     def sort_simplex(self, vertices: Iterable[Vertex]) -> Simplex:
         """Sort distinct vertices into this complex's simplex order."""
         return tuple(sorted(vertices, key=lambda v: self.vertex_index[v]))
 
-    def maximal_simplices(self):
-        """Simplices that are a face of no other, top dimension first.
-
-        Downward closure makes a simplex non-maximal exactly when it is a
-        face of a simplex one dimension up, so each level is read once.
-        """
-        covered: set = set()
-        for d in range(self.dim_cap, -1, -1):
-            level = self._by_dim[d]
-            yield from filterfalse(covered.__contains__, level)
-            covered = set(chain.from_iterable(map(combinations, level, repeat(d))))
+    def facets(self, dim: int) -> np.ndarray:
+        """``(n_dim, dim + 1)``: column j holds the position in level
+        ``dim - 1`` of each ``dim``-simplex's facet without its j-th vertex:
+        the prefix's facet j plus the last vertex, the prefix itself last."""
+        if dim not in self._facets:
+            n, start, last = len(self.vertices), self._starts, self.rows[dim][:, -1:]
+            out = np.empty((len(last), dim + 1), dtype=np.intp)
+            out[:, -1] = self._keys[start[dim] : start[dim + 1]] // n - 1 - start[dim - 1]
+            # keys of the prefix's facets plus the last vertex; -1 + 1 for an edge's empty face
+            keys = self.facets(dim - 1)[out[:, -1]] + (start[dim - 2] + 1) if dim > 1 else 0
+            out[:, :-1] = np.searchsorted(self._keys, keys * n + last) - start[dim - 1]
+            self._facets[dim] = out
+        return self._facets[dim]
 
     def counts(self) -> list:
-        return [len(level) for level in self._by_dim]
+        return [len(level) for level in self.rows]
 
     def dimension(self) -> int:
         """Largest dimension with at least one simplex (-1 if empty)."""
-        for d in range(self.dim_cap, -1, -1):
-            if self._by_dim[d]:
-                return d
-        return -1
+        return max((d for d, level in enumerate(self.rows) if len(level)), default=-1)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertices == other.vertices
-            and self.dim_cap == other.dim_cap
-            and self._by_dim == other._by_dim
-        )
+        return (isinstance(other, SimplicialComplex) and self.vertices == other.vertices
+                and self.dim_cap == other.dim_cap and all(map(np.array_equal, self.rows, other.rows)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(counts={self.counts()})"
@@ -125,7 +165,7 @@ class SimplicialComplex:
             verts = sort_vertices(vertices)
         index = {v: i for i, v in enumerate(verts)}
         # faces are collected as sorted index tuples, whose default order is
-        # the simplex order, and named by their vertices once at the end
+        # the simplex order
         levels: list = [set() for _ in range(dim_cap + 1)]
         levels[0].update((i,) for i in range(len(verts)))
         for s in given:
@@ -136,10 +176,7 @@ class SimplicialComplex:
             canon = sorted(map(index.__getitem__, s))
             for k in range(1, min(len(canon), dim_cap + 1)):
                 levels[k].update(combinations(canon, k + 1))
-        by_dim = [sorted(level) for level in levels]
-        if verts != tuple(range(len(verts))):
-            by_dim = [[tuple(map(verts.__getitem__, s)) for s in level] for level in by_dim]
-        return cls(verts, by_dim, dim_cap)
+        return cls(verts, [sorted(level) for level in levels], dim_cap)
 
 
 #: most simplices a clique complex may have; about 27 times the 19,656 of
@@ -159,12 +196,12 @@ class TooManySimplices(ValueError):
 def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     """Clique complex of a reflexive graph, capped at ``dim_cap``.
 
-    k-simplices are exactly the (k+1)-cliques.  Enumeration runs on vertex
-    indices: each simplex carries the set of its common neighbours that come
-    after its last vertex, so a child costs one intersection, every clique
-    is produced exactly once, and each level comes out in lexicographic
-    order.  Simplices without candidates have no children and are not
-    carried; the top level carries none.
+    k-simplices are exactly the (k+1)-cliques.  Each simplex carries the set
+    of its common neighbours that come after its last vertex, so a child
+    costs one intersection, every clique is produced exactly once, and each
+    level comes out in lexicographic order: it is stacked once from its
+    parents' rows and its new last vertices.  Simplices without candidates
+    have no children and are not carried; the top level carries none.
 
     The carried sets of a level hold exactly the simplices of the next, so
     their sizes are counted as soon as they are made.  Once the count passes
@@ -173,30 +210,32 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
-    one = [(v,) for v in graph.vertices]
+    n = len(graph.vertices)
     later = [{j for j in s if j > i} for i, s in enumerate(graph.index_neighbors)]
-    by_dim = [one]
-    parents = [(s, c) for s, c in zip(one, later) if c] if dim_cap else []
-    owed = len(one) + sum(len(c) for _, c in parents)
+    rows, prefixes = [np.arange(n).reshape(n, 1)], []
+    parents = [(i, c) for i, c in enumerate(later) if c] if dim_cap else []  # (row, candidates)
+    owed = n + sum(len(c) for _, c in parents)
     for d in range(1, dim_cap + 1):
         if owed > MAX_SIMPLICES:
             raise TooManySimplices(d)
-        level: list = []
-        children: list = []
-        for s, cand in parents:
-            for j in sorted(cand):
-                t = s + one[j]
-                level.append(t)
-                if d < dim_cap:
+        sizes, last, children = [], [], []
+        for _, cand in parents:
+            js = sorted(cand)
+            if d < dim_cap:
+                for i, j in enumerate(js, len(last)):
                     c = cand & later[j]
                     if c:
-                        children.append((t, c))
+                        children.append((i, c))
                         owed += len(c)
+            sizes.append(len(js))
+            last += js
             if owed > MAX_SIMPLICES:
                 raise TooManySimplices(d + 1)
-        by_dim.append(level)
+        above = np.repeat(np.fromiter([p for p, _ in parents], np.intp, len(parents)), sizes)
+        rows.append(np.column_stack([rows[-1][above], np.fromiter(last, np.intp, len(last))]))
+        prefixes.append(above)
         parents = children
-    return SimplicialComplex(graph.vertices, by_dim, dim_cap)
+    return SimplicialComplex(graph.vertices, rows, dim_cap, prefixes)
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -210,22 +249,30 @@ def subdivision_on(k: SimplicialComplex, names: Sequence[Vertex]) -> SimplicialC
     barycenter of the i-th simplex of ``k.all_simplices()``.
 
     d-simplices of sd(K) are chains of d+1 faces under strict inclusion.
-    ``all_simplices()`` lists faces by size, then lexicographically, and each
-    chain grows by the cofaces of its last face in that order, so every level
-    comes out lexicographic in the order of ``names`` without a sort.
+    Each chain grows by the cofaces of its last face in face order, read
+    from one face -> coface incidence array, so every level comes out
+    lexicographic in the order of ``names`` without a sort.
     """
-    faces = list(k.all_simplices())
-    name_of = dict(zip(faces, names))
-    cofaces: dict = {name: [] for name in names}  # strict cofaces, in face order
-    for s in faces:
-        for size in range(1, len(s)):
-            for face in combinations(s, size):
-                cofaces[name_of[face]].append(name_of[s])
+    counts = k.counts()
+    total = sum(counts)
+    pairs = [np.empty(0, dtype=np.intp)]  # face * total + coface, for every proper face
+    for d in range(1, k.dim_cap + 1):
+        whole = sum(counts[:d]) + np.arange(counts[d])
+        for size in range(1, d + 1):
+            for columns in combinations(range(d + 1), size):
+                pairs.append(k.positions(k.rows[d][:, columns]) * total + whole)
+    pairs = np.sort(np.concatenate(pairs))  # each face's cofaces in a run, in order
+    cofaces, first = pairs % total, np.searchsorted(pairs, np.arange(total + 1) * total)
 
-    by_dim: list = [[(name,) for name in names]]
+    chains, prefixes = [np.arange(total).reshape(-1, 1)], []
     for _ in range(k.dim_cap):
-        by_dim.append([chain + (big,) for chain in by_dim[-1] for big in cofaces[chain[-1]]])
-    return SimplicialComplex(names, by_dim, k.dim_cap)
+        ends = chains[-1][:, -1]
+        grow = first[ends + 1] - first[ends]  # the children of each chain
+        parent = np.repeat(np.arange(len(ends)), grow)
+        slot = np.arange(len(parent)) + np.repeat(first[ends] - np.cumsum(grow) + grow, grow)
+        chains.append(np.column_stack([chains[-1][parent], cofaces[slot]]))
+        prefixes.append(parent)
+    return SimplicialComplex(names, chains, k.dim_cap, prefixes)
 
 
 def subdivision_counts(counts: Sequence[int]) -> list:
@@ -263,23 +310,26 @@ def closed_star(k: SimplicialComplex, v: Vertex) -> frozenset:
 
 @dataclass(frozen=True)
 class SimplicialMap:
-    """Vertex map between complexes, intended to send simplices to simplices."""
+    """Vertex map between complexes, intended to send simplices to simplices;
+    ``codes[i]`` is the target vertex index of source vertex i's image."""
 
     source: SimplicialComplex
     target: SimplicialComplex
     vertex_images: Mapping[Vertex, Vertex] = field(hash=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        vertices, images = self.source.vertices, self.vertex_images
-        is_vertex = self.target.vertex_index.__contains__
-        # the whole map at C speed; the loop below only names the first offender
-        if not (all(map(images.__contains__, vertices))
-                and all(map(is_vertex, map(images.__getitem__, vertices)))):
+        vertices, images, index = self.source.vertices, self.vertex_images, self.target.vertex_index
+        try:  # the whole map at C speed; the loop below names the first offender
+            codes = np.fromiter(map(index.__getitem__, map(images.__getitem__, vertices)),
+                                dtype=np.intp, count=len(vertices))
+        except KeyError:
             for v in vertices:
                 if v not in images:
-                    raise ValueError(f"no image for source vertex {v!r}")
-                if images[v] not in self.target.vertex_index:
-                    raise ValueError(f"image {images[v]!r} is not a target vertex")
+                    raise ValueError(f"no image for source vertex {v!r}") from None
+                if images[v] not in index:
+                    raise ValueError(f"image {images[v]!r} is not a target vertex") from None
+        object.__setattr__(self, "codes", codes)
 
     def __call__(self, v: Vertex) -> Vertex:
         return self.vertex_images[v]
@@ -290,13 +340,11 @@ class SimplicialMap:
 
 
 def check_simplicial(m: SimplicialMap) -> bool:
-    """True iff every source simplex lands on a target simplex.  Many
-    simplices share an image, so each distinct image is looked up once;
-    checking every simplex costs less than finding the maximal ones, which
-    would suffice since the target is downward closed."""
-    image = m.vertex_images.__getitem__
-    images = set(map(frozenset, map(map, repeat(image), m.source.all_simplices())))
-    return all(m.target.has_simplex(m.target.sort_simplex(s)) for s in images)
+    """True iff every source simplex, as a row of image codes, lands on a
+    target simplex; reading every level costs less than finding the maximal
+    simplices, which would suffice."""
+    levels = range(m.source.dim_cap + 1)
+    return all(m.target.has_simplices(m.codes[m.source.rows[d]]) for d in levels)
 
 
 def compose_simplicial(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:

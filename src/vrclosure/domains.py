@@ -40,8 +40,8 @@ def circle_domain(n: int) -> SampledDomain:
     check_sample_budget([n])
     angles = 2.0 * math.pi * np.arange(n) / n
     coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    edges = [(0, 1), (0, n - 1), *((i, i + 1) for i in range(1, n - 1))]  # lexicographic
-    tri = SimplicialComplex(range(n), [[(i,) for i in range(n)], edges], dim_cap=2)
+    edges = np.column_stack([np.r_[0, 0, 1 : n - 1], np.r_[1, n - 1, 2:n]])  # lexicographic
+    tri = SimplicialComplex(range(n), [np.arange(n), edges], dim_cap=2)
     return SampledDomain(coords, tri, basepoints=(0,))
 
 
@@ -99,9 +99,14 @@ def icosphere_domain(subdivisions: int) -> SampledDomain:
     check_sample_budget([10 * 4 ** min(subdivisions, 8) + 2])
     coords, faces = icosphere(subdivisions)
     n = len(coords)
-    triangles = sorted(tuple(sorted(face)) for face in faces)
-    edges = sorted({e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))})
-    tri = SimplicialComplex(range(n), [[(i,) for i in range(n)], edges, triangles], dim_cap=3)
+    # rows sort as their codes a * n + b and (a * n + b) * n + c, far below 2**63
+    a, b, c = np.sort(np.array(faces), axis=1).T
+    e = np.sort(np.concatenate([a * n + b, a * n + c, b * n + c]))
+    e = e[np.diff(e, prepend=-1) > 0]  # each edge once
+    t = np.sort((a * n + b) * n + c)
+    levels = [np.arange(n), np.column_stack([e // n, e % n]),
+              np.column_stack([t // n // n, t // n % n, t % n])]
+    tri = SimplicialComplex(range(n), levels, dim_cap=3)
     return SampledDomain(coords, tri, basepoints=(0,))
 
 

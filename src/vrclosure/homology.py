@@ -22,8 +22,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .complex import SimplicialComplex, SimplicialMap, check_simplicial
 
@@ -73,18 +74,11 @@ def boundary_columns(k: SimplicialComplex, dim: int) -> list:
     """
     if dim < 1:
         raise ValueError("boundary columns start at dimension 1")
-    rows = {s: i for i, s in enumerate(k.simplices(dim - 1))}
-    cols = []
-    for s in k.simplices(dim):
-        bits = 0
-        for face in combinations(s, dim):
-            bits |= 1 << rows[face]
-        cols.append(bits)
-    return cols
+    return [sum(map((1).__lshift__, row)) for row in zip(*k.facets(dim).T.tolist())]
 
 
 def _spanning_forest(k: SimplicialComplex) -> set:
-    """Positions in ``k.simplices(1)`` of the edges that union-find, run over
+    """Positions in ``k.rows[1]`` of the edges that union-find, run over
     the edges in order, joins into a spanning forest.  Its size is the rank
     of the edge boundary map."""
     root = list(range(len(k.vertices)))
@@ -94,10 +88,9 @@ def _spanning_forest(k: SimplicialComplex) -> set:
             root[x] = x = root[root[x]]
         return x
 
-    index = k.vertex_index
     forest = set()
-    for j, (u, w) in enumerate(k.simplices(1)):
-        a, b = find(index[u]), find(index[w])
+    for j, (u, w) in enumerate(zip(*k.rows[1].T.tolist())):
+        a, b = find(u), find(w)
         if a != b:
             root[a] = b
             forest.add(j)
@@ -111,15 +104,13 @@ def _coboundary_rank(k: SimplicialComplex, d: int, cleared: set) -> tuple:
     Returns ``(rank, pivots)``, the pivots being the positions of the
     (d+1)-simplices that are the highest bits of the reduced columns.
     """
-    cofaces = k.simplices(d + 1)
-    if not cofaces:
+    if not len(k.rows[d + 1]):
         return 0, set()
-    index = {s: j for j, s in enumerate(k.simplices(d))}
-    columns = [0] * len(index)
-    for i, s in enumerate(cofaces):
+    columns = [0] * len(k.rows[d])
+    for i, faces in enumerate(zip(*k.facets(d + 1).T.tolist())):
         bit = 1 << i
-        for face in combinations(s, d + 1):
-            columns[index[face]] |= bit
+        for j in faces:
+            columns[j] |= bit
     pivots = _echelon(c for j, c in enumerate(columns) if j not in cleared)
     return len(pivots), {top - 1 for top in pivots}
 
@@ -157,15 +148,12 @@ def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
     for d in range(1, max_k + 1):
         rank, cleared = _coboundary_rank(k, d, cleared)
         ranks.append(rank)
-    return [
-        len(k.simplices(i)) - ranks[i] - ranks[i + 1]
-        for i in range(max_k + 1)
-    ]
+    return [count - ranks[i] - ranks[i + 1] for i, count in enumerate(k.counts()[: max_k + 1])]
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
     """Alternating sum of simplex counts up to the dimension cap."""
-    return sum((-1) ** d * len(k.simplices(d)) for d in range(k.dim_cap + 1))
+    return sum((-1) ** d * count for d, count in enumerate(k.counts()))
 
 
 class _H1Context:
@@ -187,14 +175,10 @@ class _H1Context:
     def __init__(self, k: SimplicialComplex):
         if k.dim_cap < 2:
             raise ValueError("need dim_cap >= 2 for H1")
-        self.edges = k.simplices(1)
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-
         self.echelon: dict = {}
-        index = self.edge_index
-        for a, b, c in k.simplices(2):
-            self._insert((1 << index[a, b]) | (1 << index[a, c]) | (1 << index[b, c]), 0)
-        need = len(self.edges) - len(_spanning_forest(k)) - len(self.echelon)
+        for a, b, c in zip(*k.facets(2).T.tolist()):
+            self._insert((1 << a) | (1 << b) | (1 << c), 0)
+        need = len(k.rows[1]) - len(_spanning_forest(k)) - len(self.echelon)
         self.h1_basis = []
         cycles = self._edge_cycles(k)
         while len(self.h1_basis) < need:
@@ -205,10 +189,9 @@ class _H1Context:
     def _edge_cycles(self, k: SimplicialComplex):
         """Kernel of the vertex boundary, lazily: reduce the edge columns in
         order and yield the combination of edges behind each zero reduction."""
-        vrows = k.vertex_index
         pivots: dict = {}
-        for j, (u, w) in enumerate(self.edges):
-            vec, comb = _reduce(pivots, (1 << vrows[u]) | (1 << vrows[w]), 1 << j)
+        for j, (u, w) in enumerate(zip(*k.rows[1].T.tolist())):
+            vec, comb = _reduce(pivots, (1 << u) | (1 << w), 1 << j)
             if vec:
                 pivots[vec.bit_length()] = (vec, comb)
             else:
@@ -250,6 +233,9 @@ def induced_h1(m: SimplicialMap) -> InducedH1:
     src = _H1Context(m.source)
     tgt = _H1Context(m.target)
 
+    # the target edge under each source edge, negative where it collapses to a vertex
+    ends = np.sort(m.codes[m.source.rows[1]], axis=1)
+    image_edge = (m.target.positions(ends) - len(m.target.rows[0])).tolist()
     columns = []
     for z in src.h1_basis:
         image = 0
@@ -257,11 +243,9 @@ def induced_h1(m: SimplicialMap) -> InducedH1:
         while bits:
             low = bits & -bits
             bits ^= low
-            u, w = src.edges[low.bit_length() - 1]
-            iu, iw = m.vertex_images[u], m.vertex_images[w]
-            if iu != iw:
-                e = m.target.sort_simplex((iu, iw))
-                image ^= 1 << tgt.edge_index[e]
+            e = image_edge[low.bit_length() - 1]
+            if e >= 0:
+                image ^= 1 << e
         columns.append(tgt.coordinates(image))
 
     n_rows = len(tgt.h1_basis)

@@ -11,10 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,8 +52,10 @@ _LANES = np.uint64(0x0101010101010101)
 
 
 def canonical_json(obj) -> str:
-    """Sorted-key, compact JSON; the single canonical serialization."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Sorted-key, compact JSON; the single canonical serialization.  Reports
+    are trees, so the encoder skips its reference-cycle bookkeeping."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      check_circular=False)
 
 
 def fnv1a64(text: str) -> str:
@@ -245,40 +245,38 @@ def build_pipeline(
     )
 
 
-def sd_compatibility(m1, m2, face_vertex: Mapping, grid_steps: int = 0) -> bool:
+def sd_compatibility(m1, m2, face_vertex: Sequence, grid_steps: int = 0) -> bool:
     """Exact common-carrier check between a map and its subdivision refinement.
 
-    ``m2.source`` must be the barycentric subdivision of ``m1.source`` with
-    vertex ``face_vertex[F]`` at the barycenter of face F and smaller faces
-    first in its vertex order, as ``subdivide_domain`` and
-    ``barycentric_subdivision`` build it, so a chain's last vertex is its
-    largest face.  Its maximal simplices are the maximal chains
-    F0 < ... < Fe = s, s a maximal e-simplex of ``m1.source``: exactly its
-    level-e chains that end at ``face_vertex[s]``, so they are read off the
-    levels and no face of sd(K) is listed.  Every point of the source lies
-    in one of them, and its two image carriers lie in U = m2(chain) plus
-    m1(s), which interior points reach; so the maps share carriers
-    everywhere iff every such U is a target simplex, for any complex.
-    Thousands of chains share a few dozen unions, so each distinct union is
-    looked up once.  ``grid_steps`` is unused and kept only for positional
-    callers.
+    ``m2.source`` must be sd(``m1.source``) with vertex ``face_vertex[i]`` at
+    the barycenter of the i-th face of ``all_simplices()`` and smaller faces
+    first, as ``subdivide_domain`` and ``barycentric_subdivision`` build it.
+    Its maximal simplices are the chains F0 < ... < Fe = s, s a maximal
+    e-simplex of ``m1.source``: its level-e chains ending at s's vertex.
+    Every point lies in one, and its two image carriers lie in U = m2(chain)
+    plus m1(s), which interior points reach; so the maps share carriers iff
+    every such U, a row of image codes, is a target simplex.  ``grid_steps``
+    is unused and kept only for positional callers.
     """
-    target = m1.target
+    target, coarse, fine = m1.target, m1.source, m2.source
     if target != m2.target:
         raise ValueError("maps have different target complexes")
-    coarse, fine = m1.vertex_images.__getitem__, m2.vertex_images.__getitem__
-    tops: dict = {}  # e -> {face_vertex[s]: m1(s)} for the maximal e-simplices s
-    for s in m1.source.maximal_simplices():
-        tops.setdefault(len(s) - 1, {})[face_vertex[s]] = frozenset(map(coarse, s))
-    unions: set = set()
-    for e, top in tops.items():
-        chains = [chain for chain in m2.source.simplices(e) if chain[-1] in top]
-        unions.update(map(
-            frozenset.union,
-            map(top.__getitem__, map(itemgetter(-1), chains)),
-            map(map, repeat(fine), chains),
-        ))
-    return all(target.has_simplex(target.sort_simplex(union)) for union in unions)
+    start = 0
+    for e, count in enumerate(coarse.counts()):
+        maximal = np.ones(count, dtype=bool)  # by downward closure: a facet of no (e+1)-simplex
+        if e < coarse.dim_cap:
+            maximal[coarse.facets(e + 1).ravel()] = False
+        tops = np.flatnonzero(maximal)
+        heads = map(face_vertex.__getitem__, (start + tops).tolist())
+        top_of = np.full(len(fine.vertices), -1, dtype=np.intp)  # the top s a chain ends at
+        top_of[np.fromiter(map(fine.vertex_index.__getitem__, heads), np.intp, len(tops))] = tops
+        chains = fine.rows[e]
+        top = top_of[chains[:, -1]]
+        chains, top = chains[top >= 0], top[top >= 0]
+        if not target.has_simplices(np.hstack([m2.codes[chains], m1.codes[coarse.rows[e][top]]])):
+            return False
+        start += count
+    return True
 
 
 def refine_once(art: PipelineArtifacts) -> tuple:

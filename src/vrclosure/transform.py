@@ -107,11 +107,15 @@ def _squared_bound(t: np.ndarray) -> np.ndarray:
 
     IEEE ``sqrt`` is correctly rounded, so it never decreases: it commutes
     with min and max, and ``sqrt(x) < t`` holds exactly when ``x < B(t)``.
-    This is what lets the scans compare squared distances.  Each entry steps
-    from ``t * t`` (at most an ulp or two off) until no entry moves.
+    This is what lets the scans compare squared distances.  On random t,
+    B(t) is ``t * t`` or the float below it, about half the time each, so
+    the steps start from the right one of the two and their first pass only
+    verifies; each entry then steps until no entry moves (subnormal t do).
     """
     with np.errstate(over="ignore"):  # t * t and steps past the largest float
         s = np.square(np.maximum(t, 0.0))
+        below = np.nextafter(s, 0.0)
+        s = np.where(np.sqrt(below) >= t, below, s)
         while True:
             below = np.nextafter(s, 0.0)
             up = np.sqrt(s) < t
@@ -231,7 +235,8 @@ class SampledDomain:
         On a pure complex this is the largest top-simplex diameter; on a
         non-pure one it also sees lower-dimensional maximal simplices.
         """
-        lengths = self.edge_lengths(self.triangulation.simplices(1))
+        samples = np.asarray(self.triangulation.vertices, dtype=np.intp)
+        lengths = self.edge_lengths(samples[self.triangulation.rows[1]])
         return float(lengths.max()) if lengths.size else 0.0
 
 
@@ -613,28 +618,20 @@ def convex_transform(
     construction.  Downward closure makes the edge-level checks cover every
     simplex, provided ``target_complex`` is the clique complex of ``f.target``
     capped at the triangulation's dimension or above.
-    The first failing edge is named, its length before its clique;
-    adjacency is looked up once per distinct value pair.
+    The first failing edge is named, its length before its clique; the
+    cliques are looked up as rows of value codes in ``target_complex``.
     """
-    edges = triangulation.simplices(1)
-    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    ends = f.codes[pairs]
-    width, neighbors = len(f.target.vertices), f.target.index_neighbors
-    keys = ends[:, 0] * width + ends[:, 1]
-    apart = [key for key in set(keys.tolist())
-             if key // width != key % width and key % width not in neighbors[key // width]]
+    pairs = np.asarray(triangulation.vertices, dtype=np.intp)[triangulation.rows[1]]
     lengths = f.domain.edge_lengths(pairs)
-    failing = lengths >= cert.delta
-    if apart:
-        failing |= np.isin(keys, apart)
-    failing = np.flatnonzero(failing)
+    apart = target_complex.positions(np.sort(f.codes[pairs], axis=1)) < 0
+    failing = np.flatnonzero((lengths >= cert.delta) | apart)
     if failing.size:
         i = int(failing[0])
         length = float(lengths[i])
-        u, w = edges[i]
+        u, w = edge = tuple(pairs[i].tolist())
         raise CertificateFailure(
             "convex transform",
-            edges[i],
+            edge,
             (f(u), f(w)),
             f"edge length {length:g} is not below delta {cert.delta:g}"
             if length >= cert.delta
@@ -652,20 +649,20 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     New samples sit at the Euclidean barycenters of the faces; each inherits
     the value of the nearest pre-existing sample, the finite stand-in for
     evaluating the map at the new point.  Returns ``(new_domain, new_values,
-    face_vertex)`` where ``face_vertex`` maps face tuples of the old
-    triangulation to new sample indices.  Raises ``TooManySamples`` before
-    building anything when the result would pass ``MAX_SAMPLES``.
+    face_vertex)`` where ``face_vertex[i]`` is the new sample at the i-th
+    face of the old triangulation in ``all_simplices()`` order.  Raises
+    ``TooManySamples`` before building anything when the result would pass
+    ``MAX_SAMPLES``.
     """
     tri = domain.triangulation
     check_sample_budget(tri.counts(), 1)
     n = domain.n_samples
     # old samples keep their index and new faces count up from n in face
     # order, so sd(K) is built once, directly on sample indices
-    levels = [tri.simplices(d) for d in range(1, tri.dim_cap + 1)]
-    names = [v for (v,) in tri.simplices(0)]
-    names += range(n, n + sum(map(len, levels)))
-    face_vertex = dict(zip(tri.all_simplices(), names))
-    centers = [domain.coords[np.array(level)].mean(axis=1) for level in levels if level]
+    samples = np.asarray(tri.vertices, dtype=np.intp)
+    points, *levels = [samples[level] for level in tri.rows]
+    names = [*points[:, 0].tolist(), *range(n, n + sum(map(len, levels)))]
+    centers = [domain.coords[level].mean(axis=1) for level in levels if len(level)]
     coords = np.vstack([domain.coords, *centers])
 
     new_values = dict(values)
@@ -673,4 +670,4 @@ def subdivide_domain(domain: SampledDomain, values: Mapping[int, Vertex]) -> tup
     new_values.update(zip(range(n, len(coords)), map(values.__getitem__, nearest)))
 
     new_domain = SampledDomain(coords, subdivision_on(tri, names), domain.basepoints)
-    return new_domain, new_values, face_vertex
+    return new_domain, new_values, names

@@ -66,8 +66,7 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
             for j in sorted(common):
                 nxt.append(s + (j,))
         by_dim.append(nxt)
-    levels = [[tuple(verts[i] for i in s) for s in level] for level in by_dim]
-    return SimplicialComplex(verts, levels, dim_cap)
+    return SimplicialComplex(verts, by_dim, dim_cap)
 
 
 def from_simplices(simplices, dim_cap, vertices=None):
@@ -83,5 +82,5 @@ def from_simplices(simplices, dim_cap, vertices=None):
         canon = tuple(sorted(s, key=index.__getitem__))
         for k in range(1, min(len(canon), dim_cap + 1)):
             levels[k].update(combinations(canon, k + 1))
-    by_dim = [sorted(level, key=lambda s: tuple(index[v] for v in s)) for level in levels]
+    by_dim = [sorted(tuple(index[v] for v in s) for s in level) for level in levels]
     return SimplicialComplex(verts, by_dim, dim_cap)

@@ -44,6 +44,8 @@ def maximal_simplices(tri) -> list:
 
 
 def grid_sd_compatibility(m1, m2, face_vertex, grid_steps: int) -> bool:
+    """``face_vertex[i]`` names the barycenter of the i-th face of ``m1.source``."""
+    face_vertex = dict(zip(m1.source.all_simplices(), face_vertex))
     seen: set = set()
     for s in maximal_simplices(m1.source):
         faces = [

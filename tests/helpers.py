@@ -31,6 +31,16 @@ def chain_subsimplices(simplex, i):
         yield tuple(chain)
 
 
+def maximal_simplices(k):
+    """Label tuples of the simplices that are a facet of no simplex one
+    level up, read from ``k.facets``, top dimension first."""
+    out = []
+    for d in range(k.dim_cap, -1, -1):
+        covered = set(k.facets(d + 1).ravel().tolist()) if d < k.dim_cap else set()
+        out += [s for i, s in enumerate(k.simplices(d)) if i not in covered]
+    return out
+
+
 def assert_well_formed(k):
     """The well-formedness pass ``SimplicialComplex.__init__`` used to run:
     every simplex sits at its dimension, uses known vertices in strictly

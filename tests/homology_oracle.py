@@ -8,7 +8,6 @@ highest."""
 from itertools import combinations
 
 from vrclosure import InducedH1, check_simplicial
-from vrclosure.homology import boundary_columns
 
 
 def gf2_rank_dense(columns) -> int:
@@ -25,6 +24,12 @@ def gf2_rank_dense(columns) -> int:
                 rank += 1
                 break
     return rank
+
+
+def boundary_columns(k, dim: int) -> list:
+    """Boundary columns from the label tuples, each face looked up by value."""
+    rows = {s: i for i, s in enumerate(k.simplices(dim - 1))}
+    return [sum(1 << rows[face] for face in combinations(s, dim)) for s in k.simplices(dim)]
 
 
 def betti_numbers(k, max_k: int) -> list:

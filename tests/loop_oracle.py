@@ -30,7 +30,7 @@ def sd_compatibility(m1, m2, face_vertex):
     """For each maximal chain of ``m2.source``, its m2-images together with
     the m1-images of its largest face must form a target simplex."""
     target = m1.target
-    face_of = {v: face for face, v in face_vertex.items()}
+    face_of = dict(zip(face_vertex, m1.source.all_simplices()))
     for chain in maximal_simplices(m2.source):
         union = {m2.vertex_images[v] for v in chain}
         union.update(m1.vertex_images[v] for v in face_of[chain[-1]])

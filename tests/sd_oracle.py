@@ -12,6 +12,12 @@ from vrclosure import SimplicialComplex
 def sorted_barycentric_subdivision(k):
     """sd(K) on face tuples, faces and coface lists sorted by size, then by
     vertex indices."""
+    return label_complex(*sorted_barycentric_levels(k), k.dim_cap)
+
+
+def sorted_barycentric_levels(k):
+    """``(vertices, levels)`` of sd(K): the face tuples, then each level's
+    chains of face tuples."""
     faces = list(k.all_simplices())
     order_key = {s: (len(s), tuple(k.vertex_index[v] for v in s)) for s in faces}
     new_vertices = tuple(sorted(faces, key=order_key.__getitem__))
@@ -25,19 +31,28 @@ def sorted_barycentric_subdivision(k):
     by_dim = [[(s,) for s in new_vertices]]
     for _ in range(k.dim_cap):
         by_dim.append([chain + (big,) for chain in by_dim[-1] for big in cofaces[chain[-1]]])
-    return SimplicialComplex(new_vertices, by_dim, k.dim_cap)
+    return new_vertices, by_dim
+
+
+def label_complex(vertices, by_dim, dim_cap):
+    """The complex whose levels are given as label tuples."""
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [[[index[v] for v in s] for s in level] for level in by_dim]
+    return SimplicialComplex(vertices, rows, dim_cap)
 
 
 def renamed_subdivision(domain):
     """``(triangulation, face_vertex)`` of one subdivision of a sampled
     domain: sd(K) on face tuples, each chain then renamed to sample indices
-    (old samples keep theirs, new faces count up from n in sd's order)."""
+    (old samples keep theirs, new faces count up from n in sd's order);
+    ``face_vertex`` lists the new names in sd's vertex order, K's face
+    order."""
     sd = sorted_barycentric_subdivision(domain.triangulation)
     n = domain.n_samples
     new_faces = [face for face in sd.vertices if len(face) > 1]
     face_vertex = {face: face[0] for face in sd.vertices if len(face) == 1}
     face_vertex.update((face, n + i) for i, face in enumerate(new_faces))
-    renamed = SimplicialComplex(
+    renamed = label_complex(
         sorted(face_vertex.values()),
         [
             [tuple(face_vertex[face] for face in chain) for chain in sd.simplices(d)]
@@ -45,15 +60,16 @@ def renamed_subdivision(domain):
         ],
         sd.dim_cap,
     )
-    return renamed, face_vertex
+    return renamed, [face_vertex[face] for face in sd.vertices]
 
 
 def permutation_sd_compatibility(m1, m2, face_vertex):
     """For each maximal simplex s of ``m1.source`` and each ordering of its
     vertices, m1(s) plus the m2-images of the chain's barycenters must be a
-    target simplex."""
+    target simplex; ``face_vertex[i]`` names the i-th face's barycenter."""
     target = m1.target
     source = m1.source
+    face_vertex = dict(zip(source.all_simplices(), face_vertex))
     covered = set()
     for d in range(source.dimension(), -1, -1):
         for s in source.simplices(d):

@@ -58,6 +58,7 @@ from helpers import (
     assert_well_formed,
     distances,
     flood_all,
+    maximal_simplices,
     oracle_distances,
     oracle_max_simplex_diameter,
     rooted_blocks,
@@ -871,7 +872,7 @@ def sd_pair(simplices, graph, cap, m1_images, m2_changes=()):
     m2_images.update(m2_changes)
     m1 = SimplicialMap(k, target, m1_images)
     m2 = SimplicialMap(sd, target, m2_images)
-    return m1, m2, {face: face for face in sd.vertices}
+    return m1, m2, list(sd.vertices)
 
 
 def assert_same_sd_verdict(m1, m2, face_vertex, grid_steps=50):
@@ -1229,7 +1230,7 @@ class TestSubdivisionOracles:
     def test_maximal_simplices_by_definition(self, name):
         dom, _, values = domain_map(name)
         for k in (dom.triangulation, subdivide_domain(dom, values)[0].triangulation):
-            got = list(k.maximal_simplices())
+            got = maximal_simplices(k)
             assert got == list(loop_oracle.maximal_simplices(k))
             assert len(got) == len(set(got))
             assert set(got) == set(sd_oracle.maximal_by_definition(k))

@@ -16,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import graph_oracle  # noqa: E402
+from helpers import assert_well_formed  # noqa: E402
 import homology_oracle  # noqa: E402
 from vrclosure import Graph, complete_graph, euler_characteristic, vietoris_rips  # noqa: E402
 from vrclosure.cli import InputError, main, parse_edge_list  # noqa: E402
@@ -103,6 +104,7 @@ def test_vietoris_rips_matches_the_old_enumeration_and_networkx(g, cap):
     k = vietoris_rips(g, cap)
     assert k == graph_oracle.vietoris_rips(g, cap)
     assert [list(k.simplices(d)) for d in range(cap + 1)] == networkx_levels(g, cap)
+    assert_well_formed(k)
 
 
 def edge_list_text(g):

@@ -15,6 +15,7 @@ st = hypothesis.strategies
 
 import homology_oracle  # noqa: E402
 import sd_oracle  # noqa: E402
+from helpers import maximal_simplices  # noqa: E402
 from vrclosure import (  # noqa: E402
     Graph,
     SampledDomain,
@@ -190,7 +191,7 @@ def complexes(draw):
 @hypothesis.given(complexes())
 def test_subdivision_builders_match_oracle(k):
     assert barycentric_subdivision(k) == sd_oracle.sorted_barycentric_subdivision(k)
-    got = list(k.maximal_simplices())
+    got = maximal_simplices(k)
     assert len(got) == len(set(got))
     assert set(got) == set(sd_oracle.maximal_by_definition(k))
     dom = SampledDomain([[float(v), float(v * v)] for v in range(max(k.vertices) + 1)], k)
@@ -209,7 +210,7 @@ def assert_verdicts_match_oracles(draw, m1, images):
     m2 = SimplicialMap(sd, m1.target, fine)
     for m in (m1, m2):
         assert check_simplicial(m) == sd_oracle.all_simplices_check_simplicial(m)
-    face_vertex = {face: face for face in sd.vertices}
+    face_vertex = list(sd.vertices)
     verdict = sd_compatibility(m1, m2, face_vertex)
     assert verdict == sd_oracle.permutation_sd_compatibility(m1, m2, face_vertex)
     hypothesis.event(f"m2 simplicial: {check_simplicial(m2)}, compatible: {verdict}")

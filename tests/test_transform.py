@@ -288,6 +288,47 @@ class TestSquaredBound:
         assert (b[-5:-2] == np.inf).all()  # no finite root reaches them
 
 
+def stepped_squared_bound(t):
+    """``_squared_bound`` as it was: every entry steps from ``t * t``."""
+    with np.errstate(over="ignore"):
+        s = np.square(np.maximum(t, 0.0))
+        while True:
+            below = np.nextafter(s, 0.0)
+            up = np.sqrt(s) < t
+            down = (np.sqrt(below) >= t) & (below < s)
+            if not (up | down).any():
+                return s
+            s = np.nextafter(s, np.where(up, np.inf, np.where(down, 0.0, s)))
+
+
+class TestSquaredBoundStartsAtTheAnswer:
+    """Starting from t * t or its predecessor changes no bit of B(t)."""
+
+    def test_equals_the_stepping_version(self):
+        rng = np.random.default_rng(2)
+        tiny, big = np.finfo(float).tiny, np.finfo(float).max
+        t = np.concatenate([
+            rng.random(100000) * 10.0,
+            np.exp(rng.uniform(-745, 709, 100000)),  # subnormal to huge
+            2.0 ** np.arange(-1074, 1024),  # every power of two, subnormals included
+            tiny * rng.random(1000),  # subnormals
+            [0.0, -0.0, -1.0, 5e-324, tiny, np.sqrt(big), 1.5e154, 1e200, big, np.inf, -np.inf, np.nan],
+        ])
+        t = float_neighbors(t, 2)
+        got, want = transform._squared_bound(t), stepped_squared_bound(t)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_first_pass_only_verifies(self, monkeypatch):
+        # on normal t the stepping loop runs once and moves nothing
+        calls = []
+        real = np.nextafter
+        monkeypatch.setattr(transform.np, "nextafter", lambda *a: calls.append(1) or real(*a))
+        t = np.random.default_rng(3).random(10000) + 0.5
+        transform._squared_bound(t)
+        assert len(calls) == 2  # the candidate below t * t, and the loop's one check
+
+
 class TestDiscreteModify:
     def test_constant_at_vertex(self):
         dom = chain_domain([0, 1, 2])
@@ -726,7 +767,7 @@ class TestSubdivideDomain:
         assert new_dom.triangulation.counts()[1] == 16
         for i in range(8):
             assert new_values[i] == values[i]
-        for face, idx in face_vertex.items():
+        for face, idx in zip(dom.triangulation.all_simplices(), face_vertex):
             if len(face) == 2:
                 # midpoint inherits the nearest original sample's value
                 nearest = np.argmin(np.linalg.norm(dom.coords - new_dom.coords[idx], axis=1))
