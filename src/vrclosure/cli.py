@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .complex import SimplicialComplex, TooManySimplices, vietoris_rips
@@ -66,7 +67,7 @@ def parse_edge_list(text: str) -> Graph:
     vertices = sort_vertices(set(label.values()))
     position = dict(zip(vertices, range(len(vertices))))
     index = {tok: position[v] for tok, v in label.items()}
-    return Graph.from_index_pairs(vertices, list(map(index.__getitem__, ends)))
+    return Graph.from_index_pairs(vertices, map(index.__getitem__, ends))
 
 
 def _bad_token(rows: list) -> InputError:
@@ -135,7 +136,7 @@ def cmd_betti(args) -> int:
     if args.max_k >= dim_cap:
         raise InputError(f"--max-k {args.max_k} needs --max-dim at least {args.max_k + 1}")
     k = vietoris_rips(graph, dim_cap)
-    del graph  # the complex is all the reductions read: its neighbour sets go first
+    del graph  # the complex is all the reductions read: its edge keys go first
     report = {
         "field": "GF(2)",
         "betti": betti_numbers(k, args.max_k),
@@ -257,7 +258,9 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="vrclosure",
         description="Clique complexes of reflexive graphs and the transformation "
@@ -307,8 +310,7 @@ def main(argv=None) -> int:
     """Run one command; the only place where a refusal becomes an exit code:
     2 for malformed or oversized input, 1 for a failed certificate (reported
     as JSON, like a success) or a non-clique ``theta`` carrier."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, TooManySimplices, TooManySamples) as exc:

@@ -183,6 +183,10 @@ class SimplicialComplex:
 #: the largest complex the benchmark builds
 MAX_SIMPLICES = 1 << 19
 
+#: candidate pairs tested per step of a clique level, so a level that passes
+#: ``MAX_SIMPLICES`` never holds more than one step of candidates
+BLOCK_CELLS = 1 << 13
+
 
 class TooManySimplices(ValueError):
     """A clique complex would pass ``MAX_SIMPLICES`` simplices."""
@@ -196,45 +200,56 @@ class TooManySimplices(ValueError):
 def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     """Clique complex of a reflexive graph, capped at ``dim_cap``.
 
-    k-simplices are exactly the (k+1)-cliques.  Each simplex carries the set
-    of its common neighbours that come after its last vertex, so a child
-    costs one intersection, every clique is produced exactly once, and each
-    level comes out in lexicographic order: it is stacked once from its
-    parents' rows and its new last vertices.  Simplices without candidates
-    have no children and are not carried; the top level carries none.
+    k-simplices are exactly the (k+1)-cliques, grown level by level as in
+    Zomorodian's inductive construction: the edges are the graph's edge keys
+    split into rows, and a (d+1)-simplex is a d-simplex ``s`` plus the last
+    vertex ``t`` of a later sibling (same prefix, all but the last vertex)
+    adjacent to the last vertex of ``s``.  Each row's candidates ``t`` come
+    in order from the shorter of its later siblings and its last vertex's
+    later neighbours, and are kept when in both; so a hub's leaves are never
+    paired, every clique comes out once, and each level comes out
+    lexicographic, with the position of ``s`` as the new row's prefix.
 
-    The carried sets of a level hold exactly the simplices of the next, so
-    their sizes are counted as soon as they are made.  Once the count passes
-    ``MAX_SIMPLICES``, checked after each parent, ``TooManySimplices`` names
-    the dimension that overflows, before that level is built.
+    Candidates are tested ``BLOCK_CELLS`` at a time and the simplices
+    counted after each step: once the count passes ``MAX_SIMPLICES``,
+    ``TooManySimplices`` names the dimension that overflows, while at most
+    one step of that level exists.
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
-    n = len(graph.vertices)
-    later = [{j for j in s if j > i} for i, s in enumerate(graph.index_neighbors)]
-    rows, prefixes = [np.arange(n).reshape(n, 1)], []
-    parents = [(i, c) for i, c in enumerate(later) if c] if dim_cap else []  # (row, candidates)
-    owed = n + sum(len(c) for _, c in parents)
+    n, keys = len(graph.vertices), graph.edge_keys
+    adjacent = np.append(keys, np.iinfo(np.int64).max)  # a missed lookup lands on the sentinel
+    starts = np.searchsorted(keys, np.arange(n + 1) * n)  # each vertex's run of edge keys
+    rows, prefixes, total = [np.arange(n).reshape(n, 1)], [], n + len(keys)
+    if dim_cap and total > MAX_SIMPLICES:
+        raise TooManySimplices(1)
     for d in range(1, dim_cap + 1):
-        if owed > MAX_SIMPLICES:
-            raise TooManySimplices(d)
-        sizes, last, children = [], [], []
-        for _, cand in parents:
-            js = sorted(cand)
-            if d < dim_cap:
-                for i, j in enumerate(js, len(last)):
-                    c = cand & later[j]
-                    if c:
-                        children.append((i, c))
-                        owed += len(c)
-            sizes.append(len(js))
-            last += js
-            if owed > MAX_SIMPLICES:
-                raise TooManySimplices(d + 1)
-        above = np.repeat(np.fromiter([p for p, _ in parents], np.intp, len(parents)), sizes)
-        rows.append(np.column_stack([rows[-1][above], np.fromiter(last, np.intp, len(last))]))
+        if d == 1:
+            above, last = np.divmod(keys, n)
+        else:
+            prefix, last = prefixes[-1], rows[-1][:, -1]
+            level = np.append(prefix * n + last, adjacent[-1])  # sorted, as the rows are
+            siblings = np.searchsorted(prefix, prefix, side="right") - np.arange(len(prefix)) - 1
+            degree = starts[last + 1] - starts[last]
+            by_sibling, count = siblings <= degree, np.minimum(siblings, degree)
+            first, pairs = np.cumsum(count) - count, int(count.sum())  # each row's first candidate
+            above, new = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+            for start in range(0, pairs, BLOCK_CELLS):
+                pair = np.arange(start, min(start + BLOCK_CELLS, pairs))
+                s = np.searchsorted(first, pair, side="right") - 1
+                j = pair - first[s]  # the j-th later sibling or later neighbour of row s
+                t = np.where(by_sibling[s], last[s + 1 + j], keys[starts[last[s]] + j] % n)
+                edge, sibling = last[s] * n + t, prefix[s] * n + t
+                hit = adjacent[np.searchsorted(adjacent, edge)] == edge
+                hit &= level[np.searchsorted(level, sibling)] == sibling
+                above.append(s[hit])
+                new.append(t[hit])
+                total += len(above[-1])
+                if total > MAX_SIMPLICES:
+                    raise TooManySimplices(d)
+            above, last = np.concatenate(above), np.concatenate(new)
+        rows.append(np.column_stack([rows[-1][above], last]))
         prefixes.append(above)
-        parents = children
     return SimplicialComplex(graph.vertices, rows, dim_cap, prefixes)
 
 

@@ -5,8 +5,10 @@ treats a vertex as adjacent to itself.  The vertex order fixed here (numeric
 when every identifier is an int, lexicographic otherwise) is the total order
 that all downstream tie-breaking refers to.
 
-A graph is stored on vertex indices: ``index_neighbors[i]`` is the set of
-indices adjacent to ``vertices[i]``, O(V + E) in all.  The label-level views
+A graph is stored on vertex indices as ``edge_keys``: one sorted int64
+array of distinct keys ``i * n + j``, one per edge ``i < j`` on ``n``
+vertices, built in numpy from the flat endpoint indices.  The
+per-index neighbour sets (``index_neighbors``) and the label-level views
 (``edges``, ``neighbors``, ``closed_neighborhood``, ``are_adjacent``) are
 built from it on first use.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .closure import ClosureSpace
 
@@ -37,17 +41,13 @@ def sort_vertices(tokens: Iterable[Vertex]) -> tuple:
     raise ValueError("vertex identifiers must be all ints, all strings, or all tuples")
 
 
-def _neighbor_sets(n: int, ends: Sequence[int]) -> list:
-    """Per-index neighbour sets of the index pairs ``ends[0::2]``,
-    ``ends[1::2]``, loops dropped."""
-    nbrs = [set() for _ in range(n)]
-    it = iter(ends)
-    for a, b in zip(it, it):
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    for i, s in enumerate(nbrs):
-        s.discard(i)
-    return nbrs
+def _edge_keys(n: int, ends: Iterable[int]) -> np.ndarray:
+    """The sorted distinct keys ``i * n + j`` (``i < j``) of the index pairs in
+    ``ends``, loops dropped; not ``np.unique``, which imports ``numpy.ma``."""
+    pairs = np.fromiter(ends, np.int64).reshape(-1, 2)
+    low, high = pairs.min(axis=1), pairs.max(axis=1)
+    keys = np.sort((low * n + high)[low != high])
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 class Graph:
@@ -55,8 +55,8 @@ class Graph:
 
     Edges are unordered pairs of distinct vertices; explicit loops in the
     input are accepted and dropped, since reflexivity is implicit.
-    ``index_neighbors`` is read-only: the label views are built from it
-    once.
+    ``edge_keys`` is read-only: the index and label views are built from
+    it once.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
@@ -72,35 +72,36 @@ class Graph:
             ends += (index[u], index[v])
         self.vertices = verts
         self.vertex_index = index
-        self.index_neighbors = _neighbor_sets(len(verts), ends)
+        self.edge_keys = _edge_keys(len(verts), ends)
 
     @classmethod
-    def from_index_pairs(cls, vertices: Sequence[Vertex], ends: Sequence[int]) -> "Graph":
+    def from_index_pairs(cls, vertices: Sequence[Vertex], ends: Iterable[int]) -> "Graph":
         """The graph on ``vertices``, already distinct and in vertex order,
-        whose edges are the consecutive pairs of the flat index list ``ends``.
+        whose edges are the consecutive pairs of the flat indices ``ends``.
 
         A pair ``(i, i)`` adds no edge, so it can declare an isolated vertex.
         """
-        return cls._of(tuple(vertices), _neighbor_sets(len(vertices), ends))
-
-    @classmethod
-    def _of(cls, verts: tuple, nbrs: list) -> "Graph":
         g = cls.__new__(cls)
-        g.vertices = verts
-        g.vertex_index = dict(zip(verts, range(len(verts))))
-        g.index_neighbors = nbrs
+        g.vertices = tuple(vertices)
+        g.vertex_index = dict(zip(g.vertices, range(len(g.vertices))))
+        g.edge_keys = _edge_keys(len(g.vertices), ends)
         return g
+
+    @cached_property
+    def index_neighbors(self) -> list:
+        """Per vertex index, the frozenset of its neighbours' indices."""
+        ends = np.concatenate(np.divmod(self.edge_keys, len(self.vertices)))
+        order = np.argsort(ends)
+        partners = np.roll(ends, len(self.edge_keys))[order].tolist()  # each end's partner
+        bounds = np.searchsorted(ends[order], np.arange(len(self.vertices) + 1)).tolist()
+        return [frozenset(partners[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def edges(self) -> frozenset:
         """Edges as label pairs ``(u, v)`` with ``u`` before ``v``."""
-        verts = self.vertices
-        return frozenset(
-            (verts[i], verts[j])
-            for i, s in enumerate(self.index_neighbors)
-            for j in s
-            if i < j
-        )
+        tail, head = np.divmod(self.edge_keys, len(self.vertices))
+        label = self.vertices.__getitem__
+        return frozenset(zip(map(label, tail.tolist()), map(label, head.tolist())))
 
     @cached_property
     def _adjacency(self) -> dict:
@@ -111,7 +112,7 @@ class Graph:
         }
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"Graph({len(self.vertices)} vertices, {len(self.edge_keys)} edges)"
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.vertex_index

@@ -313,7 +313,7 @@ def run_pipeline(
         sd_compatible = sd_compatibility(art.simplicial_map, *refine_once(art))
     ih1 = induced_h1(art.simplicial_map)
     report = {
-        "graph": {"vertices": len(graph.vertices), "edges": len(graph.edges)},
+        "graph": {"vertices": len(graph.vertices), "edges": len(graph.edge_keys)},
         "domain": {
             "samples": domain.n_samples,
             "triangulation": domain.triangulation.counts(),

@@ -1,17 +1,29 @@
-"""The label-level edge-list parser, clique enumeration and simplex sort
-that the index-native graph layer replaced, kept as test oracles: the parser
-converts each line's tokens on its own, the enumeration intersects
-label-index neighbour sets for every simplex, then relabels the levels, and
-``from_simplices`` sorts label tuples by a key of vertex indices."""
+"""The label-level edge-list parser, graph storage, clique enumerations and
+simplex sort that the index-native graph layer replaced, kept as test
+oracles: the parser converts each line's tokens on its own, the storage is
+one Python set of neighbour indices per vertex, the first enumeration
+intersects label-index neighbour sets for every simplex, then relabels the
+levels, the second carries each simplex's set of later common neighbours
+and counts the ceiling as it goes, and ``from_simplices`` sorts label
+tuples by a key of vertex indices."""
 
 from itertools import combinations
 
+import numpy as np
+
 from vrclosure import Graph, SimplicialComplex
 from vrclosure.cli import InputError
+from vrclosure.complex import MAX_SIMPLICES, TooManySimplices
 from vrclosure.graph import sort_vertices
 
 
 def parse_edge_list(text: str) -> Graph:
+    return Graph(*parse_pairs(text))
+
+
+def parse_pairs(text: str):
+    """The vertices in order of first appearance and the label pairs of the
+    edges, loops dropped."""
     entries = []  # (line_number, tokens)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -41,7 +53,20 @@ def parse_edge_list(text: str) -> Graph:
                 vertices.append(t)
         if len(toks) == 2 and toks[0] != toks[1]:
             edges.append((toks[0], toks[1]))
-    return Graph(vertices, edges)
+    return vertices, edges
+
+
+def neighbor_sets(n: int, ends) -> list:
+    """Per-index neighbour sets of the index pairs ``ends[0::2]``,
+    ``ends[1::2]``, loops dropped."""
+    nbrs = [set() for _ in range(n)]
+    it = iter(ends)
+    for a, b in zip(it, it):
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for i, s in enumerate(nbrs):
+        s.discard(i)
+    return nbrs
 
 
 def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
@@ -67,6 +92,41 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
                 nxt.append(s + (j,))
         by_dim.append(nxt)
     return SimplicialComplex(verts, by_dim, dim_cap)
+
+
+def carried_vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
+    """Each simplex carries the set of its later common neighbours, so a
+    child costs one intersection; the carried sets of a level hold exactly
+    the simplices of the next, so the ceiling is counted after each parent
+    and ``TooManySimplices`` names the dimension that overflows."""
+    if dim_cap < 0:
+        raise ValueError("dim_cap must be nonnegative")
+    n = len(graph.vertices)
+    later = [{j for j in s if j > i} for i, s in enumerate(graph.index_neighbors)]
+    rows, prefixes = [np.arange(n).reshape(n, 1)], []
+    parents = [(i, c) for i, c in enumerate(later) if c] if dim_cap else []  # (row, candidates)
+    owed = n + sum(len(c) for _, c in parents)
+    for d in range(1, dim_cap + 1):
+        if owed > MAX_SIMPLICES:
+            raise TooManySimplices(d)
+        sizes, last, children = [], [], []
+        for _, cand in parents:
+            js = sorted(cand)
+            if d < dim_cap:
+                for i, j in enumerate(js, len(last)):
+                    c = cand & later[j]
+                    if c:
+                        children.append((i, c))
+                        owed += len(c)
+            sizes.append(len(js))
+            last += js
+            if owed > MAX_SIMPLICES:
+                raise TooManySimplices(d + 1)
+        above = np.repeat(np.fromiter([p for p, _ in parents], np.intp, len(parents)), sizes)
+        rows.append(np.column_stack([rows[-1][above], np.fromiter(last, np.intp, len(last))]))
+        prefixes.append(above)
+        parents = children
+    return SimplicialComplex(graph.vertices, rows, dim_cap, prefixes)
 
 
 def from_simplices(simplices, dim_cap, vertices=None):

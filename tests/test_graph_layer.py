@@ -1,15 +1,20 @@
 """The index-native graph layer against the label-level code it replaced
 (``graph_oracle``) and independent oracles: the one-pass edge-list parser,
-clique enumeration with carried candidate sets, ``betti`` against the
-dense-rank oracle, the clique ceiling and the layer's memory."""
+the edge-key storage, clique levels grown from sibling pairs in steps,
+``betti`` against the dense-rank oracle, the clique ceiling and the layer's
+memory."""
 
 import contextlib
 import io
 import json
 import random
+import sys
 import time
 import tracemalloc
+from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -19,6 +24,7 @@ import graph_oracle  # noqa: E402
 from helpers import assert_well_formed  # noqa: E402
 import homology_oracle  # noqa: E402
 from vrclosure import Graph, complete_graph, euler_characteristic, vietoris_rips  # noqa: E402
+from vrclosure import complex as complex_module  # noqa: E402
 from vrclosure.cli import InputError, main, parse_edge_list  # noqa: E402
 from vrclosure.complex import MAX_SIMPLICES, TooManySimplices  # noqa: E402
 from vrclosure.pipeline import canonical_json  # noqa: E402
@@ -67,10 +73,31 @@ def test_parse_edge_list_matches_the_line_by_line_parser(text):
     assert parsed(parse_edge_list, text) == parsed(graph_oracle.parse_edge_list, text)
 
 
+@FUZZ
+@hypothesis.given(EDGE_LISTS)
+def test_edge_keys_hold_the_per_vertex_neighbour_sets(text):
+    # both parsers build the same Graph storage, so the test above cannot
+    # see a fault in it: compare it with Python sets of the raw pairs
+    try:
+        _, pairs = graph_oracle.parse_pairs(text)
+    except InputError:
+        return
+    g = parse_edge_list(text)
+    n, keys = len(g.vertices), g.edge_keys
+    assert keys.dtype == np.int64
+    assert (np.diff(keys) > 0).all()  # sorted and distinct
+    assert (keys // n < keys % n).all()  # i < j: no loop, no reversed pair
+    nbrs = graph_oracle.neighbor_sets(n, [g.vertex_index[v] for pair in pairs for v in pair])
+    assert g.index_neighbors == nbrs
+    verts = g.vertices
+    assert g.edges == {(verts[i], verts[j]) for i, s in enumerate(nbrs) for j in s if i < j}
+    assert repr(g) == f"Graph({n} vertices, {len(g.edges)} edges)"
+
+
 @st.composite
 def graphs(draw):
     """Small graphs with isolated vertices and several components, on
-    labels 0..n-1, spread ints or strings."""
+    labels 0..n-1, spread ints or strings, with their label pairs."""
     n = draw(st.integers(0, 12))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
@@ -80,15 +107,17 @@ def graphs(draw):
         "spread": lambda i: 1000 - 37 * i,
         "string": lambda i: f"k{i}",
     }[kind]
-    return Graph([label(i) for i in range(n)], [(label(i), label(j)) for i, j in edges])
+    pairs = [(label(i), label(j)) for i, j in edges]
+    return Graph([label(i) for i in range(n)], pairs), pairs
 
 
-def networkx_levels(g, cap):
-    """Cliques by size from networkx, each level in canonical order."""
+def networkx_levels(g, pairs, cap):
+    """Cliques by size from networkx on the raw label pairs, each level in
+    canonical order."""
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
+    h.add_edges_from(pairs)
     key = g.vertex_index.__getitem__
     levels = [[] for _ in range(cap + 1)]
     for clique in nx.enumerate_all_cliques(h):
@@ -100,11 +129,44 @@ def networkx_levels(g, cap):
 
 @FUZZ
 @hypothesis.given(graphs(), st.integers(0, 6))
-def test_vietoris_rips_matches_the_old_enumeration_and_networkx(g, cap):
-    k = vietoris_rips(g, cap)
-    assert k == graph_oracle.vietoris_rips(g, cap)
-    assert [list(k.simplices(d)) for d in range(cap + 1)] == networkx_levels(g, cap)
+def test_vietoris_rips_matches_the_old_enumeration_and_networkx(case, cap):
+    g, pairs = case
+    want = graph_oracle.vietoris_rips(g, cap)
+    assert graph_oracle.carried_vietoris_rips(g, cap) == want
+    levels = networkx_levels(g, pairs, cap)
+    # one and three candidates per step put step boundaries everywhere
+    for cells in (complex_module.BLOCK_CELLS, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complex_module, "BLOCK_CELLS", cells)
+            k = vietoris_rips(g, cap)
+        assert k == want
+        assert [list(k.simplices(d)) for d in range(cap + 1)] == levels
     assert_well_formed(k)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    """The benchmark's graph generator, imported without a bytecode cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(str(BENCH))
+        import inputs
+    return inputs
+
+
+@pytest.mark.parametrize("family, cap", [("torus", 3), ("klein", 3), ("cross", 7), ("gnp", 6)])
+def test_the_benchmark_families_match_the_old_enumeration(bench_inputs, family, cap):
+    n, edges = {
+        "torus": lambda: bench_inputs.torus_edges(36, 40),
+        "klein": lambda: bench_inputs.klein_edges(18, 40),
+        "cross": lambda: bench_inputs.cross_polytope_edges(7),
+        "gnp": lambda: bench_inputs.gnp_edges(300, 0.1, random.Random(1)),
+    }[family]()
+    g = Graph(range(n), edges)
+    assert vietoris_rips(g, cap) == graph_oracle.vietoris_rips(g, cap)
 
 
 def edge_list_text(g):
@@ -120,7 +182,8 @@ def graph_file(tmp_path_factory):
 
 @FUZZ
 @hypothesis.given(graphs(), st.integers(0, 3))
-def test_betti_prints_the_canonical_complex_homology(graph_file, g, max_k):
+def test_betti_prints_the_canonical_complex_homology(graph_file, case, max_k):
+    g, _ = case
     hypothesis.assume(g.vertices)
     graph_file.write_text(edge_list_text(g), encoding="utf-8")
     out = io.StringIO()
@@ -176,6 +239,59 @@ def test_the_overflowing_level_is_never_built():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def named_dimension(build, graph, cap):
+    """The dimension a ``TooManySimplices`` from ``build`` names, or None."""
+    try:
+        build(graph, cap)
+    except TooManySimplices as exc:
+        return int(str(exc).rsplit(" ", 1)[1])
+    return None
+
+
+@pytest.mark.parametrize("n", [20, 21, 22, 23, 24, 28, 29, 37, 38, 60])
+def test_the_ceiling_names_the_dimension_the_carried_sets_named(n):
+    # every K_n from K20 on passes the ceiling; the carried-set loop, at the
+    # widest cap, names the first dimension past it (9 at K20, 4 from K38
+    # on: these n are the two sides of each change and the ends).  Below
+    # that cap the sibling-pair levels build, from it on they name the same
+    # dimension
+    graph = complete_graph(n)
+    dim = named_dimension(graph_oracle.carried_vietoris_rips, graph, n - 1)
+    assert sum(comb(n, i + 1) for i in range(dim)) <= MAX_SIMPLICES
+    assert sum(comb(n, i + 1) for i in range(dim + 1)) > MAX_SIMPLICES
+    assert named_dimension(vietoris_rips, graph, dim - 1) is None
+    assert named_dimension(vietoris_rips, graph, n - 1) == dim
+
+
+def traced_peak(build, *args):
+    tracemalloc.start()
+    try:
+        out = build(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_hub_never_pairs_its_leaves():
+    # the hub's 3,000 edges are siblings, C(3000, 2) = 4,498,500 pairs and
+    # no triangle; no leaf has a later neighbour, so no pair is tested
+    graph = Graph(range(3001), [(0, leaf) for leaf in range(1, 3001)])
+    k, peak = traced_peak(vietoris_rips, graph, 2)
+    assert k.counts() == [3001, 3000, 0]
+    assert peak < 1e6
+
+
+def test_candidate_pairs_are_tested_in_steps():
+    # K_{150,150} on even and odd vertices: 22,500 edges, no triangle, and
+    # 1,113,775 candidate pairs, whose arrays take about 70 MB when tested
+    # at once and about 2.3 MB in steps of BLOCK_CELLS
+    edges = [(i, j) for i in range(300) for j in range(i + 1, 300) if (i + j) % 2]
+    graph = Graph(range(300), edges)
+    k, peak = traced_peak(vietoris_rips, graph, 2)
+    assert k.counts() == [300, 22_500, 0]
+    assert peak < 8e6
 
 
 def test_a_sparse_graph_with_spread_labels_takes_memory_linear_in_its_size():
