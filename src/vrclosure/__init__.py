@@ -8,8 +8,6 @@ from .complex import (
     SimplicialMap,
     barycentric_subdivision,
     check_simplicial,
-    check_star_condition,
-    closed_star,
     compose_simplicial,
     vietoris_rips,
 )
@@ -62,9 +60,7 @@ __all__ = [
     "bary_cover_membership",
     "betti_numbers",
     "check_simplicial",
-    "check_star_condition",
     "clique_certificate",
-    "closed_star",
     "complete_graph",
     "compose",
     "compose_simplicial",

@@ -104,7 +104,10 @@ def _emit(report: dict | str, out: str | None) -> None:
     """Print a report, or write it to ``out``; a string is its canonical JSON."""
     text = report if isinstance(report, str) else canonical_json(report)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
         print(f"wrote {out}", file=sys.stderr)
     else:
         print(text)
@@ -308,17 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the only place where a refusal becomes an exit code:
-    2 for malformed or oversized input, 1 for a failed certificate (reported
-    as JSON, like a success) or a non-clique ``theta`` carrier."""
+    2 for malformed or oversized input or an unwritable ``--out``, 1 for a
+    failed certificate (reported as JSON, like a success) or a non-clique
+    ``theta`` carrier."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except CertificateFailure as exc:
+            _emit({"failure": exc.to_json_dict()}, args.out)
+            return 1
     except (InputError, TooManySimplices, TooManySamples) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except CertificateFailure as exc:
-        _emit({"failure": exc.to_json_dict()}, args.out)
-        return 1
     except NotAClique as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

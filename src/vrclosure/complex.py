@@ -1,5 +1,5 @@
 """Simplicial complexes: clique (Vietoris-Rips) construction, barycentric
-subdivision, stars, and simplicial maps.
+subdivision, and simplicial maps.
 
 Each level of a complex is one ``(n_d, d + 1)`` array of vertex indices, up
 to a mandatory cap: clique complexes blow up, and the pipeline builds its
@@ -218,7 +218,6 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
     n, keys = len(graph.vertices), graph.edge_keys
-    adjacent = np.append(keys, np.iinfo(np.int64).max)  # a missed lookup lands on the sentinel
     starts = np.searchsorted(keys, np.arange(n + 1) * n)  # each vertex's run of edge keys
     rows, prefixes, total = [np.arange(n).reshape(n, 1)], [], n + len(keys)
     if dim_cap and total > MAX_SIMPLICES:
@@ -228,7 +227,7 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
             above, last = np.divmod(keys, n)
         else:
             prefix, last = prefixes[-1], rows[-1][:, -1]
-            level = np.append(prefix * n + last, adjacent[-1])  # sorted, as the rows are
+            level = np.append(prefix * n + last, np.iinfo(np.int64).max)  # sorted, as the rows are
             siblings = np.searchsorted(prefix, prefix, side="right") - np.arange(len(prefix)) - 1
             degree = starts[last + 1] - starts[last]
             by_sibling, count = siblings <= degree, np.minimum(siblings, degree)
@@ -239,8 +238,8 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
                 s = np.searchsorted(first, pair, side="right") - 1
                 j = pair - first[s]  # the j-th later sibling or later neighbour of row s
                 t = np.where(by_sibling[s], last[s + 1 + j], keys[starts[last[s]] + j] % n)
-                edge, sibling = last[s] * n + t, prefix[s] * n + t
-                hit = adjacent[np.searchsorted(adjacent, edge)] == edge
+                sibling = prefix[s] * n + t
+                hit = graph.adjacent(last[s], t)
                 hit &= level[np.searchsorted(level, sibling)] == sibling
                 above.append(s[hit])
                 new.append(t[hit])
@@ -307,22 +306,6 @@ def subdivision_counts(counts: Sequence[int]) -> list:
     ]
 
 
-def closed_star(k: SimplicialComplex, v: Vertex) -> frozenset:
-    """All simplices containing ``v`` plus their faces.
-
-    This is the combinatorial support of the minimal neighborhood of a vertex
-    in the coarsened realization of a clique complex.
-    """
-    if v not in k.vertex_index:
-        raise KeyError(f"unknown vertex {v!r}")
-    out: set = set()
-    for s in k.all_simplices():
-        if v in s:
-            for size in range(1, len(s) + 1):
-                out.update(combinations(s, size))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SimplicialMap:
     """Vertex map between complexes, intended to send simplices to simplices;
@@ -370,26 +353,3 @@ def compose_simplicial(outer: SimplicialMap, inner: SimplicialMap) -> Simplicial
         outer.target,
         {v: outer(inner(v)) for v in inner.source.vertices},
     )
-
-
-def check_star_condition(f_sample: Mapping, phi: SimplicialMap) -> bool:
-    """Star condition for a sampled map against a candidate simplicial map.
-
-    ``f_sample`` assigns each source vertex a point of the target realization.
-    The condition holds iff every vertex's image under ``phi`` is a vertex of
-    the carrier of the sampled point: being a vertex of the minimal simplex
-    containing the point is equivalent to lying in every simplex whose
-    realization contains it.
-    """
-    from .realization import aligned  # local import to avoid a cycle
-
-    for x in phi.source.vertices:
-        point = aligned(f_sample[x].canonical(), phi.target)
-        if not phi.target.has_simplex(point.carrier):
-            raise ValueError(
-                f"malformed barycentric point for {x!r}: carrier {point.carrier} "
-                "is not a simplex of the target"
-            )
-        if phi(x) not in point.carrier:
-            return False
-    return True

@@ -1,16 +1,18 @@
 """Finite simple reflexive graphs and their canonical closure structure.
 
-Reflexivity is implicit: loops are never stored, and every adjacency query
-treats a vertex as adjacent to itself.  The vertex order fixed here (numeric
-when every identifier is an int, lexicographic otherwise) is the total order
-that all downstream tie-breaking refers to.
+Reflexivity is implicit: loops are never stored as edges, and every
+adjacency query treats a vertex as adjacent to itself.  The vertex order
+fixed here (numeric when every identifier is an int, lexicographic
+otherwise) is the total order that all downstream tie-breaking refers to.
 
 A graph is stored on vertex indices as ``edge_keys``: one sorted int64
 array of distinct keys ``i * n + j``, one per edge ``i < j`` on ``n``
-vertices, built in numpy from the flat endpoint indices.  The
-per-index neighbour sets (``index_neighbors``) and the label-level views
-(``edges``, ``neighbors``, ``closed_neighborhood``, ``are_adjacent``) are
-built from it on first use.
+vertices, built in numpy from the flat endpoint indices.  It is the only
+stored relation.  Every adjacency question is read on vertex indices from
+one sorted array built from it, the keys of both directions of each edge
+and of each loop: ``adjacent`` searches it once per pair and
+``neighbor_indices`` reads a vertex's run of it; the label views ``edges``,
+``closed_neighborhood`` and ``are_adjacent`` wrap those.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class Graph:
 
     Edges are unordered pairs of distinct vertices; explicit loops in the
     input are accepted and dropped, since reflexivity is implicit.
-    ``edge_keys`` is read-only: the index and label views are built from
-    it once.
+    ``edge_keys`` is read-only: the search arrays and label views are
+    built from it once.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
@@ -88,13 +90,28 @@ class Graph:
         return g
 
     @cached_property
-    def index_neighbors(self) -> list:
-        """Per vertex index, the frozenset of its neighbours' indices."""
-        ends = np.concatenate(np.divmod(self.edge_keys, len(self.vertices)))
-        order = np.argsort(ends)
-        partners = np.roll(ends, len(self.edge_keys))[order].tolist()  # each end's partner
-        bounds = np.searchsorted(ends[order], np.arange(len(self.vertices) + 1)).tolist()
-        return [frozenset(partners[a:b]) for a, b in zip(bounds, bounds[1:])]
+    def _closed_keys(self) -> np.ndarray:
+        """The keys ``i * n + j`` of the ordered pairs of adjacent vertices,
+        both ways round and the loops ``i * (n + 1)`` included, sorted, then
+        a sentinel above every key, so that a search never runs off the end:
+        each vertex's run lists its closed neighbourhood, ascending."""
+        n = len(self.vertices)
+        tail, head = np.divmod(self.edge_keys, n)
+        keys = [self.edge_keys, head * n + tail, np.arange(n) * (n + 1), [np.iinfo(np.int64).max]]
+        return np.sort(np.concatenate(keys))
+
+    def adjacent(self, i, j) -> np.ndarray:
+        """Reflexive adjacency of the vertex indices ``i`` and ``j``,
+        elementwise as they broadcast: one search of the closed keys."""
+        key, keys = np.multiply(i, len(self.vertices)) + j, self._closed_keys
+        return keys[np.searchsorted(keys, key)] == key
+
+    def neighbor_indices(self, i: int) -> np.ndarray:
+        """The vertex indices adjacent to ``i``, ``i`` itself included as
+        adjacency is reflexive, ascending: its run of the closed keys, found
+        by one search of both ends, so O(log E + deg i)."""
+        n, keys = len(self.vertices), self._closed_keys
+        return keys[slice(*np.searchsorted(keys, (i * n, i * n + n)))] % n
 
     @cached_property
     def edges(self) -> frozenset:
@@ -102,14 +119,6 @@ class Graph:
         tail, head = np.divmod(self.edge_keys, len(self.vertices))
         label = self.vertices.__getitem__
         return frozenset(zip(map(label, tail.tolist()), map(label, head.tolist())))
-
-    @cached_property
-    def _adjacency(self) -> dict:
-        verts = self.vertices
-        return {
-            verts[i]: frozenset(verts[j] for j in s)
-            for i, s in enumerate(self.index_neighbors)
-        }
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edge_keys)} edges)"
@@ -123,21 +132,14 @@ class Graph:
         except KeyError:
             raise KeyError(f"unknown vertex {v!r}") from None
 
-    def neighbors(self, v: Vertex) -> frozenset:
-        """Neighbors of ``v`` excluding ``v`` itself."""
-        self.index(v)
-        return self._adjacency[v]
-
     def closed_neighborhood(self, v: Vertex) -> frozenset:
         """``v`` together with its neighbors; the singleton closure of ``v``."""
-        return self._adjacency[v] | {v}
+        closed = self.neighbor_indices(self.index(v)).tolist()
+        return frozenset(map(self.vertices.__getitem__, closed))
 
     def are_adjacent(self, u: Vertex, v: Vertex) -> bool:
         """Reflexive adjacency: true iff ``u == v`` or ``{u, v}`` is an edge."""
-        nbrs = self._adjacency.get(u)
-        if nbrs is None or v not in self._adjacency:
-            raise KeyError(f"unknown vertex {u if nbrs is None else v!r}")
-        return u == v or v in nbrs
+        return bool(self.adjacent(self.index(u), self.index(v)))
 
     def canonical_closure(self) -> ClosureSpace:
         """The closure space whose singleton closures are closed neighborhoods."""

@@ -135,7 +135,7 @@ def theta_on_graph(graph: Graph, point: BaryPoint) -> Vertex:
     pairwise adjacent, so no complex is built."""
     p = aligned(point.canonical(), graph)
     for a, b in combinations(p.carrier, 2):
-        if not graph.are_adjacent(a, b):
+        if not graph.adjacent(graph.vertex_index[a], graph.vertex_index[b]):
             raise NotAClique(f"carrier {p.carrier} is not a clique: {a!r} and {b!r} are not adjacent")
     return dominant_vertex(p)
 

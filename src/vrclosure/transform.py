@@ -383,7 +383,7 @@ def _flood_scan(
         return {}, covered
     columns = np.flatnonzero(f.codes != c)
     closed = np.zeros(len(f.target.vertices), dtype=bool)
-    closed[[c, *f.target.index_neighbors[c]]] = True
+    closed[f.target.neighbor_indices(c)] = True
     avoid = ~closed[f.codes]
     if c != f.base_code:
         avoid[list(f.domain.basepoints)] = True
@@ -431,16 +431,16 @@ def _stage_failure(f: DiscreteMap, v: Vertex, y: int, r: float | None) -> Certif
     inside with a value not adjacent to ``v``, else the first basepoint."""
     row = _distance_row(f.domain.coords, y)  # in full, whatever the stage read
     inside = row <= 0.0 if r is None else row < r
-    closed = f.target.closed_neighborhood(v)
+    far = np.flatnonzero(inside & ~f.target.adjacent(f.target.vertex_index[v], f.codes))
     stage = f"flood stage {v!r}"
-    for z in np.flatnonzero(inside).tolist():
-        if f.values[z] not in closed:
-            detail = (
-                "coincident sample with non-adjacent value"
-                if r is None
-                else f"value within radius {r:g} of a preimage sample is not adjacent"
-            )
-            return CertificateFailure(stage, (y, z), (v, f.values[z]), detail)
+    if far.size:
+        z = int(far[0])
+        detail = (
+            "coincident sample with non-adjacent value"
+            if r is None
+            else f"value within radius {r:g} of a preimage sample is not adjacent"
+        )
+        return CertificateFailure(stage, (y, z), (v, f(z)), detail)
     a = next(b for b in f.domain.basepoints if inside[b])
     detail = (
         "preimage sample coincides with a basepoint"
@@ -507,8 +507,10 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     D[y, u] is the root of a least square, the level the root of the
     squares' conflict level (a least maximum, whatever the order of ties),
     and the radius the root of the largest square below B(level), all
-    exact (``_squared_bound``).  For k image values this takes
-    O(n^2 + n k log k) numpy time, plus O(j^2) adjacency lookups per row
+    exact (``_squared_bound``).  Whether any two image values are apart is
+    counted from the edge keys in O(E); pairs are asked of
+    ``Graph.adjacent``, so no k x k table is built.  For k image values this
+    takes O(n^2 + n k log k) numpy time, plus O(j^2) key searches per row
     where j is the rank of that first conflicting value (2 or 3 on a
     continuous map), and O(block * n) memory: every row block is written
     into one reused workspace.  When even the nearest neighbors
@@ -520,33 +522,18 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     n = f.domain.n_samples
     diameter = f.domain.diameter if n > 1 else 0.0
     fallback = diameter if diameter > 0 else 1.0
-    image = f.image_codes()
-    k = len(image)
-    rank = np.full(len(f.target.vertices), -1, dtype=np.intp)
-    rank[image] = np.arange(k)
-    # adjacent image pairs a < b as sorted keys a * k + b, closed by a
-    # sentinel above every key so that a lookup never runs off the end
-    adjacent = np.sort(
-        np.fromiter(
-            (
-                a * k + b
-                for a, u in enumerate(image.tolist())
-                for b in rank[list(f.target.index_neighbors[u])].tolist()
-                if b > a
-            ),
-            dtype=np.int64,
-        )
-    )
-    adjacent = np.append(adjacent, k * k)
+    image, keys = f.image_codes(), f.target.edge_keys
+    k, held = len(image), np.zeros(len(f.target.vertices), dtype=bool)
+    held[image] = True
     below = np.full(n, fallback)
-    if len(adjacent) - 1 < k * (k - 1) // 2:
-        labels = rank[f.codes]
+    if np.count_nonzero(held[keys // len(held)] & held[keys % len(held)]) < k * (k - 1) // 2:
+        labels = np.searchsorted(image, f.codes)  # each sample's value rank
         by_value = np.argsort(labels, kind="stable")
         class_starts = np.searchsorted(labels[by_value], np.arange(k))
         coords = f.domain.coords
         for lo, block in _squared_blocks(coords, coords[by_value]):
             nearest = np.minimum.reduceat(block, class_starts, axis=1)
-            level = np.sqrt(_conflict_level(nearest, adjacent, k))
+            level = np.sqrt(_conflict_level(nearest, image, f.target))
             inside = block < _squared_bound(level)[:, None]
             rows = slice(lo, lo + len(block))
             # a row with nothing inside fails like one with only its own sample
@@ -558,25 +545,23 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     return CliqueCertificate(radii, min(radii.values()))
 
 
-def _conflict_level(nearest: np.ndarray, adjacent: np.ndarray, k: int) -> np.ndarray:
+def _conflict_level(nearest: np.ndarray, image: np.ndarray, graph: Graph) -> np.ndarray:
     """Per row of value distances, the distance of the first value in
     ascending order that is not adjacent to an earlier one.
 
-    ``adjacent`` holds the sorted keys a * k + b of adjacent value codes
-    a < b, then a sentinel; some pair must be missing from it.  Rows leave
-    the scan as soon as they conflict, so the loop runs to the largest
-    conflicting rank in the block.
+    Column r of ``nearest`` is the value ``image[r]``, a vertex index of
+    ``graph``; some two of them must be non-adjacent.  At step j each row
+    still scanning asks ``graph.adjacent`` about its j-th value against its
+    j earlier ones.  Rows leave the scan as soon as they conflict, so the
+    loop runs to the largest conflicting rank in the block.
     """
     order = np.argsort(nearest, axis=1, kind="stable")
-    reach = np.take_along_axis(nearest, order, axis=1)
     level = np.empty(len(nearest))
     rows = np.arange(len(nearest))
-    for j in range(1, k):
-        later = order[rows, j][:, None]
-        earlier = order[rows, :j]
-        key = np.minimum(earlier, later) * k + np.maximum(earlier, later)
-        hit = (adjacent[np.searchsorted(adjacent, key)] != key).any(axis=1)
-        level[rows[hit]] = reach[rows[hit], j]
+    for j in range(1, len(image)):
+        later = image[order[rows, j]][:, None]
+        hit = ~graph.adjacent(image[order[rows, :j]], later).all(axis=1)
+        level[rows[hit]] = nearest[rows[hit], order[rows[hit], j]]
         rows = rows[~hit]
         if not rows.size:
             break
@@ -587,20 +572,22 @@ def _row_failure(f: DiscreteMap, y: int) -> CertificateFailure:
     """The first non-adjacent value pair met in stable distance order from
     sample ``y``, for a row that has no positive certificate radius."""
     row = _distance_row(f.domain.coords, y)
-    present: dict = {}  # value -> first sample seen carrying it
+    codes, label = f.codes.tolist(), f.target.vertices.__getitem__
+    present: dict = {}  # value code -> first sample seen carrying it
     for z in np.argsort(row, kind="stable").tolist():
-        vz = f.values[z]
-        if vz in present:
+        if codes[z] in present:
             continue
-        for u, holder in present.items():
-            if not f.target.are_adjacent(vz, u):
-                return CertificateFailure(
-                    "clique certificate",
-                    (holder, z),
-                    (u, vz),
-                    f"nearest neighbors of sample {y} are not adjacent",
-                )
-        present[vz] = z
+        earlier = np.fromiter(present, np.intp, len(present))
+        apart = earlier[~f.target.adjacent(earlier, codes[z])]
+        if apart.size:
+            u = int(apart[0])
+            return CertificateFailure(
+                "clique certificate",
+                (present[u], z),
+                (label(u), label(codes[z])),
+                f"nearest neighbors of sample {y} are not adjacent",
+            )
+        present[codes[z]] = z
     raise AssertionError(f"row {y} has no conflicting values")  # pragma: no cover
 
 

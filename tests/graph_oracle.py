@@ -69,15 +69,18 @@ def neighbor_sets(n: int, ends) -> list:
     return nbrs
 
 
+def edge_neighbor_sets(graph: Graph) -> list:
+    """Per-index neighbour sets of ``graph``, read from its label edges."""
+    index = graph.vertex_index
+    return neighbor_sets(len(graph.vertices), [index[v] for edge in graph.edges for v in edge])
+
+
 def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
     verts = graph.vertices
     n = len(verts)
-    nbr_after = [
-        frozenset(graph.index(w) for w in graph.neighbors(verts[i]) if graph.index(w) > i)
-        for i in range(n)
-    ]
+    nbr_after = [frozenset(j for j in s if j > i) for i, s in enumerate(edge_neighbor_sets(graph))]
     by_dim: list = [[(i,) for i in range(n)]]
     for _ in range(dim_cap):
         prev = by_dim[-1]
@@ -102,7 +105,7 @@ def carried_vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
     n = len(graph.vertices)
-    later = [{j for j in s if j > i} for i, s in enumerate(graph.index_neighbors)]
+    later = [{j for j in s if j > i} for i, s in enumerate(edge_neighbor_sets(graph))]
     rows, prefixes = [np.arange(n).reshape(n, 1)], []
     parents = [(i, c) for i, c in enumerate(later) if c] if dim_cap else []  # (row, candidates)
     owed = n + sum(len(c) for _, c in parents)

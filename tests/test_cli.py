@@ -527,6 +527,29 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+UNWRITABLE_OUT = {
+    "build": ("build", "{graph}"),
+    "betti": ("betti", "{graph}"),
+    "theta": ("theta", "{graph}", '{{"carrier":[0,1],"coords":[0.5,0.5]}}'),
+    "pipeline": ("pipeline", "{graph}", "--domain", "circle:16", "--map", "quarter-arc"),
+    # the failure report is written by main, not by the command
+    "pipeline-failure": ("pipeline", "{graph}", "--domain", "circle:16", "--map", "@{values}"),
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUT))
+def test_unwritable_out_exits_two(case, where, capsys, c4_file, tmp_path):
+    values = tmp_path / "bad.json"
+    values.write_text(json.dumps({"values": {str(i): 2 * (i % 2) for i in range(16)}}))
+    target = tmp_path / "no" / "such" / "x.json" if where == "missing-directory" else tmp_path
+    argv = [a.format(graph=c4_file, values=values) for a in UNWRITABLE_OUT[case]]
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert f"input error: cannot write {target}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--max-dim", "--max-k"])
 def test_betti_negative_caps_rejected(flag, capsys, c4_file):
     code, out, _ = run_cli(capsys, "betti", c4_file, flag, "-1")

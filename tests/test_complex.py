@@ -1,4 +1,4 @@
-"""Clique complexes, barycentric subdivision, stars, simplicial maps."""
+"""Clique complexes, barycentric subdivision, simplicial maps."""
 
 import random
 from itertools import combinations
@@ -6,14 +6,11 @@ from itertools import combinations
 import pytest
 
 from vrclosure import (
-    BaryPoint,
     Graph,
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
     check_simplicial,
-    check_star_condition,
-    closed_star,
     complete_graph,
     cycle_graph,
     euler_characteristic,
@@ -147,38 +144,6 @@ class TestSubdivision:
             assert euler_characteristic(sd) == euler_characteristic(k)
 
 
-class TestClosedStar:
-    def test_c4_vertex(self):
-        k = vietoris_rips(cycle_graph(4), 2)
-        assert closed_star(k, 0) == {(0,), (1,), (3,), (0, 1), (0, 3)}
-
-    def test_isolated_vertex(self):
-        k = SimplicialComplex.from_simplices([("a",)], dim_cap=1)
-        assert closed_star(k, "a") == {("a",)}
-
-    def test_k3_star_is_everything(self):
-        k = vietoris_rips(complete_graph(3), 2)
-        for v in k.vertices:
-            assert closed_star(k, v) == set(k.all_simplices())
-
-    def test_downward_closed_and_contains_vertex(self):
-        rng = random.Random(6)
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(1, 9))
-            k = vietoris_rips(g, 2)
-            for v in k.vertices:
-                star = closed_star(k, v)
-                assert (v,) in star
-                for s in star:
-                    for size in range(1, len(s)):
-                        for face in combinations(s, size):
-                            assert face in star
-
-    def test_unknown_vertex(self):
-        with pytest.raises(KeyError):
-            closed_star(vietoris_rips(cycle_graph(4), 2), 99)
-
-
 class TestSimplicialMaps:
     def test_identity_is_simplicial(self):
         k = vietoris_rips(cycle_graph(4), 2)
@@ -223,31 +188,3 @@ class TestSimplicialMapValidation:
         m = SimplicialMap(k, k, {0: 0, 1: 1, 2: 2, 3: 3, 9: "x", "y": [None]})
         assert check_simplicial(m)
 
-
-class TestStarCondition:
-    def setup_method(self):
-        self.k = vietoris_rips(cycle_graph(4), 2)
-
-    def test_samples_on_vertices(self):
-        phi = SimplicialMap(self.k, self.k, {v: v for v in self.k.vertices})
-        f = {v: BaryPoint.of_vertex(v) for v in self.k.vertices}
-        assert check_star_condition(f, phi)
-
-    def test_sample_inside_edge_with_endpoint_image(self):
-        phi = SimplicialMap(self.k, self.k, {0: 0, 1: 1, 2: 1, 3: 0})
-        f = {v: BaryPoint.of_vertex(phi(v)) for v in self.k.vertices}
-        f[2] = BaryPoint((1, 2), (0.6, 0.4))  # phi(2)=1 is a carrier vertex
-        assert check_star_condition(f, phi)
-
-    def test_sample_inside_edge_with_foreign_image(self):
-        phi = SimplicialMap(self.k, self.k, {0: 0, 1: 0, 2: 3, 3: 3})
-        f = {v: BaryPoint.of_vertex(phi(v)) for v in self.k.vertices}
-        f[1] = BaryPoint((1, 2), (0.5, 0.5))  # phi(1)=0 is not in {1,2}
-        assert not check_star_condition(f, phi)
-
-    def test_malformed_point(self):
-        phi = SimplicialMap(self.k, self.k, {v: v for v in self.k.vertices})
-        f = {v: BaryPoint.of_vertex(v) for v in self.k.vertices}
-        f[0] = BaryPoint((0, 2), (0.5, 0.5))  # {0,2} is not a simplex of VR(C_4)
-        with pytest.raises(ValueError):
-            check_star_condition(f, phi)

@@ -64,7 +64,7 @@ def parsed(parse, text):
         g = parse(text)
     except InputError as exc:
         return "error", str(exc)
-    return g.vertices, g.edges, g.index_neighbors
+    return g.vertices, g.edges, g.edge_keys.tolist()
 
 
 @FUZZ
@@ -88,10 +88,30 @@ def test_edge_keys_hold_the_per_vertex_neighbour_sets(text):
     assert (np.diff(keys) > 0).all()  # sorted and distinct
     assert (keys // n < keys % n).all()  # i < j: no loop, no reversed pair
     nbrs = graph_oracle.neighbor_sets(n, [g.vertex_index[v] for pair in pairs for v in pair])
-    assert g.index_neighbors == nbrs
+    a, b = np.divmod(np.arange(n * n), n)  # every index pair, a == b too
+    expected = [u == w or w in nbrs[u] for u, w in zip(a.tolist(), b.tolist())]
+    assert g.adjacent(a, b).tolist() == expected
+    assert [g.neighbor_indices(u).tolist() for u in range(n)] == [sorted(s | {u}) for u, s in enumerate(nbrs)]
     verts = g.vertices
     assert g.edges == {(verts[i], verts[j]) for i, s in enumerate(nbrs) for j in s if i < j}
     assert repr(g) == f"Graph({n} vertices, {len(g.edges)} edges)"
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (range(1), []),  # one vertex, no key
+    (range(5), [(0, 3), (1, 3), (2, 3)]),  # 3's neighbours all below it; 4 isolated
+    (range(5), [(0, 4), (2, 4), (3, 4)]),  # the last vertex's too; 1 isolated
+    (["a", "b", "c"], [("c", "a")]),  # b isolated between the ends of the edge
+])
+def test_adjacency_reads_on_isolated_and_last_vertices(vertices, edges):
+    g = Graph(vertices, edges)
+    n = len(g.vertices)
+    nbrs = graph_oracle.neighbor_sets(n, [g.vertex_index[v] for edge in edges for v in edge])
+    every = np.arange(n)
+    assert g.adjacent(every, every).all()  # reflexive, isolated vertices too
+    for u in range(n):
+        assert g.neighbor_indices(u).tolist() == sorted(nbrs[u] | {u})
+        assert g.adjacent(u, every).tolist() == [w == u or w in nbrs[u] for w in range(n)]
 
 
 @st.composite
@@ -171,7 +191,8 @@ def test_the_benchmark_families_match_the_old_enumeration(bench_inputs, family, 
 
 def edge_list_text(g):
     lines = [f"{u} {v}" for u, v in sorted(g.edges)]
-    lines += [str(v) for v in g.vertices if not g.index_neighbors[g.vertex_index[v]]]
+    touched = {v for edge in g.edges for v in edge}
+    lines += [str(v) for v in g.vertices if v not in touched]
     return "\n".join(lines) + "\n"
 
 

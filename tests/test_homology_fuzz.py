@@ -13,6 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+import graph_oracle  # noqa: E402
 import homology_oracle  # noqa: E402
 import sd_oracle  # noqa: E402
 from helpers import maximal_simplices  # noqa: E402
@@ -126,9 +127,11 @@ def test_cleared_coboundary_ranks_match_the_full_rank(case, cap):
 def dominated_fold(g, vs):
     """Send one vertex u of ``vs`` to a w with N(u) within N[w], if any: a
     simplicial self-map of the clique complex."""
+    nbrs = dict(zip(g.vertices, graph_oracle.edge_neighbor_sets(g)))
+    index = g.vertex_index
     for u in vs:
         for w in vs:
-            if w != u and g.neighbors(u) - {w} <= g.neighbors(w):
+            if w != u and nbrs[u] - {index[w]} <= nbrs[w]:
                 return {u: w}
     return {}
 

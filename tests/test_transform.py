@@ -10,6 +10,7 @@ from vrclosure import (
     BaryPoint,
     CertificateFailure,
     DiscreteMap,
+    Graph,
     SampledDomain,
     SimplicialComplex,
     check_simplicial,
@@ -598,6 +599,26 @@ class TestFloodSequence:
         again = flood(current, 0, flood_stage_radii(current, 0))
         assert again.values == current.values
 
+    def test_a_stage_searches_about_log_e_plus_degree_keys(self, monkeypatch):
+        # each stage reads its vertex's neighbours from two runs of edge
+        # keys; a search of every vertex would cost V = 256 keys a stage
+        dom = circle_domain(256)
+        g = cycle_graph(256)
+        f = DiscreteMap(dom, g, {i: i for i in range(256)}, 0)
+        searched = [0]  # keys searched per stage, the last entry counting
+        search = np.searchsorted
+
+        def spy(keys, queries, *args, **kwargs):
+            searched[-1] += np.size(queries)
+            return search(keys, queries, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        for _ in flood_stages(f):
+            searched.append(0)
+        searched.pop()  # after the last stage
+        assert len(searched) == 256 and sum(searched) > 0
+        assert max(searched) <= 4 * (math.log2(len(g.edge_keys)) + 2) < 256
+
 
 class TestCliqueCertificate:
     def test_constant_map_gets_diameter(self):
@@ -637,11 +658,16 @@ class TestCliqueCertificate:
         assert cert.delta == min(oracle)
         assert cert.delta > 0
 
-    def test_memory_does_not_grow_with_the_image(self):
+    @pytest.mark.parametrize("k, steps, per_value", [(128, (1,), 2), (4096, (1, 2), 1)])
+    def test_memory_does_not_grow_with_the_image(self, k, steps, per_value):
         # 128 image values leave about 8K non-adjacent pairs; scratch space
-        # must stay a few distance row blocks regardless
-        dom = circle_domain(256)
-        f = DiscreteMap(dom, cycle_graph(128), {i: i // 2 for i in range(256)}, 0)
+        # must stay a few distance row blocks regardless.  At 4,096 values
+        # (C_4096 squared, each sample its own value) a k x k adjacency
+        # table alone would take 16 MB
+        edges = [(i, (i + step) % k) for i in range(k) for step in steps]
+        n = k * per_value
+        dom = circle_domain(n)
+        f = DiscreteMap(dom, Graph(range(k), edges), {i: i // per_value for i in range(n)}, 0)
         tracemalloc.start()
         try:
             cert = clique_certificate(f)
