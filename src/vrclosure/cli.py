@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .complex import SimplicialComplex, TooManySimplices, vietoris_rips
 from .domains import (
@@ -34,51 +38,59 @@ class InputError(ValueError):
     """Malformed user input; maps to exit code 2."""
 
 
+#: the 29 code points ``str.isspace`` accepts, which ``str.split`` splits at,
+#: and the 10 of them ``str.splitlines`` breaks at; none is above U+3000
+SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+          "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+#: per code point to U+3001, which stands for all above it: 0 in a token, 1 a space, 2 a break
+_CODE_KIND = np.zeros(0x3002, np.uint8)
+_CODE_KIND[list(map(ord, SPACES))] = 1
+_CODE_KIND[list(map(ord, BREAKS))] = 2
+_COMMENT = re.compile(f"#[^{BREAKS}]*")
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: one "u v" edge per line, '#' comments,
-    single-token lines declaring isolated vertices, explicit loops dropped.
+    """Parse the edge-list format: one "u v" edge per line (the lines of
+    ``str.splitlines``), '#' comments, single-token lines declaring isolated
+    vertices, explicit loops dropped.
 
     Vertex tokens are ordered numerically when every token is numeric and
     lexicographically otherwise; this order drives all downstream
-    tie-breaking.  Each distinct token is converted once, and the graph is
-    built from the flat list of endpoint indices.
+    tie-breaking.  The text is read whole: one regex drops the comments,
+    ``text.split()`` gives the tokens, and each token's line is the count of
+    line breaks before it among the text's code points.  Each distinct token
+    is converted once; the graph is built from one array of endpoint indices.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    rows = [line.split() for line in lines]
-    if max(map(len, rows), default=0) > 2:
-        lineno, tokens = next((i, r) for i, r in enumerate(rows, start=1) if len(r) > 2)
-        raise InputError(
-            f"line {lineno}: expected 'u v' or a single vertex, got {len(tokens)} tokens"
-        )
-    # a single-token line declares a vertex: read it as the loop "v v"
-    ends = [t for r in rows for t in (r if len(r) == 2 else r * 2)]
-    if not ends:
+    text = _COMMENT.sub("", text).replace("\r\n", "\n")
+    tokens = text.split()
+    # the kind of each code point, after one leading space so that every token follows one
+    code = np.frombuffer(f" {text}".encode("utf-32-le", "surrogatepass"), np.uint32)
+    kind = _CODE_KIND.take(code, mode="clip")
+    space = kind != 0
+    before = np.flatnonzero(space[:-1] > space[1:])  # the space before each token
+    line = np.searchsorted(np.flatnonzero(kind == 2), before, side="right")  # from 0
+    per_line = np.bincount(line)
+    if len(per_line) and per_line.max() > 2:
+        over = int(np.argmax(per_line > 2))
+        raise InputError(f"line {over + 1}: expected 'u v' or a single vertex, got {per_line[over]} tokens")
+    if not tokens:
         raise InputError("no vertices or edges found")
-    tokens = set(ends)
-    if "".join(tokens).isdigit():
-        try:
-            label = dict(zip(tokens, map(int, tokens)))
-        except ValueError:
-            raise _bad_token(rows) from None
-    else:
-        label = dict(zip(tokens, tokens))
-    vertices = sort_vertices(set(label.values()))
-    position = dict(zip(vertices, range(len(vertices))))
-    index = {tok: position[v] for tok, v in label.items()}
-    return Graph.from_index_pairs(vertices, map(index.__getitem__, ends))
-
-
-def _bad_token(rows: list) -> InputError:
-    """The error for the first line holding a digit token that ``int``
-    refuses, such as a superscript digit."""
-    for lineno, tokens in enumerate(rows, start=1):
-        for tok in tokens:
+    distinct = set(tokens)
+    try:
+        label = dict(zip(distinct, map(int if "".join(distinct).isdigit() else str, distinct)))
+    except ValueError:  # a digit that int refuses, such as a superscript: name its line
+        for tok, lineno in zip(tokens, line.tolist()):
             try:
                 int(tok)
             except ValueError as exc:
-                return InputError(f"line {lineno}: bad vertex token: {exc}")
+                raise InputError(f"line {lineno + 1}: bad vertex token: {exc}") from None
+    vertices = sort_vertices(set(label.values()))
+    position = dict(zip(vertices, range(len(vertices))))
+    index = {tok: position[v] for tok, v in label.items()}
+    ends = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    # a single-token line declares a vertex: read it as the loop "v v"
+    return Graph.from_index_pairs(vertices, np.repeat(ends, 3 - per_line[line]))
 
 
 def load_graph(path: str) -> Graph:
@@ -90,6 +102,7 @@ def load_graph(path: str) -> Graph:
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
+    """The complex as a report dict; ``complex_json`` writes its canonical JSON."""
     return {
         "dim_cap": k.dim_cap,
         "vertices": list(k.vertices),
@@ -98,6 +111,21 @@ def complex_to_json(k: SimplicialComplex) -> dict:
         # tuples: rows as lists take a third more memory
         "simplices": [list(zip(*k.labels[level].T.tolist())) for level in k.rows],
     }
+
+
+def complex_json(k: SimplicialComplex) -> str:
+    """``canonical_json(complex_to_json(k))``, written directly: one JSON
+    token per vertex label, gathered by each level's columns and joined
+    into rows and levels."""
+    # a str or int label as the encoder writes it, without building an encoder
+    write = {str: encode_basestring_ascii, int: int.__repr__}
+    tokens = np.fromiter((write.get(type(v), canonical_json)(v) for v in k.vertices), object, len(k.vertices))
+    levels = ",".join(
+        f"[[{'],['.join(map(','.join, zip(*tokens[level.T].tolist())))}]]" if len(level) else "[]"
+        for level in k.rows
+    )
+    return (f'{{"counts":{canonical_json(k.counts())},"dim_cap":{k.dim_cap},'
+            f'"simplices":[{levels}],"vertices":[{",".join(tokens.tolist())}]}}')
 
 
 def _emit(report: dict | str, out: str | None) -> None:
@@ -125,7 +153,7 @@ def cmd_build(args) -> int:
     print(f"simplex counts by dimension: {k.counts()}", file=sys.stderr)
     # the body is encoded once: the report is its canonical text with
     # "digest" spliced in at its sorted place, right after "counts"
-    body = canonical_json(complex_to_json(k))
+    body = complex_json(k)
     at = len(f'{{"counts":{canonical_json(k.counts())}')
     _emit(f'{body[:at]},"digest":"{fnv1a64(body)}"{body[at:]}', args.out)
     return 0
@@ -178,7 +206,8 @@ def cmd_theta(args) -> int:
     graph = load_graph(args.graph)
     source = args.point
     try:
-        text = source if source.lstrip().startswith("{") else Path(source).read_text()
+        text = (source if source.lstrip().startswith("{")
+                else Path(source).read_text(encoding="utf-8"))
         data = json.loads(text)
         carrier = _coerce_carrier(graph, data["carrier"])
         point = BaryPoint(carrier, tuple(float(t) for t in data["coords"]))

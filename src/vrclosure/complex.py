@@ -156,13 +156,7 @@ class SimplicialComplex:
         if dim_cap < 0:
             raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
         given = [tuple(s) for s in simplices]
-        if vertices is None:
-            seen: set = set()
-            for s in given:
-                seen.update(s)
-            verts = sort_vertices(seen)
-        else:
-            verts = sort_vertices(vertices)
+        verts = sort_vertices(set(chain.from_iterable(given)) if vertices is None else vertices)
         index = {v: i for i, v in enumerate(verts)}
         # faces are collected as sorted index tuples, whose default order is
         # the simplex order
@@ -209,6 +203,9 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     later neighbours, and are kept when in both; so a hub's leaves are never
     paired, every clique comes out once, and each level comes out
     lexicographic, with the position of ``s`` as the new row's prefix.
+    A candidate is already in the list it comes from, so one search, in one
+    sorted array of the edge keys and the level's keys, tests the other.  No
+    level is grown past an empty one, as every later level is empty too.
 
     Candidates are tested ``BLOCK_CELLS`` at a time and the simplices
     counted after each step: once the count passes ``MAX_SIMPLICES``,
@@ -223,24 +220,30 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     if dim_cap and total > MAX_SIMPLICES:
         raise TooManySimplices(1)
     for d in range(1, dim_cap + 1):
+        if not len(rows[-1]):
+            break
         if d == 1:
             above, last = np.divmod(keys, n)
+            heads = last  # each vertex's later neighbours, in its run of edge keys
         else:
             prefix, last = prefixes[-1], rows[-1][:, -1]
-            level = np.append(prefix * n + last, np.iinfo(np.int64).max)  # sorted, as the rows are
             siblings = np.searchsorted(prefix, prefix, side="right") - np.arange(len(prefix)) - 1
             degree = starts[last + 1] - starts[last]
             by_sibling, count = siblings <= degree, np.minimum(siblings, degree)
             first, pairs = np.cumsum(count) - count, int(count.sum())  # each row's first candidate
+            # row s's j-th candidate t is pool[offset[s] + first[s] + j]; its key base[s] + t
+            # is an edge key (last, t) below n * n or a level key (prefix + n) * n + t above
+            pool = np.concatenate([last, heads])
+            offset = np.where(by_sibling, np.arange(1, len(last) + 1), len(last) + starts[last]) - first
+            base = np.where(by_sibling, last, prefix + n) * n
+            known = np.concatenate([keys, (prefix + n) * n + last, [np.iinfo(np.int64).max]])
             above, new = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
             for start in range(0, pairs, BLOCK_CELLS):
                 pair = np.arange(start, min(start + BLOCK_CELLS, pairs))
                 s = np.searchsorted(first, pair, side="right") - 1
-                j = pair - first[s]  # the j-th later sibling or later neighbour of row s
-                t = np.where(by_sibling[s], last[s + 1 + j], keys[starts[last[s]] + j] % n)
-                sibling = prefix[s] * n + t
-                hit = graph.adjacent(last[s], t)
-                hit &= level[np.searchsorted(level, sibling)] == sibling
+                t = pool[offset[s] + pair]
+                key = base[s] + t
+                hit = known[np.searchsorted(known, key)] == key
                 above.append(s[hit])
                 new.append(t[hit])
                 total += len(above[-1])
@@ -249,6 +252,7 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
             above, last = np.concatenate(above), np.concatenate(new)
         rows.append(np.column_stack([rows[-1][above], last]))
         prefixes.append(above)
+    prefixes += [np.empty(0, np.intp)] * (dim_cap - len(prefixes))  # the levels not grown
     return SimplicialComplex(graph.vertices, rows, dim_cap, prefixes)
 
 

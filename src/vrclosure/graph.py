@@ -8,11 +8,12 @@ otherwise) is the total order that all downstream tie-breaking refers to.
 A graph is stored on vertex indices as ``edge_keys``: one sorted int64
 array of distinct keys ``i * n + j``, one per edge ``i < j`` on ``n``
 vertices, built in numpy from the flat endpoint indices.  It is the only
-stored relation.  Every adjacency question is read on vertex indices from
-one sorted array built from it, the keys of both directions of each edge
-and of each loop: ``adjacent`` searches it once per pair and
-``neighbor_indices`` reads a vertex's run of it; the label views ``edges``,
-``closed_neighborhood`` and ``are_adjacent`` wrap those.
+stored relation.  ``vietoris_rips`` searches it as it is; every other
+adjacency question is read on vertex indices from one sorted array built
+from it, the keys of both directions of each edge and of each loop:
+``adjacent`` searches it once per pair and ``neighbor_indices`` reads a
+vertex's run of it; the label views ``edges``, ``closed_neighborhood`` and
+``are_adjacent`` wrap those.
 """
 
 from __future__ import annotations
@@ -43,13 +44,16 @@ def sort_vertices(tokens: Iterable[Vertex]) -> tuple:
     raise ValueError("vertex identifiers must be all ints, all strings, or all tuples")
 
 
-def _edge_keys(n: int, ends: Iterable[int]) -> np.ndarray:
+def _edge_keys(n: int, ends: Sequence[int]) -> np.ndarray:
     """The sorted distinct keys ``i * n + j`` (``i < j``) of the index pairs in
-    ``ends``, loops dropped; not ``np.unique``, which imports ``numpy.ma``."""
-    pairs = np.fromiter(ends, np.int64).reshape(-1, 2)
-    low, high = pairs.min(axis=1), pairs.max(axis=1)
-    keys = np.sort((low * n + high)[low != high])
-    return keys[np.diff(keys, prepend=-1) != 0]
+    ``ends``, a list or an int array, loops dropped; not ``np.unique``, which
+    imports ``numpy.ma``."""
+    pairs = np.asarray(ends, np.int64).reshape(-1, 2)
+    a, b = pairs[:, 0], pairs[:, 1]
+    keys = np.sort((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+    first = np.ones(len(keys), bool)  # the first of each run of equal keys
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 class Graph:
@@ -67,19 +71,17 @@ class Graph:
         if len(index) != len(verts):
             raise ValueError("duplicate vertex identifiers")
         ends = []
-        for pair in edges:
-            u, v = pair
+        for u, v in edges:
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the vertex set")
             ends += (index[u], index[v])
-        self.vertices = verts
-        self.vertex_index = index
-        self.edge_keys = _edge_keys(len(verts), ends)
+        self.vertices, self.vertex_index, self.edge_keys = verts, index, _edge_keys(len(verts), ends)
 
     @classmethod
-    def from_index_pairs(cls, vertices: Sequence[Vertex], ends: Iterable[int]) -> "Graph":
+    def from_index_pairs(cls, vertices: Sequence[Vertex], ends: Sequence[int]) -> "Graph":
         """The graph on ``vertices``, already distinct and in vertex order,
-        whose edges are the consecutive pairs of the flat indices ``ends``.
+        whose edges are the consecutive pairs of the flat indices ``ends``,
+        a list or an int array.
 
         A pair ``(i, i)`` adds no edge, so it can declare an isolated vertex.
         """

@@ -1,6 +1,10 @@
 """Edge-list parsing, CLI commands, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,19 @@ class TestTheta:
         code, out, _ = run_cli(capsys, "theta", c4_file, str(ppath))
         assert code == 0
         assert json.loads(out) == {"vertex": 1}
+
+    def test_point_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale with UTF-8 mode off the locale encoding is
+        # ASCII: the point file must still be read as UTF-8, as the graph is
+        graph, point = tmp_path / "labels.txt", tmp_path / "point.json"
+        graph.write_bytes("é a\na b\n".encode("utf-8"))
+        point.write_bytes('{"carrier": ["é", "a"], "coords": [0.75, 0.25]}'.encode("utf-8"))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-X", "utf8=0", "-m", "vrclosure.cli", "theta", str(graph), str(point)]
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'{"vertex":"\\u00e9"}\n', b"")
 
     def test_carrier_out_of_vertex_order(self, capsys, c4_file):
         point = json.dumps({"carrier": [2, 1], "coords": [0.5, 0.5]})

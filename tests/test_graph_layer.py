@@ -1,6 +1,7 @@
 """The index-native graph layer against the label-level code it replaced
-(``graph_oracle``) and independent oracles: the one-pass edge-list parser,
-the edge-key storage, clique levels grown from sibling pairs in steps,
+(``graph_oracle``) and independent oracles: the whole-text edge-list parser
+and its code-point tables, the edge-key storage, clique levels grown from
+sibling pairs in steps with one search per candidate, the ``build`` writer,
 ``betti`` against the dense-rank oracle, the clique ceiling and the layer's
 memory."""
 
@@ -23,9 +24,17 @@ st = hypothesis.strategies
 import graph_oracle  # noqa: E402
 from helpers import assert_well_formed  # noqa: E402
 import homology_oracle  # noqa: E402
-from vrclosure import Graph, complete_graph, euler_characteristic, vietoris_rips  # noqa: E402
+from vrclosure import (  # noqa: E402
+    Graph,
+    SimplicialComplex,
+    complete_graph,
+    euler_characteristic,
+    octahedron_graph,
+    vietoris_rips,
+)
 from vrclosure import complex as complex_module  # noqa: E402
-from vrclosure.cli import InputError, main, parse_edge_list  # noqa: E402
+from vrclosure import cli  # noqa: E402
+from vrclosure.cli import InputError, complex_json, complex_to_json, main, parse_edge_list  # noqa: E402
 from vrclosure.complex import MAX_SIMPLICES, TooManySimplices  # noqa: E402
 from vrclosure.pipeline import canonical_json  # noqa: E402
 
@@ -37,7 +46,12 @@ FUZZ = hypothesis.settings(max_examples=200, deadline=None, derandomize=True, da
 INT_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "5", "10", "007", "٣"])
 STR_TOKENS = st.sampled_from(["k0", "k1", "k2", "k10", "a", "b"])
 MIXED_TOKENS = st.one_of(INT_TOKENS, STR_TOKENS, st.sampled_from(["²", "-1", "x1"]))
-SPACES = st.sampled_from([" ", "\t", "  "])
+# spaces and line breaks beyond " " and "\n": \x1f and the Unicode spaces
+# only split tokens; the breaks are all that str.splitlines knows, "\r\n"
+# counting as one
+SPACES = st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0", "\u1680", "\u2003", "\u202f", "\u3000"])
+BREAKS = st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                          "\u2028", "\u2029"])
 
 
 def edge_list_lines(token):
@@ -51,12 +65,18 @@ def edge_list_lines(token):
         st.tuples(pair, st.just("  # trailing")).map("".join),
         st.tuples(st.just("  "), pair, st.just(" ")).map("".join),
         st.tuples(token, token, token).map(" ".join),  # refused: three tokens
+        st.tuples(token, st.just("#"), token, SPACES, token).map("".join),  # '#' inside a token
     )
 
 
-EDGE_LISTS = st.sampled_from([INT_TOKENS, STR_TOKENS, MIXED_TOKENS]).flatmap(
-    lambda token: st.lists(edge_list_lines(token), max_size=10).map("\n".join)
-)
+def edge_list_texts(token):
+    """Lines each ended by a break from ``BREAKS``, then a last line, which
+    may be empty."""
+    ended = st.lists(st.tuples(edge_list_lines(token), BREAKS).map("".join), max_size=10)
+    return st.tuples(ended.map("".join), edge_list_lines(token)).map("".join)
+
+
+EDGE_LISTS = st.sampled_from([INT_TOKENS, STR_TOKENS, MIXED_TOKENS]).flatmap(edge_list_texts)
 
 
 def parsed(parse, text):
@@ -71,6 +91,26 @@ def parsed(parse, text):
 @hypothesis.given(EDGE_LISTS)
 def test_parse_edge_list_matches_the_line_by_line_parser(text):
     assert parsed(parse_edge_list, text) == parsed(graph_oracle.parse_edge_list, text)
+
+
+def test_the_code_point_tables_are_those_of_split_and_splitlines():
+    every = "".join(map(chr, range(0x110000)))
+    assert cli.SPACES == "".join(c for c in every if c.isspace())
+    assert cli.BREAKS == "".join(c for c in every if len(f"a{c}b".splitlines()) == 2)
+    kind = [cli._CODE_KIND[min(c, len(cli._CODE_KIND) - 1)] for c in range(0x110000)]
+    assert kind == [2 if c in cli.BREAKS else 1 if c in cli.SPACES else 0 for c in every]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\r\n1 2\r\n2 3 4\r\n", "line 3: expected 'u v' or a single vertex, got 3 tokens"),
+    ("0 1\r1 2\r\n\r\n2 3 4 5\n", "line 4: expected 'u v' or a single vertex, got 4 tokens"),
+    ("a b # c d e\u2028c d e\n", "line 2: expected 'u v' or a single vertex, got 3 tokens"),
+    ("# \xb2\n0 1\x0b1 \xb2\n", "line 3: bad vertex token: invalid literal for int() with base 10: '\xb2'"),
+])
+def test_errors_name_the_line_of_str_splitlines(text, message):
+    with pytest.raises(InputError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
 
 
 @FUZZ
@@ -189,6 +229,48 @@ def test_the_benchmark_families_match_the_old_enumeration(bench_inputs, family, 
     assert vietoris_rips(g, cap) == graph_oracle.vietoris_rips(g, cap)
 
 
+# -- the build writer --------------------------------------------------------
+
+
+def assert_writes_the_canonical_json(k):
+    assert complex_json(k) == canonical_json(complex_to_json(k))
+
+
+@FUZZ
+@hypothesis.given(graphs(), st.integers(0, 5))
+def test_the_writer_matches_the_canonical_json_of_the_dict(case, cap):
+    # int, spread int and string labels; cap 0 and levels left empty
+    assert_writes_the_canonical_json(vietoris_rips(case[0], cap))
+
+
+@pytest.mark.parametrize("labels", [
+    ['a"b', "c\\d", "\x00e", "\x1f", "\x7f", "\xe9", "\u65e5\u672c", "\U0001f600", "\ud800", "/"],
+    [-3, 0, 7, 10**30],
+    [(0,), (1, "\xe9"), (0, 1, 2)],
+])
+def test_the_writer_escapes_labels_as_the_encoder_does(labels):
+    n = len(labels)
+    triangle = SimplicialComplex.from_simplices([labels[:3]], 3, labels)
+    assert triangle.counts() == [n, 3, 1, 0]
+    assert_writes_the_canonical_json(triangle)
+    g = Graph(labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if (i * j) % 3 != 1])
+    for cap in (0, 2, 6):
+        assert_writes_the_canonical_json(vietoris_rips(g, cap))
+
+
+@pytest.mark.parametrize("family", ["torus", "klein", "cross", "complete", "gnp"])
+def test_the_writer_matches_on_the_benchmark_families(bench_inputs, family):
+    n, edges, cap, label = {
+        "torus": lambda: (*bench_inputs.torus_edges(16, 20), 2, int),
+        "klein": lambda: (*bench_inputs.klein_edges(18, 40), 3, "k{}".format),
+        "cross": lambda: (*bench_inputs.cross_polytope_edges(6), 6, int),
+        "complete": lambda: (*bench_inputs.complete_edges(18), 3, int),
+        "gnp": lambda: (*bench_inputs.gnp_edges(400, 0.1, random.Random(1)), 5, int),
+    }[family]()
+    g = Graph(map(label, range(n)), [(label(u), label(v)) for u, v in edges])
+    assert_writes_the_canonical_json(vietoris_rips(g, cap))
+
+
 def edge_list_text(g):
     lines = [f"{u} {v}" for u, v in sorted(g.edges)]
     touched = {v for edge in g.edges for v in edge}
@@ -293,6 +375,69 @@ def traced_peak(build, *args):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def searchsorted_calls(monkeypatch):
+    """Record every ``np.searchsorted`` call as (query size, side, whether
+    the query is the haystack itself)."""
+    calls, search = [], np.searchsorted
+
+    def spy(a, v, side="left", sorter=None):
+        calls.append((np.size(v), side, v is a))
+        return search(a, v, side, sorter)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return calls
+
+
+def test_no_level_is_grown_past_the_first_empty_one(monkeypatch):
+    # the octahedron's largest cliques are its 8 triangles: level 3 comes
+    # out empty, and levels 4 and 5 cost no search at all
+    graph = octahedron_graph()
+    calls = searchsorted_calls(monkeypatch)
+    at_3 = vietoris_rips(graph, 3)
+    searched_to_3 = len(calls)
+    at_5 = vietoris_rips(graph, 5)
+    assert at_3.counts() == [6, 12, 8, 0]
+    assert at_5.counts() == [6, 12, 8, 0, 0, 0]
+    assert len(calls) == 2 * searched_to_3
+    assert_well_formed(at_5)
+    assert at_5 == graph_oracle.vietoris_rips(graph, 5)
+
+
+def candidate_count(k, d):
+    """Candidates for level ``d`` from level ``d - 1``: per row, the fewer
+    of its later siblings and its last vertex's later neighbours, counted
+    on label tuples."""
+    level = k.simplices(d - 1)
+    total = 0
+    for i, row in enumerate(level):
+        siblings = sum(1 for other in level[i + 1:] if other[:-1] == row[:-1])
+        later = sum(1 for edge in k.simplices(1) if edge[0] == row[-1])
+        total += min(siblings, later)
+    return total
+
+
+def test_each_candidate_is_searched_once(monkeypatch):
+    # a step looks up its candidates' rows (side="right", in a haystack other
+    # than the query), then searches every candidate once, in one call;
+    # steps of 7 put step boundaries everywhere
+    rng = random.Random(3)
+    graph = Graph(range(24), [(i, j) for i in range(24) for j in range(i + 1, 24) if rng.random() < 0.6])
+    monkeypatch.setattr(complex_module, "BLOCK_CELLS", 7)
+    calls = searchsorted_calls(monkeypatch)
+    k = vietoris_rips(graph, 5)
+    monkeypatch.undo()
+    assert k == graph_oracle.vietoris_rips(graph, 5)
+    steps, searched = [], []
+    for size, side, itself in calls:
+        if side == "right" and not itself:
+            steps.append(size)
+            searched.append([])
+        elif steps and side == "left":
+            searched[-1].append(size)
+    assert sum(steps) == sum(candidate_count(k, d) for d in range(2, 6)) > 1000
+    assert all(len(sizes) <= 1 and sum(sizes) <= step for step, sizes in zip(steps, searched))
 
 
 def test_a_hub_never_pairs_its_leaves():
