@@ -6,9 +6,7 @@ from .closure import ClosureSpace, PointMap, compose, is_continuous
 from .complex import (
     SimplicialComplex,
     SimplicialMap,
-    barycentric_subdivision,
     check_simplicial,
-    compose_simplicial,
     vietoris_rips,
 )
 from .graph import Graph, complete_graph, cycle_graph, octahedron_graph
@@ -25,7 +23,6 @@ from .realization import (
     bary_cover_membership,
     pl_evaluate,
     simplex_grid,
-    subdivided_point,
     subdivision_depth_for_mesh,
     theta_point,
 )
@@ -56,14 +53,12 @@ __all__ = [
     "SampledDomain",
     "SimplicialComplex",
     "SimplicialMap",
-    "barycentric_subdivision",
     "bary_cover_membership",
     "betti_numbers",
     "check_simplicial",
     "clique_certificate",
     "complete_graph",
     "compose",
-    "compose_simplicial",
     "convex_transform",
     "cycle_graph",
     "discrete_modify",
@@ -78,7 +73,6 @@ __all__ = [
     "pl_evaluate",
     "simplex_grid",
     "subdivide_domain",
-    "subdivided_point",
     "subdivision_depth_for_mesh",
     "theta_point",
     "vietoris_rips",

@@ -209,11 +209,16 @@ def cmd_theta(args) -> int:
         text = (source if source.lstrip().startswith("{")
                 else Path(source).read_text(encoding="utf-8"))
         data = json.loads(text)
+        # a str or an object would iterate as characters or keys
+        if not all(isinstance(data[key], list) for key in ("carrier", "coords")):
+            raise InputError("bad point JSON: carrier and coords must be arrays")
+        if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in data["coords"]):
+            raise InputError("bad point JSON: coords must be numbers")
         carrier = _coerce_carrier(graph, data["carrier"])
-        point = BaryPoint(carrier, tuple(float(t) for t in data["coords"]))
+        point = BaryPoint(carrier, tuple(map(float, data["coords"])))
     except InputError:
         raise
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad point JSON: {exc}") from exc
     _emit({"vertex": theta_on_graph(graph, point)}, args.out)
     return 0

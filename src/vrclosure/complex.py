@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Graph, sort_vertices
+from .graph import Graph
 
 Vertex = Hashable
 Simplex = tuple
@@ -33,7 +33,8 @@ class SimplicialComplex:
     lists them.  The constructor trusts its rows (strictly increasing, every
     face present, levels lexicographic) and ``prefixes``, which builders that
     grow rows pass: per level d >= 1, the position in level d - 1 of each
-    row's prefix, all but its last vertex.  ``from_simplices`` validates.
+    row's prefix, all but its last vertex.  ``vietoris_rips``,
+    ``subdivision_on`` and the domain triangulations build such rows.
     """
 
     def __init__(self, vertices: Sequence[Vertex], rows: Sequence, dim_cap: int,
@@ -58,10 +59,6 @@ class SimplicialComplex:
     @cached_property
     def _label_levels(self) -> list:
         return [tuple(map(tuple, self.labels[level].tolist())) for level in self.rows]
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(map(tuple, chain.from_iterable(level.tolist() for level in self.rows)))
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -101,11 +98,13 @@ class SimplicialComplex:
         return at
 
     def has_simplex(self, simplex: Sequence[Vertex]) -> bool:
-        """Whether a label sequence, in the vertex order, is a simplex."""
+        """Whether a label sequence, in the vertex order and without repeats
+        (which ``positions`` would count once), is a simplex."""
         try:
-            return tuple(map(self.vertex_index.__getitem__, simplex)) in self._members
+            row = np.array([self.vertex_index[v] for v in simplex], dtype=np.intp)
         except KeyError:
             return False
+        return bool((row[1:] > row[:-1]).all() and self.positions(row[None])[0] >= 0)
 
     def has_simplices(self, rows: np.ndarray) -> bool:
         """Whether the vertex set of every row of vertex indices, in any
@@ -143,34 +142,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(counts={self.counts()})"
-
-    @classmethod
-    def from_simplices(
-        cls,
-        simplices: Iterable[Sequence[Vertex]],
-        dim_cap: int,
-        vertices: Iterable[Vertex] | None = None,
-    ) -> "SimplicialComplex":
-        """Build the downward closure of the given simplices, capped at
-        ``dim_cap``; the validating entry for arbitrary simplex lists."""
-        if dim_cap < 0:
-            raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
-        given = [tuple(s) for s in simplices]
-        verts = sort_vertices(set(chain.from_iterable(given)) if vertices is None else vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        # faces are collected as sorted index tuples, whose default order is
-        # the simplex order
-        levels: list = [set() for _ in range(dim_cap + 1)]
-        levels[0].update((i,) for i in range(len(verts)))
-        for s in given:
-            if len(set(s)) != len(s):
-                raise ValueError(f"simplex {s} has repeated vertices")
-            if not all(v in index for v in s):
-                raise ValueError(f"simplex {s} uses vertices outside the vertex set")
-            canon = sorted(map(index.__getitem__, s))
-            for k in range(1, min(len(canon), dim_cap + 1)):
-                levels[k].update(combinations(canon, k + 1))
-        return cls(verts, [sorted(level) for level in levels], dim_cap)
 
 
 #: most simplices a clique complex may have; about 27 times the 19,656 of
@@ -254,12 +225,6 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
         prefixes.append(above)
     prefixes += [np.empty(0, np.intp)] * (dim_cap - len(prefixes))  # the levels not grown
     return SimplicialComplex(graph.vertices, rows, dim_cap, prefixes)
-
-
-def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Barycentric subdivision sd(K) whose vertices are the simplices of K
-    themselves (their barycenters), so each new vertex is its own carrier."""
-    return subdivision_on(k, list(k.all_simplices()))
 
 
 def subdivision_on(k: SimplicialComplex, names: Sequence[Vertex]) -> SimplicialComplex:
@@ -348,12 +313,3 @@ def check_simplicial(m: SimplicialMap) -> bool:
     levels = range(m.source.dim_cap + 1)
     return all(m.target.has_simplices(m.codes[m.source.rows[d]]) for d in levels)
 
-
-def compose_simplicial(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
-    if inner.target != outer.source:
-        raise ValueError("target of inner map does not match source of outer map")
-    return SimplicialMap(
-        inner.source,
-        outer.target,
-        {v: outer(inner(v)) for v in inner.source.vertices},
-    )

@@ -19,7 +19,6 @@ No column whose fate is known in advance is reduced:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
@@ -298,39 +297,19 @@ class GroupPresentation:
 def edge_path_presentation(k: SimplicialComplex, base: Vertex) -> GroupPresentation:
     """Spanning-tree presentation of the edge-path group from ``base``.
 
-    The tree is grown breadth-first in vertex order, so the presentation is
-    deterministic.  Raises on disconnected 1-skeletons.
+    The tree is the union-find forest that ``betti_numbers`` runs, so the
+    presentation is deterministic; on a connected complex it presents the
+    same group from every base.  Raises on disconnected 1-skeletons.
     """
     if base not in k.vertex_index:
         raise KeyError(f"unknown base vertex {base!r}")
-    adjacency: dict = {v: [] for v in k.vertices}
-    for u, w in k.simplices(1):
-        adjacency[u].append(w)
-        adjacency[w].append(u)
-    for v in adjacency:
-        adjacency[v].sort(key=k.vertex_index.__getitem__)
-
-    tree: set = set()
-    seen = {base}
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                tree.add(k.sort_simplex((u, w)))
-                queue.append(w)
-    if len(seen) != len(k.vertices):
+    tree = _spanning_forest(k) if k.dim_cap else set()
+    if len(tree) != len(k.vertices) - 1:
         raise ValueError("complex is not connected")
-
-    generators = tuple(e for e in k.simplices(1) if e not in tree)
-    gen_index = {e: j for j, e in enumerate(generators)}
-    relators = []
-    for a, b, c in k.simplices(2):
-        exps: dict = {}
-        for u, w, sign in ((a, b, 1), (b, c, 1), (a, c, -1)):
-            j = gen_index.get((u, w))
-            if j is not None:
-                exps[j] = exps.get(j, 0) + sign
-        relators.append({j: e for j, e in exps.items() if e != 0})
-    return GroupPresentation(generators, tuple(relators))
+    edges = k.simplices(1)
+    generator = {j: i for i, j in enumerate(j for j in range(len(edges)) if j not in tree)}
+    # triangle abc's facets are bc, ac, ab; its boundary word is ab + bc - ac
+    triangles = k.facets(2).tolist() if k.dim_cap > 1 else ()
+    relators = tuple({generator[j]: sign for j, sign in ((ab, 1), (bc, 1), (ac, -1)) if j in generator}
+                     for bc, ac, ab in triangles)
+    return GroupPresentation(tuple(map(edges.__getitem__, generator)), relators)

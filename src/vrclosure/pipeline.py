@@ -250,7 +250,7 @@ def sd_compatibility(m1, m2, face_vertex: Sequence, grid_steps: int = 0) -> bool
 
     ``m2.source`` must be sd(``m1.source``) with vertex ``face_vertex[i]`` at
     the barycenter of the i-th face of ``all_simplices()`` and smaller faces
-    first, as ``subdivide_domain`` and ``barycentric_subdivision`` build it.
+    first, as ``subdivide_domain`` and ``subdivision_on`` build it.
     Its maximal simplices are the chains F0 < ... < Fe = s, s a maximal
     e-simplex of ``m1.source``: its level-e chains ending at s's vertex.
     Every point lies in one, and its two image carriers lie in U = m2(chain)

@@ -1,16 +1,17 @@
 """Points of geometric realizations in barycentric coordinates.
 
 Houses the barycentric-cover membership test, the retraction of a realization
-onto its vertex set (evaluated pointwise), piecewise-linear evaluation of
-simplicial maps, and the mesh-shrinking depth bound for barycentric
-subdivision.
+onto its vertex set (evaluated pointwise, on a complex or on the graph whose
+clique complex it is), piecewise-linear evaluation of simplicial maps, the
+mesh-shrinking depth bound for barycentric subdivision, and the uniform
+barycentric grid on a simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .complex import SimplicialComplex, SimplicialMap
 from .graph import Graph
@@ -206,28 +207,3 @@ def simplex_grid(dim: int, steps: int) -> Iterator[tuple]:
     for composition in parts(steps, dim + 1):
         yield tuple(k / steps for k in composition)
 
-
-def subdivided_point(point: BaryPoint, face_vertex: Mapping | None = None) -> BaryPoint:
-    """Rewrite a point of ``|K|`` as a point of ``|sd K|``.
-
-    Sorting the coordinates in decreasing order produces the chain of support
-    faces whose barycenters carry the point; the weight of the j-th face is
-    ``j * (s_j - s_{j+1})`` for the sorted coordinates ``s``.  New vertices
-    are the face tuples themselves, or their images under ``face_vertex``
-    when the subdivision's vertices were renamed.
-    """
-    order = sorted(range(len(point.carrier)), key=lambda i: (-point.coords[i], i))
-    faces = []
-    weights = []
-    prefix: list = []
-    for j, idx in enumerate(order, start=1):
-        prefix.append(point.carrier[idx])
-        s_here = point.coords[idx]
-        s_next = point.coords[order[j]] if j < len(order) else 0.0
-        w = j * (s_here - s_next)
-        if w > EPS_ZERO:
-            face = tuple(sorted(prefix, key=point.carrier.index))
-            faces.append(face if face_vertex is None else face_vertex[face])
-            weights.append(w)
-    total = sum(weights)
-    return BaryPoint(tuple(faces), tuple(w / total for w in weights))

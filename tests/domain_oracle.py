@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 
-from vrclosure import SampledDomain, SimplicialComplex
+from vrclosure import SampledDomain
+
+from helpers import from_simplices
 
 ICOSA_FACES = [
     (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
@@ -57,7 +59,7 @@ def icosphere(subdivisions):
 
 def icosphere_domain(subdivisions):
     coords, faces = icosphere(subdivisions)
-    tri = SimplicialComplex.from_simplices(faces, dim_cap=3, vertices=range(len(coords)))
+    tri = from_simplices(faces, dim_cap=3, vertices=range(len(coords)))
     return SampledDomain(coords, tri, basepoints=(0,))
 
 
@@ -65,5 +67,5 @@ def circle_domain(n):
     angles = 2.0 * math.pi * np.arange(n) / n
     coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     edges = [(i, (i + 1) % n) for i in range(n)]
-    tri = SimplicialComplex.from_simplices(edges, dim_cap=2, vertices=range(n))
+    tri = from_simplices(edges, dim_cap=2, vertices=range(n))
     return SampledDomain(coords, tri, basepoints=(0,))

@@ -1,7 +1,8 @@
 """The sampled subdivision-compatibility check, kept as a test oracle.
 
 It evaluates both maps with ``pl_evaluate`` at every point of the uniform
-1/``grid_steps`` grid of each maximal simplex and asks ``carriers_compatible``
+1/``grid_steps`` grid of each maximal simplex, the refined map at the point
+as ``subdivided_point`` rewrites it in sd(K), and asks ``carriers_compatible``
 whether their carriers fit in one target simplex.  Simplices whose image
 pattern (vertex images plus subdivision-vertex images) was already checked
 are skipped, since the verdict only depends on that pattern.
@@ -9,8 +10,34 @@ are skipped, since the verdict only depends on that pattern.
 
 from itertools import combinations
 
-from vrclosure import BaryPoint, pl_evaluate, simplex_grid, subdivided_point
-from vrclosure.realization import aligned
+from vrclosure import BaryPoint, pl_evaluate, simplex_grid
+from vrclosure.realization import EPS_ZERO, aligned
+
+
+def subdivided_point(point, face_vertex=None):
+    """Rewrite a point of ``|K|`` as a point of ``|sd K|``.
+
+    Sorting the coordinates in decreasing order produces the chain of support
+    faces whose barycenters carry the point; the weight of the j-th face is
+    ``j * (s_j - s_{j+1})`` for the sorted coordinates ``s``.  New vertices
+    are the face tuples themselves, or their images under ``face_vertex``
+    when the subdivision's vertices were renamed.
+    """
+    order = sorted(range(len(point.carrier)), key=lambda i: (-point.coords[i], i))
+    faces = []
+    weights = []
+    prefix: list = []
+    for j, idx in enumerate(order, start=1):
+        prefix.append(point.carrier[idx])
+        s_here = point.coords[idx]
+        s_next = point.coords[order[j]] if j < len(order) else 0.0
+        w = j * (s_here - s_next)
+        if w > EPS_ZERO:
+            face = tuple(sorted(prefix, key=point.carrier.index))
+            faces.append(face if face_vertex is None else face_vertex[face])
+            weights.append(w)
+    total = sum(weights)
+    return BaryPoint(tuple(faces), tuple(w / total for w in weights))
 
 
 def carriers_compatible(m1, m2, points, face_vertex=None) -> bool:

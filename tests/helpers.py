@@ -1,11 +1,13 @@
 """Small helpers shared by several test modules."""
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from vrclosure import flood_stages
+from vrclosure import SimplicialComplex, SimplicialMap, flood_stages
 from vrclosure import transform
+from vrclosure.complex import subdivision_on
+from vrclosure.graph import sort_vertices
 
 
 def flood_all(f):
@@ -29,6 +31,43 @@ def chain_subsimplices(simplex, i):
             acc.append(v)
             chain.append(tuple(sorted(acc, key=simplex.index)))
         yield tuple(chain)
+
+
+def from_simplices(simplices, dim_cap, vertices=None):
+    """Build the downward closure of the given simplices, capped at
+    ``dim_cap``: the validating way to write a complex from arbitrary simplex
+    lists, which ``SimplicialComplex`` itself trusts."""
+    if dim_cap < 0:
+        raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
+    given = [tuple(s) for s in simplices]
+    verts = sort_vertices(set(chain.from_iterable(given)) if vertices is None else vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    # faces are collected as sorted index tuples, whose default order is
+    # the simplex order
+    levels: list = [set() for _ in range(dim_cap + 1)]
+    levels[0].update((i,) for i in range(len(verts)))
+    for s in given:
+        if len(set(s)) != len(s):
+            raise ValueError(f"simplex {s} has repeated vertices")
+        if not all(v in index for v in s):
+            raise ValueError(f"simplex {s} uses vertices outside the vertex set")
+        canon = sorted(map(index.__getitem__, s))
+        for k in range(1, min(len(canon), dim_cap + 1)):
+            levels[k].update(combinations(canon, k + 1))
+    return SimplicialComplex(verts, [sorted(level) for level in levels], dim_cap)
+
+
+def barycentric_subdivision(k):
+    """Barycentric subdivision sd(K) whose vertices are the simplices of K
+    themselves (their barycenters), so each new vertex is its own carrier."""
+    return subdivision_on(k, list(k.all_simplices()))
+
+
+def compose_simplicial(outer, inner):
+    """The simplicial map ``outer`` after ``inner``."""
+    if inner.target != outer.source:
+        raise ValueError("target of inner map does not match source of outer map")
+    return SimplicialMap(inner.source, outer.target, {v: outer(inner(v)) for v in inner.source.vertices})
 
 
 def maximal_simplices(k):

@@ -3,11 +3,13 @@ kept as test oracles: the dense bitset rank, the H1 reduction context with
 its own copies of the kernel, insertion and coordinate loops, and the Betti
 numbers and induced map on H1 built on them.  They pivot on the lowest set
 bit, so they share no convention with ``_reduce``, which pivots on the
-highest."""
+highest.  Also the breadth-first edge-path presentation that the union-find
+spanning forest replaced."""
 
+from collections import deque
 from itertools import combinations
 
-from vrclosure import InducedH1, check_simplicial
+from vrclosure import GroupPresentation, InducedH1, check_simplicial
 
 
 def gf2_rank_dense(columns) -> int:
@@ -122,3 +124,41 @@ def induced_h1(m) -> InducedH1:
         source_betti1=len(src.h1_basis),
         target_betti1=n_rows,
     )
+
+
+def edge_path_presentation(k, base) -> GroupPresentation:
+    """The presentation on a tree grown breadth-first from ``base`` in vertex
+    order, from a label adjacency dict; relators looked up by edge label."""
+    if base not in k.vertex_index:
+        raise KeyError(f"unknown base vertex {base!r}")
+    adjacency: dict = {v: [] for v in k.vertices}
+    for u, w in k.simplices(1):
+        adjacency[u].append(w)
+        adjacency[w].append(u)
+    for v in adjacency:
+        adjacency[v].sort(key=k.vertex_index.__getitem__)
+
+    tree: set = set()
+    seen = {base}
+    queue = deque([base])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                tree.add(k.sort_simplex((u, w)))
+                queue.append(w)
+    if len(seen) != len(k.vertices):
+        raise ValueError("complex is not connected")
+
+    generators = tuple(e for e in k.simplices(1) if e not in tree)
+    gen_index = {e: j for j, e in enumerate(generators)}
+    relators = []
+    for a, b, c in k.simplices(2):
+        exps: dict = {}
+        for u, w, sign in ((a, b, 1), (b, c, 1), (a, c, -1)):
+            j = gen_index.get((u, w))
+            if j is not None:
+                exps[j] = exps.get(j, 0) + sign
+        relators.append({j: e for j, e in exps.items() if e != 0})
+    return GroupPresentation(generators, tuple(relators))

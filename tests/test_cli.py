@@ -219,6 +219,27 @@ class TestTheta:
         assert (code, out) == (2, "")
         assert "carrier vertex 9 is not a vertex" in err
 
+    @pytest.mark.parametrize("point, message", [
+        # a string iterates as its characters, an object as its keys
+        ('{"carrier":"01","coords":"10"}', "carrier and coords must be arrays"),
+        ('{"carrier":[0,1],"coords":"10"}', "carrier and coords must be arrays"),
+        ('{"carrier":{"0":1},"coords":[1]}', "carrier and coords must be arrays"),
+        ('{"carrier":[0],"coords":{"1":0}}', "carrier and coords must be arrays"),
+        ('{"carrier":[0,1],"coords":["0.25","0.75"]}', "coords must be numbers"),
+        ('{"carrier":[0,1],"coords":[true,false]}', "coords must be numbers"),
+        ('{"carrier":[0,1],"coords":[0.5,null]}', "coords must be numbers"),
+        ('{"carrier":[0],"coords":[[1]]}', "coords must be numbers"),
+        # an int of 400 digits is a number, but float() overflows on it
+        (f'{{"carrier":[0],"coords":[{10 ** 400}]}}', "int too large to convert to float"),
+    ])
+    def test_malformed_point_arrays_are_input_errors(self, point, message, capsys, c4_file):
+        code, out, err = run_cli(capsys, "theta", c4_file, point)
+        assert (code, out, err) == (2, "", f"input error: bad point JSON: {message}\n")
+
+    def test_integer_coordinates_are_numbers(self, capsys, c4_file):
+        point = '{"carrier":[0,1],"coords":[0,1]}'
+        assert run_cli(capsys, "theta", c4_file, point) == (0, '{"vertex":1}\n', "")
+
     def test_non_clique_carrier_fails(self, capsys, c4_file):
         point = json.dumps({"carrier": [0, 2], "coords": [0.5, 0.5]})
         code, out, err = run_cli(capsys, "theta", c4_file, point)

@@ -7,9 +7,7 @@ import pytest
 
 from vrclosure import (
     Graph,
-    SimplicialComplex,
     SimplicialMap,
-    barycentric_subdivision,
     check_simplicial,
     complete_graph,
     cycle_graph,
@@ -18,6 +16,8 @@ from vrclosure import (
     vietoris_rips,
 )
 from vrclosure.complex import subdivision_counts
+
+from helpers import barycentric_subdivision, from_simplices
 
 
 def random_graph(rng, n, p=0.5):
@@ -76,31 +76,31 @@ class TestVietorisRips:
 
 class TestFromSimplices:
     def test_non_pure_closure(self):
-        k = SimplicialComplex.from_simplices([(2, 0, 1), (3, 2), (5,)], dim_cap=2)
+        k = from_simplices([(2, 0, 1), (3, 2), (5,)], dim_cap=2)
         assert k.vertices == (0, 1, 2, 3, 5)
         assert k.simplices(1) == ((0, 1), (0, 2), (1, 2), (2, 3))
         assert k.simplices(2) == ((0, 1, 2),)
 
     def test_cap_truncates(self):
-        k = SimplicialComplex.from_simplices([(0, 1, 2, 3)], dim_cap=1)
+        k = from_simplices([(0, 1, 2, 3)], dim_cap=1)
         assert k.counts() == [4, 6]
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError, match="dim_cap"):
-            SimplicialComplex.from_simplices([(0, 1)], dim_cap=-1)
+            from_simplices([(0, 1)], dim_cap=-1)
 
     def test_simplex_outside_vertex_set_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
-            SimplicialComplex.from_simplices([(0, 5)], 1, vertices=[0, 1])
+            from_simplices([(0, 5)], 1, vertices=[0, 1])
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ValueError, match="repeated"):
-            SimplicialComplex.from_simplices([(0, 0)], 1)
+            from_simplices([(0, 0)], 1)
 
 
 class TestSubdivision:
     def test_single_edge(self):
-        k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
+        k = from_simplices([(0, 1)], dim_cap=1)
         sd = barycentric_subdivision(k)
         assert sd.counts() == [3, 2]
 

@@ -21,14 +21,14 @@ from vrclosure import (
     DiscreteMap,
     Graph,
     SampledDomain,
-    SimplicialComplex,
     SimplicialMap,
-    barycentric_subdivision,
     betti_numbers,
     check_simplicial,
     clique_certificate,
+    complete_graph,
     cycle_graph,
     discrete_modify,
+    edge_path_presentation,
     flood,
     flood_stage_radii,
     flood_stages,
@@ -56,8 +56,10 @@ import sd_oracle
 from grid_oracle import grid_sd_compatibility
 from helpers import (
     assert_well_formed,
+    barycentric_subdivision,
     distances,
     flood_all,
+    from_simplices,
     maximal_simplices,
     oracle_distances,
     oracle_max_simplex_diameter,
@@ -259,7 +261,7 @@ def assert_same_radii(f, v):
 def point_cloud(coords, basepoints=()):
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
-    tri = SimplicialComplex.from_simplices([], dim_cap=1, vertices=range(n))
+    tri = from_simplices([], dim_cap=1, vertices=range(n))
     return SampledDomain(coords, tri, basepoints=basepoints)
 
 
@@ -405,7 +407,7 @@ class TestCertificateDifferential:
 def chain(positions):
     """Samples on a line, triangulated by consecutive edges."""
     edges = [(i, i + 1) for i in range(len(positions) - 1)]
-    tri = SimplicialComplex.from_simplices(edges, dim_cap=1, vertices=range(len(positions)))
+    tri = from_simplices(edges, dim_cap=1, vertices=range(len(positions)))
     return SampledDomain([[float(p)] for p in positions], tri)
 
 
@@ -865,7 +867,7 @@ def sd_pair(simplices, graph, cap, m1_images, m2_changes=()):
     """Maps on a complex and on its barycentric subdivision, whose vertices
     are the face tuples themselves.  Each barycenter takes the m1-image of
     its face's first vertex unless ``m2_changes`` says otherwise."""
-    k = SimplicialComplex.from_simplices(simplices, dim_cap=len(simplices[0]) - 1)
+    k = from_simplices(simplices, dim_cap=len(simplices[0]) - 1)
     target = vietoris_rips(graph, cap)
     sd = barycentric_subdivision(k)
     m2_images = {face: m1_images[face[0]] for face in sd.vertices}
@@ -962,7 +964,7 @@ class TestSdCompatibilityDifferential:
         # so the grid meets each chain's full carrier union
         rng = random.Random(len(simplices[0]))
         dim = len(simplices[0]) - 1
-        k = SimplicialComplex.from_simplices(simplices, dim_cap=dim)
+        k = from_simplices(simplices, dim_cap=dim)
         sd_vertices = barycentric_subdivision(k).vertices
         verdicts = []
         while len(verdicts) < 150:
@@ -1035,6 +1037,123 @@ class TestHomologyDifferential:
             assert induced_h1(m).rank == 2
 
 
+# -- edge-path presentation and face lookup -------------------------------
+
+
+#: the 6-vertex real projective plane: H1 is Z/2, so its free rank is 0
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+       (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+def presentation_complexes():
+    """Criterion 8's graphs; random graphs, connected or not, at caps 0 to
+    3; and complexes written from simplex lists, labels not all ints."""
+    out = [vietoris_rips(g, 2) for g in (cycle_graph(4), cycle_graph(5), cycle_graph(6), complete_graph(4))]
+    rng = random.Random(25)
+    for i in range(24):
+        n = rng.randint(1, 9)
+        p = rng.choice([0.2, 0.5, 0.9])
+        tree = [(rng.randrange(v), v) for v in range(1, n)] if i % 4 else []
+        edges = tree + [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        out += [vietoris_rips(Graph(range(n), edges), cap) for cap in (0, 1, 2, 3)]
+    out += [from_simplices(RP2, cap) for cap in (1, 2, 3)]
+    out += [
+        from_simplices([("b", "a", "c"), ("c", "d"), ("d", "e", "a")], 2),
+        from_simplices([(0, 1, 2), (2, 3), (4,)], 2),
+        from_simplices([(0, 1, 2, 3)], 3),
+        from_simplices([("x",)], 0),
+        from_simplices([("x",), ("y",)], 0),
+    ]
+    return out
+
+
+PRESENTATION_COMPLEXES = presentation_complexes()
+
+
+def presentation_outcome(presentation, k, base):
+    """Generator count, relator count and abelianized rank, or the type of
+    the error raised."""
+    try:
+        pres = presentation(k, base)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+    return len(pres.generators), len(pres.relators), pres.abelianized_rank()
+
+
+def assert_tree_presentation(k, base):
+    """The edges that are no generator form a spanning tree, and each
+    triangle abc's relator is ab + bc - ac on the generators."""
+    pres = edge_path_presentation(k, base)
+    tree = set(k.simplices(1)) - set(pres.generators)
+    reached = {base}
+    while grown := {w for e in tree for v, w in (e, e[::-1]) if v in reached} - reached:
+        reached |= grown
+    assert len(tree) == len(k.vertices) - 1 and reached == set(k.vertices)
+    index = {e: j for j, e in enumerate(pres.generators)}
+    for (a, b, c), relator in zip(k.simplices(2), pres.relators, strict=True):
+        assert relator == {index[e]: sign for e, sign in (((a, b), 1), ((b, c), 1), ((a, c), -1)) if e in index}
+
+
+class TestEdgePathPresentationDifferential:
+    @pytest.mark.parametrize("case", range(len(PRESENTATION_COMPLEXES)))
+    def test_matches_the_breadth_first_tree(self, case):
+        k = PRESENTATION_COMPLEXES[case]
+        edges, triangles = len(k.simplices(1)), len(k.simplices(2))
+        for base in {k.vertices[0], k.vertices[-1]}:
+            got = presentation_outcome(edge_path_presentation, k, base)
+            assert got == presentation_outcome(homology_oracle.edge_path_presentation, k, base)
+            if got is not ValueError:
+                assert got[:2] == (edges - len(k.vertices) + 1, triangles)
+                assert_tree_presentation(k, base)
+        for unknown in ("no such vertex", len(k.vertices) + 7):
+            assert presentation_outcome(edge_path_presentation, k, unknown) is KeyError
+            assert presentation_outcome(homology_oracle.edge_path_presentation, k, unknown) is KeyError
+
+    def test_outcomes_cover_every_kind(self):
+        outcomes = {presentation_outcome(edge_path_presentation, k, k.vertices[0])
+                    for k in PRESENTATION_COMPLEXES}
+        assert ValueError in outcomes
+        assert {o[2] for o in outcomes - {ValueError}} >= {0, 1, 2}
+        assert {k.dim_cap for k in PRESENTATION_COMPLEXES} == {0, 1, 2, 3}
+        assert presentation_outcome(edge_path_presentation, from_simplices(RP2, 2), 0) == (10, 10, 0)
+
+
+def oracle_has_simplex(k, simplex):
+    """The frozenset membership ``has_simplex`` used to answer through."""
+    members = frozenset(tuple(row) for level in k.rows for row in level.tolist())
+    try:
+        return tuple(map(k.vertex_index.__getitem__, simplex)) in members
+    except KeyError:
+        return False
+
+
+def has_simplex_queries(k):
+    """Every face; each face reversed, with a vertex repeated, and with an
+    unknown label; every vertex subset up to two past the cap, in vertex
+    order; and the empty sequence."""
+    for s in k.all_simplices():
+        yield from (s, s[::-1], s + s[-1:], s[:1] + s, s + ("no such vertex",))
+    for size in range(1, min(len(k.vertices), k.dim_cap + 2) + 1):
+        yield from combinations(k.vertices, size)
+    yield ()
+
+
+class TestHasSimplexDifferential:
+    @pytest.mark.parametrize("k", [
+        vietoris_rips(octahedron_graph(), 3),
+        vietoris_rips(cycle_graph(7), 2),
+        vietoris_rips(Graph(range(9), [(i, j) for i in range(9) for j in range(i + 1, 9) if (i * j) % 4]), 4),
+        from_simplices(RP2, 2),
+        from_simplices([("b", "a", "c"), ("c", "d"), ("e",)], 2),
+        from_simplices([(0, 1, 2, 3)], 1),
+        barycentric_subdivision(from_simplices([(0, 1, 2)], 2)),
+    ], ids=["octahedron", "c7", "graph9", "rp2", "strings", "cap1", "sd-triangle"])
+    def test_matches_the_member_set(self, k):
+        answers = [(q, k.has_simplex(q)) for q in has_simplex_queries(k)]
+        assert answers == [(q, oracle_has_simplex(k, q)) for q, _ in answers]
+        assert {a for _, a in answers} == {True, False}
+
+
 # -- clique enumeration ----------------------------------------------------
 
 
@@ -1085,7 +1204,7 @@ def oracle_subdivided_triangulation(domain):
         for d in range(1, sd.dim_cap + 1)
         for chain in sd.simplices(d)
     ]
-    return SimplicialComplex.from_simplices(
+    return from_simplices(
         top if top else [(face_vertex[f],) for f in sd.vertices],
         sd.dim_cap,
         vertices=sorted(face_vertex.values()),
@@ -1112,7 +1231,7 @@ def cross_polytope_graph(k):
 
 def non_pure_domain():
     """A triangle with a dangling edge and an isolated vertex."""
-    tri = SimplicialComplex.from_simplices([(0, 1, 2), (2, 3), (4,)], dim_cap=2)
+    tri = from_simplices([(0, 1, 2), (2, 3), (4,)], dim_cap=2)
     return SampledDomain([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [3.0, 3.0]], tri)
 
 
@@ -1140,7 +1259,7 @@ class TestBuildersDifferential:
         rng = random.Random(seed)
         simplices = [tuple(rng.sample(range(9), rng.randint(1, 4))) for _ in range(rng.randint(1, 8))]
         cap = rng.randint(1, 3)
-        k = SimplicialComplex.from_simplices(simplices, dim_cap=cap)
+        k = from_simplices(simplices, dim_cap=cap)
         assert_canonical(k)
         assert set(k.simplices(0)) == {(v,) for s in simplices for v in s}
         for d in range(1, cap + 1):

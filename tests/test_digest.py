@@ -17,7 +17,6 @@ from vrclosure import (
     CliqueCertificate,
     DiscreteMap,
     Graph,
-    SimplicialComplex,
     cycle_graph,
     octahedron_graph,
     subdivide_domain,
@@ -43,6 +42,7 @@ from vrclosure.pipeline import (
 import digest_oracle
 import graph_oracle
 import stage_oracle
+from helpers import from_simplices
 
 #: characters of one to four UTF-8 bytes, quotes and backslashes included
 CHARS = 'ab"\\ \t\n\x00\x7f\xe9ÿΔ☃￿\U0001f600'
@@ -310,7 +310,7 @@ class TestFromSimplices:
         simplices = random_simplices(labels, seed)
         for cap in (0, 1, 2, 3):
             for vertices in (None, labels):
-                got = SimplicialComplex.from_simplices(simplices, cap, vertices=vertices)
+                got = from_simplices(simplices, cap, vertices=vertices)
                 want = graph_oracle.from_simplices(simplices, cap, vertices=vertices)
                 assert got == want
                 assert [list(map(type, s)) for s in got.all_simplices()] == [
@@ -320,10 +320,10 @@ class TestFromSimplices:
     def test_range_vertices_and_a_subset_of_them(self):
         faces = [(0, 11, 5), (0, 5, 1), (7, 2, 9)]
         for vertices in (range(12), [0, 1, 2, 5, 7, 9, 11]):
-            got = SimplicialComplex.from_simplices(faces, 2, vertices=vertices)
+            got = from_simplices(faces, 2, vertices=vertices)
             assert got == graph_oracle.from_simplices(faces, 2, vertices=vertices)
 
     @pytest.mark.parametrize("bad", [[(0, 0)], [(0, 9)], [(1, 2, 1)]])
     def test_invalid_simplices_are_refused(self, bad):
         with pytest.raises(ValueError):
-            SimplicialComplex.from_simplices(bad, 2, vertices=range(3))
+            from_simplices(bad, 2, vertices=range(3))

@@ -22,11 +22,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import graph_oracle  # noqa: E402
-from helpers import assert_well_formed  # noqa: E402
+from helpers import assert_well_formed, from_simplices  # noqa: E402
 import homology_oracle  # noqa: E402
 from vrclosure import (  # noqa: E402
     Graph,
-    SimplicialComplex,
     complete_graph,
     euler_characteristic,
     octahedron_graph,
@@ -250,7 +249,7 @@ def test_the_writer_matches_the_canonical_json_of_the_dict(case, cap):
 ])
 def test_the_writer_escapes_labels_as_the_encoder_does(labels):
     n = len(labels)
-    triangle = SimplicialComplex.from_simplices([labels[:3]], 3, labels)
+    triangle = from_simplices([labels[:3]], 3, labels)
     assert triangle.counts() == [n, 3, 1, 0]
     assert_writes_the_canonical_json(triangle)
     g = Graph(labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if (i * j) % 3 != 1])

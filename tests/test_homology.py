@@ -9,7 +9,6 @@ from vrclosure import (
     SimplicialMap,
     betti_numbers,
     complete_graph,
-    compose_simplicial,
     cycle_graph,
     edge_path_presentation,
     euler_characteristic,
@@ -21,6 +20,7 @@ from vrclosure import homology
 from vrclosure.domains import icosphere_domain
 from vrclosure.homology import boundary_columns, gf2_rank
 
+from helpers import compose_simplicial
 from homology_oracle import gf2_rank_dense
 
 

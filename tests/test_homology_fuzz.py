@@ -16,13 +16,11 @@ st = hypothesis.strategies
 import graph_oracle  # noqa: E402
 import homology_oracle  # noqa: E402
 import sd_oracle  # noqa: E402
-from helpers import maximal_simplices  # noqa: E402
+from helpers import barycentric_subdivision, from_simplices, maximal_simplices  # noqa: E402
 from vrclosure import (  # noqa: E402
     Graph,
     SampledDomain,
-    SimplicialComplex,
     SimplicialMap,
-    barycentric_subdivision,
     betti_numbers,
     check_simplicial,
     complete_graph,
@@ -187,7 +185,7 @@ def complexes(draw):
     simplices = draw(
         st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), min_size=1, max_size=6)
     )
-    return SimplicialComplex.from_simplices(simplices, draw(st.integers(0, 3)))
+    return from_simplices(simplices, draw(st.integers(0, 3)))
 
 
 @FUZZ

@@ -13,11 +13,10 @@ import pytest
 import domain_oracle
 import homology_oracle
 import sd_oracle
-from helpers import assert_well_formed
+from helpers import assert_well_formed, barycentric_subdivision, from_simplices
 from vrclosure import (
     Graph,
     SimplicialComplex,
-    barycentric_subdivision,
     betti_numbers,
     octahedron_graph,
     vietoris_rips,
@@ -66,8 +65,8 @@ def twice_subdivided_circle():
 
 SUBDIVIDED = {
     **{f"icosa:{k}": (lambda k=k: icosphere_domain(k).triangulation) for k in range(4)},
-    **{f"{d}-simplex": (lambda d=d: SimplicialComplex.from_simplices([range(d + 1)], d)) for d in (1, 2, 3)},
-    "3-simplex, cap 4": lambda: SimplicialComplex.from_simplices([range(4)], 4),
+    **{f"{d}-simplex": (lambda d=d: from_simplices([range(d + 1)], d)) for d in (1, 2, 3)},
+    "3-simplex, cap 4": lambda: from_simplices([range(4)], 4),
     "circle:8 subdivided twice": twice_subdivided_circle,
 }
 

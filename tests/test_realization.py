@@ -15,12 +15,12 @@ from vrclosure import (
     cycle_graph,
     pl_evaluate,
     simplex_grid,
-    subdivided_point,
     subdivision_depth_for_mesh,
     theta_point,
     vietoris_rips,
 )
 
+from grid_oracle import subdivided_point
 from helpers import chain_subsimplices
 
 

@@ -12,7 +12,6 @@ from vrclosure import (
     DiscreteMap,
     Graph,
     SampledDomain,
-    SimplicialComplex,
     check_simplicial,
     clique_certificate,
     complete_graph,
@@ -37,14 +36,14 @@ from vrclosure.domains import (
 from vrclosure.realization import NotAClique, theta_on_graph
 
 from grid_oracle import carriers_compatible
-from helpers import distances, flood_all, rooted_blocks, simplex_diameter
+from helpers import barycentric_subdivision, distances, flood_all, from_simplices, rooted_blocks, simplex_diameter
 
 
 def chain_domain(positions, basepoints=()):
     """Samples on a line, triangulated by consecutive edges."""
     coords = [[float(p)] for p in positions]
     edges = [(i, i + 1) for i in range(len(positions) - 1)]
-    tri = SimplicialComplex.from_simplices(
+    tri = from_simplices(
         edges if edges else [(0,)], dim_cap=2, vertices=range(len(positions))
     )
     return SampledDomain(coords, tri, basepoints=basepoints)
@@ -77,7 +76,7 @@ def brute_force_certificate_delta(f):
 class TestSampledDomain:
     def test_triangulation_vertices_are_samples(self):
         with pytest.raises(ValueError):
-            tri = SimplicialComplex.from_simplices([(0, 5)], dim_cap=1)
+            tri = from_simplices([(0, 5)], dim_cap=1)
             SampledDomain([[0.0], [1.0]], tri)
 
     def test_diameter_and_simplex_diameter(self):
@@ -88,7 +87,7 @@ class TestSampledDomain:
     def test_eps_net_is_the_mesh_or_one(self):
         dom = chain_domain([0, 1, 3])
         assert dom.eps_net == dom.max_simplex_diameter() == 2.0
-        isolated = SampledDomain([[0.0], [1.0]], SimplicialComplex.from_simplices([(0,), (1,)], 1))
+        isolated = SampledDomain([[0.0], [1.0]], from_simplices([(0,), (1,)], 1))
         assert isolated.eps_net == 1.0
 
     def test_squared_blocks_cover_the_matrix(self, monkeypatch):
@@ -126,7 +125,7 @@ class TestSampledDomain:
         # would call for no subdivision and fail the convex transform
         from vrclosure.pipeline import build_pipeline
 
-        tri = SimplicialComplex.from_simplices([(0, 1, 2), (2, 3)], dim_cap=2)
+        tri = from_simplices([(0, 1, 2), (2, 3)], dim_cap=2)
         dom = SampledDomain([[0, 0], [0.1, 0], [0, 0.1], [3, 0]], tri, basepoints=(0,))
         assert dom.max_simplex_diameter() == math.dist((0, 0.1), (3, 0))
         points = {i: BaryPoint.of_vertex(v) for i, v in enumerate([0, 0, 0, 1])}
@@ -718,7 +717,7 @@ class TestConvexTransform:
     def test_triangle_collapses_to_edge(self):
         # a far-away extra sample keeps the triangle below the domain diameter
         coords = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.9], [5.0, 0.0]]
-        tri = SimplicialComplex.from_simplices([(0, 1, 2)], dim_cap=2)
+        tri = from_simplices([(0, 1, 2)], dim_cap=2)
         dom = SampledDomain(coords, tri)
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {0: 0, 1: 0, 2: 1, 3: 0}, 0)
@@ -739,7 +738,7 @@ class TestConvexTransform:
         from vrclosure import CliqueCertificate
 
         coords = [[0.0], [0.1]]
-        tri = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
+        tri = from_simplices([(0, 1)], dim_cap=1)
         dom = SampledDomain(coords, tri)
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {0: 0, 1: 2}, 0)
@@ -749,9 +748,9 @@ class TestConvexTransform:
 
 class TestCarriersCompatible:
     def test_collapse_onto_same_edge(self):
-        from vrclosure import SimplicialMap, barycentric_subdivision
+        from vrclosure import SimplicialMap
 
-        k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
+        k = from_simplices([(0, 1)], dim_cap=1)
         target = vietoris_rips(cycle_graph(4), 2)
         m1 = SimplicialMap(k, target, {0: 0, 1: 1})
         sd = barycentric_subdivision(k)
@@ -760,9 +759,9 @@ class TestCarriersCompatible:
         assert carriers_compatible(m1, m2, pts)
 
     def test_distant_images_fail(self):
-        from vrclosure import SimplicialMap, barycentric_subdivision
+        from vrclosure import SimplicialMap
 
-        k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
+        k = from_simplices([(0, 1)], dim_cap=1)
         target = vietoris_rips(cycle_graph(4), 2)
         m1 = SimplicialMap(k, target, {0: 0, 1: 0})
         sd = barycentric_subdivision(k)
@@ -771,9 +770,9 @@ class TestCarriersCompatible:
         assert not carriers_compatible(m1, m2, pts)
 
     def test_mismatched_targets_rejected(self):
-        from vrclosure import SimplicialMap, barycentric_subdivision
+        from vrclosure import SimplicialMap
 
-        k = SimplicialComplex.from_simplices([(0, 1)], dim_cap=1)
+        k = from_simplices([(0, 1)], dim_cap=1)
         t1 = vietoris_rips(cycle_graph(4), 2)
         t2 = vietoris_rips(cycle_graph(5), 2)
         sd = barycentric_subdivision(k)
