@@ -210,8 +210,12 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
             known = np.concatenate([keys, (prefix + n) * n + last, [np.iinfo(np.int64).max]])
             above, new = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
             for start in range(0, pairs, BLOCK_CELLS):
-                pair = np.arange(start, min(start + BLOCK_CELLS, pairs))
-                s = np.searchsorted(first, pair, side="right") - 1
+                stop = min(start + BLOCK_CELLS, pairs)
+                # the rows the step reaches, each once per candidate of its own in the step
+                span = np.arange(*np.searchsorted(first, (start, stop - 1), side="right") - (1, 0))
+                ends = np.minimum(first[span] + count[span], stop)
+                s = np.repeat(span, ends - np.maximum(first[span], start))
+                pair = np.arange(start, stop)
                 t = pool[offset[s] + pair]
                 key = base[s] + t
                 hit = known[np.searchsorted(known, key)] == key

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -31,15 +32,16 @@ Vertex = Hashable
 #: scan reuses one workspace of two blocks, the squared sum and its scratch,
 #: which stays within a 2 MB per-core L2 cache (2 MB blocks ran the scans at
 #: memory speed, about twice as slow) and spares a one-shot process the page
-#: faults of fresh blocks.  No cell and no row's min or max depends on the
-#: block bounds
+#: faults of fresh blocks.  The certificate's near pairs come half a block at
+#: a time, since about eight arrays hold one entry per pair.  No cell and no
+#: row's min or max depends on the block bounds
 BLOCK_CELLS = 1 << 15
 
 
 #: most samples a pipeline domain may have, as given or after its chosen
 #: subdivision depth.  It keeps the largest measured domain (sphere2:icosa:5,
-#: 10,242 samples) and icosa:4 refined once (15,362); the certificate's full
-#: scan is quadratic, 2.7e8 distances at this size
+#: 10,242 samples) and icosa:4 refined once (15,362); the floods' row scans
+#: and the diameter they read are quadratic, 2.7e8 distances at this size
 MAX_SAMPLES = 1 << 14
 
 
@@ -199,7 +201,9 @@ class SampledDomain:
 
     @cached_property
     def diameter(self) -> float:
-        """Largest pairwise distance, computed once; every flood stage reads it.
+        """Largest pairwise distance, computed once; every flood stage reads
+        it, and the clique certificate only on a domain whose every sample
+        lies within the mesh of sample 0.
 
         Row block ``[lo:hi]`` is built against ``coords[lo:]`` only, a scan of
         the upper triangle: d[i, j] and d[j, i] are bitwise equal, since a gap
@@ -493,74 +497,195 @@ def flood_stages(f: DiscreteMap) -> Iterator[tuple]:
 
 
 def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
-    """Largest per-sample radii whose closed balls carry pairwise-adjacent values.
+    """Per-sample radii whose closed balls carry pairwise-adjacent values:
+    the largest ones, certified up to C = 2 * ``eps_net``.
 
-    Radii are drawn from the finite set of pairwise distances.  For each row
-    block of distance rows, D[y, u] is the distance from sample y to
-    the nearest sample carrying value u; the closed ball of radius r around
-    y carries both u and w exactly when r >= max(D[y, u], D[y, w]).  The
-    row's conflict level is the least such maximum over non-adjacent image
-    values: walking the row's values in ascending D order, it is D of the
-    first value not adjacent to an earlier one.  The radius is the largest
-    row distance strictly below that level.  Blocks hold squared distances,
-    their columns grouped by value, and only per-row results are rooted:
-    D[y, u] is the root of a least square, the level the root of the
-    squares' conflict level (a least maximum, whatever the order of ties),
-    and the radius the root of the largest square below B(level), all
-    exact (``_squared_bound``).  Whether any two image values are apart is
-    counted from the edge keys in O(E); pairs are asked of
-    ``Graph.adjacent``, so no k x k table is built.  For k image values this
-    takes O(n^2 + n k log k) numpy time, plus O(j^2) key searches per row
-    where j is the rank of that first conflicting value (2 or 3 on a
-    continuous map), and O(block * n) memory: every row block is written
-    into one reused workspace.  When even the nearest neighbors
-    violate adjacency there is no positive radius and the certificate fails,
-    naming the pair met first in stable distance order on the first such
-    row; when no two image values are non-adjacent, the radius is the domain
-    diameter.
+    Radii are drawn from the finite set of pairwise distances.  D[y, u] is
+    the distance from sample y to the nearest sample carrying value u; the
+    closed ball of radius r around y carries both u and w exactly when
+    r >= max(D[y, u], D[y, w]).  The row's conflict level is the least such
+    maximum over non-adjacent image values, and its full radius is the
+    largest row distance strictly below that level.
+
+    Delta is only ever compared with triangulation edges
+    (``subdivision_depth_for_mesh``, ``convex_transform``), and no edge is
+    longer than the mesh.  So each row is settled from its near pairs, those
+    closer than C (``_near_blocks``):
+
+    - a row whose conflict level is below C gets its full radius, since
+      every distance up to the level is near;
+    - a row with no conflict below C gets its largest near distance, when
+      that is above the mesh;
+    - any other row is scanned in full (``_scanned_radii``).
+
+    Then delta equals the full one whenever that is at most the mesh, and is
+    above the mesh otherwise, so the subdivision depth and every verdict are
+    those of the full radii.  When no two image values are apart every
+    radius is C, or the diameter where that is the mesh (when no two samples
+    are farther apart), as the full radius would be.  A row with no
+    positive radius fails the certificate: the least such row, named by
+    ``_row_failure``.
+
+    Distances are compared as squares and only per-row results are rooted,
+    all exact (``_squared_bound``).  Whether two image values are apart is
+    counted from the edge keys in O(E), and pairs are asked of
+    ``Graph.adjacent``, so no k x k table is built.  With m samples within C
+    of a sample this takes O(n m log m) numpy time, plus O(n) a row scanned
+    in full, and memory for ``BLOCK_CELLS`` pairs.
     """
     n = f.domain.n_samples
-    diameter = f.domain.diameter if n > 1 else 0.0
-    fallback = diameter if diameter > 0 else 1.0
+    cap = 2.0 * f.domain.eps_net
     image, keys = f.image_codes(), f.target.edge_keys
     k, held = len(image), np.zeros(len(f.target.vertices), dtype=bool)
     held[image] = True
-    below = np.full(n, fallback)
-    if np.count_nonzero(held[keys // len(held)] & held[keys % len(held)]) < k * (k - 1) // 2:
-        labels = np.searchsorted(image, f.codes)  # each sample's value rank
-        by_value = np.argsort(labels, kind="stable")
-        class_starts = np.searchsorted(labels[by_value], np.arange(k))
-        coords = f.domain.coords
-        for lo, block in _squared_blocks(coords, coords[by_value]):
-            nearest = np.minimum.reduceat(block, class_starts, axis=1)
-            level = np.sqrt(_conflict_level(nearest, image, f.target))
-            inside = block < _squared_bound(level)[:, None]
-            rows = slice(lo, lo + len(block))
-            # a row with nothing inside fails like one with only its own sample
-            np.sqrt(np.max(block, axis=1, where=inside, initial=0.0), out=below[rows])
-            failing = np.flatnonzero(below[rows] <= 0.0)
-            if failing.size:
-                raise _row_failure(f, lo + int(failing[0]))
-    radii = dict(enumerate(below.tolist()))
+    coords, mesh = f.domain.coords, f.domain.max_simplex_diameter()
+    radii = np.full(n, cap)
+    if np.count_nonzero(held[keys // len(held)] & held[keys % len(held)]) == k * (k - 1) // 2:
+        # sample 0's row is enough to find a pair farther apart than the mesh
+        # on all but the smallest domains
+        if mesh > 0 and _distance_row(coords, 0).max() <= mesh and f.domain.diameter <= mesh:
+            radii[:] = f.domain.diameter
+    else:
+        unsettled = np.zeros(n, dtype=bool)
+        for rows, owner, columns, squares in _near_blocks(coords, cap):
+            radii[rows], level = _near_radii(f, len(rows), owner, columns, squares)
+            unsettled[rows] = np.isinf(level) & (radii[rows] <= mesh)
+        rescan = np.flatnonzero(unsettled)
+        if rescan.size:
+            radii[rescan] = _scanned_radii(f, rescan)
+        failing = np.flatnonzero(radii <= 0.0)
+        if failing.size:
+            raise _row_failure(f, int(failing[0]))
+    radii = dict(enumerate(radii.tolist()))
     return CliqueCertificate(radii, min(radii.values()))
 
 
-def _conflict_level(nearest: np.ndarray, image: np.ndarray, graph: Graph) -> np.ndarray:
-    """Per row of value distances, the distance of the first value in
-    ascending order that is not adjacent to an earlier one.
+def _near_radii(f: DiscreteMap, m: int, owner: np.ndarray, columns: np.ndarray,
+                squares: np.ndarray) -> tuple:
+    """``(radii, level)`` of ``m`` rows from their near pairs, as
+    ``_near_blocks`` yields them: each row's conflict level among its near
+    values (inf when they are pairwise adjacent), and its largest near
+    distance below that level."""
+    # each row's least square per value, in a table padded with inf
+    group = owner * len(f.target.vertices) + f.codes[columns]
+    by_group = np.argsort(group, kind="stable")
+    group = group[by_group]
+    firsts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    nearest = np.minimum.reduceat(squares[by_group], firsts)
+    row, code = np.divmod(group[firsts], len(f.target.vertices))
+    del group, by_group
+    count = np.bincount(row, minlength=m)
+    slot = np.arange(len(firsts)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.full((m, count.max()), np.inf)
+    table[row, slot] = nearest
+    codes = np.zeros(table.shape, dtype=np.intp)
+    codes[row, slot] = code
+    del firsts, nearest, row, code, slot
+    level = np.sqrt(_conflict_level(table, codes, f.target))
+    # a row's largest square below its level, which its own sample is
+    squares[squares >= _squared_bound(level)[owner]] = 0.0
+    return np.sqrt(np.maximum.reduceat(squares, np.searchsorted(owner, np.arange(m)))), level
 
-    Column r of ``nearest`` is the value ``image[r]``, a vertex index of
-    ``graph``; some two of them must be non-adjacent.  At step j each row
-    still scanning asks ``graph.adjacent`` about its j-th value against its
-    j earlier ones.  Rows leave the scan as soon as they conflict, so the
-    loop runs to the largest conflicting rank in the block.
+
+def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:
+    """Yields ``(rows, owner, columns, squares)``: each ordered pair of
+    samples closer than ``cap``, once, sample ``rows[owner[i]]`` to sample
+    ``columns[i]`` at squared distance ``squares[i]``, with ``owner``
+    ascending and every row, which is near itself, owning a pair.
+
+    The samples are binned in a grid of side ``cap`` (a hair more, so that
+    rounding never parts two near samples by two cells) over their first
+    three coordinates, the fixed-radius near-neighbour search of Bentley,
+    Stanat and Williams: a pair closer than ``cap`` lies in neighbouring
+    cells.  Samples are sorted by cell key, the last grid coordinate
+    fastest, so the three cells in a line along it hold one run of the
+    sorted keys, and a row's candidates are the 3**(g-1) runs beside its
+    cell for g grid coordinates; no cell array is built, however wide the
+    domain.  Rows are handed out in key order, whole, as many as keep their
+    candidates and runs within half of ``BLOCK_CELLS`` (at least one).
+    Squares are summed one coordinate at a time, as in
+    ``_squared_distances_to``, so each equals the entry of the full scan bit
+    for bit.
+    """
+    n, g = len(coords), min(3, coords.shape[1])
+    cells = np.floor((coords[:, :g] - coords[:, :g].min(axis=0)) / (cap * (1.0 + 2.0**-20)))
+    # 2**20 cells a side keep the keys in int64; merging the cells beyond
+    # only adds candidates.  Cells count from 1, so a neighbour's is >= 0
+    cells = np.fmin(cells, 2.0**20).astype(np.int64) + 1
+    strides = np.cumprod(np.concatenate(([1], cells.max(axis=0)[:0:-1] + 2)))[::-1]
+    key = cells @ strides
+    del cells
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    fresh = np.concatenate(([True], key[1:] != key[:-1]))
+    cell_of = np.cumsum(fresh) - 1
+    shifts = np.array(list(product((-1, 0, 1), repeat=g - 1)), dtype=np.int64)
+    # per cell, the middle cell of each run beside it
+    middle = key[fresh][:, None] + shifts.reshape(len(shifts), g - 1) @ strides[:-1]
+    first = np.searchsorted(key, middle - 1)
+    span = np.searchsorted(key, middle + 1, side="right") - first
+    del middle
+    count = span.sum(axis=1)[cell_of]  # each row's candidates
+    ends = np.concatenate(([0], np.cumsum(count + span.shape[1])))
+    points = np.ascontiguousarray(coords[order].T)
+    bound = _squared_bound(np.array([cap]))
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS // 2, side="right")) - 1)
+        runs = span[cell_of[a:b]].ravel()
+        column = np.repeat(first[cell_of[a:b]].ravel() - np.cumsum(runs) + runs, runs)
+        del runs
+        column += np.arange(len(column))
+        owner = np.repeat(np.arange(b - a), count[a:b])
+        squares = np.zeros(len(column))
+        for axis in points:
+            gap = np.repeat(axis[a:b], count[a:b])
+            gap -= axis[column]
+            gap *= gap
+            squares += gap
+        del gap
+        near = squares < bound
+        owner, column, squares = owner[near], order[column[near]], squares[near]
+        yield order[a:b], owner, column, squares
+        a = b
+
+
+def _scanned_radii(f: DiscreteMap, rows: np.ndarray) -> np.ndarray:
+    """The full radius of each sample in ``rows``, from blocks of its whole
+    distance row grouped by value; some two image values must be apart."""
+    image, coords = f.image_codes(), f.domain.coords
+    labels = np.searchsorted(image, f.codes)  # each sample's value rank
+    by_value = np.argsort(labels, kind="stable")
+    class_starts = np.searchsorted(labels[by_value], np.arange(len(image)))
+    out = np.empty(len(rows))
+    for lo, block in _squared_blocks(coords[rows], coords[by_value]):
+        nearest = np.minimum.reduceat(block, class_starts, axis=1)
+        level = np.sqrt(_conflict_level(nearest, np.broadcast_to(image, nearest.shape), f.target))
+        inside = block < _squared_bound(level)[:, None]
+        # a row with nothing inside fails like one with only its own sample
+        np.sqrt(np.max(block, axis=1, where=inside, initial=0.0), out=out[lo : lo + len(block)])
+    return out
+
+
+def _conflict_level(nearest: np.ndarray, codes: np.ndarray, graph: Graph) -> np.ndarray:
+    """Per row of value distances, the distance of the first value in
+    ascending order that is not adjacent to an earlier one, inf for a row
+    whose finite entries hold no such value.
+
+    Entry [i, r] of ``nearest`` is row i's distance to the value
+    ``codes[i, r]``, a vertex index of ``graph``; a row's values are
+    distinct, and inf entries pad it (whatever their codes, they can only
+    give a level of inf).  At step j each row still scanning asks
+    ``graph.adjacent`` about its j-th value against its j earlier ones.
+    Rows leave the scan as soon as they conflict, so the loop runs to the
+    largest conflicting rank in the block.
     """
     order = np.argsort(nearest, axis=1, kind="stable")
-    level = np.empty(len(nearest))
+    level = np.full(len(nearest), np.inf)
     rows = np.arange(len(nearest))
-    for j in range(1, len(image)):
-        later = image[order[rows, j]][:, None]
-        hit = ~graph.adjacent(image[order[rows, :j]], later).all(axis=1)
+    for j in range(1, nearest.shape[1]):
+        later = codes[rows, order[rows, j]][:, None]
+        hit = ~graph.adjacent(codes[rows[:, None], order[rows, :j]], later).all(axis=1)
         level[rows[hit]] = nearest[rows[hit], order[rows[hit], j]]
         rows = rows[~hit]
         if not rows.size:

@@ -1,10 +1,33 @@
-"""Closure-space axioms, neighborhoods, and continuity checking."""
+"""Closure-space axioms, neighborhoods, continuity checking, and the
+continuity a passing clique certificate implies."""
 
 import random
 
+import numpy as np
 import pytest
 
-from vrclosure import ClosureSpace, PointMap, compose, cycle_graph, is_continuous
+from vrclosure import (
+    CertificateFailure,
+    ClosureSpace,
+    PointMap,
+    clique_certificate,
+    compose,
+    cycle_graph,
+    discrete_modify,
+    is_continuous,
+    octahedron_graph,
+)
+from vrclosure.domains import (
+    antipodal_quarter_arc_map,
+    circle_domain,
+    constant_map,
+    icosphere_domain,
+    nearest_pole_map,
+    quarter_arc_map,
+    random_rotation,
+)
+
+from helpers import distances, flood_all
 
 
 def c4_space():
@@ -129,3 +152,48 @@ class TestContinuity:
         space = c4_space()
         with pytest.raises(ValueError):
             PointMap(space, space, {0: 0, 1: 1})
+
+
+class TestCertificateImpliesClosureContinuity:
+    """Where the clique certificate passes at delta, every closed delta-ball
+    carries values adjacent to its centre's, so the map is continuous from
+    the closed delta-ball closure on the samples into the target graph's
+    canonical closure."""
+
+    @staticmethod
+    def ball_closure(f, delta):
+        d = distances(f.domain)
+        samples = range(f.domain.n_samples)
+        return ClosureSpace(samples, {y: np.flatnonzero(d[y] <= delta).tolist() for y in samples})
+
+    def assert_continuous_where_certified(self, f):
+        try:
+            delta = clique_certificate(f).delta
+        except CertificateFailure:
+            return "fail"
+        space = self.ball_closure(f, delta)
+        assert is_continuous(PointMap(space, f.target.canonical_closure(), f.values))
+        return "ok"
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_circles(self, n):
+        dom = circle_domain(n)
+        c4 = cycle_graph(4)
+        for build in (quarter_arc_map, antipodal_quarter_arc_map, constant_map):
+            f = discrete_modify(build(dom, c4), dom, c4)
+            assert self.assert_continuous_where_certified(f) == "ok"
+            assert self.assert_continuous_where_certified(flood_all(f)) == "ok"
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_icosa(self, k):
+        dom = icosphere_domain(k)
+        octa = octahedron_graph()
+        outcomes = set()
+        for rotation in (None, random_rotation(1), random_rotation(3)):
+            f = discrete_modify(nearest_pole_map(dom, octa, rotation=rotation), dom, octa)
+            outcomes.add(self.assert_continuous_where_certified(f))
+            outcomes.add(self.assert_continuous_where_certified(flood_all(f)))
+        f = discrete_modify(constant_map(dom, octa), dom, octa)
+        assert self.assert_continuous_where_certified(f) == "ok"
+        # the 12-sample icosahedron is too coarse for a nearest-pole map
+        assert "ok" in outcomes or k == 0

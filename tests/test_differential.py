@@ -10,6 +10,7 @@ stage's preimages and changed count;
 Betti numbers and induced maps on H1 must equal the hand-written
 eliminations; clique enumeration must match networkx."""
 
+import math
 import random
 from itertools import combinations
 
@@ -49,6 +50,7 @@ from vrclosure.domains import (
     random_rotation,
 )
 from vrclosure.pipeline import build_pipeline, refine_once, sd_compatibility
+from vrclosure.realization import subdivision_depth_for_mesh
 
 import homology_oracle
 import loop_oracle
@@ -69,53 +71,88 @@ from helpers import (
 # -- oracles: the per-row implementations, kept verbatim in behavior -------
 
 
+def oracle_walk(f, dist, y):
+    """Walk row ``y`` of ``dist`` in stable distance order, level by level,
+    until a new value conflicts with one already present.  Returns that
+    conflict level and the level before it, the row's radius, or
+    ``(inf, None)`` when no value conflicts; raises the certificate failure
+    when no positive level comes before the conflict."""
+    row = dist[y]
+    n = len(row)
+    order = np.argsort(row, kind="stable")
+    present: dict = {}
+    prev_level = None
+    i = 0
+    while i < n:
+        d_here = float(row[order[i]])
+        j = i
+        while j < n and float(row[order[j]]) == d_here:
+            z = int(order[j])
+            vz = f.values[z]
+            if vz not in present:
+                conflict = next(
+                    (
+                        (holder, u)
+                        for u, holder in present.items()
+                        if not f.target.are_adjacent(vz, u)
+                    ),
+                    None,
+                )
+                if conflict is not None:
+                    holder, u = conflict
+                    if prev_level is None or prev_level <= 0.0:
+                        raise CertificateFailure(
+                            "clique certificate",
+                            (holder, z),
+                            (u, vz),
+                            f"nearest neighbors of sample {y} are not adjacent",
+                        )
+                    return d_here, prev_level
+                present[vz] = z
+            j += 1
+        prev_level = d_here
+        i = j
+    return math.inf, None
+
+
 def oracle_certificate(f):
-    """Stable per-row scan: walk each row in distance order, level by level,
-    until a new value conflicts with one already present."""
+    """Stable per-row scan of the full rows (``oracle_walk``), with the
+    domain diameter for a row whose values never conflict."""
     dist = distances(f.domain)
     n = f.domain.n_samples
     diameter = f.domain.diameter if n > 1 else 0.0
     fallback = diameter if diameter > 0 else 1.0
     radii = {}
     for y in range(n):
-        row = dist[y]
-        order = np.argsort(row, kind="stable")
-        present: dict = {}
-        r = None
-        prev_level = None
-        i = 0
-        while i < n and r is None:
-            d_here = float(row[order[i]])
-            j = i
-            while j < n and float(row[order[j]]) == d_here:
-                z = int(order[j])
-                vz = f.values[z]
-                if vz not in present:
-                    conflict = next(
-                        (
-                            (holder, u)
-                            for u, holder in present.items()
-                            if not f.target.are_adjacent(vz, u)
-                        ),
-                        None,
-                    )
-                    if conflict is not None:
-                        holder, u = conflict
-                        if prev_level is None or prev_level <= 0.0:
-                            raise CertificateFailure(
-                                "clique certificate",
-                                (holder, z),
-                                (u, vz),
-                                f"nearest neighbors of sample {y} are not adjacent",
-                            )
-                        r = prev_level
-                        break
-                    present[vz] = z
-                j += 1
-            if r is None:
-                prev_level = d_here
-                i = j
+        r = oracle_walk(f, dist, y)[1]
         radii[y] = fallback if r is None else r
+    return transform.CliqueCertificate(radii, min(radii.values()))
+
+
+def capped_oracle(f):
+    """The capped radii by their rule, read off the full rows: with
+    C = 2 * eps_net, a row whose conflict level is below C keeps its full
+    radius; a row with no conflict below C takes its largest distance below
+    C when that is above the mesh, and its full radius otherwise.  When no
+    two image values are apart every radius is C, or the diameter when no
+    two samples are farther apart than a positive mesh."""
+    dom = f.domain
+    dist = distances(dom)
+    cap = 2.0 * dom.eps_net
+    edges = dom.triangulation.simplices(1)
+    mesh = max((float(dist[a][b]) for a, b in edges), default=0.0)
+    image = f.image_vertices()
+    if all(f.target.are_adjacent(u, w) for u, w in combinations(image, 2)):
+        diameter = float(dist.max())
+        r = diameter if 0 < diameter <= mesh else cap
+        return transform.CliqueCertificate(dict.fromkeys(range(dom.n_samples), r), r)
+    radii = {}
+    for y in range(dom.n_samples):
+        level, r = oracle_walk(f, dist, y)
+        if level >= cap:
+            near = float(dist[y][dist[y] < cap].max())
+            r = near if near > mesh else r
+        radii[y] = r
     return transform.CliqueCertificate(radii, min(radii.values()))
 
 
@@ -224,7 +261,10 @@ def outcome(fn, *args):
 
 
 def assert_same_certificate(f):
-    want = outcome(oracle_certificate, f)
+    """The certificate equals ``capped_oracle``'s exactly, and that keeps the
+    full scan's verdict: the same failure, else the same delta wherever it
+    is at most the mesh and a delta above the mesh wherever it is above."""
+    want = outcome(capped_oracle, f)
     got = outcome(clique_certificate, f)
     assert got[0] == want[0]
     if want[0] == "ok":
@@ -232,6 +272,16 @@ def assert_same_certificate(f):
         assert got[1].delta == want[1].delta
     else:
         assert got[1] == want[1]
+    full = outcome(oracle_certificate, f)
+    assert full[0] == want[0]
+    if want[0] == "ok":
+        mesh = f.domain.max_simplex_diameter()
+        if full[1].delta <= mesh:
+            assert want[1].delta == full[1].delta
+        else:
+            assert want[1].delta > mesh
+    else:
+        assert full[1] == want[1]
     return want[0]
 
 
@@ -316,14 +366,15 @@ class TestCertificateDifferential:
         dom = point_cloud([[0.5, 0.5]])
         f = DiscreteMap(dom, cycle_graph(4), {0: 2}, 2)
         assert assert_same_certificate(f) == "ok"
-        assert clique_certificate(f).radii == {0: 1.0}
+        # no edges: eps_net is 1.0, so the cap is 2.0
+        assert clique_certificate(f).radii == {0: 2.0}
 
     def test_single_valued_map_gets_fallback(self, block_cells):
         dom = icosphere_domain(1)
         octa = octahedron_graph()
         f = discrete_modify(constant_map(dom, octa), dom, octa)
         assert assert_same_certificate(f) == "ok"
-        assert set(clique_certificate(f).radii.values()) == {dom.diameter}
+        assert set(clique_certificate(f).radii.values()) == {2 * dom.eps_net}
 
     @pytest.mark.parametrize("rotation_seed", [None, 1, 7])
     def test_icosa2_flipped_samples(self, rotation_seed, block_cells):
@@ -399,6 +450,101 @@ class TestCertificateDifferential:
             f = DiscreteMap(dom, cycle_graph(4), values, values[0])
             seen.add(assert_same_certificate(f))
         assert seen == {"ok", "fail"}
+
+
+def line_domain(positions, edges):
+    """Samples on a line with the given edges, and every sample a vertex."""
+    tri = from_simplices(edges, dim_cap=1, vertices=range(len(positions)))
+    return SampledDomain([[float(p)] for p in positions], tri)
+
+
+class TestCappedCertificateDifferential:
+    """The capped certificate against ``capped_oracle``, which reads the
+    full rows; ``assert_same_certificate`` also holds it to the full scan's
+    verdict and, at or below the mesh, its delta."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_builtin_maps_on_circles(self, n):
+        dom = circle_domain(n)
+        c4 = cycle_graph(4)
+        for build in (quarter_arc_map, antipodal_quarter_arc_map, constant_map):
+            f = discrete_modify(build(dom, c4), dom, c4)
+            assert assert_same_certificate(f) == "ok"
+            assert assert_same_certificate(flood_all(f)) == "ok"
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_builtin_maps_on_icosa(self, k):
+        dom = icosphere_domain(k)
+        octa = octahedron_graph()
+        maps = [nearest_pole_map(dom, octa), nearest_pole_map(dom, octa, rotation=random_rotation(3)),
+                constant_map(dom, octa)]
+        for points in maps:
+            f = discrete_modify(points, dom, octa)
+            assert_same_certificate(f)
+            assert_same_certificate(flood_all(f))
+
+    def test_every_flip_on_icosa2(self):
+        dom = icosphere_domain(2)
+        octa = octahedron_graph()
+        f = discrete_modify(nearest_pole_map(dom, octa), dom, octa)
+        outcomes = [assert_same_certificate(flipped(f, sample)) for sample in range(1, dom.n_samples)]
+        assert outcomes.count("fail") > outcomes.count("ok") > 0
+
+    def test_thin_band_keeps_delta_at_the_mesh(self, block_cells):
+        # a 2-sample band of value 1 between 0 and 2: the band's samples see
+        # 0 and 2 two steps apart, so delta is one step, about the mesh (the
+        # chords differ in their last bits), and one subdivision is needed
+        dom = circle_domain(64)
+        values = {i: 0 if i < 20 else 1 if i < 22 else 2 if i < 42 else 3 for i in range(64)}
+        f = DiscreteMap(dom, cycle_graph(4), values, 0)
+        mesh = dom.max_simplex_diameter()
+        assert assert_same_certificate(f) == "ok"
+        delta = clique_certificate(f).delta
+        assert delta == oracle_certificate(f).delta
+        assert math.isclose(delta, mesh, rel_tol=1e-12) and delta <= mesh
+        assert subdivision_depth_for_mesh(1, mesh, delta) == 1
+
+    def test_domain_without_edges(self, block_cells):
+        # mesh 0 and cap 2: samples 0 and 1 settle on their near pair, and
+        # the lone sample 2 is scanned in full
+        dom = point_cloud([[0.0], [0.5], [5.0], [10.0], [10.5]])
+        f = DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}, 0)
+        assert dom.max_simplex_diameter() == 0.0 and dom.eps_net == 1.0
+        assert assert_same_certificate(f) == "ok"
+        assert clique_certificate(f).radii == {0: 0.5, 1: 0.5, 2: 4.5, 3: 0.5, 4: 0.5}
+
+    def test_isolated_vertex_is_scanned_in_full(self, block_cells, monkeypatch):
+        # a chain of edges 1 and 0.5 long (mesh 1, cap 2), so that every
+        # chain sample has a near sample 1.5 away, and a vertex of no edge at
+        # 20: its ball of radius 2 holds only itself, so its row is scanned
+        # in full
+        positions = [0, 1, 1.5, 2.5, 3, 4, 4.5, 5.5, 6, 7, 20]
+        dom = line_domain(positions, [(i, i + 1) for i in range(9)])
+        values = {i: 0 if i < 5 else 1 for i in range(10)}
+        values[10] = 2
+        f = DiscreteMap(dom, cycle_graph(4), values, 0)
+        scanned = []
+        scan = transform._scanned_radii
+        monkeypatch.setattr(transform, "_scanned_radii",
+                            lambda f, rows: scanned.append(rows.tolist()) or scan(f, rows))
+        assert assert_same_certificate(f) == "ok"
+        # the row meets value 0 at 17, so its radius is the distance 16 below
+        assert clique_certificate(f).radii[10] == 16.0
+        assert scanned and all(rows == [10] for rows in scanned)
+
+    def test_least_failing_row_whichever_pass(self, block_cells):
+        # sample 0, a vertex of no edge at -20 whose nearest sample carries
+        # the value 2 opposite its 0, fails in the full scan; samples 5 to 7
+        # fail among their near pairs, next to the lone 3 at sample 6
+        dom = line_domain([-20, *range(10)], [(i, i + 1) for i in range(1, 10)])
+        values = {0: 0, 1: 2, 2: 2, **{i: 1 for i in range(3, 11)}, 6: 3}
+        for value, pair in ((0, (0, 1)), (1, (5, 6))):
+            values[0] = value
+            f = DiscreteMap(dom, cycle_graph(4), values, value)
+            assert assert_same_certificate(f) == "fail"
+            with pytest.raises(CertificateFailure) as info:
+                clique_certificate(f)
+            assert info.value.pair == pair
 
 
 # -- distances -------------------------------------------------------------

@@ -418,9 +418,10 @@ def candidate_count(k, d):
 
 
 def test_each_candidate_is_searched_once(monkeypatch):
-    # a step looks up its candidates' rows (side="right", in a haystack other
-    # than the query), then searches every candidate once, in one call;
-    # steps of 7 put step boundaries everywhere
+    # a step finds the rows it reaches from its first and last candidate
+    # (side="right", in a haystack other than the query), then searches
+    # every candidate once, in one call; steps of 7 put step boundaries
+    # everywhere
     rng = random.Random(3)
     graph = Graph(range(24), [(i, j) for i in range(24) for j in range(i + 1, 24) if rng.random() < 0.6])
     monkeypatch.setattr(complex_module, "BLOCK_CELLS", 7)
@@ -435,8 +436,9 @@ def test_each_candidate_is_searched_once(monkeypatch):
             searched.append([])
         elif steps and side == "left":
             searched[-1].append(size)
-    assert sum(steps) == sum(candidate_count(k, d) for d in range(2, 6)) > 1000
-    assert all(len(sizes) <= 1 and sum(sizes) <= step for step, sizes in zip(steps, searched))
+    assert set(steps) == {2}
+    assert sum(map(sum, searched)) == sum(candidate_count(k, d) for d in range(2, 6)) > 1000
+    assert all(len(sizes) == 1 and 0 < sizes[0] <= 7 for sizes in searched)
 
 
 def test_a_hub_never_pairs_its_leaves():

@@ -168,8 +168,8 @@ class TestMatrixFree:
         assert peak < 8 * transform.BLOCK_CELLS * 8
 
     def test_certificate_peak_stays_under_four_blocks(self):
-        # the scan's workspace is two blocks; one more block-sized float
-        # temporary per block (a gathered copy, a masked copy) passes four
+        # near pairs come half a block of candidates at a time, each held
+        # in a few arrays of one entry per candidate or per near pair
         dom = circle_domain(2048)
         c4 = cycle_graph(4)
         f = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
@@ -619,14 +619,37 @@ class TestFloodSequence:
         assert max(searched) <= 4 * (math.log2(len(g.edge_keys)) + 2) < 256
 
 
+def capped_radii(f, full):
+    """Full per-sample radii under the cap C = 2 * eps_net: a sample whose
+    first conflicting distance (the next one after its full radius) is
+    below C keeps its radius, any other takes its largest distance below C
+    when that is above the mesh."""
+    d = distances(f.domain)
+    cap, mesh = 2 * f.domain.eps_net, f.domain.max_simplex_diameter()
+    out = []
+    for y, r in enumerate(full):
+        level = min((x for x in d[y] if x > r), default=math.inf)
+        near = max(x for x in d[y] if x < cap)
+        out.append(r if level < cap or near <= mesh else near)
+    return out
+
+
 class TestCliqueCertificate:
-    def test_constant_map_gets_diameter(self):
+    def test_constant_map_gets_the_cap(self):
         dom = circle_domain(12)
         g = cycle_graph(4)
         f = DiscreteMap(dom, g, {i: 1 for i in range(12)}, 1)
         cert = clique_certificate(f)
-        assert cert.delta == dom.diameter
-        assert all(r == dom.diameter for r in cert.radii.values())
+        assert cert.delta == 2 * dom.eps_net < dom.diameter
+        assert all(r == cert.delta for r in cert.radii.values())
+
+    def test_constant_map_keeps_a_diameter_equal_to_the_mesh(self):
+        # on a triangle every pair is an edge, so the cap would lift delta
+        # above the mesh and drop the subdivision the diameter calls for
+        dom = circle_domain(3)
+        f = DiscreteMap(dom, cycle_graph(4), {i: 1 for i in range(3)}, 1)
+        assert dom.diameter == dom.max_simplex_diameter()
+        assert clique_certificate(f).delta == dom.diameter
 
     def test_adjacent_non_neighbors_fail_with_pair(self):
         dom = chain_domain([0, 1])
@@ -651,11 +674,14 @@ class TestCliqueCertificate:
         g = cycle_graph(4)
         f = discrete_modify(quarter_arc_map(dom, g), dom, g)
         cert = clique_certificate(f)
-        oracle = brute_force_certificate_delta(f)
+        full = brute_force_certificate_delta(f)
+        oracle = capped_radii(f, full)
         for y in range(64):
             assert math.isclose(cert.radii[y], oracle[y], rel_tol=1e-12)
         assert cert.delta == min(oracle)
-        assert cert.delta > 0
+        # the full delta is above the mesh, and so is the capped one
+        assert min(full) > dom.max_simplex_diameter()
+        assert cert.delta > dom.max_simplex_diameter()
 
     @pytest.mark.parametrize("k, steps, per_value", [(128, (1,), 2), (4096, (1, 2), 1)])
     def test_memory_does_not_grow_with_the_image(self, k, steps, per_value):
@@ -674,6 +700,31 @@ class TestCliqueCertificate:
         finally:
             tracemalloc.stop()
         assert cert.delta > 0
+        assert peak < 8 * transform.BLOCK_CELLS * 8
+
+    def test_memory_when_every_pair_is_near(self):
+        # 4,096 samples in a disc of radius 0.01 and one sample joined to
+        # them by an edge about 1 long: the cap is about 2, so all 4,097
+        # squared pairs are near.  The far sample's value 2 is apart from
+        # the 0s, so every row walks its near values
+        rng = np.random.default_rng(0)
+        m = 4096
+        coords = np.vstack([rng.uniform(-0.01, 0.01, size=(m, 2)), [[1.0, 0.0]]])
+        dom = SampledDomain(coords, from_simplices([(0, m)], dim_cap=1, vertices=range(m + 1)))
+        values = {i: int(coords[i, 0] > 0) for i in range(m)}
+        values[m] = 2
+        f = DiscreteMap(dom, cycle_graph(4), values, values[0])
+        assert math.dist(coords[0], coords[m]) < 2 * dom.eps_net - 0.03
+        tracemalloc.start()
+        try:
+            cert = clique_certificate(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < cert.delta < 0.03
+        # the far sample's ball reaches the nearest 0, past every 1
+        d = np.linalg.norm(coords - coords[m], axis=1)
+        assert cert.radii[m] == d[:m][d[:m] < d[:m][coords[:m, 0] <= 0].min()].max()
         assert peak < 8 * transform.BLOCK_CELLS * 8
 
     def test_opposite_values_bind_at_a_quarter_turn(self):
