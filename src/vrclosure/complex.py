@@ -98,13 +98,20 @@ class SimplicialComplex:
         return at
 
     def has_simplex(self, simplex: Sequence[Vertex]) -> bool:
-        """Whether a label sequence, in the vertex order and without repeats
-        (which ``positions`` would count once), is a simplex."""
-        try:
-            row = np.array([self.vertex_index[v] for v in simplex], dtype=np.intp)
-        except KeyError:
-            return False
-        return bool((row[1:] > row[:-1]).all() and self.positions(row[None])[0] >= 0)
+        """Whether a nonempty label sequence, in the vertex order and without
+        repeats, is a simplex: one search per vertex of the keys
+        ``positions`` reads, where a row out of order or with a repeat has
+        no key."""
+        keys, n, index = self._keys, len(self.vertices), self.vertex_index
+        at = -1  # the face so far, the empty one first
+        for v in simplex:
+            if v not in index:
+                return False
+            query = (at + 1) * n + index[v]
+            at = int(keys.searchsorted(query))
+            if keys[at] != query:
+                return False
+        return at >= 0
 
     def has_simplices(self, rows: np.ndarray) -> bool:
         """Whether the vertex set of every row of vertex indices, in any

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -40,9 +40,31 @@ BLOCK_CELLS = 1 << 15
 
 #: most samples a pipeline domain may have, as given or after its chosen
 #: subdivision depth.  It keeps the largest measured domain (sphere2:icosa:5,
-#: 10,242 samples) and icosa:4 refined once (15,362); the floods' row scans
-#: and the diameter they read are quadratic, 2.7e8 distances at this size
+#: 10,242 samples) and icosa:4 refined once (15,362).  The diameter reads two
+#: rows and the reflected pairs, and a flood block only the columns it can
+#: reach, but both stay quadratic at worst (no far pairs, balls as wide as
+#: the domain), as does a subdivision's nearest-sample search: 2.7e8
+#: distances at this size
 MAX_SAMPLES = 1 << 14
+
+
+#: most samples a domain may have for its diameter to come from a scan of the
+#: upper triangle (``SampledDomain.diameter``): the reflected pairs' fixed
+#: cost of about 0.3 ms makes them slower on circle:256 and faster on
+#: circle:512
+SMALL_DOMAIN = 384
+
+
+#: a flood stage prunes its columns when its preimage spans more than this
+#: many row blocks (``_flood_scan``): the icosa:3 stages, of two blocks at
+#: most, prune little and ran no faster pruned
+PRUNED_BLOCKS = 2
+
+
+#: columns per chunk of a pruned flood stage, each chunk with one bounding
+#: box: on icosa:5 the stages ran fastest with 16 (of 8, 16, 32, 64 and the
+#: square root of the column count)
+CHUNK_COLUMNS = 16
 
 
 def _squared_distances_to(
@@ -89,10 +111,16 @@ def _squared_blocks(
         yield lo, _squared_distances_to(rows, reached, out, gap)
 
 
+def _squared_row(coords: np.ndarray, y: int) -> np.ndarray:
+    """The squared distances from sample ``y`` to every sample, in sample
+    order."""
+    return next(_squared_blocks(coords[y : y + 1], coords))[1][0]
+
+
 def _distance_row(coords: np.ndarray, y: int) -> np.ndarray:
     """The distances from sample ``y`` to every sample, rooted and in sample
     order: the row a failure rebuilds to name its offender."""
-    return np.sqrt(next(_squared_blocks(coords[y : y + 1], coords))[1][0])
+    return np.sqrt(_squared_row(coords, y))
 
 
 def _nearest_targets(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -203,15 +231,53 @@ class SampledDomain:
     def diameter(self) -> float:
         """Largest pairwise distance, computed once; every flood stage reads
         it, and the clique certificate only on a domain whose every sample
-        lies within the mesh of sample 0.
+        lies within the mesh of sample 0.  It is the root of the largest
+        square of the kernel (``_squared_bound`` says why that is exact),
+        and d[i, j] and d[j, i] are bitwise equal, since a gap and its
+        negation square to the same float.
 
-        Row block ``[lo:hi]`` is built against ``coords[lo:]`` only, a scan of
-        the upper triangle: d[i, j] and d[j, i] are bitwise equal, since a gap
-        and its negation square to the same float.  It is the root of the
-        largest square (``_squared_bound`` says why that is exact).
+        A domain of at most ``SMALL_DOMAIN`` samples, or one whose
+        coordinates are not finite and moderate, is scanned over the upper
+        triangle.  Any other reads the pairs that can beat a lower bound L,
+        the largest square in the rows of sample 0 and of its farthest
+        sample.  With c the centre of the bounding box, R = max |p - c| and
+        p' = 2c - p, the parallelogram law gives
+        |q - p'|^2 = 2|p - c|^2 + 2|q - c|^2 - |p - q|^2 <= 4R^2 - |p - q|^2,
+        so a pair farther apart than L has q within sqrt(4R^2 - L^2) of p'.
+        Those q come from the grid of ``_Grid`` around each p'; on a
+        centrally symmetric domain about one per sample.  The radius is
+        widened by a relative slack of (d + 4) * 2**-50 on R^2 and L^2,
+        several times their rounding and the kernel's, and by 2**-40 of the
+        largest coordinate, about 2**10 times the rounding of c, p' and the
+        cells.  An extra candidate only adds a true pair's square, so the
+        maximum is that of the full scan.
         """
-        blocks = _squared_blocks(self.coords, self.coords, upper=True)
+        coords = self.coords
+        if len(coords) > SMALL_DOMAIN:
+            low, high = coords.min(axis=0), coords.max(axis=0)
+            scale = float(np.abs([low, high]).max())
+            if 2.0**-400 < scale < 2.0**400:  # NaN fails too
+                return _reflected_diameter(coords, low, high, scale)
+        blocks = _squared_blocks(coords, coords, upper=True)
         return math.sqrt(max(float(block.max()) for _, block in blocks))
+
+    @cached_property
+    def spatial_order(self) -> np.ndarray:
+        """The samples along a Z-order (Morton) curve through 2**10 levels a
+        side of their first three coordinates, ties in sample order: runs of
+        it lie close together at every scale, so a flood block's bounding
+        box stays small (``_flood_scan``)."""
+        g = min(3, self.coords.shape[1])
+        x = self.coords[:, :g]
+        low, extent = x.min(axis=0), np.ptp(x, axis=0)
+        with np.errstate(invalid="ignore"):  # a NaN coordinate orders anywhere
+            level = np.nan_to_num((x - low) / np.where(extent > 0, extent, 1.0) * 1023.0)
+            level = level.astype(np.int64)
+        code = np.zeros(len(x), dtype=np.int64)
+        for bit in range(10):
+            for k in range(g):
+                code |= ((level[:, k] >> bit) & 1) << (g * bit + k)
+        return np.argsort(code, kind="stable")
 
     @cached_property
     def eps_net(self) -> float:
@@ -242,6 +308,31 @@ class SampledDomain:
         samples = np.asarray(self.triangulation.vertices, dtype=np.intp)
         lengths = self.edge_lengths(samples[self.triangulation.rows[1]])
         return float(lengths.max()) if lengths.size else 0.0
+
+
+def _reflected_diameter(coords: np.ndarray, low: np.ndarray, high: np.ndarray,
+                        scale: float) -> float:
+    """The diameter of samples in the box ``[low, high]`` whose largest
+    coordinate magnitude is ``scale``, from the pairs that can beat the
+    double sweep's lower bound (``SampledDomain.diameter``)."""
+    d = coords.shape[1]
+    row = _squared_row(coords, 0)
+    far = int(row.argmax())
+    lower = max(float(row.max()), float(_squared_row(coords, far).max()))
+    centre = (low + high) / 2.0
+    offset = coords - centre
+    slack = (d + 4) * 2.0**-50
+    spread = 4.0 * float(np.einsum("ij,ij->i", offset, offset).max()) * (1.0 + slack)
+    reach = math.sqrt(max(spread - lower * (1.0 - slack), 0.0)) * (1.0 + slack)
+    reach += 2.0**-40 * math.sqrt(d) * scale
+    # cells of at least 2**-20 of the extent, so no cell index is clamped
+    grid = _Grid(coords, max(reach, float((high - low)[:3].max()) * 2.0**-20))
+    first, span = grid.runs(grid.keys(2.0 * centre - coords))
+    sorted_axes = np.ascontiguousarray(coords[grid.order].T)
+    for a, b, count, column in _candidate_blocks(first, span):
+        squares = _pair_squares(coords[a:b].T, count, sorted_axes, column)
+        lower = max(lower, float(squares.max(initial=0.0)))
+    return math.sqrt(lower)
 
 
 class DiscreteMap:
@@ -367,13 +458,25 @@ def _flood_scan(
     sample to the nearest sample a flooding ball must not contain: one whose
     value is not adjacent to ``v``, or a basepoint when ``v`` is not the base
     value (inf when there is none).  With ``radii`` None the radii are
-    maximal, ``reach`` capped at half the diameter, and the first row with
-    ``reach`` 0 fails; otherwise the given radii are checked row by row in
-    preimage order.  ``covered`` marks the union of the half-radius balls.
-    Rows reach only the samples whose value is not ``v``: writing ``v`` over
-    ``v`` changes nothing, and every sample to avoid is among them, so a
-    single-valued map reads no column and ``covered`` counts the samples the
-    overwrite changes.
+    maximal, ``reach`` capped at half the diameter, and the least row with
+    ``reach`` 0 fails; otherwise the given radii are checked as row by row
+    in preimage order (``_given_radii``).  ``covered`` marks the union of
+    the half-radius balls.  Rows reach only the samples whose value is not
+    ``v``: writing ``v`` over ``v`` changes nothing, and every sample to
+    avoid is among them, so a single-valued map reads no column and
+    ``covered`` counts the samples the overwrite changes.
+
+    A block holds ``BLOCK_CELLS`` // columns rows.  A preimage of at most
+    ``PRUNED_BLOCKS`` blocks is scanned whole.  A larger one goes in the
+    domain's ``spatial_order``, with its columns, so a block's rows lie
+    close together, and a block sends to the kernel only the chunks of
+    columns its bounding box can reach (``_reached_chunks``).  A row that
+    reaches no sample to avoid gets inf, so exactly the cap.  Box gaps are
+    squared and summed as the kernel sums, so a box's square is never above
+    the kernel's square of a pair inside it, and a chunk left out holds no
+    cell that could change a radius, a failure or ``covered``; a coincident
+    pair is never left out.  Rows fail, and are capped, after the last
+    block, so the failure is the least failing row in preimage order.
 
     The scan reads squared distances: ``reach`` is the root of the least
     square to avoid, and a ball test ``d < r / 2`` is ``d * d < B(r / 2)``,
@@ -385,41 +488,141 @@ def _flood_scan(
     preimage = np.flatnonzero(f.codes == c)
     if not preimage.size:
         return {}, covered
-    columns = np.flatnonzero(f.codes != c)
+    maximal = radii is None
+    if maximal:
+        diameter = f.domain.diameter
+        cap = diameter / 2.0 if diameter > 0 else 1.0
+        r, problem = np.empty(len(preimage)), None
+    else:
+        r, problem = _given_radii(preimage, radii)
+    step = max(1, BLOCK_CELLS // max(1, n - len(preimage)))
+    pruned = PRUNED_BLOCKS * step < len(r) and len(preimage) < n
+    if pruned:
+        spatial = f.domain.spatial_order
+        mine = f.codes[spatial] == c
+        columns = spatial[~mine]
+        order = np.searchsorted(preimage, spatial[mine])
+        order = order[order < len(r)]
+    else:
+        columns, order = np.flatnonzero(f.codes != c), np.arange(len(r))
     closed = np.zeros(len(f.target.vertices), dtype=bool)
     closed[f.target.neighbor_indices(c)] = True
     avoid = ~closed[f.codes]
     if c != f.base_code:
         avoid[list(f.domain.basepoints)] = True
     avoid = avoid[columns]
-    maximal = radii is None
-    if maximal:
-        diameter = f.domain.diameter
-        cap = diameter / 2.0 if diameter > 0 else 1.0
-        radii = {}
     coords = f.domain.coords
-    for lo, block in _squared_blocks(coords[preimage], coords[columns]):
-        rows = preimage[lo : lo + len(block)].tolist()
-        reach = np.sqrt(np.min(block, axis=1, where=avoid, initial=np.inf))
+    targets = np.ascontiguousarray(coords[columns].T)
+    points = coords[preimage[order]]
+    if pruned:
         if maximal:
-            failing = np.flatnonzero(reach <= 0.0)
-            if failing.size:
-                i = int(failing[0])
-                raise _stage_failure(f, v, rows[i], None)
-            r = np.minimum(reach, cap)
-            radii.update(zip(rows, r.tolist()))
+            far, half = _squared_bound(np.array([cap, cap / 2.0]))
+        limits = np.full(len(order), cap) if maximal else r[order]
+        chunks = _reached_chunks(points, step, targets, avoid, limits)
+    else:
+        chunks = repeat((slice(None), True))
+    if not maximal:
+        halves = _squared_bound(r[order] / 2.0)[:, None]
+    nearest = np.full(len(order), np.inf)  # each row's least square to avoid
+    reached = np.zeros(len(columns), dtype=bool)  # inside a half-radius ball
+    work = np.empty((2, min(step, len(r)) * len(columns)))
+    for lo, (keep, avoided) in zip(range(0, len(order), step), chunks):
+        hi = lo + step
+        reached_targets = np.take(targets, keep, axis=1) if pruned else targets
+        shape = len(points[lo:hi]), reached_targets.shape[1]
+        out, gap = work[:, : shape[0] * shape[1]].reshape(2, *shape)
+        block = _squared_distances_to(points[lo:hi], reached_targets, out, gap)
+        if avoided:
+            nearest[lo:hi] = np.minimum.reduce(block, axis=1, where=avoid[keep], initial=np.inf)
+        if not maximal:
+            bound = halves[lo:hi]
+        elif pruned and not (avoided and nearest[lo:hi].min() < far):
+            bound = half  # every radius is the cap
         else:
-            r = np.empty(len(block))
-            for i, y in enumerate(rows):
-                if y not in radii:
-                    raise ValueError(f"no radius for preimage sample {y}")
-                r[i] = float(radii[y])
-                if r[i] <= 0:
-                    raise ValueError(f"radius for sample {y} must be positive")
-                if r[i] > reach[i]:
-                    raise _stage_failure(f, v, y, float(r[i]))
-        covered[columns] |= (block < _squared_bound(r / 2.0)[:, None]).any(axis=0)
-    return radii, covered
+            bound = _squared_bound(np.minimum(np.sqrt(nearest[lo:hi]), cap) / 2.0)[:, None]
+        reached[keep] |= np.logical_or.reduce(block < bound, axis=0)
+    reach = np.sqrt(nearest)
+    if maximal:
+        failing = reach <= 0.0
+        r[order] = np.minimum(reach, cap)
+    else:
+        failing = r[order] > reach
+    if failing.any():
+        worst = int(order[failing].min())
+        raise _stage_failure(f, v, int(preimage[worst]), None if maximal else float(r[worst]))
+    if problem is not None:
+        raise problem
+    covered[columns] = reached
+    return (dict(zip(preimage.tolist(), r.tolist())) if maximal else radii), covered
+
+
+def _given_radii(preimage: np.ndarray, radii: Mapping[int, float]) -> tuple:
+    """The given radius of each preimage sample, in preimage order, up to the
+    first sample whose radius is missing or not positive: ``(r, error)``,
+    with that sample's error, or None.  The scan checks the balls of the
+    rows before it and raises the error only when none of them fails, as a
+    row-by-row check would."""
+    r = np.empty(len(preimage))
+    for i, y in enumerate(preimage.tolist()):
+        try:
+            if y not in radii:
+                raise ValueError(f"no radius for preimage sample {y}")
+            r[i] = float(radii[y])
+            if r[i] <= 0:
+                raise ValueError(f"radius for sample {y} must be positive")
+        except (TypeError, ValueError, OverflowError) as error:  # as float() raises them
+            return r[:i], error
+    return r, None
+
+
+def _reached_chunks(points: np.ndarray, step: int, targets: np.ndarray, avoid: np.ndarray,
+                    limits: np.ndarray) -> Iterator[tuple]:
+    """Yields ``(keep, avoided)`` for each block of ``step`` rows of
+    ``points``: the columns of ``targets`` (one coordinate per array row) in
+    the chunks of ``CHUNK_COLUMNS`` that the block can reach, and whether
+    one of them is to ``avoid``.  A chunk is reached when it holds a sample
+    to avoid closer to the block's bounding box than the block's largest
+    ``limits`` entry (a row's radius, or the cap), or any sample closer
+    than half of it.  The boxes of as many blocks as make ``BLOCK_CELLS``
+    box pairs are tested at once."""
+    starts = np.arange(0, targets.shape[1], CHUNK_COLUMNS)
+    chunk_low = np.minimum.reduceat(targets, starts, axis=1)[:, None]
+    chunk_high = np.maximum.reduceat(targets, starts, axis=1)[:, None]
+    chunk_avoids = np.logical_or.reduceat(avoid, starts)
+    lanes, tail = np.arange(CHUNK_COLUMNS), len(starts) * CHUNK_COLUMNS - targets.shape[1]
+    batch = max(1, BLOCK_CELLS // len(starts)) * step
+    for lo in range(0, len(points), batch):
+        blocks = np.arange(lo, min(lo + batch, len(points)), step)
+        gaps = _box_squares(np.minimum.reduceat(points, blocks, axis=0).T[:, :, None],
+                            np.maximum.reduceat(points, blocks, axis=0).T[:, :, None],
+                            chunk_low, chunk_high)
+        largest = np.fmax.reduceat(limits, blocks)[:, None]  # NaN radii reach nothing
+        near = gaps < _squared_bound(largest)
+        near &= chunk_avoids
+        avoids = near.any(axis=1)
+        near |= gaps < _squared_bound(largest / 2.0)
+        owner, chunk = np.nonzero(near)
+        cuts = np.searchsorted(owner, np.arange(len(blocks) + 1))
+        for j in range(len(blocks)):
+            keep = (chunk[cuts[j] : cuts[j + 1], None] * CHUNK_COLUMNS + lanes).ravel()
+            yield (keep[: len(keep) - tail] if near[j, -1] else keep), avoids[j]
+
+
+def _box_squares(low: np.ndarray, high: np.ndarray, box_low: np.ndarray,
+                 box_high: np.ndarray) -> np.ndarray:
+    """Squared distance from the box ``[low, high]`` to each box of
+    ``[box_low, box_high]`` (one coordinate per array row).  Gaps are
+    squared and summed one coordinate at a time, as in
+    ``_squared_distances_to``; rounding never decreases, so each gap and
+    the sum are at most the kernel's for any point in the one box and any
+    point in the other."""
+    out = np.zeros(np.broadcast_shapes(low.shape[1:], box_low.shape[1:]))
+    for a, b, x_low, x_high in zip(low, high, box_low, box_high):
+        gap = np.maximum(a - x_high, x_low - b)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        out += gap
+    return out
 
 
 def _overwritten(f: DiscreteMap, v: Vertex, covered: np.ndarray) -> DiscreteMap:
@@ -587,67 +790,106 @@ def _near_radii(f: DiscreteMap, m: int, owner: np.ndarray, columns: np.ndarray,
     return np.sqrt(np.maximum.reduceat(squares, np.searchsorted(owner, np.arange(m)))), level
 
 
+class _Grid:
+    """Samples binned in a grid of side ``side`` (a hair more, so that
+    rounding never parts two samples closer than ``side`` by two cells) over
+    their first three coordinates, the fixed-radius near-neighbour search of
+    Bentley, Stanat and Williams: two such samples lie in neighbouring
+    cells.  Samples are sorted by cell key, the last grid coordinate
+    fastest, so the three cells in a line along it hold one run of the
+    sorted keys, and the cells beside a point are the 3**(g-1) runs around
+    its key for g grid coordinates; no cell array is built, however wide the
+    domain.
+    """
+
+    def __init__(self, coords: np.ndarray, side: float):
+        self.g = min(3, coords.shape[1])
+        self.origin = coords[:, : self.g].min(axis=0)
+        self.side = side * (1.0 + 2.0**-20)
+        cells = self.cells(coords)
+        self.strides = np.cumprod(np.concatenate(([1], cells.max(axis=0)[:0:-1] + 2)))[::-1]
+        key = cells @ self.strides
+        self.order = np.argsort(key, kind="stable")
+        self.key = key[self.order]
+
+    def cells(self, points: np.ndarray) -> np.ndarray:
+        """Each point's cell, from one below the samples' box (a point
+        outside it) to 2**20: 2**20 cells a side keep the keys in int64, and
+        merging the cells beyond only adds candidates.  Cells count from 1,
+        so a neighbour's is >= -1"""
+        cells = np.floor((points[:, : self.g] - self.origin) / self.side)
+        return np.fmax(np.fmin(cells, 2.0**20), -1.0).astype(np.int64) + 1
+
+    def keys(self, points: np.ndarray) -> np.ndarray:
+        return self.cells(points) @ self.strides
+
+    def runs(self, keys: np.ndarray) -> tuple:
+        """``(first, span)``: per cell key, the index in the sorted keys and
+        the length of each run of the cells beside it."""
+        shifts = np.array(list(product((-1, 0, 1), repeat=self.g - 1)), dtype=np.int64)
+        middle = keys[:, None] + shifts.reshape(len(shifts), self.g - 1) @ self.strides[:-1]
+        first = np.searchsorted(self.key, middle - 1)
+        return first, np.searchsorted(self.key, middle + 1, side="right") - first
+
+
+def _candidate_blocks(first: np.ndarray, span: np.ndarray) -> Iterator[tuple]:
+    """Yields ``(a, b, count, column)`` for rows ``a:b`` whose candidates are
+    the runs ``first[i], span[i]`` of sorted positions: each row's candidate
+    count and every candidate's position, row by row.  A block holds as
+    many rows as keep their candidates and runs within half of
+    ``BLOCK_CELLS`` (at least one)."""
+    count = span.sum(axis=1)
+    ends = np.concatenate(([0], np.cumsum(count + span.shape[1])))
+    a = 0
+    while a < len(count):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS // 2, side="right")) - 1)
+        runs = span[a:b].ravel()
+        column = np.repeat(first[a:b].ravel() - np.cumsum(runs) + runs, runs)
+        del runs
+        column += np.arange(len(column))
+        yield a, b, count[a:b], column
+        a = b
+
+
+def _pair_squares(rows: np.ndarray, count: np.ndarray, axes: np.ndarray,
+                  column: np.ndarray) -> np.ndarray:
+    """The square from each row point, repeated ``count`` times, to each
+    point ``axes[:, column]``, both held one coordinate per array row.
+    Squares are summed one coordinate at a time, as in
+    ``_squared_distances_to``, so each equals the entry of the full scan bit
+    for bit."""
+    squares = np.zeros(len(column))
+    for p, x in zip(rows, axes):
+        gap = np.repeat(p, count)
+        gap -= x[column]
+        gap *= gap
+        squares += gap
+    return squares
+
+
 def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:
     """Yields ``(rows, owner, columns, squares)``: each ordered pair of
     samples closer than ``cap``, once, sample ``rows[owner[i]]`` to sample
     ``columns[i]`` at squared distance ``squares[i]``, with ``owner``
     ascending and every row, which is near itself, owning a pair.
 
-    The samples are binned in a grid of side ``cap`` (a hair more, so that
-    rounding never parts two near samples by two cells) over their first
-    three coordinates, the fixed-radius near-neighbour search of Bentley,
-    Stanat and Williams: a pair closer than ``cap`` lies in neighbouring
-    cells.  Samples are sorted by cell key, the last grid coordinate
-    fastest, so the three cells in a line along it hold one run of the
-    sorted keys, and a row's candidates are the 3**(g-1) runs beside its
-    cell for g grid coordinates; no cell array is built, however wide the
-    domain.  Rows are handed out in key order, whole, as many as keep their
-    candidates and runs within half of ``BLOCK_CELLS`` (at least one).
-    Squares are summed one coordinate at a time, as in
-    ``_squared_distances_to``, so each equals the entry of the full scan bit
-    for bit.
+    The candidates come from a ``_Grid`` of side ``cap``, the runs beside
+    each row's cell.  Rows are handed out in key order, whole, as many as
+    ``_candidate_blocks`` puts in a block.
     """
-    n, g = len(coords), min(3, coords.shape[1])
-    cells = np.floor((coords[:, :g] - coords[:, :g].min(axis=0)) / (cap * (1.0 + 2.0**-20)))
-    # 2**20 cells a side keep the keys in int64; merging the cells beyond
-    # only adds candidates.  Cells count from 1, so a neighbour's is >= 0
-    cells = np.fmin(cells, 2.0**20).astype(np.int64) + 1
-    strides = np.cumprod(np.concatenate(([1], cells.max(axis=0)[:0:-1] + 2)))[::-1]
-    key = cells @ strides
-    del cells
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    grid = _Grid(coords, cap)
+    key = grid.key
     fresh = np.concatenate(([True], key[1:] != key[:-1]))
     cell_of = np.cumsum(fresh) - 1
-    shifts = np.array(list(product((-1, 0, 1), repeat=g - 1)), dtype=np.int64)
-    # per cell, the middle cell of each run beside it
-    middle = key[fresh][:, None] + shifts.reshape(len(shifts), g - 1) @ strides[:-1]
-    first = np.searchsorted(key, middle - 1)
-    span = np.searchsorted(key, middle + 1, side="right") - first
-    del middle
-    count = span.sum(axis=1)[cell_of]  # each row's candidates
-    ends = np.concatenate(([0], np.cumsum(count + span.shape[1])))
-    points = np.ascontiguousarray(coords[order].T)
+    first, span = grid.runs(key[fresh])  # per cell
+    points = np.ascontiguousarray(coords[grid.order].T)
     bound = _squared_bound(np.array([cap]))
-    a = 0
-    while a < n:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS // 2, side="right")) - 1)
-        runs = span[cell_of[a:b]].ravel()
-        column = np.repeat(first[cell_of[a:b]].ravel() - np.cumsum(runs) + runs, runs)
-        del runs
-        column += np.arange(len(column))
-        owner = np.repeat(np.arange(b - a), count[a:b])
-        squares = np.zeros(len(column))
-        for axis in points:
-            gap = np.repeat(axis[a:b], count[a:b])
-            gap -= axis[column]
-            gap *= gap
-            squares += gap
-        del gap
+    for a, b, count, column in _candidate_blocks(first[cell_of], span[cell_of]):
+        owner = np.repeat(np.arange(b - a), count)
+        squares = _pair_squares(points[:, a:b], count, points, column)
         near = squares < bound
-        owner, column, squares = owner[near], order[column[near]], squares[near]
-        yield order[a:b], owner, column, squares
-        a = b
+        owner, column, squares = owner[near], grid.order[column[near]], squares[near]
+        yield grid.order[a:b], owner, column, squares
 
 
 def _scanned_radii(f: DiscreteMap, rows: np.ndarray) -> np.ndarray:

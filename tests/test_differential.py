@@ -12,6 +12,7 @@ eliminations; clique enumeration must match networkx."""
 
 import math
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -557,6 +558,24 @@ def chain(positions):
     return SampledDomain([[float(p)] for p in positions], tri)
 
 
+def sweep_missing_cloud():
+    """Samples 0 and 1 are each other's farthest, 10 apart, yet samples 2
+    and 3 are 16 apart; 500 more samples fill a unit disc around sample 0."""
+    rng = np.random.default_rng(0)
+    filler = rng.uniform(-0.7, 0.7, size=(500, 2))
+    return np.concatenate([[[0.0, 0.0], [10.0, 0.0], [3.0, 8.0], [3.0, -8.0]], filler])
+
+
+def symmetric_cloud(n, dim, seed, duplicates=0):
+    """``n`` points and their reflections through a common centre, the
+    first ``duplicates`` of them twice."""
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=(n, dim))
+    half = np.concatenate([half, half[:duplicates]])
+    centre = rng.normal(size=dim)
+    return np.concatenate([centre + half, centre - half])
+
+
 def assert_reads_match_oracle(dom):
     """Rooted squared blocks (all rows and a selection), the diameter, edge
     lengths and a failure's distance row equal the broadcast formula's
@@ -601,6 +620,12 @@ class TestMatrixFreeReadsDifferential:
         "chain": lambda: chain([0, 1, 3, 3, 7, 8.5, -2, 11]),
         "one-sample": lambda: point_cloud([[0.25, -1.5, 3.0]]),
         "cloud7d": lambda: point_cloud(np.random.default_rng(3).normal(size=(50, 7)) * 1e3),
+        "sweep-misses": lambda: point_cloud(sweep_missing_cloud()),
+        "symmetric-duplicates": lambda: point_cloud(symmetric_cloud(450, 3, seed=4, duplicates=60)),
+        "coincident": lambda: point_cloud(np.tile([0.25, -1.5, 3.0], (400, 1))),
+        "all-zero": lambda: point_cloud(np.zeros((400, 2))),
+        "far-and-tiny": lambda: point_cloud(symmetric_cloud(420, 3, seed=5) * 1e-4 + 1e6),
+        "cloud7d-large": lambda: point_cloud(np.random.default_rng(7).normal(size=(420, 7)) * 10.0 ** np.arange(7)),
     }
 
     @pytest.mark.parametrize("rows_per_block", [None, 1, 7])
@@ -611,6 +636,43 @@ class TestMatrixFreeReadsDifferential:
         if rows_per_block is not None:
             monkeypatch.setattr(transform, "BLOCK_CELLS", rows_per_block * dom.n_samples)
         assert_reads_match_oracle(dom)
+
+    @pytest.mark.parametrize("name", list(DOMAINS))
+    def test_reflected_diameter_at_every_size(self, name, block_cells, monkeypatch):
+        # with SMALL_DOMAIN 0 every domain past the checks reads the
+        # reflected pairs, small ones included
+        monkeypatch.setattr(transform, "SMALL_DOMAIN", 0)
+        dom = self.DOMAINS[name]()
+        assert dom.diameter == float(oracle_distances(dom.coords).max())
+
+    def test_sweep_misses_the_diameter(self):
+        coords = sweep_missing_cloud()
+        row = oracle_distances(coords[:1], coords)[0]
+        far = int(row.argmax())
+        swept = max(row.max(), oracle_distances(coords[far : far + 1], coords).max())
+        assert swept < point_cloud(coords).diameter == 16.0
+
+    def test_coincident_samples_have_diameter_zero(self):
+        # with no warning, which the command line would print on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("coincident", "all-zero"):
+                assert self.DOMAINS[name]().diameter == 0.0
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_reflected_diameter_of_random_clouds(self, seed, monkeypatch):
+        # 1-5 coordinates, a third of them centrally symmetric, some with
+        # duplicated samples, at scales and offsets over many decades
+        monkeypatch.setattr(transform, "SMALL_DOMAIN", 0)
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(1, 80)), int(rng.integers(1, 6))
+        if seed % 3 == 0:
+            coords = symmetric_cloud(n, dim, seed=seed, duplicates=int(rng.integers(0, 5)))
+        else:
+            coords = rng.normal(size=(n, dim))
+            coords = np.concatenate([coords, coords[rng.integers(0, n, size=int(rng.integers(0, 5)))]])
+        coords = coords * 10.0 ** rng.uniform(-6, 6) + 10.0 ** rng.uniform(-3, 8) * rng.normal(size=dim)
+        assert point_cloud(coords).diameter == float(oracle_distances(coords).max())
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_random_clouds_up_to_seven_coordinates(self, dim, block_cells):
@@ -623,6 +685,44 @@ class TestMatrixFreeReadsDifferential:
 # -- flood -----------------------------------------------------------------
 
 
+@pytest.fixture
+def cached_distances(monkeypatch):
+    """The oracles' full distance matrix, built once per domain."""
+    cache, build = {}, distances
+
+    def cached(dom):
+        if id(dom) not in cache:
+            cache[id(dom)] = dom, build(dom)
+        return cache[id(dom)][1]
+
+    monkeypatch.setitem(globals(), "distances", cached)
+
+
+def assert_same_stages(f):
+    """Every flood stage of ``f`` in turn: the radii or failure equal the
+    old scan's, and scaled radii flood or fail as the old checks do; then
+    the maximal radii flood.  Returns the scaled floods' outcomes."""
+    outcomes = set()
+    current = f
+    for v in current.image_vertices():
+        kind, radii = assert_same_radii(current, v)
+        if kind == "fail":
+            break
+        if not radii:
+            continue
+        # maximal radii pass; grown radii reach non-adjacent values or
+        # basepoints and fail; shrunk radii flood less; radii scaled by
+        # 0.5-2.5 from row to row make a block's largest radius another
+        # row's than its first
+        for scale in (2.0, 0.5):
+            outcomes.add(assert_same_flood(current, v, {y: r * scale for y, r in radii.items()}))
+        mixed = {y: r * (0.5 + 2.0 * (y * 7919 % 13) / 13) for y, r in radii.items()}
+        outcomes.add(assert_same_flood(current, v, mixed))
+        assert assert_same_flood(current, v, radii) == "ok"
+        current = flood(current, v, radii)
+    return outcomes
+
+
 class TestFloodDifferential:
     @pytest.mark.parametrize("rotation_seed", [None, 2])
     def test_stages_on_flipped_sphere_maps(self, rotation_seed, block_cells):
@@ -632,22 +732,49 @@ class TestFloodDifferential:
         base = discrete_modify(nearest_pole_map(dom, octa, rotation=rotation), dom, octa)
         outcomes = set()
         for sample in range(1, dom.n_samples, 9):
-            current = flipped(base, sample)
-            for v in current.image_vertices():
-                kind, radii = assert_same_radii(current, v)
-                if kind == "fail":
-                    break
-                if not radii:
-                    continue
-                # maximal radii pass; grown radii reach non-adjacent values
-                # or basepoints and fail; shrunk radii flood less
-                for scale in (2.0, 0.5):
-                    outcomes.add(
-                        assert_same_flood(current, v, {y: r * scale for y, r in radii.items()})
-                    )
-                assert assert_same_flood(current, v, radii) == "ok"
-                current = flood(current, v, radii)
+            outcomes |= assert_same_stages(flipped(base, sample))
         assert outcomes == {"ok", "fail"}
+
+    @pytest.mark.parametrize("rows_per_block", [2, 5])
+    def test_stages_in_many_blocks(self, rows_per_block, monkeypatch, cached_distances):
+        # blocks of a few rows: each icosa:2 preimage spans several, so the
+        # columns are pruned by the blocks' boxes
+        dom = icosphere_domain(2)
+        monkeypatch.setattr(transform, "BLOCK_CELLS", rows_per_block * dom.n_samples)
+        octa = octahedron_graph()
+        base = discrete_modify(nearest_pole_map(dom, octa, rotation=random_rotation(2)), dom, octa)
+        outcomes = set()
+        for sample in range(1, dom.n_samples, 7):
+            outcomes |= assert_same_stages(flipped(base, sample))
+        assert outcomes == {"ok", "fail"}
+
+    @pytest.mark.parametrize("case", ["circle2048-quarter-arc", "icosa3-nearest", "icosa3-rotated"])
+    def test_stages_at_scale(self, case, block_cells, cached_distances):
+        if case.startswith("circle"):
+            dom, graph = circle_domain(2048), cycle_graph(4)
+            points = quarter_arc_map(dom, graph)
+        else:
+            dom, graph = icosphere_domain(3), octahedron_graph()
+            rotation = random_rotation(3) if case.endswith("rotated") else None
+            points = nearest_pole_map(dom, graph, rotation=rotation)
+        f = discrete_modify(points, dom, graph)
+        assert assert_same_stages(f) == {"ok", "fail"}
+
+    def test_all_coincident_samples(self, block_cells):
+        # past SMALL_DOMAIN: the diameter is 0, so the cap is 1.0
+        c4 = cycle_graph(4)
+        dom = point_cloud(np.tile([0.25, -1.5, 3.0], (400, 1)), basepoints=(0,))
+        f = DiscreteMap(dom, c4, dict.fromkeys(range(400), 1), 1)
+        assert dom.diameter == 0.0
+        assert assert_same_radii(f, 1) == ("ok", dict.fromkeys(range(400), 1.0))
+        # value 1 coincides with the basepoint, valued 0
+        g = DiscreteMap(dom, c4, {i: i % 2 for i in range(400)}, 0)
+        assert assert_same_radii(g, 1)[0] == "fail"
+        assert assert_same_radii(g, 0) == ("ok", dict.fromkeys(range(0, 400, 2), 1.0))
+        assert assert_same_flood(g, 0, dict.fromkeys(range(0, 400, 2), 2.0)) == "ok"
+        # values 0 and 2 are not adjacent
+        h = DiscreteMap(dom, c4, {i: i % 3 for i in range(400)}, 0)
+        assert assert_same_radii(h, 0)[0] == "fail"
 
     def test_circle_stages(self, block_cells):
         dom = circle_domain(48)
@@ -709,6 +836,9 @@ class TestFloodDifferential:
         with pytest.raises(ValueError, match="no radius for preimage sample 2"):
             flood(f, 1, {3: 3.5})
         assert assert_same_flood(f, 1, {2: -1.0, 3: 3.5}) == "error"
+        # a radius float() refuses counts as its row's error
+        assert assert_same_flood(f, 1, {2: 2.5, 3: "wide"}) == "fail"
+        assert assert_same_flood(f, 1, {2: "wide", 3: 3.5}) == "error"
 
     def test_single_valued_maps(self, block_cells):
         # no sample holds another value: the stage reads no column

@@ -182,9 +182,24 @@ class TestMatrixFree:
         assert cert.delta > 0
         assert peak < 4 * transform.BLOCK_CELLS * 8
 
+    @staticmethod
+    def count_pairs(monkeypatch):
+        """Record the number of candidate pairs each gathered square sum reads."""
+        counts = []
+        build = transform._pair_squares
+
+        def counted(rows, count, axes, column):
+            counts.append(len(column))
+            return build(rows, count, axes, column)
+
+        monkeypatch.setattr(transform, "_pair_squares", counted)
+        return counts
+
     @pytest.mark.parametrize("rows_per_block", [1, None])
     def test_diameter_scans_the_upper_triangle(self, rows_per_block, monkeypatch):
+        # a domain of at most SMALL_DOMAIN samples keeps the triangle scan
         n = 300
+        assert n <= transform.SMALL_DOMAIN
         dom = circle_domain(n)
         if rows_per_block is not None:
             monkeypatch.setattr(transform, "BLOCK_CELLS", rows_per_block * n)
@@ -197,26 +212,80 @@ class TestMatrixFree:
         if rows_per_block == 1:
             assert cells == n * (n + 1) // 2
 
-    def test_flood_stages_build_each_preimage_row_once(self, monkeypatch):
+    @pytest.mark.parametrize("rows_per_block", [1, None])
+    def test_diameter_reads_two_rows_and_the_reflected_pairs(self, rows_per_block, monkeypatch):
+        # past SMALL_DOMAIN: the rows of sample 0 and of its farthest sample,
+        # then on this centrally symmetric domain a few candidates a sample
+        n = 2048
+        dom = circle_domain(n)
+        if rows_per_block is not None:
+            monkeypatch.setattr(transform, "BLOCK_CELLS", rows_per_block * n)
+        shapes = self.count_cells(monkeypatch)
+        pairs = self.count_pairs(monkeypatch)
+        assert dom.diameter == dom.diameter == float(distances(dom).max())
+        assert shapes == [(1, n), (1, n)]
+        assert n <= sum(pairs) <= 4 * n
+
+    @pytest.mark.parametrize("cells", [None, 5 * 162])
+    def test_flood_stages_build_each_preimage_row_once(self, cells, monkeypatch):
+        # in one block a stage reads every sample whose value is not v; in
+        # blocks of about 5 rows a preimage spans several, and each block
+        # reads only the columns its bounding box can reach
+        if cells is not None:
+            monkeypatch.setattr(transform, "BLOCK_CELLS", cells)
         dom = icosphere_domain(2)
         octa = octahedron_graph()
         f = discrete_modify(nearest_pole_map(dom, octa, rotation=random_rotation(4)), dom, octa)
         dom.diameter
         shapes = self.count_cells(monkeypatch)
-        stages = flood_stages(f)
-        built = []
-        current = f
-        for v, radii, flooded in stages:
-            # each row reaches only the samples whose value is not v
+        built, pruned, current = [], 0, f
+        for v, radii, flooded in flood_stages(f):
             others = sum(current.values[i] is not v for i in range(dom.n_samples))
             assert 0 < others < dom.n_samples
-            assert all(k == others for _, k in shapes)
+            step = max(1, transform.BLOCK_CELLS // others)
+            assert all(m <= step and k <= others for m, k in shapes)
+            pruned += sum(k < others for _, k in shapes)
             built.append((sum(m for m, _ in shapes), len(radii)))
             shapes.clear()
             current = flooded
         assert len(built) == 6
         assert all(rows == preimage for rows, preimage in built)
         assert any(preimage for _, preimage in built)
+        assert (pruned > 0) == (cells is not None)
+
+    def test_flood_stages_on_a_long_circle_read_a_fraction_of_the_cells(self, monkeypatch):
+        dom = circle_domain(2048)
+        c4 = cycle_graph(4)
+        f = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
+        dom.diameter
+        shapes = self.count_cells(monkeypatch)
+        full = cells = 0
+        current = f
+        for v, radii, flooded in flood_stages(f):
+            others = int(np.count_nonzero(current.codes != c4.vertex_index[v]))
+            assert sum(m for m, _ in shapes) == len(radii)
+            assert all(k <= others for _, k in shapes)
+            full += len(radii) * others
+            cells += sum(m * k for m, k in shapes)
+            shapes.clear()
+            current = flooded
+        assert full > 0 and cells < full / 4
+
+    def test_flood_stage_peak_stays_under_four_blocks(self):
+        # one workspace of two blocks, the chunks' boxes and a few arrays of
+        # one entry per sample
+        dom = circle_domain(2048)
+        c4 = cycle_graph(4)
+        f = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
+        dom.diameter, dom.spatial_order
+        tracemalloc.start()
+        try:
+            radii = flood_stage_radii(f, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(radii) == 512
+        assert peak < 4 * transform.BLOCK_CELLS * 8
 
 
 def float_neighbors(x, steps=2):
