@@ -33,8 +33,9 @@ Vertex = Hashable
 #: which stays within a 2 MB per-core L2 cache (2 MB blocks ran the scans at
 #: memory speed, about twice as slow) and spares a one-shot process the page
 #: faults of fresh blocks.  The certificate's near pairs come half a block at
-#: a time, since about eight arrays hold one entry per pair.  No cell and no
-#: row's min or max depends on the block bounds
+#: a time, since about eight arrays hold one entry per pair (the rare rows it
+#: scans in full, a whole block).  No cell and no row's min or max depends on
+#: the block bounds
 BLOCK_CELLS = 1 << 15
 
 
@@ -92,29 +93,36 @@ def _squared_distances_to(
     return out
 
 
+def _block_rows(columns: int) -> int:
+    """Rows per block of a scan over ``columns`` targets: ``BLOCK_CELLS``
+    cells, at least one row."""
+    return max(1, BLOCK_CELLS // max(1, columns))
+
+
 def _squared_blocks(
-    points: np.ndarray, targets: np.ndarray, upper: bool = False
+    points: np.ndarray, targets: np.ndarray, keeps: Iterator | None = None
 ) -> Iterator[tuple]:
-    """Yields ``(lo, block)``: the squared distances from the rows
-    ``points[lo : lo + len(block)]`` to ``targets`` (to ``targets[lo:]`` with
-    ``upper``, a self-scan's upper triangle), about ``BLOCK_CELLS`` cells.
-    Every block is a view into one workspace that the next one overwrites.
+    """Yields ``(lo, keep, block)``: the squared distances from the rows
+    ``points[lo : lo + len(block)]`` to ``targets[keep]``, in blocks of
+    ``_block_rows(len(targets))`` rows.  ``keeps`` gives each block's
+    ``keep``, a slice or an index array, all targets when None.  Every block
+    is a view into one workspace that the next one overwrites.
     """
     columns = np.ascontiguousarray(targets.T)
-    step = max(1, BLOCK_CELLS // max(1, len(targets)))
+    step = _block_rows(len(targets))
     work = np.empty((2, min(step, len(points)) * len(targets)))
-    for lo in range(0, len(points), step):
+    for lo, keep in zip(range(0, len(points), step), repeat(slice(None)) if keeps is None else keeps):
         rows = points[lo : lo + step]
-        reached = columns[:, lo:] if upper else columns
+        reached = columns[:, keep] if isinstance(keep, slice) else np.take(columns, keep, axis=1)
         shape = len(rows), reached.shape[1]
         out, gap = work[:, : shape[0] * shape[1]].reshape(2, *shape)
-        yield lo, _squared_distances_to(rows, reached, out, gap)
+        yield lo, keep, _squared_distances_to(rows, reached, out, gap)
 
 
 def _squared_row(coords: np.ndarray, y: int) -> np.ndarray:
     """The squared distances from sample ``y`` to every sample, in sample
     order."""
-    return next(_squared_blocks(coords[y : y + 1], coords))[1][0]
+    return next(_squared_blocks(coords[y : y + 1], coords))[2][0]
 
 
 def _distance_row(coords: np.ndarray, y: int) -> np.ndarray:
@@ -127,7 +135,7 @@ def _nearest_targets(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index of the nearest target to each point, the first one on ties; the
     argmin reads roots, since distinct squares can share a root."""
     out = np.empty(len(points), dtype=np.intp)
-    for lo, block in _squared_blocks(points, targets):
+    for lo, _, block in _squared_blocks(points, targets):
         out[lo : lo + len(block)] = np.argmin(np.sqrt(block, out=block), axis=1)
     return out
 
@@ -258,8 +266,9 @@ class SampledDomain:
             scale = float(np.abs([low, high]).max())
             if 2.0**-400 < scale < 2.0**400:  # NaN fails too
                 return _reflected_diameter(coords, low, high, scale)
-        blocks = _squared_blocks(coords, coords, upper=True)
-        return math.sqrt(max(float(block.max()) for _, block in blocks))
+        upper = (slice(lo, None) for lo in range(0, len(coords), _block_rows(len(coords))))
+        blocks = _squared_blocks(coords, coords, upper)
+        return math.sqrt(max(float(block.max()) for _, _, block in blocks))
 
     @cached_property
     def spatial_order(self) -> np.ndarray:
@@ -303,8 +312,13 @@ class SampledDomain:
         """Mesh of the triangulation: its longest edge, 0.0 without edges.
 
         On a pure complex this is the largest top-simplex diameter; on a
-        non-pure one it also sees lower-dimensional maximal simplices.
+        non-pure one it also sees lower-dimensional maximal simplices.  It
+        is computed once per domain.
         """
+        return self._mesh
+
+    @cached_property
+    def _mesh(self) -> float:
         samples = np.asarray(self.triangulation.vertices, dtype=np.intp)
         lengths = self.edge_lengths(samples[self.triangulation.rows[1]])
         return float(lengths.max()) if lengths.size else 0.0
@@ -327,10 +341,8 @@ def _reflected_diameter(coords: np.ndarray, low: np.ndarray, high: np.ndarray,
     reach += 2.0**-40 * math.sqrt(d) * scale
     # cells of at least 2**-20 of the extent, so no cell index is clamped
     grid = _Grid(coords, max(reach, float((high - low)[:3].max()) * 2.0**-20))
-    first, span = grid.runs(grid.keys(2.0 * centre - coords))
-    sorted_axes = np.ascontiguousarray(coords[grid.order].T)
-    for a, b, count, column in _candidate_blocks(first, span):
-        squares = _pair_squares(coords[a:b].T, count, sorted_axes, column)
+    # each sorted sample's candidates lie around its reflection
+    for *_, squares in grid.pairs(*grid.runs(grid.keys(2.0 * centre - grid.points.T))):
         lower = max(lower, float(squares.max(initial=0.0)))
     return math.sqrt(lower)
 
@@ -457,11 +469,13 @@ def _flood_scan(
     Each block of preimage rows gives ``reach``, the distance from each row's
     sample to the nearest sample a flooding ball must not contain: one whose
     value is not adjacent to ``v``, or a basepoint when ``v`` is not the base
-    value (inf when there is none).  With ``radii`` None the radii are
-    maximal, ``reach`` capped at half the diameter, and the least row with
-    ``reach`` 0 fails; otherwise the given radii are checked as row by row
-    in preimage order (``_given_radii``).  ``covered`` marks the union of
-    the half-radius balls.  Rows reach only the samples whose value is not
+    value (inf when there is none).  Each row has a ``limit``: with
+    ``radii`` None the cap, half the diameter, and the radii are maximal,
+    ``reach`` capped at it, the least row with ``reach`` 0 failing;
+    otherwise its given radius, checked as row by row in preimage order
+    (``_given_radii``).  ``covered`` marks the union of the balls of radius
+    min(reach, limit) / 2, the half-radius balls of every stage that does
+    not fail.  Rows reach only the samples whose value is not
     ``v``: writing ``v`` over ``v`` changes nothing, and every sample to
     avoid is among them, so a single-valued map reads no column and
     ``covered`` counts the samples the overwrite changes.
@@ -471,7 +485,7 @@ def _flood_scan(
     domain's ``spatial_order``, with its columns, so a block's rows lie
     close together, and a block sends to the kernel only the chunks of
     columns its bounding box can reach (``_reached_chunks``).  A row that
-    reaches no sample to avoid gets inf, so exactly the cap.  Box gaps are
+    reaches no sample to avoid gets inf, so exactly its limit.  Box gaps are
     squared and summed as the kernel sums, so a box's square is never above
     the kernel's square of a pair inside it, and a chunk left out holds no
     cell that could change a radius, a failure or ``covered``; a coincident
@@ -491,11 +505,10 @@ def _flood_scan(
     maximal = radii is None
     if maximal:
         diameter = f.domain.diameter
-        cap = diameter / 2.0 if diameter > 0 else 1.0
-        r, problem = np.empty(len(preimage)), None
+        r, problem = np.full(len(preimage), diameter / 2.0 if diameter > 0 else 1.0), None
     else:
         r, problem = _given_radii(preimage, radii)
-    step = max(1, BLOCK_CELLS // max(1, n - len(preimage)))
+    step = _block_rows(n - len(preimage))
     pruned = PRUNED_BLOCKS * step < len(r) and len(preimage) < n
     if pruned:
         spatial = f.domain.spatial_order
@@ -511,49 +524,33 @@ def _flood_scan(
     if c != f.base_code:
         avoid[list(f.domain.basepoints)] = True
     avoid = avoid[columns]
-    coords = f.domain.coords
-    targets = np.ascontiguousarray(coords[columns].T)
-    points = coords[preimage[order]]
-    if pruned:
-        if maximal:
-            far, half = _squared_bound(np.array([cap, cap / 2.0]))
-        limits = np.full(len(order), cap) if maximal else r[order]
-        chunks = _reached_chunks(points, step, targets, avoid, limits)
-    else:
-        chunks = repeat((slice(None), True))
-    if not maximal:
-        halves = _squared_bound(r[order] / 2.0)[:, None]
+    targets = f.domain.coords[columns]
+    points = f.domain.coords[preimage[order]]
+    limit = r[order]  # the cap, or the given radii
+    halves = _squared_bound(limit / 2.0) if pruned else None  # shared by blocks at their limits
+    keeps = _reached_chunks(points, step, targets, avoid, limit) if pruned else None
     nearest = np.full(len(order), np.inf)  # each row's least square to avoid
     reached = np.zeros(len(columns), dtype=bool)  # inside a half-radius ball
-    work = np.empty((2, min(step, len(r)) * len(columns)))
-    for lo, (keep, avoided) in zip(range(0, len(order), step), chunks):
-        hi = lo + step
-        reached_targets = np.take(targets, keep, axis=1) if pruned else targets
-        shape = len(points[lo:hi]), reached_targets.shape[1]
-        out, gap = work[:, : shape[0] * shape[1]].reshape(2, *shape)
-        block = _squared_distances_to(points[lo:hi], reached_targets, out, gap)
-        if avoided:
-            nearest[lo:hi] = np.minimum.reduce(block, axis=1, where=avoid[keep], initial=np.inf)
-        if not maximal:
-            bound = halves[lo:hi]
-        elif pruned and not (avoided and nearest[lo:hi].min() < far):
-            bound = half  # every radius is the cap
-        else:
-            bound = _squared_bound(np.minimum(np.sqrt(nearest[lo:hi]), cap) / 2.0)[:, None]
-        reached[keep] |= np.logical_or.reduce(block < bound, axis=0)
+    for lo, keep, block in _squared_blocks(points, targets, keeps):
+        hi = lo + len(block)
+        avoided = avoid[keep]
+        if avoided.any():
+            nearest[lo:hi] = np.minimum.reduce(block, axis=1, where=avoided, initial=np.inf)
+        radius = np.minimum(np.sqrt(nearest[lo:hi]), limit[lo:hi])
+        bound = halves[lo:hi] if pruned and (radius == limit[lo:hi]).all() else _squared_bound(radius / 2.0)
+        reached[keep] |= np.logical_or.reduce(block < bound[:, None], axis=0)
     reach = np.sqrt(nearest)
-    if maximal:
-        failing = reach <= 0.0
-        r[order] = np.minimum(reach, cap)
-    else:
-        failing = r[order] > reach
+    failing = reach <= 0.0 if maximal else limit > reach
     if failing.any():
         worst = int(order[failing].min())
         raise _stage_failure(f, v, int(preimage[worst]), None if maximal else float(r[worst]))
     if problem is not None:
         raise problem
     covered[columns] = reached
-    return (dict(zip(preimage.tolist(), r.tolist())) if maximal else radii), covered
+    if maximal:
+        r[order] = np.minimum(reach, limit)
+        return dict(zip(preimage.tolist(), r.tolist())), covered
+    return radii, covered
 
 
 def _given_radii(preimage: np.ndarray, radii: Mapping[int, float]) -> tuple:
@@ -568,7 +565,7 @@ def _given_radii(preimage: np.ndarray, radii: Mapping[int, float]) -> tuple:
             if y not in radii:
                 raise ValueError(f"no radius for preimage sample {y}")
             r[i] = float(radii[y])
-            if r[i] <= 0:
+            if not r[i] > 0:  # NaN too
                 raise ValueError(f"radius for sample {y} must be positive")
         except (TypeError, ValueError, OverflowError) as error:  # as float() raises them
             return r[:i], error
@@ -576,36 +573,33 @@ def _given_radii(preimage: np.ndarray, radii: Mapping[int, float]) -> tuple:
 
 
 def _reached_chunks(points: np.ndarray, step: int, targets: np.ndarray, avoid: np.ndarray,
-                    limits: np.ndarray) -> Iterator[tuple]:
-    """Yields ``(keep, avoided)`` for each block of ``step`` rows of
-    ``points``: the columns of ``targets`` (one coordinate per array row) in
-    the chunks of ``CHUNK_COLUMNS`` that the block can reach, and whether
-    one of them is to ``avoid``.  A chunk is reached when it holds a sample
-    to avoid closer to the block's bounding box than the block's largest
-    ``limits`` entry (a row's radius, or the cap), or any sample closer
-    than half of it.  The boxes of as many blocks as make ``BLOCK_CELLS``
-    box pairs are tested at once."""
-    starts = np.arange(0, targets.shape[1], CHUNK_COLUMNS)
-    chunk_low = np.minimum.reduceat(targets, starts, axis=1)[:, None]
-    chunk_high = np.maximum.reduceat(targets, starts, axis=1)[:, None]
+                    limit: np.ndarray) -> Iterator[np.ndarray]:
+    """Yields, for each block of ``step`` rows of ``points``, the columns of
+    ``targets`` in the chunks of ``CHUNK_COLUMNS`` that the block can reach:
+    a chunk is reached when it holds a sample to ``avoid`` closer to the
+    block's bounding box than the block's largest ``limit``, or any sample
+    closer than half of it.  The boxes of as many blocks as make
+    ``BLOCK_CELLS`` box pairs are tested at once."""
+    starts = np.arange(0, len(targets), CHUNK_COLUMNS)
+    chunk_low = np.minimum.reduceat(targets, starts).T[:, None]
+    chunk_high = np.maximum.reduceat(targets, starts).T[:, None]
     chunk_avoids = np.logical_or.reduceat(avoid, starts)
-    lanes, tail = np.arange(CHUNK_COLUMNS), len(starts) * CHUNK_COLUMNS - targets.shape[1]
+    lanes, tail = np.arange(CHUNK_COLUMNS), len(starts) * CHUNK_COLUMNS - len(targets)
     batch = max(1, BLOCK_CELLS // len(starts)) * step
     for lo in range(0, len(points), batch):
         blocks = np.arange(lo, min(lo + batch, len(points)), step)
-        gaps = _box_squares(np.minimum.reduceat(points, blocks, axis=0).T[:, :, None],
-                            np.maximum.reduceat(points, blocks, axis=0).T[:, :, None],
+        gaps = _box_squares(np.minimum.reduceat(points, blocks).T[:, :, None],
+                            np.maximum.reduceat(points, blocks).T[:, :, None],
                             chunk_low, chunk_high)
-        largest = np.fmax.reduceat(limits, blocks)[:, None]  # NaN radii reach nothing
+        largest = np.maximum.reduceat(limit, blocks)[:, None]
         near = gaps < _squared_bound(largest)
         near &= chunk_avoids
-        avoids = near.any(axis=1)
         near |= gaps < _squared_bound(largest / 2.0)
         owner, chunk = np.nonzero(near)
         cuts = np.searchsorted(owner, np.arange(len(blocks) + 1))
         for j in range(len(blocks)):
             keep = (chunk[cuts[j] : cuts[j + 1], None] * CHUNK_COLUMNS + lanes).ravel()
-            yield (keep[: len(keep) - tail] if near[j, -1] else keep), avoids[j]
+            yield keep[: len(keep) - tail] if near[j, -1] else keep
 
 
 def _box_squares(low: np.ndarray, high: np.ndarray, box_low: np.ndarray,
@@ -719,7 +713,8 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
       every distance up to the level is near;
     - a row with no conflict below C gets its largest near distance, when
       that is above the mesh;
-    - any other row is scanned in full (``_scanned_radii``).
+    - any other row gets its full radius from all its pairs, taken as near
+      ones.
 
     Then delta equals the full one whenever that is at most the mesh, and is
     above the mesh otherwise, so the subdivision depth and every verdict are
@@ -755,7 +750,10 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
             unsettled[rows] = np.isinf(level) & (radii[rows] <= mesh)
         rescan = np.flatnonzero(unsettled)
         if rescan.size:
-            radii[rescan] = _scanned_radii(f, rescan)
+            for lo, _, block in _squared_blocks(coords[rescan], coords):
+                m = len(block)
+                owner, columns = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+                radii[rescan[lo : lo + m]] = _near_radii(f, m, owner, columns, block.ravel())[0]
         failing = np.flatnonzero(radii <= 0.0)
         if failing.size:
             raise _row_failure(f, int(failing[0]))
@@ -766,9 +764,11 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
 def _near_radii(f: DiscreteMap, m: int, owner: np.ndarray, columns: np.ndarray,
                 squares: np.ndarray) -> tuple:
     """``(radii, level)`` of ``m`` rows from their near pairs, as
-    ``_near_blocks`` yields them: each row's conflict level among its near
-    values (inf when they are pairwise adjacent), and its largest near
-    distance below that level."""
+    ``_near_blocks`` yields them (``owner`` ascending, every row owning its
+    own sample's pair): each row's conflict level among its near values
+    (inf when they are pairwise adjacent), and its largest near distance
+    below that level.  Given all of a row's pairs, these are its full
+    conflict level and radius."""
     # each row's least square per value, in a table padded with inf
     group = owner * len(f.target.vertices) + f.codes[columns]
     by_group = np.argsort(group, kind="stable")
@@ -811,6 +811,7 @@ class _Grid:
         key = cells @ self.strides
         self.order = np.argsort(key, kind="stable")
         self.key = key[self.order]
+        self.points = np.ascontiguousarray(coords[self.order].T)  # sorted, one row per coordinate
 
     def cells(self, points: np.ndarray) -> np.ndarray:
         """Each point's cell, from one below the samples' box (a point
@@ -831,40 +832,32 @@ class _Grid:
         first = np.searchsorted(self.key, middle - 1)
         return first, np.searchsorted(self.key, middle + 1, side="right") - first
 
-
-def _candidate_blocks(first: np.ndarray, span: np.ndarray) -> Iterator[tuple]:
-    """Yields ``(a, b, count, column)`` for rows ``a:b`` whose candidates are
-    the runs ``first[i], span[i]`` of sorted positions: each row's candidate
-    count and every candidate's position, row by row.  A block holds as
-    many rows as keep their candidates and runs within half of
-    ``BLOCK_CELLS`` (at least one)."""
-    count = span.sum(axis=1)
-    ends = np.concatenate(([0], np.cumsum(count + span.shape[1])))
-    a = 0
-    while a < len(count):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS // 2, side="right")) - 1)
-        runs = span[a:b].ravel()
-        column = np.repeat(first[a:b].ravel() - np.cumsum(runs) + runs, runs)
-        del runs
-        column += np.arange(len(column))
-        yield a, b, count[a:b], column
-        a = b
-
-
-def _pair_squares(rows: np.ndarray, count: np.ndarray, axes: np.ndarray,
-                  column: np.ndarray) -> np.ndarray:
-    """The square from each row point, repeated ``count`` times, to each
-    point ``axes[:, column]``, both held one coordinate per array row.
-    Squares are summed one coordinate at a time, as in
-    ``_squared_distances_to``, so each equals the entry of the full scan bit
-    for bit."""
-    squares = np.zeros(len(column))
-    for p, x in zip(rows, axes):
-        gap = np.repeat(p, count)
-        gap -= x[column]
-        gap *= gap
-        squares += gap
-    return squares
+    def pairs(self, first: np.ndarray, span: np.ndarray) -> Iterator[tuple]:
+        """Yields ``(a, b, count, column, squares)`` for the sorted samples
+        ``a:b`` whose candidates are the runs ``first[i], span[i]`` of
+        sorted positions: each row's candidate count, every candidate's
+        position, row by row, and its square from the row's sample.  A
+        block holds as many rows as keep their candidates and runs within
+        half of ``BLOCK_CELLS`` (at least one).  Squares are summed one
+        coordinate at a time, as in ``_squared_distances_to``, so each
+        equals the entry of the full scan bit for bit."""
+        count = span.sum(axis=1)
+        ends = np.concatenate(([0], np.cumsum(count + span.shape[1])))
+        a = 0
+        while a < len(count):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS // 2, side="right")) - 1)
+            runs = span[a:b].ravel()
+            column = np.repeat(first[a:b].ravel() - np.cumsum(runs) + runs, runs)
+            del runs
+            column += np.arange(len(column))
+            squares = np.zeros(len(column))
+            for p, x in zip(self.points[:, a:b], self.points):
+                gap = np.repeat(p, count[a:b])
+                gap -= x[column]
+                gap *= gap
+                squares += gap
+            yield a, b, count[a:b], column, squares
+            a = b
 
 
 def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:
@@ -875,44 +868,25 @@ def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:
 
     The candidates come from a ``_Grid`` of side ``cap``, the runs beside
     each row's cell.  Rows are handed out in key order, whole, as many as
-    ``_candidate_blocks`` puts in a block.
+    ``_Grid.pairs`` puts in a block.
     """
     grid = _Grid(coords, cap)
     key = grid.key
     fresh = np.concatenate(([True], key[1:] != key[:-1]))
     cell_of = np.cumsum(fresh) - 1
     first, span = grid.runs(key[fresh])  # per cell
-    points = np.ascontiguousarray(coords[grid.order].T)
     bound = _squared_bound(np.array([cap]))
-    for a, b, count, column in _candidate_blocks(first[cell_of], span[cell_of]):
+    for a, b, count, column, squares in grid.pairs(first[cell_of], span[cell_of]):
         owner = np.repeat(np.arange(b - a), count)
-        squares = _pair_squares(points[:, a:b], count, points, column)
         near = squares < bound
         owner, column, squares = owner[near], grid.order[column[near]], squares[near]
         yield grid.order[a:b], owner, column, squares
 
 
-def _scanned_radii(f: DiscreteMap, rows: np.ndarray) -> np.ndarray:
-    """The full radius of each sample in ``rows``, from blocks of its whole
-    distance row grouped by value; some two image values must be apart."""
-    image, coords = f.image_codes(), f.domain.coords
-    labels = np.searchsorted(image, f.codes)  # each sample's value rank
-    by_value = np.argsort(labels, kind="stable")
-    class_starts = np.searchsorted(labels[by_value], np.arange(len(image)))
-    out = np.empty(len(rows))
-    for lo, block in _squared_blocks(coords[rows], coords[by_value]):
-        nearest = np.minimum.reduceat(block, class_starts, axis=1)
-        level = np.sqrt(_conflict_level(nearest, np.broadcast_to(image, nearest.shape), f.target))
-        inside = block < _squared_bound(level)[:, None]
-        # a row with nothing inside fails like one with only its own sample
-        np.sqrt(np.max(block, axis=1, where=inside, initial=0.0), out=out[lo : lo + len(block)])
-    return out
-
-
 def _conflict_level(nearest: np.ndarray, codes: np.ndarray, graph: Graph) -> np.ndarray:
-    """Per row of value distances, the distance of the first value in
-    ascending order that is not adjacent to an earlier one, inf for a row
-    whose finite entries hold no such value.
+    """Per row of the padded table ``_near_radii`` builds, the distance of
+    the first value in ascending order that is not adjacent to an earlier
+    one, inf for a row whose finite entries hold no such value.
 
     Entry [i, r] of ``nearest`` is row i's distance to the value
     ``codes[i, r]``, a vertex index of ``graph``; a row's values are

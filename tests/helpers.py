@@ -118,7 +118,7 @@ def rooted_blocks(points, targets):
     """``transform._squared_blocks(points, targets)`` rooted: ``(lo, block)``
     with the distances from ``points[lo : lo + len(block)]`` to ``targets``,
     each block a fresh array rather than the reused workspace."""
-    return [(lo, np.sqrt(block)) for lo, block in transform._squared_blocks(points, targets)]
+    return [(lo, np.sqrt(block)) for lo, _, block in transform._squared_blocks(points, targets)]
 
 
 def simplex_diameter(dom, simplex):

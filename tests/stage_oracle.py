@@ -62,7 +62,7 @@ def flood_scan(f, v):
     cap = diameter / 2.0 if diameter > 0 else 1.0
     radii = {}
     coords = f.domain.coords
-    for lo, block in _squared_blocks(coords[np.asarray(preimage)], coords[columns]):
+    for lo, _, block in _squared_blocks(coords[np.asarray(preimage)], coords[columns]):
         rows = preimage[lo : lo + len(block)]
         reach = np.sqrt(np.min(block, axis=1, where=avoid, initial=np.inf))
         failing = np.flatnonzero(reach <= 0.0)

@@ -211,7 +211,7 @@ def oracle_flood(f, v, radii):
         if y not in radii:
             raise ValueError(f"no radius for preimage sample {y}")
         r = float(radii[y])
-        if r <= 0:
+        if not r > 0:
             raise ValueError(f"radius for sample {y} must be positive")
         bad = (dist[y] < r) & ~adjacent_value
         if bad.any():
@@ -524,14 +524,40 @@ class TestCappedCertificateDifferential:
         values = {i: 0 if i < 5 else 1 for i in range(10)}
         values[10] = 2
         f = DiscreteMap(dom, cycle_graph(4), values, 0)
-        scanned = []
-        scan = transform._scanned_radii
-        monkeypatch.setattr(transform, "_scanned_radii",
-                            lambda f, rows: scanned.append(rows.tolist()) or scan(f, rows))
         assert assert_same_certificate(f) == "ok"
+        scanned = self.scanned_rows(monkeypatch)
         # the row meets value 0 at 17, so its radius is the distance 16 below
         assert clique_certificate(f).radii[10] == 16.0
-        assert scanned and all(rows == [10] for rows in scanned)
+        assert scanned == [[20.0]]
+
+    def test_isolated_clusters_are_scanned_in_full(self, block_cells, monkeypatch):
+        # the chain above, then clusters of no edge: a lone sample, or two
+        # samples with adjacent values closer than the mesh, whose balls of
+        # radius 2 meet no other sample; all seven rows are scanned in full,
+        # in seven blocks under the tiny block size
+        positions = [0, 1, 1.5, 2.5, 3, 4, 4.5, 5.5, 6, 7, 20, 30, 30.5, 40, 50, 50.25, 60.5]
+        dom = line_domain(positions, [(i, i + 1) for i in range(9)])
+        values = dict(enumerate([0] * 5 + [1] * 5 + [2, 2, 3, 2, 3, 3, 0]))
+        f = DiscreteMap(dom, cycle_graph(4), values, 0)
+        assert assert_same_certificate(f) == "ok"
+        scanned = self.scanned_rows(monkeypatch)
+        radii = clique_certificate(f).radii
+        assert [radii[i] for i in range(10, 17)] == [10.5, 20.25, 19.75, 20.0, 10.0, 0.25, 10.5]
+        assert scanned == [[20.0, 30.0, 30.5, 40.0, 50.0, 50.25, 60.5]]
+
+    @staticmethod
+    def scanned_rows(monkeypatch):
+        """Record the coordinates of the rows each ``_squared_blocks`` scan
+        reads; a certificate scans only its rows read in full this way."""
+        scanned = []
+        blocks = transform._squared_blocks
+
+        def recorded(points, targets, keeps=None):
+            scanned.append(points.ravel().tolist())
+            return blocks(points, targets, keeps)
+
+        monkeypatch.setattr(transform, "_squared_blocks", recorded)
+        return scanned
 
     def test_least_failing_row_whichever_pass(self, block_cells):
         # sample 0, a vertex of no edge at -20 whose nearest sample carries
@@ -839,6 +865,21 @@ class TestFloodDifferential:
         # a radius float() refuses counts as its row's error
         assert assert_same_flood(f, 1, {2: 2.5, 3: "wide"}) == "fail"
         assert assert_same_flood(f, 1, {2: "wide", 3: 3.5}) == "error"
+        # so does a NaN radius, which is not positive
+        assert assert_same_flood(f, 1, {2: 2.5, 3: math.nan}) == "fail"
+        assert assert_same_flood(f, 1, {2: math.nan, 3: 3.5}) == "error"
+
+    def test_nan_radius_is_refused(self, block_cells):
+        # a NaN ball would cover nothing while the other rows flood
+        dom = circle_domain(16)
+        c4 = cycle_graph(4)
+        f = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
+        radii = flood_stage_radii(f, 1)
+        y = sorted(radii)[len(radii) // 2]
+        radii[y] = math.nan
+        with pytest.raises(ValueError, match=f"radius for sample {y} must be positive"):
+            flood(f, 1, radii)
+        assert assert_same_flood(f, 1, radii) == "error"
 
     def test_single_valued_maps(self, block_cells):
         # no sample holds another value: the stage reads no column

@@ -90,6 +90,15 @@ class TestSampledDomain:
         isolated = SampledDomain([[0.0], [1.0]], from_simplices([(0,), (1,)], 1))
         assert isolated.eps_net == 1.0
 
+    def test_mesh_is_computed_once(self, monkeypatch):
+        dom = chain_domain([0, 1, 3])
+        calls = []
+        lengths = SampledDomain.edge_lengths
+        monkeypatch.setattr(SampledDomain, "edge_lengths",
+                            lambda self, edges: calls.append(len(edges)) or lengths(self, edges))
+        assert dom.max_simplex_diameter() == dom.max_simplex_diameter() == dom.eps_net == 2.0
+        assert calls == [2]
+
     def test_squared_blocks_cover_the_matrix(self, monkeypatch):
         dom = chain_domain([0, 1, 3, 7, 8])
         coords, dist = dom.coords, distances(dom)
@@ -111,6 +120,11 @@ class TestSampledDomain:
         assert np.array_equal(cut[0][1], dist[[4, 0, 2]][:, [3, 1]])
         empty = rooted_blocks(coords[[4, 0, 2]], coords[[]])
         assert [(lo, block.shape) for lo, block in empty] == [(0, (3, 0))]
+        # each block reads the columns its keep selects: 2 rows a block
+        keeps = [slice(0, None), np.array([4, 1]), slice(3, None)]
+        for (lo, keep, block), want in zip(transform._squared_blocks(coords, coords, iter(keeps)), keeps):
+            assert keep is want
+            assert np.array_equal(np.sqrt(block), dist[lo : lo + 2][:, keep])
         # the row a failure rebuilds is the same row, in sample order
         assert np.array_equal(transform._distance_row(coords, 3), dist[3])
 
@@ -184,15 +198,16 @@ class TestMatrixFree:
 
     @staticmethod
     def count_pairs(monkeypatch):
-        """Record the number of candidate pairs each gathered square sum reads."""
+        """Record the number of candidate pairs each block of grid pairs reads."""
         counts = []
-        build = transform._pair_squares
+        pairs = transform._Grid.pairs
 
-        def counted(rows, count, axes, column):
-            counts.append(len(column))
-            return build(rows, count, axes, column)
+        def counted(grid, first, span):
+            for block in pairs(grid, first, span):
+                counts.append(len(block[3]))
+                yield block
 
-        monkeypatch.setattr(transform, "_pair_squares", counted)
+        monkeypatch.setattr(transform._Grid, "pairs", counted)
         return counts
 
     @pytest.mark.parametrize("rows_per_block", [1, None])
