@@ -161,11 +161,14 @@ BLOCK_CELLS = 1 << 13
 
 
 class TooManySimplices(ValueError):
-    """A clique complex would pass ``MAX_SIMPLICES`` simplices."""
+    """A clique complex would pass ``MAX_SIMPLICES`` simplices up to
+    dimension ``dim``, or, for a cap ``dim`` above it, as many levels."""
 
     def __init__(self, dim: int):
         super().__init__(
-            f"the clique complex has more than {MAX_SIMPLICES} simplices up to dimension {dim}"
+            f"the dimension cap {dim} would make more than {MAX_SIMPLICES} levels"
+            if dim > MAX_SIMPLICES
+            else f"the clique complex has more than {MAX_SIMPLICES} simplices up to dimension {dim}"
         )
 
 
@@ -188,10 +191,13 @@ def vietoris_rips(graph: Graph, dim_cap: int) -> SimplicialComplex:
     Candidates are tested ``BLOCK_CELLS`` at a time and the simplices
     counted after each step: once the count passes ``MAX_SIMPLICES``,
     ``TooManySimplices`` names the dimension that overflows, while at most
-    one step of that level exists.
+    one step of that level exists.  A ``dim_cap`` above ``MAX_SIMPLICES`` is
+    refused first: the complex holds one array per level up to its cap.
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
+    if dim_cap > MAX_SIMPLICES:
+        raise TooManySimplices(dim_cap)
     n, keys = len(graph.vertices), graph.edge_keys
     starts = np.searchsorted(keys, np.arange(n + 1) * n)  # each vertex's run of edge keys
     rows, prefixes, total = [np.arange(n).reshape(n, 1)], [], n + len(keys)

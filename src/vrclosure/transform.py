@@ -49,17 +49,14 @@ BLOCK_CELLS = 1 << 15
 MAX_SAMPLES = 1 << 14
 
 
-#: most samples a domain may have for its diameter to come from a scan of the
-#: upper triangle (``SampledDomain.diameter``): the reflected pairs' fixed
-#: cost of about 0.3 ms makes them slower on circle:256 and faster on
-#: circle:512
-SMALL_DOMAIN = 384
-
-
-#: a flood stage prunes its columns when its preimage spans more than this
-#: many row blocks (``_flood_scan``): the icosa:3 stages, of two blocks at
-#: most, prune little and ran no faster pruned
-PRUNED_BLOCKS = 2
+#: most blocks of ``BLOCK_CELLS`` cells that a scan reads whole.  The
+#: diameter's scan is the upper triangle, n(n + 1) / 2 cells; past this it
+#: reads the reflected pairs, whose fixed cost of about 0.3 ms makes them
+#: slower on circle:256 and faster on circle:512.  A flood stage's scan is
+#: its preimage rows by the samples of other values; past this it prunes
+#: its columns, which on the icosa:3 stages, of two blocks at most, prunes
+#: little and ran no faster
+WHOLE_SCAN_BLOCKS = 2
 
 
 #: columns per chunk of a pruned flood stage, each chunk with one bounding
@@ -140,30 +137,6 @@ def _nearest_targets(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squared_bound(t: np.ndarray) -> np.ndarray:
-    """Per entry, B(t): the least float s with ``sqrt(s) >= t``.
-
-    IEEE ``sqrt`` is correctly rounded, so it never decreases: it commutes
-    with min and max, and ``sqrt(x) < t`` holds exactly when ``x < B(t)``.
-    This is what lets the scans compare squared distances.  On random t,
-    B(t) is ``t * t`` or the float below it, about half the time each, so
-    the steps start from the right one of the two and their first pass only
-    verifies; each entry then steps until no entry moves (subnormal t do).
-    """
-    with np.errstate(over="ignore"):  # t * t and steps past the largest float
-        s = np.square(np.maximum(t, 0.0))
-        below = np.nextafter(s, 0.0)
-        s = np.where(np.sqrt(below) >= t, below, s)
-        while True:
-            below = np.nextafter(s, 0.0)
-            up = np.sqrt(s) < t
-            down = np.sqrt(below) >= t
-            down &= below < s
-            if not (up | down).any():
-                return s
-            s = np.nextafter(s, np.where(up, np.inf, np.where(down, 0.0, s)))
-
-
 class CertificateFailure(ValueError):
     """A finite continuity certificate failed; names the violating samples."""
 
@@ -240,15 +213,16 @@ class SampledDomain:
         """Largest pairwise distance, computed once; every flood stage reads
         it, and the clique certificate only on a domain whose every sample
         lies within the mesh of sample 0.  It is the root of the largest
-        square of the kernel (``_squared_bound`` says why that is exact),
-        and d[i, j] and d[j, i] are bitwise equal, since a gap and its
+        square of the kernel: IEEE ``sqrt`` is correctly rounded, so it
+        never decreases and the root of the largest square is the largest
+        root.  d[i, j] and d[j, i] are bitwise equal, since a gap and its
         negation square to the same float.
 
-        A domain of at most ``SMALL_DOMAIN`` samples, or one whose
-        coordinates are not finite and moderate, is scanned over the upper
-        triangle.  Any other reads the pairs that can beat a lower bound L,
-        the largest square in the rows of sample 0 and of its farthest
-        sample.  With c the centre of the bounding box, R = max |p - c| and
+        A domain whose upper triangle is at most ``WHOLE_SCAN_BLOCKS``
+        blocks of cells, or whose coordinates are not finite and moderate,
+        is scanned over the upper triangle.  Any other reads the pairs that
+        can beat a lower bound L, the largest square in the rows of sample 0
+        and of its farthest sample.  With c the centre of the bounding box, R = max |p - c| and
         p' = 2c - p, the parallelogram law gives
         |q - p'|^2 = 2|p - c|^2 + 2|q - c|^2 - |p - q|^2 <= 4R^2 - |p - q|^2,
         so a pair farther apart than L has q within sqrt(4R^2 - L^2) of p'.
@@ -261,12 +235,13 @@ class SampledDomain:
         maximum is that of the full scan.
         """
         coords = self.coords
-        if len(coords) > SMALL_DOMAIN:
+        n = len(coords)
+        if n * (n + 1) // 2 > WHOLE_SCAN_BLOCKS * BLOCK_CELLS:
             low, high = coords.min(axis=0), coords.max(axis=0)
             scale = float(np.abs([low, high]).max())
             if 2.0**-400 < scale < 2.0**400:  # NaN fails too
                 return _reflected_diameter(coords, low, high, scale)
-        upper = (slice(lo, None) for lo in range(0, len(coords), _block_rows(len(coords))))
+        upper = (slice(lo, None) for lo in range(0, n, _block_rows(n)))
         blocks = _squared_blocks(coords, coords, upper)
         return math.sqrt(max(float(block.max()) for _, _, block in blocks))
 
@@ -480,21 +455,20 @@ def _flood_scan(
     avoid is among them, so a single-valued map reads no column and
     ``covered`` counts the samples the overwrite changes.
 
-    A block holds ``BLOCK_CELLS`` // columns rows.  A preimage of at most
-    ``PRUNED_BLOCKS`` blocks is scanned whole.  A larger one goes in the
-    domain's ``spatial_order``, with its columns, so a block's rows lie
-    close together, and a block sends to the kernel only the chunks of
-    columns its bounding box can reach (``_reached_chunks``).  A row that
-    reaches no sample to avoid gets inf, so exactly its limit.  Box gaps are
-    squared and summed as the kernel sums, so a box's square is never above
-    the kernel's square of a pair inside it, and a chunk left out holds no
-    cell that could change a radius, a failure or ``covered``; a coincident
-    pair is never left out.  Rows fail, and are capped, after the last
-    block, so the failure is the least failing row in preimage order.
-
-    The scan reads squared distances: ``reach`` is the root of the least
-    square to avoid, and a ball test ``d < r / 2`` is ``d * d < B(r / 2)``,
-    both exact (``_squared_bound``).
+    Each block's squares are rooted in place, so ``reach`` and the ball test
+    ``d < r / 2`` read the kernel's distances.  A block holds
+    ``BLOCK_CELLS`` // columns rows.  A stage of at most
+    ``WHOLE_SCAN_BLOCKS`` blocks of cells, rows by columns, is scanned
+    whole.  A larger one goes in the domain's ``spatial_order``, with its
+    columns, so a block's rows lie close together, and a block sends to the
+    kernel only the chunks of columns its bounding box can reach
+    (``_reached_chunks``).  A row that reaches no sample to avoid gets inf,
+    so exactly its limit.  Box gaps are squared and summed as the kernel
+    sums, so a box's distance is never above the kernel's distance of a
+    pair inside it, and a chunk left out holds no cell that could change a
+    radius, a failure or ``covered``; a coincident pair is never left out.
+    Rows fail, and are capped, after the last block, so the failure is the
+    least failing row in preimage order.
     """
     n = f.domain.n_samples
     covered = np.zeros(n, dtype=bool)
@@ -508,8 +482,7 @@ def _flood_scan(
         r, problem = np.full(len(preimage), diameter / 2.0 if diameter > 0 else 1.0), None
     else:
         r, problem = _given_radii(preimage, radii)
-    step = _block_rows(n - len(preimage))
-    pruned = PRUNED_BLOCKS * step < len(r) and len(preimage) < n
+    pruned = len(r) * (n - len(preimage)) > WHOLE_SCAN_BLOCKS * BLOCK_CELLS
     if pruned:
         spatial = f.domain.spatial_order
         mine = f.codes[spatial] == c
@@ -527,19 +500,17 @@ def _flood_scan(
     targets = f.domain.coords[columns]
     points = f.domain.coords[preimage[order]]
     limit = r[order]  # the cap, or the given radii
-    halves = _squared_bound(limit / 2.0) if pruned else None  # shared by blocks at their limits
-    keeps = _reached_chunks(points, step, targets, avoid, limit) if pruned else None
-    nearest = np.full(len(order), np.inf)  # each row's least square to avoid
+    keeps = _reached_chunks(points, targets, avoid, limit) if pruned else None
+    reach = np.full(len(order), np.inf)  # each row's distance to the nearest sample to avoid
     reached = np.zeros(len(columns), dtype=bool)  # inside a half-radius ball
     for lo, keep, block in _squared_blocks(points, targets, keeps):
         hi = lo + len(block)
+        np.sqrt(block, out=block)
         avoided = avoid[keep]
         if avoided.any():
-            nearest[lo:hi] = np.minimum.reduce(block, axis=1, where=avoided, initial=np.inf)
-        radius = np.minimum(np.sqrt(nearest[lo:hi]), limit[lo:hi])
-        bound = halves[lo:hi] if pruned and (radius == limit[lo:hi]).all() else _squared_bound(radius / 2.0)
-        reached[keep] |= np.logical_or.reduce(block < bound[:, None], axis=0)
-    reach = np.sqrt(nearest)
+            reach[lo:hi] = np.minimum.reduce(block, axis=1, where=avoided, initial=np.inf)
+        half = np.minimum(reach[lo:hi], limit[lo:hi]) / 2.0
+        reached[keep] |= np.logical_or.reduce(block < half[:, None], axis=0)
     failing = reach <= 0.0 if maximal else limit > reach
     if failing.any():
         worst = int(order[failing].min())
@@ -572,14 +543,16 @@ def _given_radii(preimage: np.ndarray, radii: Mapping[int, float]) -> tuple:
     return r, None
 
 
-def _reached_chunks(points: np.ndarray, step: int, targets: np.ndarray, avoid: np.ndarray,
+def _reached_chunks(points: np.ndarray, targets: np.ndarray, avoid: np.ndarray,
                     limit: np.ndarray) -> Iterator[np.ndarray]:
-    """Yields, for each block of ``step`` rows of ``points``, the columns of
-    ``targets`` in the chunks of ``CHUNK_COLUMNS`` that the block can reach:
-    a chunk is reached when it holds a sample to ``avoid`` closer to the
-    block's bounding box than the block's largest ``limit``, or any sample
-    closer than half of it.  The boxes of as many blocks as make
-    ``BLOCK_CELLS`` box pairs are tested at once."""
+    """Yields, for each block of rows of ``points`` that ``_squared_blocks``
+    scans against ``targets``, the columns of ``targets`` in the chunks of
+    ``CHUNK_COLUMNS`` that the block can reach: a chunk is reached when it
+    holds a sample to ``avoid`` closer to the block's bounding box than the
+    block's largest ``limit``, or any sample closer than half of it.  The
+    boxes of as many blocks as make ``BLOCK_CELLS`` box pairs are tested at
+    once."""
+    step = _block_rows(len(targets))
     starts = np.arange(0, len(targets), CHUNK_COLUMNS)
     chunk_low = np.minimum.reduceat(targets, starts).T[:, None]
     chunk_high = np.maximum.reduceat(targets, starts).T[:, None]
@@ -588,13 +561,13 @@ def _reached_chunks(points: np.ndarray, step: int, targets: np.ndarray, avoid: n
     batch = max(1, BLOCK_CELLS // len(starts)) * step
     for lo in range(0, len(points), batch):
         blocks = np.arange(lo, min(lo + batch, len(points)), step)
-        gaps = _box_squares(np.minimum.reduceat(points, blocks).T[:, :, None],
-                            np.maximum.reduceat(points, blocks).T[:, :, None],
-                            chunk_low, chunk_high)
+        gaps = np.sqrt(_box_squares(np.minimum.reduceat(points, blocks).T[:, :, None],
+                                    np.maximum.reduceat(points, blocks).T[:, :, None],
+                                    chunk_low, chunk_high))
         largest = np.maximum.reduceat(limit, blocks)[:, None]
-        near = gaps < _squared_bound(largest)
+        near = gaps < largest
         near &= chunk_avoids
-        near |= gaps < _squared_bound(largest / 2.0)
+        near |= gaps < largest / 2.0
         owner, chunk = np.nonzero(near)
         cuts = np.searchsorted(owner, np.arange(len(blocks) + 1))
         for j in range(len(blocks)):
@@ -724,12 +697,11 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
     positive radius fails the certificate: the least such row, named by
     ``_row_failure``.
 
-    Distances are compared as squares and only per-row results are rooted,
-    all exact (``_squared_bound``).  Whether two image values are apart is
-    counted from the edge keys in O(E), and pairs are asked of
-    ``Graph.adjacent``, so no k x k table is built.  With m samples within C
-    of a sample this takes O(n m log m) numpy time, plus O(n) a row scanned
-    in full, and memory for ``BLOCK_CELLS`` pairs.
+    Every scanned square is rooted before it is compared.  Whether two
+    image values are apart is counted from the edge keys in O(E), and pairs
+    are asked of ``Graph.adjacent``, so no k x k table is built.  With m
+    samples within C of a sample this takes O(n m log m) numpy time, plus
+    O(n) a row scanned in full, and memory for ``BLOCK_CELLS`` pairs.
     """
     n = f.domain.n_samples
     cap = 2.0 * f.domain.eps_net
@@ -745,14 +717,15 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
             radii[:] = f.domain.diameter
     else:
         unsettled = np.zeros(n, dtype=bool)
-        for rows, owner, columns, squares in _near_blocks(coords, cap):
-            radii[rows], level = _near_radii(f, len(rows), owner, columns, squares)
+        for rows, owner, columns, distances in _near_blocks(coords, cap):
+            radii[rows], level = _near_radii(f, len(rows), owner, columns, distances)
             unsettled[rows] = np.isinf(level) & (radii[rows] <= mesh)
         rescan = np.flatnonzero(unsettled)
         if rescan.size:
             for lo, _, block in _squared_blocks(coords[rescan], coords):
                 m = len(block)
                 owner, columns = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+                np.sqrt(block, out=block)
                 radii[rescan[lo : lo + m]] = _near_radii(f, m, owner, columns, block.ravel())[0]
         failing = np.flatnonzero(radii <= 0.0)
         if failing.size:
@@ -762,19 +735,19 @@ def clique_certificate(f: DiscreteMap) -> CliqueCertificate:
 
 
 def _near_radii(f: DiscreteMap, m: int, owner: np.ndarray, columns: np.ndarray,
-                squares: np.ndarray) -> tuple:
+                distances: np.ndarray) -> tuple:
     """``(radii, level)`` of ``m`` rows from their near pairs, as
     ``_near_blocks`` yields them (``owner`` ascending, every row owning its
     own sample's pair): each row's conflict level among its near values
     (inf when they are pairwise adjacent), and its largest near distance
     below that level.  Given all of a row's pairs, these are its full
     conflict level and radius."""
-    # each row's least square per value, in a table padded with inf
+    # each row's least distance per value, in a table padded with inf
     group = owner * len(f.target.vertices) + f.codes[columns]
     by_group = np.argsort(group, kind="stable")
     group = group[by_group]
     firsts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    nearest = np.minimum.reduceat(squares[by_group], firsts)
+    nearest = np.minimum.reduceat(distances[by_group], firsts)
     row, code = np.divmod(group[firsts], len(f.target.vertices))
     del group, by_group
     count = np.bincount(row, minlength=m)
@@ -784,10 +757,10 @@ def _near_radii(f: DiscreteMap, m: int, owner: np.ndarray, columns: np.ndarray,
     codes = np.zeros(table.shape, dtype=np.intp)
     codes[row, slot] = code
     del firsts, nearest, row, code, slot
-    level = np.sqrt(_conflict_level(table, codes, f.target))
-    # a row's largest square below its level, which its own sample is
-    squares[squares >= _squared_bound(level)[owner]] = 0.0
-    return np.sqrt(np.maximum.reduceat(squares, np.searchsorted(owner, np.arange(m)))), level
+    level = _conflict_level(table, codes, f.target)
+    # a row's largest distance below its level, which its own sample is
+    distances[distances >= level[owner]] = 0.0
+    return np.maximum.reduceat(distances, np.searchsorted(owner, np.arange(m))), level
 
 
 class _Grid:
@@ -861,9 +834,9 @@ class _Grid:
 
 
 def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:
-    """Yields ``(rows, owner, columns, squares)``: each ordered pair of
+    """Yields ``(rows, owner, columns, distances)``: each ordered pair of
     samples closer than ``cap``, once, sample ``rows[owner[i]]`` to sample
-    ``columns[i]`` at squared distance ``squares[i]``, with ``owner``
+    ``columns[i]`` at distance ``distances[i]``, with ``owner``
     ascending and every row, which is near itself, owning a pair.
 
     The candidates come from a ``_Grid`` of side ``cap``, the runs beside
@@ -875,12 +848,11 @@ def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:
     fresh = np.concatenate(([True], key[1:] != key[:-1]))
     cell_of = np.cumsum(fresh) - 1
     first, span = grid.runs(key[fresh])  # per cell
-    bound = _squared_bound(np.array([cap]))
-    for a, b, count, column, squares in grid.pairs(first[cell_of], span[cell_of]):
+    for a, b, count, column, distances in grid.pairs(first[cell_of], span[cell_of]):
         owner = np.repeat(np.arange(b - a), count)
-        near = squares < bound
-        owner, column, squares = owner[near], grid.order[column[near]], squares[near]
-        yield grid.order[a:b], owner, column, squares
+        near = np.sqrt(distances, out=distances) < cap
+        owner, column, distances = owner[near], grid.order[column[near]], distances[near]
+        yield grid.order[a:b], owner, column, distances
 
 
 def _conflict_level(nearest: np.ndarray, codes: np.ndarray, graph: Graph) -> np.ndarray:

@@ -3,7 +3,8 @@ were int-coded, kept as a test oracle: each stage reads the preimage, the
 scan columns and the avoid mask from the dict, copies the dict to overwrite
 it, counts the changed samples one at a time, and digests the canonical
 JSON of the whole map with the FNV-1a byte loop; the certificate's radii
-are digested the same way."""
+are digested the same way.  Its distances are numpy's own, rooted sums of
+squared gaps, and it tests each ball and takes the cap's diameter itself."""
 
 from itertools import repeat
 
@@ -12,9 +13,21 @@ import numpy as np
 from vrclosure import CertificateFailure, DiscreteMap, clique_certificate, subdivide_domain
 from vrclosure.pipeline import canonical_json
 from vrclosure.realization import subdivision_depth_for_mesh, theta_on_graph
-from vrclosure.transform import _distance_row, _squared_blocks, _squared_bound
 
 import digest_oracle
+from helpers import oracle_distances
+
+#: rows per block of distances, which keeps circle:2048 to a few MB
+ROWS = 256
+
+
+def distance_blocks(points, targets):
+    """Yields ``(lo, block)``: the distances from ``points[lo : lo +
+    len(block)]`` to each target.  numpy sums up to 7 squared gaps in the
+    order of the product's kernel, so these are its distances bit for
+    bit."""
+    for lo in range(0, len(points), ROWS):
+        yield lo, oracle_distances(points[lo : lo + ROWS], targets)
 
 
 class ValueMap:
@@ -33,8 +46,8 @@ class ValueMap:
 
 def stage_failure(f, v, y):
     """The failure of the samples coincident with preimage sample ``y``."""
-    row = _distance_row(f.domain.coords, y)
-    inside = row <= 0.0
+    coords = f.domain.coords
+    inside = oracle_distances(coords[[y]], coords)[0] <= 0.0
     closed = f.target.closed_neighborhood(v)
     stage = f"flood stage {v!r}"
     for z in np.flatnonzero(inside).tolist():
@@ -44,8 +57,9 @@ def stage_failure(f, v, y):
     return CertificateFailure(stage, (y, a), (v, f.base_value), "preimage sample coincides with a basepoint")
 
 
-def flood_scan(f, v):
-    """Maximal radii and the covered mask of the stage at ``v``."""
+def flood_scan(f, v, cap):
+    """Maximal radii, at most ``cap``, and the covered mask of the stage at
+    ``v``."""
     n = f.domain.n_samples
     covered = np.zeros(n, dtype=bool)
     preimage = f.preimage(v)
@@ -58,19 +72,17 @@ def flood_scan(f, v):
     if v != f.base_value:
         avoid[list(f.domain.basepoints)] = True
     avoid = avoid[columns]
-    diameter = f.domain.diameter
-    cap = diameter / 2.0 if diameter > 0 else 1.0
     radii = {}
     coords = f.domain.coords
-    for lo, _, block in _squared_blocks(coords[np.asarray(preimage)], coords[columns]):
+    for lo, block in distance_blocks(coords[np.asarray(preimage)], coords[columns]):
         rows = preimage[lo : lo + len(block)]
-        reach = np.sqrt(np.min(block, axis=1, where=avoid, initial=np.inf))
+        reach = np.min(block, axis=1, where=avoid, initial=np.inf)
         failing = np.flatnonzero(reach <= 0.0)
         if failing.size:
             raise stage_failure(f, v, rows[int(failing[0])])
         r = np.minimum(reach, cap)
         radii.update(zip(rows, r.tolist()))
-        covered[columns] |= (block < _squared_bound(r / 2.0)[:, None]).any(axis=0)
+        covered[columns] |= (block < r[:, None] / 2.0).any(axis=0)
     return radii, covered
 
 
@@ -84,9 +96,11 @@ def pipeline_digests(graph, domain, sample_points, extra_subdivisions=0):
     values = {i: theta_on_graph(graph, sample_points[i]) for i in range(domain.n_samples)}
     current = ValueMap(domain, graph, values, values[domain.basepoints[0] if domain.basepoints else 0])
     stage_log = [{"stage": "discrete_modify", "digest": digest_map(current), "changed": 0}]
+    diameter = max(float(block.max()) for _, block in distance_blocks(domain.coords, domain.coords))
+    cap = diameter / 2.0 if diameter > 0 else 1.0
     try:
         for v in current.image_vertices():
-            radii, covered = flood_scan(current, v)
+            radii, covered = flood_scan(current, v, cap)
             new_values = dict(current.values)
             if radii:
                 new_values.update(zip(np.flatnonzero(covered).tolist(), repeat(v)))

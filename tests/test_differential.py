@@ -665,9 +665,9 @@ class TestMatrixFreeReadsDifferential:
 
     @pytest.mark.parametrize("name", list(DOMAINS))
     def test_reflected_diameter_at_every_size(self, name, block_cells, monkeypatch):
-        # with SMALL_DOMAIN 0 every domain past the checks reads the
+        # with WHOLE_SCAN_BLOCKS 0 every domain past the checks reads the
         # reflected pairs, small ones included
-        monkeypatch.setattr(transform, "SMALL_DOMAIN", 0)
+        monkeypatch.setattr(transform, "WHOLE_SCAN_BLOCKS", 0)
         dom = self.DOMAINS[name]()
         assert dom.diameter == float(oracle_distances(dom.coords).max())
 
@@ -689,7 +689,7 @@ class TestMatrixFreeReadsDifferential:
     def test_reflected_diameter_of_random_clouds(self, seed, monkeypatch):
         # 1-5 coordinates, a third of them centrally symmetric, some with
         # duplicated samples, at scales and offsets over many decades
-        monkeypatch.setattr(transform, "SMALL_DOMAIN", 0)
+        monkeypatch.setattr(transform, "WHOLE_SCAN_BLOCKS", 0)
         rng = np.random.default_rng(seed)
         n, dim = int(rng.integers(1, 80)), int(rng.integers(1, 6))
         if seed % 3 == 0:
@@ -787,7 +787,7 @@ class TestFloodDifferential:
         assert assert_same_stages(f) == {"ok", "fail"}
 
     def test_all_coincident_samples(self, block_cells):
-        # past SMALL_DOMAIN: the diameter is 0, so the cap is 1.0
+        # past the whole-scan cut-off: the diameter is 0, so the cap is 1.0
         c4 = cycle_graph(4)
         dom = point_cloud(np.tile([0.25, -1.5, 3.0], (400, 1)), basepoints=(0,))
         f = DiscreteMap(dom, c4, dict.fromkeys(range(400), 1), 1)

@@ -343,6 +343,44 @@ def test_the_overflowing_level_is_never_built():
     assert peak < 100e6
 
 
+def one_edge(tmp_path):
+    path = tmp_path / "edge.txt"
+    path.write_text("0 1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flag, cap", [("build", "--max-dim", 10**7),
+                                                ("betti", "--max-k", 10**7 + 1)])
+def test_a_cap_above_the_ceiling_exits_2_naming_it(tmp_path, capsys, command, flag, cap):
+    # one array per level: on one edge, --max-k 10**7 took 1.4 GB and 8.7 s
+    start = time.perf_counter()
+    code = main([command, one_edge(tmp_path), flag, str(10**7)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"the dimension cap {cap} would make more than {MAX_SIMPLICES} levels" in captured.err
+    assert elapsed < 1.0
+
+
+def test_a_cap_at_the_ceiling_prints_as_before(tmp_path, capsys, monkeypatch):
+    # a ceiling of 8 simplices lets the one-edge complex reach cap 8, with
+    # the bytes of any higher ceiling, and refuses cap 9
+    path = one_edge(tmp_path)
+    commands = [["build", path, "--max-dim", "8"], ["betti", path, "--max-k", "7"]]
+    want = []
+    for argv in commands:
+        assert main(argv) == 0
+        want.append(capsys.readouterr())
+    monkeypatch.setattr(complex_module, "MAX_SIMPLICES", 8)
+    for argv, before in zip(commands, want):
+        assert main(argv) == 0
+        assert capsys.readouterr() == before
+    assert main(["build", path, "--max-dim", "9"]) == 2
+    assert main(["betti", path, "--max-k", "8"]) == 2
+    assert "the dimension cap 9 would make more than 8 levels" in capsys.readouterr().err
+
+
 def named_dimension(build, graph, cap):
     """The dimension a ``TooManySimplices`` from ``build`` names, or None."""
     try:

@@ -212,12 +212,14 @@ class TestMatrixFree:
 
     @pytest.mark.parametrize("rows_per_block", [1, None])
     def test_diameter_scans_the_upper_triangle(self, rows_per_block, monkeypatch):
-        # a domain of at most SMALL_DOMAIN samples keeps the triangle scan
+        # a triangle of at most WHOLE_SCAN_BLOCKS blocks of cells is scanned
+        # whole; one-row blocks would lower that cut-off below it
         n = 300
-        assert n <= transform.SMALL_DOMAIN
         dom = circle_domain(n)
         if rows_per_block is not None:
             monkeypatch.setattr(transform, "BLOCK_CELLS", rows_per_block * n)
+            monkeypatch.setattr(transform, "WHOLE_SCAN_BLOCKS", n)
+        assert n * (n + 1) // 2 <= transform.WHOLE_SCAN_BLOCKS * transform.BLOCK_CELLS
         step = max(1, transform.BLOCK_CELLS // n)
         shapes = self.count_cells(monkeypatch)
         assert dom.diameter == dom.diameter == 2.0
@@ -229,7 +231,7 @@ class TestMatrixFree:
 
     @pytest.mark.parametrize("rows_per_block", [1, None])
     def test_diameter_reads_two_rows_and_the_reflected_pairs(self, rows_per_block, monkeypatch):
-        # past SMALL_DOMAIN: the rows of sample 0 and of its farthest sample,
+        # past the cut-off: the rows of sample 0 and of its farthest sample,
         # then on this centrally symmetric domain a few candidates a sample
         n = 2048
         dom = circle_domain(n)
@@ -240,6 +242,53 @@ class TestMatrixFree:
         assert dom.diameter == dom.diameter == float(distances(dom).max())
         assert shapes == [(1, n), (1, n)]
         assert n <= sum(pairs) <= 4 * n
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Record each call of the ``transform`` function ``name``."""
+        calls, real = [], getattr(transform, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transform, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("cut_off", [28, 27])
+    def test_diameter_cut_off(self, cut_off, monkeypatch):
+        # circle:7's upper triangle is 28 cells: a cut-off of 28 scans it
+        # whole, one cell less reads the two rows and the reflected pairs
+        n = 7
+        dom = circle_domain(n)
+        monkeypatch.setattr(transform, "BLOCK_CELLS", cut_off)
+        monkeypatch.setattr(transform, "WHOLE_SCAN_BLOCKS", 1)
+        shapes = self.count_cells(monkeypatch)
+        reflected = self.count_calls(monkeypatch, "_reflected_diameter")
+        assert dom.diameter == float(distances(dom).max())
+        if cut_off == 28:
+            assert not reflected and shapes == [(4, n), (3, 3)]
+        else:
+            assert len(reflected) == 1 and shapes == [(1, n), (1, n)]
+
+    @pytest.mark.parametrize("cut_off", [12, 11])
+    def test_flood_stage_cut_off(self, cut_off, monkeypatch):
+        # the stage at 0 is 3 preimage rows by 4 other samples, 12 cells: a
+        # cut-off of 12 reads every cell, one cell less prunes the columns
+        dom = chain_domain([0, 1, 2, 3, 4, 5, 6])
+        c4 = cycle_graph(4)
+        f = DiscreteMap(dom, c4, dict(enumerate([0, 1, 0, 1, 0, 1, 2])), 0)
+        dom.diameter
+        monkeypatch.setattr(transform, "BLOCK_CELLS", cut_off)
+        monkeypatch.setattr(transform, "WHOLE_SCAN_BLOCKS", 1)
+        shapes = self.count_cells(monkeypatch)
+        pruned = self.count_calls(monkeypatch, "_reached_chunks")
+        radii = flood_stage_radii(f, 0)
+        assert radii == {0: 3.0, 2: 3.0, 4: 2.0}
+        if cut_off == 12:
+            assert not pruned and shapes == [(3, 4)]
+        else:
+            assert len(pruned) == 1 and sum(m for m, _ in shapes) == 3
 
     @pytest.mark.parametrize("cells", [None, 5 * 162])
     def test_flood_stages_build_each_preimage_row_once(self, cells, monkeypatch):
@@ -301,116 +350,6 @@ class TestMatrixFree:
             tracemalloc.stop()
         assert len(radii) == 512
         assert peak < 4 * transform.BLOCK_CELLS * 8
-
-
-def float_neighbors(x, steps=2):
-    """``x`` and the floats up to ``steps`` ulps on either side of each entry."""
-    out = [x]
-    up = down = x
-    with np.errstate(over="ignore"):
-        for _ in range(steps):
-            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-            out += [up, down]
-    return np.concatenate(out)
-
-
-class TestSquaredBound:
-    """B(t) against its definition, the least float s with sqrt(s) >= t, and
-    the equivalence the scans rest on: sqrt(x) < t exactly when x < B(t)."""
-
-    @staticmethod
-    def assert_bound(t):
-        b = transform._squared_bound(t)
-        assert b.shape == t.shape
-        real = ~np.isnan(t)
-        assert np.isnan(b[~real]).all()
-        assert (np.sqrt(b[real]) >= t[real]).all()
-        # the float below B(t) falls short of t; B(t) is 0 only for t <= 0
-        positive = real & (b > 0)
-        assert (np.sqrt(np.nextafter(b[positive], 0.0)) < t[positive]).all()
-        assert (t[real & (b == 0)] <= 0).all()
-        # at B(t), at its float neighbours and around t * t
-        with np.errstate(over="ignore"):
-            near = np.concatenate([b[:, None], (t * t)[:, None]], axis=1)
-        for column in near.T:
-            for x in np.split(float_neighbors(column), 5):
-                x = np.where(np.isnan(x) | (x < 0), 0.0, x)
-                assert np.array_equal(x < b, np.sqrt(x) < t)
-
-    def test_random_values(self):
-        rng = np.random.default_rng(0)
-        t = np.concatenate([
-            rng.random(20000) * 4.0,
-            np.exp(rng.uniform(-700, 700, 20000)),
-            np.sqrt(rng.random(20000)),
-        ])
-        self.assert_bound(float_neighbors(t))
-
-    def test_exact_squares_and_their_neighbors(self):
-        rng = np.random.default_rng(1)
-        roots = np.concatenate([
-            np.arange(1.0, 2001.0),
-            np.sqrt(rng.random(2000) * 1e6),
-            2.0 ** np.arange(-60, 60),
-        ])
-        self.assert_bound(float_neighbors(roots))
-        # B of an exact root of a float never exceeds that float
-        squares = rng.random(2000) * 100.0
-        assert (transform._squared_bound(np.sqrt(squares)) <= squares).all()
-
-    def test_extremes(self):
-        tiny = np.finfo(float).tiny
-        huge = np.sqrt(np.finfo(float).max)
-        t = np.array([
-            0.0, -0.0, -1.0, -np.inf, 5e-324, 1e-320, 1e-310, tiny, 1e-200, 1e-162,
-            1.5e-154, 1e154, huge, 1.35e154, 1e200, np.finfo(float).max, np.inf, np.nan,
-        ])
-        self.assert_bound(float_neighbors(t))
-        b = transform._squared_bound(t)
-        assert b[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
-        assert b[4] == 5e-324 and b[-2] == np.inf
-        assert (b[-5:-2] == np.inf).all()  # no finite root reaches them
-
-
-def stepped_squared_bound(t):
-    """``_squared_bound`` as it was: every entry steps from ``t * t``."""
-    with np.errstate(over="ignore"):
-        s = np.square(np.maximum(t, 0.0))
-        while True:
-            below = np.nextafter(s, 0.0)
-            up = np.sqrt(s) < t
-            down = (np.sqrt(below) >= t) & (below < s)
-            if not (up | down).any():
-                return s
-            s = np.nextafter(s, np.where(up, np.inf, np.where(down, 0.0, s)))
-
-
-class TestSquaredBoundStartsAtTheAnswer:
-    """Starting from t * t or its predecessor changes no bit of B(t)."""
-
-    def test_equals_the_stepping_version(self):
-        rng = np.random.default_rng(2)
-        tiny, big = np.finfo(float).tiny, np.finfo(float).max
-        t = np.concatenate([
-            rng.random(100000) * 10.0,
-            np.exp(rng.uniform(-745, 709, 100000)),  # subnormal to huge
-            2.0 ** np.arange(-1074, 1024),  # every power of two, subnormals included
-            tiny * rng.random(1000),  # subnormals
-            [0.0, -0.0, -1.0, 5e-324, tiny, np.sqrt(big), 1.5e154, 1e200, big, np.inf, -np.inf, np.nan],
-        ])
-        t = float_neighbors(t, 2)
-        got, want = transform._squared_bound(t), stepped_squared_bound(t)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_first_pass_only_verifies(self, monkeypatch):
-        # on normal t the stepping loop runs once and moves nothing
-        calls = []
-        real = np.nextafter
-        monkeypatch.setattr(transform.np, "nextafter", lambda *a: calls.append(1) or real(*a))
-        t = np.random.default_rng(3).random(10000) + 0.5
-        transform._squared_bound(t)
-        assert len(calls) == 2  # the candidate below t * t, and the loop's one check
 
 
 class TestDiscreteModify:
@@ -591,6 +530,18 @@ class TestFlood:
             if not inside:
                 assert out(z) == f(z)
         assert [out(i) for i in range(5)] == [0, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("whole_scan_blocks", [None, 0])
+    def test_half_radius_ball_is_open(self, whole_scan_blocks, monkeypatch):
+        # sample 1 lies exactly half a radius of 2 from sample 0 and stays
+        # out; sample 2, one float nearer, is covered, whole or pruned
+        if whole_scan_blocks is not None:
+            monkeypatch.setattr(transform, "WHOLE_SCAN_BLOCKS", whole_scan_blocks)
+        dom = chain_domain([0.0, 1.0, np.nextafter(1.0, 0.0), -3.0])
+        f = DiscreteMap(dom, cycle_graph(4), {0: 0, 1: 1, 2: 1, 3: 1}, 0)
+        assert flood_stage_radii(f, 0) == {0: 2.0}
+        assert [flood(f, 0, {0: 2.0})(i) for i in range(4)] == [0, 1, 0, 1]
+        assert next(flood_stages(f))[2].codes.tolist() == [0, 1, 0, 1]
 
 
 class TestFloodStageRadii:
