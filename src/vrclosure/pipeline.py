@@ -36,11 +36,12 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-#: bytes hashed per numpy pass.  A chunk costs about a hundred numpy calls
-#: whatever its length, so chunks must be long to pay for them: at 2**12
-#: bytes the lanes are no faster than eight per-byte xor accumulates.  The
-#: power table below holds 8 bytes per chunk byte (256 KB), and hashing a
-#: chunk allocates about 13 bytes per byte
+#: bytes hashed per kernel call: one chunk of a text, or a batch of texts as
+#: padded rows.  A call costs about a hundred numpy calls whatever its
+#: length, so calls must be long to pay for them: at 2**12 bytes the lanes
+#: are no faster than eight per-byte xor accumulates.  The power table below
+#: holds 8 bytes per chunk byte (256 KB), and a call allocates about 13
+#: bytes per byte
 FNV_CHUNK = 1 << 15
 
 #: FNV_PRIME ** (k + 1) mod 2**64 at index k; uint64 products wrap
@@ -58,8 +59,10 @@ def canonical_json(obj) -> str:
                       check_circular=False)
 
 
-def fnv1a64(text: str) -> str:
-    """64-bit FNV-1a digest of a string's UTF-8 bytes, as fixed-width hex.
+def _fnv_rows(raws: Sequence, h: int = FNV_OFFSET) -> list:
+    """The 64-bit FNV-1a states after each byte string of ``raws`` from the
+    state ``h``, hashed as the rows of one array: each row padded with zero
+    bytes to the longest's whole words, ``FNV_CHUNK`` bytes at most in all.
 
     Exact, without a loop over bytes.  The xor with byte b only changes the
     state's low byte l, so it adds d = (l ^ b) - l, and after m bytes the
@@ -70,48 +73,95 @@ def fnv1a64(text: str) -> str:
     bit.  Each pass runs in the byte lanes of uint64 words: bit j of each
     byte moved to the lane's bit 0, one multiply by 0x0101...01 sums each
     word's lanes up to every lane (at most 8, so no lane carries into the
-    next), and each word's total, accumulated over the words before it,
-    is broadcast into its lanes; the parity of a lane is its prefix xor.
-    Chunks of ``FNV_CHUNK`` bytes carry the state from one to the next.
-    Every operand is a numpy uint64, which numpy 1.x and 2.x both keep
-    unsigned and wrap mod 2**64.
+    next), and each word's total, accumulated over the words before it in
+    its row, is broadcast into its lanes; the parity of a lane is its prefix
+    xor.  A row's low bytes depend only on the bytes before them, so its
+    padding, which comes after its text, never reaches the bytes its dot
+    reads.  Every operand is a numpy uint64, which numpy 1.x and 2.x both
+    keep unsigned and wrap mod 2**64.
     """
-    raw = text.encode("utf-8")
+    lengths = list(map(len, raws))
+    words = max(1, -(-max(lengths) // 8))
+    # data, the low bytes, their step and a word of lane sums, per row
+    scratch = np.zeros((4, len(raws), 8 * words), dtype=np.uint8)
+    data, low, step, _ = scratch
+    for row, raw in zip(data, raws):
+        row[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    low[:, 0] = h & 0xFF
+    data_w, low_w, step_w, before = scratch.view("<u8")
+    total = np.empty((len(raws), words), dtype="<u8")
+    for j in range(8):
+        np.bitwise_xor(low_w, data_w, out=step_w)
+        np.multiply(step, _FNV_PRIME_LOW, out=step)
+        # with bits j and up of low[:, 1:] still 0, bit j of step[:, i] is
+        # bit j of low[:, i + 1] xor low[:, i]; low[:, 0] is whole, so the
+        # prefix xor of step[:, :i] is bit j of low[:, i] itself
+        np.right_shift(step_w, np.uint64(j), out=step_w)
+        step_w &= _LANES
+        step_w *= _LANES  # lane k: how many of lanes 0..k have the bit
+        np.right_shift(step_w, np.uint64(56), out=total)
+        np.bitwise_xor.accumulate(total, axis=1, out=total)  # bit 0: parity so far
+        np.left_shift(step_w, np.uint64(8), out=before)  # lanes 0..k-1
+        total *= _LANES
+        before[:, 1:] ^= total[:, :-1]
+        before &= _LANES
+        before <<= np.uint64(j)
+        low_w |= before
+    d = (low ^ data).astype(np.uint64)
+    d -= low  # a negative difference wraps mod 2**64
+    # byte i of m adds d_i * P**(m - i): the powers dotted with d reversed
+    return [(int(_FNV_POWERS[m - 1]) * h + int(np.dot(_FNV_POWERS[:m], row[m - 1 :: -1]))) & _MASK64
+            if m else h for row, m in zip(d, lengths)]
+
+
+def _fnv_chunks(raw: bytes) -> int:
+    """The FNV-1a state after ``raw``, one row of ``FNV_CHUNK`` bytes a kernel
+    call, each chunk starting from the state the one before left."""
     h = FNV_OFFSET
     for start in range(0, len(raw), FNV_CHUNK):
-        m = min(FNV_CHUNK, len(raw) - start)
-        words = -(-m // 8)
-        # data, the low bytes, their step and a word of lane sums, padded
-        # to whole words; padding only ever reaches bytes after the text
-        scratch = np.zeros((4, 8 * words), dtype=np.uint8)
-        data, low, step, _ = scratch
-        data[:m] = np.frombuffer(raw, dtype=np.uint8, count=m, offset=start)
-        low[0] = h & 0xFF
-        data_w, low_w, step_w, before = scratch.view("<u8")
-        total = np.empty(words, dtype="<u8")
-        for j in range(8):
-            np.bitwise_xor(low_w, data_w, out=step_w)
-            np.multiply(step, _FNV_PRIME_LOW, out=step)
-            # with bits j and up of low[1:] still 0, bit j of step[i] is bit
-            # j of low[i + 1] xor low[i]; low[0] is whole, so the prefix xor
-            # of step[:i] is bit j of low[i] itself
-            np.right_shift(step_w, np.uint64(j), out=step_w)
-            step_w &= _LANES
-            step_w *= _LANES  # lane k: how many of lanes 0..k have the bit
-            np.right_shift(step_w, np.uint64(56), out=total)
-            np.bitwise_xor.accumulate(total, out=total)  # bit 0: parity so far
-            np.left_shift(step_w, np.uint64(8), out=before)  # lanes 0..k-1
-            total *= _LANES
-            before[1:] ^= total[:-1]
-            before &= _LANES
-            before <<= np.uint64(j)
-            low_w |= before
-        # byte i of m adds d_i * P**(m - i): the powers dotted with d reversed
-        low, data = low[m - 1 :: -1], data[m - 1 :: -1]
-        d = (low ^ data).astype(np.uint64)
-        d -= low  # a negative difference wraps mod 2**64
-        h = (int(_FNV_POWERS[m - 1]) * h + int(np.dot(_FNV_POWERS[:m], d))) & _MASK64
-    return f"{h:016x}"
+        (h,) = _fnv_rows([memoryview(raw)[start : start + FNV_CHUNK]], h)
+    return h
+
+
+def fnv1a64(text: str) -> str:
+    """64-bit FNV-1a digest of a string's UTF-8 bytes, as fixed-width hex:
+    the one-row case of the kernel, in chunks of ``FNV_CHUNK`` bytes."""
+    return f"{_fnv_chunks(text.encode('utf-8')):016x}"
+
+
+class _DigestQueue:
+    """FNV-1a digests of texts hashed as rows of shared kernel calls.
+
+    ``add`` queues a text and returns the index its digest takes in the list
+    ``flush`` returns.  Whenever the next text would take the queue's rows,
+    each padded to the longest's whole words, past ``FNV_CHUNK`` bytes, the
+    queue is hashed first, in one kernel call; a longer text is then hashed
+    alone, in chunks.  The kernel's scratch is that of one chunk, and a run
+    pays the kernel's fixed cost about once per ``FNV_CHUNK`` bytes of text,
+    not once per text.
+    """
+
+    def __init__(self):
+        self.digests, self.queue, self.width = [], [], 0
+
+    def add(self, text: str) -> int:
+        raw = text.encode("utf-8")
+        width = 8 * max(1, -(-len(raw) // 8))
+        if self.queue and (len(self.queue) + 1) * max(self.width, width) > FNV_CHUNK:
+            self.flush()
+        self.queue.append(raw)
+        self.width = max(self.width, width)
+        return len(self.digests) + len(self.queue) - 1
+
+    def flush(self) -> list:
+        """The digests of every text added so far, in order."""
+        if len(self.queue) > 1:
+            states = _fnv_rows(self.queue)
+        else:
+            states = list(map(_fnv_chunks, self.queue))
+        self.digests += [f"{h:016x}" for h in states]
+        self.queue, self.width = [], 0
+        return self.digests
 
 
 @lru_cache(maxsize=4)
@@ -141,26 +191,36 @@ def _vertex_tokens(graph: Graph) -> tuple:
     return tuple(map(encode_basestring_ascii, map(str, graph.vertices)))
 
 
-def digest_map(f: DiscreteMap) -> str:
-    """``fnv1a64`` of the canonical JSON of ``{"base": str(base), "values":
-    {str(i): str(value)}}``, written directly from the value indices: one
-    cached token per vertex, escaped as ``canonical_json`` escapes strings."""
+def _map_text(f: DiscreteMap) -> str:
+    """The canonical JSON of ``{"base": str(base), "values": {str(i):
+    str(value)}}``, written directly from the value indices: one cached token
+    per vertex, escaped as ``canonical_json`` escapes strings."""
     order, keys = _sample_keys(f.domain.n_samples)
     tokens = _vertex_tokens(f.target)
     body = _members(keys, map(tokens.__getitem__, f.codes[order].tolist()))
-    return fnv1a64(f'{{"base":{tokens[f.base_code]},"values":{{{body}}}}}')
+    return f'{{"base":{tokens[f.base_code]},"values":{{{body}}}}}'
 
 
-def digest_radii(cert: CliqueCertificate) -> str:
-    """``fnv1a64(canonical_json(cert.to_json_dict()))`` for radii keyed by
-    the samples 0..n-1, as ``clique_certificate`` builds them, written
-    directly: keys in string order, the numbers from one canonical list,
-    whose separators no number contains."""
+def digest_map(f: DiscreteMap) -> str:
+    """``fnv1a64`` of the map's canonical JSON."""
+    return fnv1a64(_map_text(f))
+
+
+def _radii_text(cert: CliqueCertificate) -> str:
+    """``canonical_json(cert.to_json_dict())`` for radii keyed by the samples
+    0..n-1, as ``clique_certificate`` builds them, written directly: keys in
+    string order, the numbers from one canonical list, whose separators no
+    number contains."""
     order, keys = _sample_keys(len(cert.radii))
     numbers = canonical_json([cert.delta, *map(cert.radii.__getitem__, order.tolist())])
     delta, *radii = numbers[1:-1].split(",")
     body = _members(keys, radii)
-    return fnv1a64(f'{{"delta":{delta},"radii":{{{body}}}}}')
+    return f'{{"delta":{delta},"radii":{{{body}}}}}'
+
+
+def digest_radii(cert: CliqueCertificate) -> str:
+    """``fnv1a64(canonical_json(cert.to_json_dict()))``."""
+    return fnv1a64(_radii_text(cert))
 
 
 @dataclass
@@ -177,6 +237,9 @@ class PipelineArtifacts:
     final_map: DiscreteMap
     simplicial_map: SimplicialMap
     target: SimplicialComplex
+    #: hashed with the run's last stages; left None by other builders
+    radii_digest: str | None = None
+    final_digest: str | None = None
 
 
 def build_pipeline(
@@ -192,17 +255,22 @@ def build_pipeline(
     ``TooManySamples`` before any flood when ``extra_subdivisions`` would
     refine the domain past ``MAX_SAMPLES``, and before any subdivision when
     the chosen depth would.
+
+    Stage texts are queued and hashed in batches (``_DigestQueue``), and the
+    last batch, with the radii and the final map, after ``convex_transform``
+    passes: a map that fails its certificate never hashes it.
     """
     counts = domain.triangulation.counts()
     check_sample_budget(counts, extra_subdivisions)
     f0 = discrete_modify(sample_points, domain, graph)
-    digest = digest_map(f0)
+    queue = _DigestQueue()
+    digest = queue.add(_map_text(f0))  # the index of the digest, until flushed
     stage_log = [{"stage": "discrete_modify", "digest": digest, "changed": 0}]
     current = f0
     for v, radii, flooded in flood_stages(f0):
         changed = int(np.count_nonzero(flooded.codes != current.codes))
         if changed:
-            digest = digest_map(flooded)
+            digest = queue.add(_map_text(flooded))
         entry = {"stage": f"flood:{v}", "preimage": len(radii),
                  "changed": changed, "digest": digest}
         if radii:
@@ -231,6 +299,11 @@ def build_pipeline(
     target = vietoris_rips(graph, cap)
     m = convex_transform(f_final, triangulation, cert, target)
 
+    radii_at = queue.add(_radii_text(cert))
+    final_at = queue.add(_map_text(f_final)) if depth else digest
+    digests = queue.flush()
+    for entry in stage_log:
+        entry["digest"] = digests[entry["digest"]]
     return PipelineArtifacts(
         discrete=f0,
         flooded=current,
@@ -242,6 +315,8 @@ def build_pipeline(
         final_map=f_final,
         simplicial_map=m,
         target=target,
+        radii_digest=digests[radii_at],
+        final_digest=digests[final_at],
     )
 
 
@@ -323,7 +398,7 @@ def run_pipeline(
         "stages": art.stage_log,
         "certificate": {
             "delta": art.certificate.delta,
-            "radii_digest": digest_radii(art.certificate),
+            "radii_digest": art.radii_digest,
         },
         "depth": {"required": art.required_depth, "chosen": art.depth},
         "simplicial": True,  # induced_h1 refuses a map that is not simplicial
@@ -332,9 +407,7 @@ def run_pipeline(
             "source_betti1": ih1.source_betti1,
             "target_betti1": ih1.target_betti1,
         },
-        "final_digest": (
-            digest_map(art.final_map) if art.depth else art.stage_log[-1]["digest"]
-        ),
+        "final_digest": art.final_digest,
     }
     if check_sd:
         report["sd_compatible"] = sd_compatible

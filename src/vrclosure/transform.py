@@ -316,9 +316,11 @@ def _reflected_diameter(coords: np.ndarray, low: np.ndarray, high: np.ndarray,
     reach += 2.0**-40 * math.sqrt(d) * scale
     # cells of at least 2**-20 of the extent, so no cell index is clamped
     grid = _Grid(coords, max(reach, float((high - low)[:3].max()) * 2.0**-20))
-    # each sorted sample's candidates lie around its reflection
-    for *_, squares in grid.pairs(*grid.runs(grid.keys(2.0 * centre - grid.points.T))):
-        lower = max(lower, float(squares.max(initial=0.0)))
+    # each sorted sample's candidates lie around its reflection; emptying
+    # each block frees it before the next is built
+    for block in grid.pairs(*grid.runs(grid.keys(2.0 * centre - grid.points.T))):
+        lower = max(lower, float(block.pop().max(initial=0.0)))
+        block.clear()
     return math.sqrt(lower)
 
 
@@ -805,15 +807,17 @@ class _Grid:
         first = np.searchsorted(self.key, middle - 1)
         return first, np.searchsorted(self.key, middle + 1, side="right") - first
 
-    def pairs(self, first: np.ndarray, span: np.ndarray) -> Iterator[tuple]:
-        """Yields ``(a, b, count, column, squares)`` for the sorted samples
+    def pairs(self, first: np.ndarray, span: np.ndarray) -> Iterator[list]:
+        """Yields ``[a, b, count, column, squares]`` for the sorted samples
         ``a:b`` whose candidates are the runs ``first[i], span[i]`` of
         sorted positions: each row's candidate count, every candidate's
         position, row by row, and its square from the row's sample.  A
         block holds as many rows as keep their candidates and runs within
         half of ``BLOCK_CELLS`` (at least one).  Squares are summed one
         coordinate at a time, as in ``_squared_distances_to``, so each
-        equals the entry of the full scan bit for bit."""
+        equals the entry of the full scan bit for bit.  Only the yielded
+        list holds a block's arrays, so a consumer that empties it frees
+        them as soon as it drops its own references."""
         count = span.sum(axis=1)
         ends = np.concatenate(([0], np.cumsum(count + span.shape[1])))
         a = 0
@@ -829,7 +833,9 @@ class _Grid:
                 gap -= x[column]
                 gap *= gap
                 squares += gap
-            yield a, b, count[a:b], column, squares
+            block = [a, b, count[a:b], column, squares]
+            del column, squares, gap
+            yield block
             a = b
 
 
@@ -848,10 +854,13 @@ def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:
     fresh = np.concatenate(([True], key[1:] != key[:-1]))
     cell_of = np.cumsum(fresh) - 1
     first, span = grid.runs(key[fresh])  # per cell
-    for a, b, count, column, distances in grid.pairs(first[cell_of], span[cell_of]):
-        owner = np.repeat(np.arange(b - a), count)
+    for block in grid.pairs(first[cell_of], span[cell_of]):
+        a, b, count, column, distances = block
+        block.clear()
         near = np.sqrt(distances, out=distances) < cap
-        owner, column, distances = owner[near], grid.order[column[near]], distances[near]
+        owner = np.repeat(np.arange(b - a), count)[near]
+        column, distances = grid.order[column[near]], distances[near]
+        del near
         yield grid.order[a:b], owner, column, distances
 
 

@@ -1,5 +1,6 @@
 """Differential tests of the digest layer against the code it replaced: the
-numpy FNV-1a kernel against the byte loop, ``digest_map``'s directly written
+numpy FNV-1a kernel, one text or a batch of rows, against the byte loop, the
+kernel calls a pipeline run makes, ``digest_map``'s directly written
 text against the JSON of the old ``to_json_dict``, the pipeline's stage log,
 radii digest and final digest from int-coded maps against the flood stages
 on value dicts, ``cmd_build``'s spliced report against the dict it used to
@@ -9,6 +10,7 @@ per-simplex key sort."""
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from vrclosure import (
@@ -21,6 +23,7 @@ from vrclosure import (
     octahedron_graph,
     subdivide_domain,
 )
+from vrclosure import pipeline
 from vrclosure.cli import (
     build_sample_map,
     complex_to_json,
@@ -29,9 +32,12 @@ from vrclosure.cli import (
     parse_edge_list,
 )
 from vrclosure.complex import vietoris_rips
-from vrclosure.domains import circle_domain, icosphere_domain
+from vrclosure.domains import circle_domain, icosphere_domain, nearest_pole_map
 from vrclosure.pipeline import (
     FNV_CHUNK,
+    _DigestQueue,
+    _fnv_rows,
+    build_pipeline,
     canonical_json,
     digest_map,
     digest_radii,
@@ -119,6 +125,87 @@ class TestFnv1a:
         @hypothesis.given(st.one_of(st.text(), st.text(min_size=300), around_chunks))
         def check(text):
             assert fnv1a64(text) == digest_oracle.fnv1a64(text)
+
+        check()
+
+
+def ascii_text(seed, length):
+    rng = random.Random(seed)
+    return "".join(chr(rng.randrange(128)) for _ in range(length))
+
+
+def queued_digests(texts):
+    """The digests of ``texts`` hashed through one queue, in their order."""
+    queue = _DigestQueue()
+    at = [queue.add(text) for text in texts]
+    assert at == list(range(len(texts)))
+    return queue.flush()
+
+
+#: byte lengths either side of a word and of a chunk, and several chunks
+ROW_LENGTHS = [0, 1, 7, 8, 9, FNV_CHUNK - 1, FNV_CHUNK, FNV_CHUNK + 1, 3 * FNV_CHUNK + 5]
+
+
+class TestFnvRows:
+    """The kernel over rows of a batch, each padded with zero bytes to the
+    longest's whole words, against the byte loop one text at a time."""
+
+    def test_one_row(self):
+        for length in (0, 1, 8, 9, 1000, FNV_CHUNK):
+            raw = ascii_text(length, length).encode()
+            assert [f"{h:016x}" for h in _fnv_rows([raw])] == [digest_oracle.fnv1a64(raw.decode())]
+
+    @pytest.mark.parametrize("h", [pipeline.FNV_OFFSET, 0, (1 << 64) - 1, 0x1234567890ABCDEF])
+    def test_rows_of_one_batch_from_any_state(self, h):
+        # a chunk starts from the state the one before left: padding after a
+        # short row must not reach its low bytes, whatever state it starts from
+        raws = [ascii_text(n, n).encode() for n in (0, 1, 7, 8, 9, 64, 1000, 4095)]
+        want = []
+        for raw in raws:
+            state = h
+            for byte in raw:
+                state = ((state ^ byte) * pipeline.FNV_PRIME) & ((1 << 64) - 1)
+            want.append(state)
+        assert _fnv_rows(raws, h) == want
+        if h == pipeline.FNV_OFFSET:
+            assert [f"{state:016x}" for state in want] == [
+                digest_oracle.fnv1a64(raw.decode()) for raw in raws]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_lengths_in_any_order(self, seed):
+        texts = [ascii_text(n, n) for n in ROW_LENGTHS] * 2
+        random.Random(seed).shuffle(texts)
+        assert queued_digests(texts) == list(map(digest_oracle.fnv1a64, texts))
+
+    def test_many_short_rows(self):
+        # 600 rows of up to 40 bytes: several batches of up to 32 KB each
+        texts = [mixed_text(i, i % 13) for i in range(600)]
+        assert queued_digests(texts) == list(map(digest_oracle.fnv1a64, texts))
+
+    def test_no_texts(self):
+        assert _DigestQueue().flush() == []
+
+    @pytest.mark.parametrize("bound", [8, 16, 64, FNV_CHUNK - 8, FNV_CHUNK, 2 * FNV_CHUNK])
+    @pytest.mark.parametrize("char", ["\xe9", "\u2603", "\U0001f600"])
+    def test_multibyte_character_across_a_lane_bound(self, bound, char):
+        # every split of the character by a word bound, in rows of different
+        # lengths queued together; past FNV_CHUNK the bound is a chunk's
+        size = len(char.encode())
+        texts = ["q" * (bound - split) + char + "z" * (3 + 5 * split) for split in range(1, size)]
+        texts += ["short", char * 3]
+        assert queued_digests(texts) == list(map(digest_oracle.fnv1a64, texts))
+
+    def test_hypothesis_lists_of_texts(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        around_bounds = st.builds(mixed_text, st.integers(0, 1 << 16), st.sampled_from(
+            [0, 1, 7, 8, 9, 2000, FNV_CHUNK // 4 - 1, FNV_CHUNK // 2, FNV_CHUNK - 1, FNV_CHUNK + 1]))
+        texts = st.lists(st.one_of(st.text(), st.text(min_size=300), around_bounds), max_size=12)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(texts)
+        def check(texts):
+            assert queued_digests(texts) == list(map(digest_oracle.fnv1a64, texts))
 
         check()
 
@@ -255,6 +342,65 @@ class TestPipelineDigests:
         stages = run_digests(graph, dom, points)[0]
         assert len(stages) == 65
         assert assert_same_digests(graph, dom, points) == "ok"
+
+
+class TestKernelCalls:
+    """Kernel calls counted, not timed, as in ``TestWorkCounts``: every text
+    is hashed by a ``_fnv_rows`` call, so a run that hashed one stage at a
+    time would show as one call per changed stage."""
+
+    @pytest.fixture
+    def kernel_rows(self, monkeypatch):
+        """The byte length of each row, a list per kernel call; every call's
+        rows, padded to the longest's whole words, fit in ``FNV_CHUNK``."""
+        calls = []
+        real = pipeline._fnv_rows
+
+        def counted(raws, *args):
+            calls.append(list(map(len, raws)))
+            assert len(raws) * 8 * max(1, -(-max(calls[-1]) // 8)) <= FNV_CHUNK
+            return real(raws, *args)
+
+        monkeypatch.setattr(pipeline, "_fnv_rows", counted)
+        return calls
+
+    def test_certified_check_sd_run(self, kernel_rows):
+        # icosa:2's stage texts are about 1.5 KB: f0, the changed stages,
+        # the radii and no final map (depth 0) fit in one batch
+        graph, dom = octahedron_graph(), icosphere_domain(2)
+        report = run_pipeline(graph, dom, build_sample_map("nearest-vertex", dom, graph, 0), check_sd=True)
+        assert report["sd_compatible"] is True and report["depth"]["chosen"] == 0
+        assert len(kernel_rows) <= 2
+        changed = sum(1 for entry in report["stages"] if entry["changed"])
+        assert sum(map(len, kernel_rows)) == 1 + changed + 1
+
+    def test_flipped_map_fails_before_its_last_batch(self, kernel_rows):
+        # the bench's flipped shape: nearest-pole values on icosa:3 with a
+        # sample near a pole sent to the antipodal vertex.  The certificate
+        # rejects it; the batches full before then are all that is hashed,
+        # where one call per changed stage made 7
+        graph, dom = octahedron_graph(), icosphere_domain(3)
+        points = nearest_pole_map(dom, graph)
+        gaps = np.linalg.norm(dom.coords - [0.0, 1.0, 0.0], axis=1)
+        gaps[list(dom.basepoints)] = np.inf
+        sample = int(gaps.argmin())
+        points[sample] = BaryPoint.of_vertex(points[sample].carrier[0] ^ 1)
+        with pytest.raises(CertificateFailure) as failure:
+            build_pipeline(graph, dom, points)
+        assert failure.value.stage == "clique certificate" and sample in failure.value.pair
+        assert len(kernel_rows) <= 1
+
+    def test_many_stages_of_unequal_lengths(self, kernel_rows):
+        # C_512 on circle:2048, four samples per vertex: 512 flood stages
+        # whose texts, about 25 KB each, differ in length as labels of one
+        # to three digits replace each other; one text fits in a batch
+        graph, dom = cycle_graph(512), circle_domain(2048)
+        vertex = [BaryPoint.of_vertex(v) for v in graph.vertices]
+        points = {i: vertex[i // 4] for i in range(dom.n_samples)}
+        stage_log = build_pipeline(graph, dom, points).stage_log
+        assert len(stage_log) == 513 and all(entry["changed"] for entry in stage_log[1:])
+        assert len({n for rows in kernel_rows for n in rows}) > 1
+        assert stage_log == stage_oracle.pipeline_digests(graph, dom, points)[0]
 
 
 # -- the build report --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +196,29 @@ class TestMatrixFree:
             tracemalloc.stop()
         assert cert.delta > 0
         assert peak < 4 * transform.BLOCK_CELLS * 8
+
+    @pytest.mark.parametrize("consumer", ["certificate", "diameter"])
+    def test_grid_blocks_are_freed_before_the_next(self, consumer, monkeypatch):
+        # each block's unfiltered candidate positions and squares, one entry
+        # per candidate, are gone once its consumer asks for the next block;
+        # the certificate's near pairs drop them even before they are handed on
+        refs = []
+        pairs = transform._Grid.pairs
+
+        def watched(grid, first, span):
+            for block in pairs(grid, first, span):
+                refs.append([weakref.ref(block[3]), weakref.ref(block[4])])
+                yield block
+                assert [ref() for ref in refs[-1]] == [None, None]
+
+        monkeypatch.setattr(transform._Grid, "pairs", watched)
+        dom = circle_domain(2048)
+        if consumer == "diameter":
+            assert dom.diameter > 0
+        else:
+            for _ in transform._near_blocks(dom.coords, 2.0 * dom.eps_net):
+                assert [ref() for ref in refs[-1]] == [None, None]
+        assert refs
 
     @staticmethod
     def count_pairs(monkeypatch):
