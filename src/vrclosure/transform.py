@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product, repeat
+from itertools import pairwise, product, repeat
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -59,9 +59,9 @@ MAX_SAMPLES = 1 << 14
 WHOLE_SCAN_BLOCKS = 2
 
 
-#: columns per chunk of a pruned flood stage, each chunk with one bounding
-#: box: on icosa:5 the stages ran fastest with 16 (of 8, 16, 32, 64 and the
-#: square root of the column count)
+#: samples per chunk of a pruned flood stage's columns, each chunk with one
+#: bounding box: Z-order chunks ran fastest on icosa:5 with 16 (of 8, 16, 32,
+#: 64 and the column count's root), and grid cells of 16 or 32 run level
 CHUNK_COLUMNS = 16
 
 
@@ -194,6 +194,9 @@ class SampledDomain:
         self.coords = np.asarray(coords, dtype=float)
         if self.coords.ndim != 2 or 0 in self.coords.shape:
             raise ValueError("coords must be a nonempty (n, d) array")
+        finite = np.isfinite(self.coords).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"sample {int(finite.argmin())} has a non-finite coordinate")
         n = len(self.coords)
         for v in triangulation.vertices:
             if not isinstance(v, int) or not 0 <= v < n:
@@ -219,11 +222,11 @@ class SampledDomain:
         negation square to the same float.
 
         A domain whose upper triangle is at most ``WHOLE_SCAN_BLOCKS``
-        blocks of cells, or whose coordinates are not finite and moderate,
-        is scanned over the upper triangle.  Any other reads the pairs that
-        can beat a lower bound L, the largest square in the rows of sample 0
-        and of its farthest sample.  With c the centre of the bounding box, R = max |p - c| and
-        p' = 2c - p, the parallelogram law gives
+        blocks of cells, or whose coordinates are not moderate, is scanned
+        over the upper triangle.  Any other reads the pairs that can beat a
+        lower bound L, the largest square in the rows of sample 0 and of its
+        farthest sample.  With c the centre of the bounding box, R = max
+        |p - c| and p' = 2c - p, the parallelogram law gives
         |q - p'|^2 = 2|p - c|^2 + 2|q - c|^2 - |p - q|^2 <= 4R^2 - |p - q|^2,
         so a pair farther apart than L has q within sqrt(4R^2 - L^2) of p'.
         Those q come from the grid of ``_Grid`` around each p'; on a
@@ -239,29 +242,22 @@ class SampledDomain:
         if n * (n + 1) // 2 > WHOLE_SCAN_BLOCKS * BLOCK_CELLS:
             low, high = coords.min(axis=0), coords.max(axis=0)
             scale = float(np.abs([low, high]).max())
-            if 2.0**-400 < scale < 2.0**400:  # NaN fails too
+            if 2.0**-400 < scale < 2.0**400:
                 return _reflected_diameter(coords, low, high, scale)
         upper = (slice(lo, None) for lo in range(0, n, _block_rows(n)))
         blocks = _squared_blocks(coords, coords, upper)
         return math.sqrt(max(float(block.max()) for _, _, block in blocks))
 
     @cached_property
-    def spatial_order(self) -> np.ndarray:
-        """The samples along a Z-order (Morton) curve through 2**10 levels a
-        side of their first three coordinates, ties in sample order: runs of
-        it lie close together at every scale, so a flood block's bounding
-        box stays small (``_flood_scan``)."""
-        g = min(3, self.coords.shape[1])
-        x = self.coords[:, :g]
-        low, extent = x.min(axis=0), np.ptp(x, axis=0)
-        with np.errstate(invalid="ignore"):  # a NaN coordinate orders anywhere
-            level = np.nan_to_num((x - low) / np.where(extent > 0, extent, 1.0) * 1023.0)
-            level = level.astype(np.int64)
-        code = np.zeros(len(x), dtype=np.int64)
-        for bit in range(10):
-            for k in range(g):
-                code |= ((level[:, k] >> bit) & 1) << (g * bit + k)
-        return np.argsort(code, kind="stable")
+    def _flood_grid(self) -> _Grid:
+        """The ``_Grid`` whose cells chunk a pruned flood stage's columns,
+        of about ``CHUNK_COLUMNS`` samples each: a k-dimensional net of mesh
+        ``eps_net`` puts about (side / eps_net)**k samples in a cell, and a
+        curve side * pi/4 / eps_net, since pi/4 of a square's side is the
+        mean chord of a line across it (Cauchy-Crofton)."""
+        k = self.triangulation.dimension()
+        scale = CHUNK_COLUMNS ** (1.0 / k) if k > 1 else CHUNK_COLUMNS * 4.0 / math.pi
+        return _Grid(self.coords, self.eps_net * scale)
 
     @cached_property
     def eps_net(self) -> float:
@@ -318,7 +314,7 @@ def _reflected_diameter(coords: np.ndarray, low: np.ndarray, high: np.ndarray,
     grid = _Grid(coords, max(reach, float((high - low)[:3].max()) * 2.0**-20))
     # each sorted sample's candidates lie around its reflection; emptying
     # each block frees it before the next is built
-    for block in grid.pairs(*grid.runs(grid.keys(2.0 * centre - grid.points.T))):
+    for block in grid.pairs(*grid.runs(grid.cells(2.0 * centre - grid.points.T) @ grid.strides)):
         lower = max(lower, float(block.pop().max(initial=0.0)))
         block.clear()
     return math.sqrt(lower)
@@ -446,31 +442,30 @@ def _flood_scan(
     Each block of preimage rows gives ``reach``, the distance from each row's
     sample to the nearest sample a flooding ball must not contain: one whose
     value is not adjacent to ``v``, or a basepoint when ``v`` is not the base
-    value (inf when there is none).  Each row has a ``limit``: with
-    ``radii`` None the cap, half the diameter, and the radii are maximal,
-    ``reach`` capped at it, the least row with ``reach`` 0 failing;
-    otherwise its given radius, checked as row by row in preimage order
-    (``_given_radii``).  ``covered`` marks the union of the balls of radius
-    min(reach, limit) / 2, the half-radius balls of every stage that does
-    not fail.  Rows reach only the samples whose value is not
-    ``v``: writing ``v`` over ``v`` changes nothing, and every sample to
-    avoid is among them, so a single-valued map reads no column and
-    ``covered`` counts the samples the overwrite changes.
+    value (inf when there is none).  Each row has a ``limit``: with ``radii``
+    None the cap, half the diameter, and the radii are maximal, ``reach``
+    capped at it, the least row with ``reach`` 0 failing; otherwise its given
+    radius, checked as row by row in preimage order (``_given_radii``).
+    ``covered`` marks the union of the balls of radius min(reach, limit) / 2,
+    the half-radius balls of every stage that does not fail.  Rows reach only
+    the samples whose value is not ``v``: writing ``v`` over ``v`` changes
+    nothing, and every sample to avoid is among them, so a single-valued map
+    reads no column and ``covered`` counts the samples the overwrite changes.
 
     Each block's squares are rooted in place, so ``reach`` and the ball test
-    ``d < r / 2`` read the kernel's distances.  A block holds
-    ``BLOCK_CELLS`` // columns rows.  A stage of at most
-    ``WHOLE_SCAN_BLOCKS`` blocks of cells, rows by columns, is scanned
-    whole.  A larger one goes in the domain's ``spatial_order``, with its
-    columns, so a block's rows lie close together, and a block sends to the
-    kernel only the chunks of columns its bounding box can reach
-    (``_reached_chunks``).  A row that reaches no sample to avoid gets inf,
-    so exactly its limit.  Box gaps are squared and summed as the kernel
-    sums, so a box's distance is never above the kernel's distance of a
-    pair inside it, and a chunk left out holds no cell that could change a
-    radius, a failure or ``covered``; a coincident pair is never left out.
-    Rows fail, and are capped, after the last block, so the failure is the
-    least failing row in preimage order.
+    ``d < r / 2`` read the kernel's distances.  A block holds ``BLOCK_CELLS``
+    // columns rows.  A stage of at most ``WHOLE_SCAN_BLOCKS`` blocks of
+    cells, rows by columns, is scanned whole.  A larger one takes its rows and
+    columns in the order of the domain's ``_flood_grid``, so a block's rows
+    lie close together, and a block sends to the kernel only the chunks of
+    columns, one per grid cell, that its bounding box can reach
+    (``_reached_chunks``).  A row that reaches no sample to avoid gets inf, so
+    exactly its limit.  Box gaps are squared and summed as the kernel sums, so
+    a box's distance is never above the kernel's distance of a pair inside it,
+    and a chunk left out holds no cell that could change a radius, a failure
+    or ``covered``; a coincident pair is never left out.  Rows fail, and are
+    capped, after the last block, so the failure is the least failing row in
+    preimage order.
     """
     n = f.domain.n_samples
     covered = np.zeros(n, dtype=bool)
@@ -486,10 +481,10 @@ def _flood_scan(
         r, problem = _given_radii(preimage, radii)
     pruned = len(r) * (n - len(preimage)) > WHOLE_SCAN_BLOCKS * BLOCK_CELLS
     if pruned:
-        spatial = f.domain.spatial_order
-        mine = f.codes[spatial] == c
-        columns = spatial[~mine]
-        order = np.searchsorted(preimage, spatial[mine])
+        grid = f.domain._flood_grid
+        mine = f.codes[grid.order] == c
+        columns, keys = grid.order[~mine], grid.key[~mine]
+        order = np.searchsorted(preimage, grid.order[mine])
         order = order[order < len(r)]
     else:
         columns, order = np.flatnonzero(f.codes != c), np.arange(len(r))
@@ -502,7 +497,7 @@ def _flood_scan(
     targets = f.domain.coords[columns]
     points = f.domain.coords[preimage[order]]
     limit = r[order]  # the cap, or the given radii
-    keeps = _reached_chunks(points, targets, avoid, limit) if pruned else None
+    keeps = _reached_chunks(points, targets, keys, avoid, limit) if pruned else None
     reach = np.full(len(order), np.inf)  # each row's distance to the nearest sample to avoid
     reached = np.zeros(len(columns), dtype=bool)  # inside a half-radius ball
     for lo, keep, block in _squared_blocks(points, targets, keeps):
@@ -545,21 +540,21 @@ def _given_radii(preimage: np.ndarray, radii: Mapping[int, float]) -> tuple:
     return r, None
 
 
-def _reached_chunks(points: np.ndarray, targets: np.ndarray, avoid: np.ndarray,
-                    limit: np.ndarray) -> Iterator[np.ndarray]:
+def _reached_chunks(points: np.ndarray, targets: np.ndarray, keys: np.ndarray,
+                    avoid: np.ndarray, limit: np.ndarray) -> Iterator[np.ndarray]:
     """Yields, for each block of rows of ``points`` that ``_squared_blocks``
-    scans against ``targets``, the columns of ``targets`` in the chunks of
-    ``CHUNK_COLUMNS`` that the block can reach: a chunk is reached when it
-    holds a sample to ``avoid`` closer to the block's bounding box than the
-    block's largest ``limit``, or any sample closer than half of it.  The
-    boxes of as many blocks as make ``BLOCK_CELLS`` box pairs are tested at
-    once."""
+    scans against ``targets``, the columns of ``targets`` in the chunks it
+    can reach.  A chunk is a run of equal cell ``keys``; it is reached when
+    it holds a sample to ``avoid`` closer to the block's bounding box than
+    the block's largest ``limit``, or any sample closer than half of it.
+    Boxes are tested for as many blocks as make ``BLOCK_CELLS`` box pairs,
+    and columns listed for as many as keep ``BLOCK_CELLS``, at once."""
     step = _block_rows(len(targets))
-    starts = np.arange(0, len(targets), CHUNK_COLUMNS)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sizes = np.diff(starts, append=len(targets))
     chunk_low = np.minimum.reduceat(targets, starts).T[:, None]
     chunk_high = np.maximum.reduceat(targets, starts).T[:, None]
     chunk_avoids = np.logical_or.reduceat(avoid, starts)
-    lanes, tail = np.arange(CHUNK_COLUMNS), len(starts) * CHUNK_COLUMNS - len(targets)
     batch = max(1, BLOCK_CELLS // len(starts)) * step
     for lo in range(0, len(points), batch):
         blocks = np.arange(lo, min(lo + batch, len(points)), step)
@@ -567,24 +562,31 @@ def _reached_chunks(points: np.ndarray, targets: np.ndarray, avoid: np.ndarray,
                                     np.maximum.reduceat(points, blocks).T[:, :, None],
                                     chunk_low, chunk_high))
         largest = np.maximum.reduceat(limit, blocks)[:, None]
-        near = gaps < largest
-        near &= chunk_avoids
-        near |= gaps < largest / 2.0
-        owner, chunk = np.nonzero(near)
-        cuts = np.searchsorted(owner, np.arange(len(blocks) + 1))
-        for j in range(len(blocks)):
-            keep = (chunk[cuts[j] : cuts[j + 1], None] * CHUNK_COLUMNS + lanes).ravel()
-            yield keep[: len(keep) - tail] if near[j, -1] else keep
+        near = (gaps < largest) & chunk_avoids | (gaps < largest / 2.0)
+        ends = np.concatenate(([0], np.cumsum(near @ sizes)))  # where each block's columns start
+        a = 0
+        while a < len(blocks):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS, side="right")) - 1)
+            chunk = np.nonzero(near[a:b])[1]
+            keep = _ranges(starts[chunk], sizes[chunk])
+            yield from (keep[i:j] for i, j in pairwise((ends[a : b + 1] - ends[a]).tolist()))
+            a = b
+
+
+def _ranges(first: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The ranges ``first[i] : first[i] + span[i]``, one after another."""
+    out = np.repeat(first - np.cumsum(span) + span, span)
+    out += np.arange(len(out))
+    return out
 
 
 def _box_squares(low: np.ndarray, high: np.ndarray, box_low: np.ndarray,
                  box_high: np.ndarray) -> np.ndarray:
     """Squared distance from the box ``[low, high]`` to each box of
-    ``[box_low, box_high]`` (one coordinate per array row).  Gaps are
-    squared and summed one coordinate at a time, as in
-    ``_squared_distances_to``; rounding never decreases, so each gap and
-    the sum are at most the kernel's for any point in the one box and any
-    point in the other."""
+    ``[box_low, box_high]`` (one coordinate per array row).  Gaps are squared
+    and summed one coordinate at a time, as in ``_squared_distances_to``;
+    rounding never decreases, so each gap and the sum are at most the kernel's
+    for any point in the one box and any point in the other."""
     out = np.zeros(np.broadcast_shapes(low.shape[1:], box_low.shape[1:]))
     for a, b, x_low, x_high in zip(low, high, box_low, box_high):
         gap = np.maximum(a - x_high, x_low - b)
@@ -796,9 +798,6 @@ class _Grid:
         cells = np.floor((points[:, : self.g] - self.origin) / self.side)
         return np.fmax(np.fmin(cells, 2.0**20), -1.0).astype(np.int64) + 1
 
-    def keys(self, points: np.ndarray) -> np.ndarray:
-        return self.cells(points) @ self.strides
-
     def runs(self, keys: np.ndarray) -> tuple:
         """``(first, span)``: per cell key, the index in the sorted keys and
         the length of each run of the cells beside it."""
@@ -823,10 +822,7 @@ class _Grid:
         a = 0
         while a < len(count):
             b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS // 2, side="right")) - 1)
-            runs = span[a:b].ravel()
-            column = np.repeat(first[a:b].ravel() - np.cumsum(runs) + runs, runs)
-            del runs
-            column += np.arange(len(column))
+            column = _ranges(first[a:b].ravel(), span[a:b].ravel())
             squares = np.zeros(len(column))
             for p, x in zip(self.points[:, a:b], self.points):
                 gap = np.repeat(p, count[a:b])

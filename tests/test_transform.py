@@ -85,6 +85,17 @@ class TestSampledDomain:
         assert dom.diameter == 3.0
         assert simplex_diameter(dom, (1, 2)) == 2.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_are_refused(self, bad):
+        # a NaN coordinate would run the pipeline to an ordinary report and
+        # an inf would end in an IndexError from the flood chunks; the first
+        # offending sample is named
+        circle = circle_domain(64)
+        coords = circle.coords.copy()
+        coords[[9, 5], [0, 1]] = bad
+        with pytest.raises(ValueError, match="^sample 5 has a non-finite coordinate$"):
+            SampledDomain(coords, circle.triangulation, basepoints=(0,))
+
     def test_eps_net_is_the_mesh_or_one(self):
         dom = chain_domain([0, 1, 3])
         assert dom.eps_net == dom.max_simplex_diameter() == 2.0
@@ -359,13 +370,28 @@ class TestMatrixFree:
             current = flooded
         assert full > 0 and cells < full / 4
 
+    def test_flood_chunks_lie_in_one_grid_cell(self, monkeypatch):
+        # each chunk of a pruned stage holds the columns of one cell of the
+        # domain's flood grid, so its box is at most a cell side wide in each
+        # grid coordinate, whatever jumps the sorted cell keys make
+        dom = icosphere_domain(5)
+        octa = octahedron_graph()
+        f = discrete_modify(nearest_pole_map(dom, octa, rotation=random_rotation(3)), dom, octa)
+        boxes = self.count_calls(monkeypatch, "_box_squares")
+        for _ in flood_stages(f):
+            pass
+        grid = dom._flood_grid
+        assert boxes and grid.side < dom.diameter / 8
+        for _, _, low, high in boxes:
+            assert (high - low)[: grid.g].max() <= grid.side
+
     def test_flood_stage_peak_stays_under_four_blocks(self):
         # one workspace of two blocks, the chunks' boxes and a few arrays of
         # one entry per sample
         dom = circle_domain(2048)
         c4 = cycle_graph(4)
         f = discrete_modify(quarter_arc_map(dom, c4), dom, c4)
-        dom.diameter, dom.spatial_order
+        dom.diameter, dom._flood_grid
         tracemalloc.start()
         try:
             radii = flood_stage_radii(f, 0)
