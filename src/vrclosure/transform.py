@@ -65,29 +65,34 @@ WHOLE_SCAN_BLOCKS = 2
 CHUNK_COLUMNS = 16
 
 
+def _sum_squares(gaps: Iterator[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The sum of the squares of ``gaps``, one array per coordinate, into
+    ``out``: the first gap's square, then each next one's added in coordinate
+    order.  Each gap is squared in place, so one scratch array may serve them
+    all.
+
+    Every squared distance in this module is summed here, so any two of them
+    between the same points are equal bit for bit.  numpy sums a last axis of
+    up to 7 entries in the same sequential order, so for d <= 7 coordinates
+    the root of each sum equals ``sqrt(((p - x) ** 2).sum(axis=-1))`` and
+    ``norm(p - x, axis=-1)`` bit for bit; from 8 on numpy sums pairwise and
+    they may differ in the last bit.  Rounding is monotone, so gaps each at
+    most a pair's in magnitude sum to at most the pair's square.
+    """
+    np.square(next(gaps), out=out)
+    for gap in gaps:
+        out += np.square(gap, out=gap)
+    return out
+
+
 def _squared_distances_to(
     points: np.ndarray, columns: np.ndarray, out: np.ndarray, gap: np.ndarray
 ) -> np.ndarray:
-    """Squared Euclidean distance from each point to each target, into ``out``.
-
-    ``columns`` holds the targets' coordinates transposed, one row per
-    coordinate, and ``gap`` is scratch of ``out``'s shape.  Squared gaps are
-    summed one coordinate at a time, starting from the first coordinate's.
-    numpy sums a last axis of up to 7 entries in the same sequential order,
-    so for d <= 7 coordinates the root of each cell equals
-    ``sqrt(((p[:, None] - x[None]) ** 2).sum(axis=2))`` and each row
-    ``norm(x - p, axis=1)`` bit for bit; from 8 on numpy sums pairwise and
-    they may differ in the last bit.
-    """
-    pairs = zip(points.T, columns)
-    p_column, x_column = next(pairs)
-    np.subtract.outer(p_column, x_column, out=out)
-    out *= out
-    for p_column, x_column in pairs:
-        np.subtract.outer(p_column, x_column, out=gap)
-        gap *= gap
-        out += gap
-    return out
+    """Squared Euclidean distance from each point to each target, into
+    ``out`` (``_sum_squares``).  ``columns`` holds the targets' coordinates
+    transposed, one row per coordinate, and ``gap`` is scratch of ``out``'s
+    shape."""
+    return _sum_squares((np.subtract.outer(p, x, out=gap) for p, x in zip(points.T, columns)), out)
 
 
 def _block_rows(columns: int) -> int:
@@ -194,9 +199,14 @@ class SampledDomain:
         self.coords = np.asarray(coords, dtype=float)
         if self.coords.ndim != 2 or 0 in self.coords.shape:
             raise ValueError("coords must be a nonempty (n, d) array")
-        finite = np.isfinite(self.coords).all(axis=1)
+        magnitude = np.abs(self.coords).max(axis=1)  # NaN or inf where a coordinate is
+        finite = np.isfinite(magnitude)
         if not finite.all():
             raise ValueError(f"sample {int(finite.argmin())} has a non-finite coordinate")
+        top = int(magnitude.argmax())  # squared gaps overflow above the band and underflow below
+        if not (magnitude[top] == 0.0 or 2.0**-400 < magnitude[top] < 2.0**400):
+            raise ValueError(f"sample {top} has the largest coordinate magnitude, {magnitude[top]:g}, "
+                             "outside (2**-400, 2**400), where squared gaps overflow or underflow")
         n = len(self.coords)
         for v in triangulation.vertices:
             if not isinstance(v, int) or not 0 <= v < n:
@@ -222,8 +232,8 @@ class SampledDomain:
         negation square to the same float.
 
         A domain whose upper triangle is at most ``WHOLE_SCAN_BLOCKS``
-        blocks of cells, or whose coordinates are not moderate, is scanned
-        over the upper triangle.  Any other reads the pairs that can beat a
+        blocks of cells, or whose coordinates are all zero, is scanned over
+        the upper triangle.  Any other reads the pairs that can beat a
         lower bound L, the largest square in the rows of sample 0 and of its
         farthest sample.  With c the centre of the bounding box, R = max
         |p - c| and p' = 2c - p, the parallelogram law gives
@@ -239,11 +249,8 @@ class SampledDomain:
         """
         coords = self.coords
         n = len(coords)
-        if n * (n + 1) // 2 > WHOLE_SCAN_BLOCKS * BLOCK_CELLS:
-            low, high = coords.min(axis=0), coords.max(axis=0)
-            scale = float(np.abs([low, high]).max())
-            if 2.0**-400 < scale < 2.0**400:
-                return _reflected_diameter(coords, low, high, scale)
+        if n * (n + 1) // 2 > WHOLE_SCAN_BLOCKS * BLOCK_CELLS and coords.any():
+            return _reflected_diameter(coords)
         upper = (slice(lo, None) for lo in range(0, n, _block_rows(n)))
         blocks = _squared_blocks(coords, coords, upper)
         return math.sqrt(max(float(block.max()) for _, _, block in blocks))
@@ -266,18 +273,11 @@ class SampledDomain:
         return mesh if mesh > 0 else 1.0
 
     def edge_lengths(self, edges: Sequence) -> np.ndarray:
-        """Distance between the endpoints of each sample pair ``(u, w)``.
-
-        Gaps are gathered and squared one coordinate at a time, the sum of
-        ``_squared_distances_to``, so each length equals the row entry bit
-        for bit.
-        """
-        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        total = np.zeros(len(pairs))
-        for column in self.coords.T:
-            gap = column[pairs[:, 0]] - column[pairs[:, 1]]
-            total += gap * gap
-        return np.sqrt(total)
+        """Distance between the endpoints of each sample pair ``(u, w)``,
+        from gathered coordinate gaps (``_sum_squares``)."""
+        u, w = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+        gaps = (column[u] - column[w] for column in self.coords.T)
+        return np.sqrt(_sum_squares(gaps, np.empty(len(u))))
 
     def max_simplex_diameter(self) -> float:
         """Mesh of the triangulation: its longest edge, 0.0 without edges.
@@ -295,21 +295,20 @@ class SampledDomain:
         return float(lengths.max()) if lengths.size else 0.0
 
 
-def _reflected_diameter(coords: np.ndarray, low: np.ndarray, high: np.ndarray,
-                        scale: float) -> float:
-    """The diameter of samples in the box ``[low, high]`` whose largest
-    coordinate magnitude is ``scale``, from the pairs that can beat the
-    double sweep's lower bound (``SampledDomain.diameter``)."""
+def _reflected_diameter(coords: np.ndarray) -> float:
+    """The diameter of samples not all at the origin, from the pairs that
+    can beat the double sweep's lower bound (``SampledDomain.diameter``)."""
     d = coords.shape[1]
     row = _squared_row(coords, 0)
     far = int(row.argmax())
     lower = max(float(row.max()), float(_squared_row(coords, far).max()))
+    low, high = coords.min(axis=0), coords.max(axis=0)
     centre = (low + high) / 2.0
-    offset = coords - centre
     slack = (d + 4) * 2.0**-50
-    spread = 4.0 * float(np.einsum("ij,ij->i", offset, offset).max()) * (1.0 + slack)
+    offsets = _sum_squares((column - c for column, c in zip(coords.T, centre)), np.empty(len(coords)))
+    spread = 4.0 * float(offsets.max()) * (1.0 + slack)
     reach = math.sqrt(max(spread - lower * (1.0 - slack), 0.0)) * (1.0 + slack)
-    reach += 2.0**-40 * math.sqrt(d) * scale
+    reach += 2.0**-40 * math.sqrt(d) * float(np.abs([low, high]).max())
     # cells of at least 2**-20 of the extent, so no cell index is clamped
     grid = _Grid(coords, max(reach, float((high - low)[:3].max()) * 2.0**-20))
     # each sorted sample's candidates lie around its reflection; emptying
@@ -460,10 +459,10 @@ def _flood_scan(
     lie close together, and a block sends to the kernel only the chunks of
     columns, one per grid cell, that its bounding box can reach
     (``_reached_chunks``).  A row that reaches no sample to avoid gets inf, so
-    exactly its limit.  Box gaps are squared and summed as the kernel sums, so
-    a box's distance is never above the kernel's distance of a pair inside it,
-    and a chunk left out holds no cell that could change a radius, a failure
-    or ``covered``; a coincident pair is never left out.  Rows fail, and are
+    exactly its limit.  A box's distance is never above the kernel's distance
+    of a pair inside it (``_box_squares``), so a chunk left out holds no cell
+    that could change a radius, a failure or ``covered``; a coincident pair
+    is never left out.  Rows fail, and are
     capped, after the last block, so the failure is the least failing row in
     preimage order.
     """
@@ -564,13 +563,21 @@ def _reached_chunks(points: np.ndarray, targets: np.ndarray, keys: np.ndarray,
         largest = np.maximum.reduceat(limit, blocks)[:, None]
         near = (gaps < largest) & chunk_avoids | (gaps < largest / 2.0)
         ends = np.concatenate(([0], np.cumsum(near @ sizes)))  # where each block's columns start
-        a = 0
-        while a < len(blocks):
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS, side="right")) - 1)
+        for a, b in _cuts(ends, BLOCK_CELLS):
             chunk = np.nonzero(near[a:b])[1]
             keep = _ranges(starts[chunk], sizes[chunk])
             yield from (keep[i:j] for i, j in pairwise((ends[a : b + 1] - ends[a]).tolist()))
-            a = b
+
+
+def _cuts(ends: np.ndarray, cells: int) -> Iterator[tuple]:
+    """Yields ``(a, b)``, consecutive runs of the items ``i`` whose sizes
+    are ``ends[i + 1] - ends[i]``: as many items as keep their sizes within
+    ``cells``, at least one."""
+    a = 0
+    while a < len(ends) - 1:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + cells, side="right")) - 1)
+        yield a, b
+        a = b
 
 
 def _ranges(first: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -583,17 +590,12 @@ def _ranges(first: np.ndarray, span: np.ndarray) -> np.ndarray:
 def _box_squares(low: np.ndarray, high: np.ndarray, box_low: np.ndarray,
                  box_high: np.ndarray) -> np.ndarray:
     """Squared distance from the box ``[low, high]`` to each box of
-    ``[box_low, box_high]`` (one coordinate per array row).  Gaps are squared
-    and summed one coordinate at a time, as in ``_squared_distances_to``;
-    rounding never decreases, so each gap and the sum are at most the kernel's
-    for any point in the one box and any point in the other."""
-    out = np.zeros(np.broadcast_shapes(low.shape[1:], box_low.shape[1:]))
-    for a, b, x_low, x_high in zip(low, high, box_low, box_high):
-        gap = np.maximum(a - x_high, x_low - b)
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        out += gap
-    return out
+    ``[box_low, box_high]`` (one coordinate per array row), summed by
+    ``_sum_squares``: each gap is at most that of any point in the one box
+    and any point in the other, so the sum is at most their square."""
+    gaps = (np.maximum(np.maximum(a - x_high, x_low - b), 0.0)
+            for a, b, x_low, x_high in zip(low, high, box_low, box_high))
+    return _sum_squares(gaps, np.empty(np.broadcast_shapes(low.shape[1:], box_low.shape[1:])))
 
 
 def _overwritten(f: DiscreteMap, v: Vertex, covered: np.ndarray) -> DiscreteMap:
@@ -810,29 +812,18 @@ class _Grid:
         """Yields ``[a, b, count, column, squares]`` for the sorted samples
         ``a:b`` whose candidates are the runs ``first[i], span[i]`` of
         sorted positions: each row's candidate count, every candidate's
-        position, row by row, and its square from the row's sample.  A
-        block holds as many rows as keep their candidates and runs within
-        half of ``BLOCK_CELLS`` (at least one).  Squares are summed one
-        coordinate at a time, as in ``_squared_distances_to``, so each
-        equals the entry of the full scan bit for bit.  Only the yielded
-        list holds a block's arrays, so a consumer that empties it frees
-        them as soon as it drops its own references."""
+        position, row by row, and its square from the row's sample
+        (``_sum_squares``).  A block holds as many rows as keep their
+        candidates and runs within half of ``BLOCK_CELLS`` (``_cuts``).
+        Only the yielded list holds a block's arrays, so a consumer that
+        empties it frees them as soon as it drops its own references."""
         count = span.sum(axis=1)
-        ends = np.concatenate(([0], np.cumsum(count + span.shape[1])))
-        a = 0
-        while a < len(count):
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] + BLOCK_CELLS // 2, side="right")) - 1)
+        for a, b in _cuts(np.concatenate(([0], np.cumsum(count + span.shape[1]))), BLOCK_CELLS // 2):
             column = _ranges(first[a:b].ravel(), span[a:b].ravel())
-            squares = np.zeros(len(column))
-            for p, x in zip(self.points[:, a:b], self.points):
-                gap = np.repeat(p, count[a:b])
-                gap -= x[column]
-                gap *= gap
-                squares += gap
-            block = [a, b, count[a:b], column, squares]
-            del column, squares, gap
+            gaps = (np.repeat(p, count[a:b]) - x[column] for p, x in zip(self.points[:, a:b], self.points))
+            block = [a, b, count[a:b], column, _sum_squares(gaps, np.empty(len(column)))]
+            del column
             yield block
-            a = b
 
 
 def _near_blocks(coords: np.ndarray, cap: float) -> Iterator[tuple]:

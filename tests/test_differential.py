@@ -13,7 +13,7 @@ eliminations; clique enumeration must match networkx."""
 import math
 import random
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -604,8 +604,10 @@ def symmetric_cloud(n, dim, seed, duplicates=0):
 
 def assert_reads_match_oracle(dom):
     """Rooted squared blocks (all rows and a selection), the diameter, edge
-    lengths and a failure's distance row equal the broadcast formula's
-    matrix entries bit for bit."""
+    lengths, a failure's distance row, the grid's near pairs under a cap
+    above the diameter and the distances between one-point boxes equal the
+    broadcast formula's matrix entries bit for bit; the distance between the
+    bounding boxes of two sample subsets is at most any of their pairs'."""
     coords = dom.coords
     n = dom.n_samples
     seen = 0
@@ -628,6 +630,24 @@ def assert_reads_match_oracle(dom):
     assert np.array_equal(dom.edge_lengths(edges), want)
     for y in {0, n // 2, n - 1}:
         assert np.array_equal(transform._distance_row(coords, y), oracle_distances(coords[[y]], coords)[0])
+    # every ordered pair is near, each row owning all n of its pairs once
+    owners = []
+    for near_rows, owner, columns, near in transform._near_blocks(coords, np.nextafter(largest, np.inf)):
+        m = len(near_rows)
+        assert np.array_equal(owner, np.repeat(np.arange(m), n))
+        assert np.array_equal(np.sort(columns.reshape(m, n), axis=1), np.tile(np.arange(n), (m, 1)))
+        assert np.array_equal(near, oracle_distances(coords[near_rows], coords)[owner, columns])
+        owners.append(near_rows)
+    assert np.array_equal(np.sort(np.concatenate(owners)), np.arange(n))
+    points, box = coords[rows].T[:, :, None], coords.T[:, None]
+    squares = transform._box_squares(points, points, box, box)
+    assert np.array_equal(np.sqrt(squares), oracle_distances(coords[rows], coords))
+    subsets = [rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False) for _ in range(12)]
+    low = np.array([coords[s].min(axis=0) for s in subsets]).T
+    high = np.array([coords[s].max(axis=0) for s in subsets]).T
+    gaps = np.sqrt(transform._box_squares(low[:, :, None], high[:, :, None], low[:, None], high[:, None]))
+    for (i, a), (j, b) in product(enumerate(subsets), repeat=2):
+        assert gaps[i, j] <= oracle_distances(coords[a], coords[b]).min()
 
 
 class TestMatrixFreeReadsDifferential:

@@ -66,3 +66,42 @@ def test_private_names_are_read(module):
 def test_a_name_read_only_by_itself_is_unread():
     source = "_LIMIT = 3\n\ndef _loop(n):\n    return _loop(n - 1)\n\ndef _caller():\n    return _LIMIT\n"
     assert unread({"m": ast.parse(source)}, "m") == ["_loop", "_caller"]
+
+
+SQUARING_CALLS = {"square", "einsum", "dot", "hypot", "linalg"}
+
+
+def squarings(tree, keeper="_sum_squares"):
+    """Line numbers outside the function ``keeper`` that square or sum a gap:
+    a call named or reached through one of ``SQUARING_CALLS``, ``x *= x``,
+    ``x * x`` or ``x ** 2``."""
+    kept = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == keeper
+            for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        if id(node) in kept:
+            continue
+        if isinstance(node, ast.Call):
+            squares = bool(SQUARING_CALLS & set(reads(node.func)))
+        elif isinstance(node, (ast.AugAssign, ast.BinOp)):
+            left, right = (node.target, node.value) if isinstance(node, ast.AugAssign) else (node.left, node.right)
+            squares = (isinstance(node.op, ast.Mult) and ast.unparse(left) == ast.unparse(right)
+                       or isinstance(node.op, ast.Pow) and ast.unparse(right) in ("2", "2.0"))
+        else:
+            continue
+        if squares:
+            yield node.lineno
+
+
+def test_only_sum_squares_squares_gaps_in_transform():
+    # every distance of the sampled layers is summed in one order, so that a
+    # box, a grid candidate or an edge equals or bounds the kernel's cell
+    assert list(squarings(trees()["transform.py"])) == []
+
+
+def test_squarings_are_found():
+    source = (
+        "def _sum_squares(gap, out):\n    gap *= gap\n    return np.square(gap, out=out)\n\n"
+        "def other(x, y):\n    x *= x\n    x *= y\n    y = x * x + x * y + x ** 2 + x ** 3\n"
+        "    return np.linalg.norm(x) + np.einsum('i,i', x, x) + x.dot(x) + math.hypot(x, y)\n"
+    )
+    assert sorted(squarings(ast.parse(source))) == [6, 8, 8, 9, 9, 9, 9]

@@ -96,6 +96,26 @@ class TestSampledDomain:
         with pytest.raises(ValueError, match="^sample 5 has a non-finite coordinate$"):
             SampledDomain(coords, circle.triangulation, basepoints=(0,))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**399, 2.0**-401])
+    def test_coordinates_whose_squares_overflow_or_underflow_are_refused(self, scale):
+        # squared gaps overflowed at 1e200, where the certificate failed
+        # samples 0 and 32, and underflowed to 0 at 1e-200, where flood stage
+        # 0 failed them as coincident.  Sample 5 holds the largest magnitude,
+        # twice the scale: 2**400 and 2**-400 at the last two, the band's ends
+        circle = circle_domain(64)
+        coords = circle.coords * scale
+        coords[5, 0] = 2.0 * scale
+        with pytest.raises(ValueError, match="^sample 5 has the largest coordinate magnitude"):
+            SampledDomain(coords, circle.triangulation, basepoints=(0,))
+
+    @pytest.mark.parametrize("scale", [2.0**399, 2.0**-399])
+    def test_pipeline_passes_just_inside_the_band(self, scale):
+        from vrclosure.pipeline import run_pipeline
+
+        circle, c4 = circle_domain(64), cycle_graph(4)
+        dom = SampledDomain(circle.coords * scale, circle.triangulation, basepoints=(0,))
+        assert run_pipeline(c4, dom, quarter_arc_map(dom, c4))["h1"]["rank"] == 1
+
     def test_eps_net_is_the_mesh_or_one(self):
         dom = chain_domain([0, 1, 3])
         assert dom.eps_net == dom.max_simplex_diameter() == 2.0
