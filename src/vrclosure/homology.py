@@ -9,11 +9,13 @@ big-int negation or mask.  Pivoting from the top, as Ripser's coboundary
 reduction does, keeps dense flag complexes short in their own vertex order.
 No column whose fate is known in advance is reduced:
 
-* beta_0 and the rank of the edge boundary come from a union-find spanning
-  forest, with no elimination at all;
-* the higher ranks come from coboundaries in increasing dimension, skipping
-  the columns that the forest or the previous level's pivots prove dependent
-  (clearing, as in Chen and Kerber's twist and in Ripser);
+* beta_0 and the rank of the edge boundary come from a spanning forest
+  found by Borůvka's rounds in numpy, the same forest that union-find joins
+  in edge order, with no elimination at all;
+* the higher ranks come from coboundaries in increasing dimension, whose
+  columns are built only where the forest or the previous level's pivots do
+  not prove them dependent (clearing, as in Chen and Kerber's twist and in
+  Ripser), and reduced from the highest position down;
 * the H1 basis is collected only until beta_1 cycles have survived.
 """
 
@@ -76,42 +78,73 @@ def boundary_columns(k: SimplicialComplex, dim: int) -> list:
     return [sum(map((1).__lshift__, row)) for row in zip(*k.facets(dim).T.tolist())]
 
 
-def _spanning_forest(k: SimplicialComplex) -> set:
-    """Positions in ``k.rows[1]`` of the edges that union-find, run over
-    the edges in order, joins into a spanning forest.  Its size is the rank
-    of the edge boundary map."""
-    root = list(range(len(k.vertices)))
+def _spanning_forest(k: SimplicialComplex) -> np.ndarray:
+    """Mask over ``k.rows[1]`` of the spanning forest that union-find, run
+    over the edges in order, joins: the minimum spanning forest under
+    position weights, unique as they are distinct.  Its size is the rank of
+    the edge boundary map.
 
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
+    Borůvka's rounds find it in a fixed number of numpy passes a round:
+    every component takes its least edge to another and hooks onto the
+    component at its other end, a pair that took the same edge is rooted at
+    its smaller component, and pointer jumping relabels the merged
+    components.  Each round at least halves the components with edges left."""
+    u, w = k.rows[1].T
+    forest = np.zeros(len(u), dtype=bool)
+    live = np.arange(len(u))
+    while True:
+        keep = u != w
+        live, u, w = live[keep], u[keep], w[keep]
+        if not len(live):
+            return forest
+        # (component, slot) keys for both ends of each live edge, slots in
+        # edge order: sorted, each component's least edge comes first
+        at = np.arange(len(live))
+        keys = np.concatenate([u * len(live) + at, w * len(live) + at])
+        keys.sort()
+        comp = keys // len(live)
+        comp, at = np.divmod(keys[np.concatenate([[True], comp[1:] != comp[:-1]])], len(live))
+        forest[live[at]] = True
+        root = np.arange(len(k.vertices))
+        root[comp] = u[at] + w[at] - comp
+        # the minimum with the grandparent roots each pair that shares an
+        # edge at its smaller component and moves every other pointer up
+        root = np.minimum(root, root[root])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        u, w = root[u], root[w]
 
-    forest = set()
-    for j, (u, w) in enumerate(zip(*k.rows[1].T.tolist())):
-        a, b = find(u), find(w)
-        if a != b:
-            root[a] = b
-            forest.add(j)
-    return forest
+
+#: incidences gathered per step of a coboundary build
+_INCIDENCE_BLOCK = 1 << 12
 
 
-def _coboundary_rank(k: SimplicialComplex, d: int, cleared: set) -> tuple:
-    """Rank of the coboundary from d- to (d+1)-cochains, reducing only the
-    columns (d-simplex positions) outside ``cleared``.
+def _coboundary_rank(k: SimplicialComplex, d: int, cleared: np.ndarray) -> tuple:
+    """Rank of the coboundary from d- to (d+1)-cochains, building and
+    reducing only the columns (d-simplex positions) outside the ``cleared``
+    mask, from the highest position down.  Only the incidences of
+    ``k.facets(d + 1)`` on uncleared faces are read, ``_INCIDENCE_BLOCK``
+    at a time, so no cleared column is built.
 
-    Returns ``(rank, pivots)``, the pivots being the positions of the
+    Returns ``(rank, pivots)``, the pivots being a mask over the
     (d+1)-simplices that are the highest bits of the reduced columns.
     """
-    if not len(k.rows[d + 1]):
-        return 0, set()
-    columns = [0] * len(k.rows[d])
-    for i, faces in enumerate(zip(*k.facets(d + 1).T.tolist())):
-        bit = 1 << i
-        for j in faces:
-            columns[j] |= bit
-    pivots = _echelon(c for j, c in enumerate(columns) if j not in cleared)
-    return len(pivots), {top - 1 for top in pivots}
+    cofaces = k.facets(d + 1)
+    pivots = np.zeros(len(cofaces), dtype=bool)
+    if not len(cofaces):
+        return 0, pivots
+    slot = np.cumsum(~cleared) - 1  # each uncleared column's place in ``columns``
+    columns = [0] * (slot[-1] + 1)
+    step = max(1, _INCIDENCE_BLOCK // (d + 2))
+    for start in range(0, len(cofaces), step):
+        block = cofaces[start : start + step]
+        coface, at = np.nonzero(~cleared[block])
+        for j, i in zip(slot[block[coface, at]].tolist(), (coface + start).tolist()):
+            columns[j] |= 1 << i
+    # popped from the highest down, so a column reduced to zero is freed at once
+    tops = _echelon(columns.pop() for _ in range(len(columns)))
+    pivots[np.fromiter(tops, dtype=np.intp, count=len(tops)) - 1] = True
+    return len(tops), pivots
 
 
 def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
@@ -120,7 +153,8 @@ def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
     Requires ``max_k < dim_cap`` so that the rank of the next boundary map is
     available.  With D_i the boundary map from i-chains, beta_i = n_i -
     rank D_i - rank D_{i+1}, where rank D_0 = 0 and rank D_1 is the size of a
-    spanning forest F.  For d >= 1, rank D_{d+1} is the rank of the
+    spanning forest F, found by Borůvka's rounds (the forest union-find joins
+    in edge order).  For d >= 1, rank D_{d+1} is the rank of the
     coboundary delta_d, whose columns are the d-simplices and whose rows the
     (d+1)-simplices.  A column known to lie in the span of the
     others is skipped (cleared), which leaves the rank unchanged:
@@ -134,6 +168,12 @@ def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
       writes delta_d tau as a sum of columns with smaller index.  Taken from
       the smallest up, every cleared column is a sum of uncleared ones.
 
+    Neither argument depends on the order in which the columns of
+    delta_{d-1} were processed, only on each pivot being the highest bit of
+    a reduced column; the pivots are even the same set in any order, the
+    highest bits of an echelon basis of the columns' span.  So each level
+    reduces its uncleared columns from the highest position down.
+
     A level without (d+1)-simplices has rank 0 and clears nothing above it.
     """
     if max_k < 0:
@@ -143,7 +183,7 @@ def betti_numbers(k: SimplicialComplex, max_k: int) -> list:
             f"dim_cap {k.dim_cap} too small: need simplices of dimension {max_k + 1}"
         )
     cleared = _spanning_forest(k)
-    ranks = [0, len(cleared)]
+    ranks = [0, int(cleared.sum())]
     for d in range(1, max_k + 1):
         rank, cleared = _coboundary_rank(k, d, cleared)
         ranks.append(rank)
@@ -177,7 +217,7 @@ class _H1Context:
         self.echelon: dict = {}
         for a, b, c in zip(*k.facets(2).T.tolist()):
             self._insert((1 << a) | (1 << b) | (1 << c), 0)
-        need = len(k.rows[1]) - len(_spanning_forest(k)) - len(self.echelon)
+        need = len(k.rows[1]) - int(_spanning_forest(k).sum()) - len(self.echelon)
         self.h1_basis = []
         cycles = self._edge_cycles(k)
         while len(self.h1_basis) < need:
@@ -297,17 +337,18 @@ class GroupPresentation:
 def edge_path_presentation(k: SimplicialComplex, base: Vertex) -> GroupPresentation:
     """Spanning-tree presentation of the edge-path group from ``base``.
 
-    The tree is the union-find forest that ``betti_numbers`` runs, so the
-    presentation is deterministic; on a connected complex it presents the
-    same group from every base.  Raises on disconnected 1-skeletons.
+    The tree is the Borůvka forest that ``betti_numbers`` reads, the forest
+    union-find joins in edge order, and the generators are the other edges
+    in order, so the presentation is deterministic; on a connected complex
+    it presents the same group from every base.  Raises on disconnected 1-skeletons.
     """
     if base not in k.vertex_index:
         raise KeyError(f"unknown base vertex {base!r}")
-    tree = _spanning_forest(k) if k.dim_cap else set()
-    if len(tree) != len(k.vertices) - 1:
+    tree = _spanning_forest(k) if k.dim_cap else np.zeros(0, dtype=bool)
+    if tree.sum() != len(k.vertices) - 1:
         raise ValueError("complex is not connected")
     edges = k.simplices(1)
-    generator = {j: i for i, j in enumerate(j for j in range(len(edges)) if j not in tree)}
+    generator = {j: i for i, j in enumerate(np.flatnonzero(~tree).tolist())}
     # triangle abc's facets are bc, ac, ab; its boundary word is ab + bc - ac
     triangles = k.facets(2).tolist() if k.dim_cap > 1 else ()
     relators = tuple({generator[j]: sign for j, sign in ((ab, 1), (bc, 1), (ac, -1)) if j in generator}

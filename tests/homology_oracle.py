@@ -4,7 +4,8 @@ its own copies of the kernel, insertion and coordinate loops, and the Betti
 numbers and induced map on H1 built on them.  They pivot on the lowest set
 bit, so they share no convention with ``_reduce``, which pivots on the
 highest.  Also the breadth-first edge-path presentation that the union-find
-spanning forest replaced."""
+spanning forest replaced, and that union-find forest, which Borůvka's rounds
+replaced."""
 
 from collections import deque
 from itertools import combinations
@@ -124,6 +125,25 @@ def induced_h1(m) -> InducedH1:
         source_betti1=len(src.h1_basis),
         target_betti1=n_rows,
     )
+
+
+def spanning_forest(k) -> set:
+    """Positions in ``k.rows[1]`` of the edges that union-find, run over the
+    edges in order, joins into a spanning forest."""
+    root = list(range(len(k.vertices)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    forest = set()
+    for j, (u, w) in enumerate(zip(*k.rows[1].T.tolist())):
+        a, b = find(u), find(w)
+        if a != b:
+            root[a] = b
+            forest.add(j)
+    return forest
 
 
 def edge_path_presentation(k, base) -> GroupPresentation:

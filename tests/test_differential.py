@@ -1446,6 +1446,19 @@ class TestEdgePathPresentationDifferential:
             assert presentation_outcome(edge_path_presentation, k, unknown) is KeyError
             assert presentation_outcome(homology_oracle.edge_path_presentation, k, unknown) is KeyError
 
+    @pytest.mark.parametrize("case", range(len(PRESENTATION_COMPLEXES)))
+    def test_generators_are_the_union_find_non_tree_edges(self, case):
+        # the Borůvka forest is the one union-find joins, so the generators
+        # keep their order: every edge outside the union-find forest
+        k = PRESENTATION_COMPLEXES[case]
+        tree = homology_oracle.spanning_forest(k) if k.dim_cap else set()
+        if len(tree) != len(k.vertices) - 1:
+            with pytest.raises(ValueError):
+                edge_path_presentation(k, k.vertices[0])
+            return
+        want = tuple(e for j, e in enumerate(k.simplices(1)) if j not in tree)
+        assert edge_path_presentation(k, k.vertices[0]).generators == want
+
     def test_outcomes_cover_every_kind(self):
         outcomes = {presentation_outcome(edge_path_presentation, k, k.vertices[0])
                     for k in PRESENTATION_COMPLEXES}

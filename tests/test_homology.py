@@ -132,7 +132,7 @@ class TestWorkCounts:
         return calls
 
     def test_beta0_reduces_nothing(self, reduce_calls):
-        # union-find alone: none of K150's 11,175 edge columns is reduced
+        # the forest alone: none of K150's 11,175 edge columns is reduced
         assert betti_numbers(vietoris_rips(complete_graph(150), 1), 0) == [1]
         assert reduce_calls == []
 

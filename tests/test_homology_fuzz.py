@@ -1,13 +1,15 @@
 """Property tests of the GF(2) homology against the hand-written eliminations
-in ``homology_oracle``: Betti numbers at every level a complex allows, each
-cleared coboundary rank against the dense rank of the full coboundary, and
-the whole induced map on H1 of random simplicial self-maps.  The same maps,
-perturbed until some are not simplicial, and random complexes check the
-subdivision builders, the maximal-simplex walk, ``check_simplicial`` and
-``sd_compatibility`` against the code they replaced, in ``sd_oracle``."""
+in ``homology_oracle``: Betti numbers at every level a complex allows, the
+spanning forest against union-find, each cleared coboundary rank against
+the dense rank of the full coboundary, and the whole induced map on H1 of
+random simplicial self-maps.  The same maps, perturbed until some are not
+simplicial, and random complexes check the subdivision builders, the
+maximal-simplex walk, ``check_simplicial`` and ``sd_compatibility`` against
+the code they replaced, in ``sd_oracle``."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,16 +41,20 @@ SIZES = {
     "cycle": st.integers(4, 8),
     "complete": st.integers(5, 6),
     "cross": st.sampled_from([4, 6, 8]),
+    "star": st.integers(2, 9),
+    "path": st.integers(2, 200),
+    "isolated": st.just(1),
 }
 
 
 @st.composite
-def blocks(draw, kinds=("random", "cycle")):
+def blocks(draw, kinds=("random", "cycle"), min_size=1, isolated=0):
     """Components of a graph as vertex lists over shuffled labels, with their
     kind: random (isolated vertices and cliques included), a cycle C_m,
     m >= 4, whose clique complex has beta_1 = 1, and, when asked for, K5 or
-    K6 and the cross-polytopes of dimension 2 to 4 (spheres S^1 to S^3)."""
-    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    K6, the cross-polytopes of dimension 2 to 4 (spheres S^1 to S^3), stars
+    and paths of up to 200 vertices; then ``isolated`` isolated vertices."""
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=min_size, max_size=4)) + ["isolated"] * isolated
     sizes = [draw(SIZES[kind]) for kind in kinds]
     labels = draw(st.permutations(range(sum(sizes))))
     out, start = [], 0
@@ -61,6 +67,12 @@ def blocks(draw, kinds=("random", "cycle")):
 def block_edges(draw, kind, vs):
     if kind == "cycle":
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+    if kind == "path":
+        return list(zip(vs, vs[1:]))
+    if kind == "star":
+        return [(vs[0], v) for v in vs[1:]]
+    if kind == "isolated":
+        return []
     pairs = list(combinations(vs, 2))
     if kind == "complete":
         return pairs
@@ -74,8 +86,8 @@ def block_edges(draw, kind, vs):
 
 
 @st.composite
-def graphs_with_blocks(draw, kinds=("random", "cycle")):
-    parts = draw(blocks(kinds))
+def graphs_with_blocks(draw, kinds=("random", "cycle"), min_size=1, isolated=st.just(0)):
+    parts = draw(blocks(kinds, min_size, draw(isolated)))
     edges = [e for kind, vs in parts for e in block_edges(draw, kind, vs)]
     return Graph(range(sum(len(vs) for _, vs in parts)), edges), parts
 
@@ -90,6 +102,23 @@ def test_betti_numbers_match_oracle(case, cap):
         assert betti_numbers(k, max_k) == homology_oracle.betti_numbers(k, max_k)
 
 
+@FUZZ
+@hypothesis.given(graphs_with_blocks(("random", "cycle", "complete", "cross", "star", "path"),
+                                     isolated=st.integers(0, 3)))
+@hypothesis.example((Graph([0], []), None))
+@hypothesis.example((Graph(range(5), []), None))
+@hypothesis.example((Graph(range(300), [(i * 7 % 300, (i + 1) * 7 % 300) for i in range(299)]), None))
+def test_spanning_forest_is_the_union_find_forest(case):
+    # Borůvka's rounds on distinct position weights join the same edges as
+    # union-find in edge order; paths over shuffled labels take many rounds
+    # and long pointer chains
+    g, _ = case
+    k = vietoris_rips(g, 1)
+    forest = homology._spanning_forest(k)
+    assert forest.dtype == bool and forest.shape == (len(k.simplices(1)),)
+    assert set(np.flatnonzero(forest).tolist()) == homology_oracle.spanning_forest(k)
+
+
 def coboundary_columns(k, d):
     """The full coboundary delta_d: one column per d-simplex, one row per
     (d+1)-simplex, no column cleared."""
@@ -101,25 +130,38 @@ def coboundary_columns(k, d):
     return columns
 
 
-@FUZZ
-@hypothesis.given(graphs_with_blocks(("random", "cycle", "complete", "cross")), st.integers(2, 7))
-@hypothesis.example((complete_graph(6), None), 6)
-@hypothesis.example((Graph(range(8), [(i, j) for i, j in combinations(range(8), 2) if j != i + 4]), None), 5)
-def test_cleared_coboundary_ranks_match_the_full_rank(case, cap):
+def assert_cleared_ranks_are_full(g, cap):
     # clearing skips the forest's edges at d = 1 and the pivots of the level
-    # below at d >= 2; neither may change the rank, and every pivot must be
-    # a (d+1)-simplex, or the next level would skip a column it should not
-    g, _ = case
+    # below at d >= 2; neither may change the rank, and the pivots must be a
+    # mask over the (d+1)-simplices with one entry per unit of rank, or the
+    # next level would skip a column it should not
     k = vietoris_rips(g, cap)
     cleared = homology._spanning_forest(k)
     for d in range(1, cap):
         rank, pivots = homology._coboundary_rank(k, d, cleared)
         assert rank == homology_oracle.gf2_rank_dense(coboundary_columns(k, d))
-        assert len(pivots) == rank
-        assert all(0 <= p < len(k.simplices(d + 1)) for p in pivots)
+        assert pivots.sum() == rank
+        assert pivots.dtype == bool and pivots.shape == (len(k.simplices(d + 1)),)
         if d >= 2:
-            hypothesis.event("d >= 2 clears columns" if cleared else "d >= 2 clears nothing")
+            hypothesis.event("d >= 2 clears columns" if cleared.any() else "d >= 2 clears nothing")
         cleared = pivots
+
+
+@FUZZ
+@hypothesis.given(graphs_with_blocks(("random", "cycle", "complete", "cross")), st.integers(2, 7))
+@hypothesis.example((complete_graph(6), None), 6)
+@hypothesis.example((Graph(range(8), [(i, j) for i, j in combinations(range(8), 2) if j != i + 4]), None), 5)
+def test_cleared_coboundary_ranks_match_the_full_rank(case, cap):
+    assert_cleared_ranks_are_full(case[0], cap)
+
+
+@pytest.mark.parametrize("cap", range(2, 8))
+@hypothesis.settings(FUZZ, max_examples=40)
+@hypothesis.given(graphs_with_blocks(("cycle", "complete", "cross"), min_size=2, isolated=st.integers(1, 3)))
+def test_cleared_ranks_across_components(cap, case):
+    # two to four components and isolated vertices: each level's pivots
+    # clear columns of every component at once
+    assert_cleared_ranks_are_full(case[0], cap)
 
 
 def dominated_fold(g, vs):
